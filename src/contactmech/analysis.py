@@ -22,6 +22,8 @@ from . import expr as ex
 from .calculus import (
     ScalarField,
     VectorField,
+    _coerce_component,
+    _jacobian,
     hamiltonian_field,
     lie_bracket,
     lie_derivative_contact_form,
@@ -29,7 +31,7 @@ from .calculus import (
     vector_field_value,
 )
 from .contact_core import ChartPoint, ContactSystem, contact_form_apply
-from .expr import Dual, DomainError, Expression
+from .expr import DomainError, Expression
 from .integrate import Trajectory
 
 __all__ = [
@@ -223,17 +225,12 @@ def _quantity_rates(
     sys: ContactSystem, expression: Expression, point: ChartPoint
 ) -> tuple:
     """(L_{X_H}F, L_{X_H}F + (dH/ds) F) at one state."""
-    flat = point.flat()
-    flow = sys.flow(flat)
+    flow = sys.flow(point.flat())
     env = sys.bindings(point)
     value = expression._run(env)
     rate = 0.0
-    for k, var in enumerate(sys.chart_names):
-        seeded = dict(env)
-        seeded[var] = Dual(env[var], 1.0)
-        out = expression._run(seeded)
-        if isinstance(out, Dual):
-            rate += flow[k] * out.eps
+    for velocity, var in zip(flow, sys.chart_names):
+        rate += velocity * expression.derivative(var)._run(env)
     h_s = sys.d_hamiltonian("s", point)
     return rate, rate + h_s * value
 
@@ -362,19 +359,13 @@ class PointMap:
                 f"{sorted(unknown)}"
             )
         declared = frozenset(sys.chart_names) | frozenset(sys.parameters)
-        built = []
-        for cn in sys.chart_names:
-            if cn in components:
-                source = components[cn]
-                if isinstance(source, Expression):
-                    built.append(source)
-                elif isinstance(source, (int, float)):
-                    built.append(ex.literal(source))
-                else:
-                    built.append(ex.parse(source, declared))
-            else:
-                built.append(ex.variable(cn))
-        return cls(name, sys.chart_names, tuple(built))
+        built = tuple(
+            _coerce_component(components[cn], declared)
+            if cn in components
+            else ex.variable(cn)
+            for cn in sys.chart_names
+        )
+        return cls(name, sys.chart_names, built)
 
     def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
         env = sys.bindings(point)
@@ -417,13 +408,7 @@ def check_contact_symmetry_map(
             env = sys.bindings(point)
             image_vals = [c._run(env) for c in point_map.components]
             image = ChartPoint.from_flat(image_vals)
-            jac = np.empty((dim, dim))
-            for j, var in enumerate(sys.chart_names):
-                seeded = dict(env)
-                seeded[var] = Dual(env[var], 1.0)
-                for k, comp in enumerate(point_map.components):
-                    out = comp._run(seeded)
-                    jac[k, j] = out.eps if isinstance(out, Dual) else 0.0
+            jac = _jacobian(point_map.components, sys.chart_names, env)
             eta_image = np.zeros(dim)
             eta_image[:n] = [-pi for pi in image.p]
             eta_image[2 * n] = 1.0

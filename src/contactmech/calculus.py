@@ -1,10 +1,11 @@
 """Vector fields, Lie brackets, and Lie derivatives on the chart.
 
-Derivatives of field components come from the expression engine, so
-brackets carry no finite-difference noise.  The Hamiltonian field itself
-is materialized as component expressions built from derivative nodes of
-H; differentiating those components again evaluates nested duals, which
-is how second derivatives of H enter bracket computations exactly.
+Derivatives of field components are symbolic derivatives from the
+expression engine, so brackets carry no finite-difference noise.  The
+Hamiltonian field is the tuple of component expressions each
+ContactSystem builds from the gradient of H; their derivatives are
+cached on the shared components, which is how second derivatives of H
+enter bracket computations exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .contact_core import ChartPoint, ContactSystem, Covector, Tangent
-from .expr import Dual, Expression
+from .expr import Expression
 
 __all__ = [
     "ScalarField",
@@ -113,21 +114,19 @@ def vector_field_value(
     return Tangent.from_flat(tuple(c._run(env) for c in field.components))
 
 
+def _jacobian(components, names, env: dict) -> np.ndarray:
+    """Entry (k, j) = d(components[k])/d(names[j]) at ``env``."""
+    return np.array(
+        [[comp.derivative(var)._run(env) for var in names] for comp in components]
+    )
+
+
 def vf_jacobian(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
     _field_dim_check(sys, field)
-    env = sys.bindings(point)
-    dim = sys.dim
-    jac = np.empty((dim, dim))
-    for j, var in enumerate(sys.chart_names):
-        seeded = dict(env)
-        seeded[var] = Dual(env[var], 1.0)
-        for k, comp in enumerate(field.components):
-            out = comp._run(seeded)
-            jac[k, j] = out.eps if isinstance(out, Dual) else 0.0
-    return jac
+    return _jacobian(field.components, sys.chart_names, sys.bindings(point))
 
 
 def lie_bracket(
@@ -150,22 +149,8 @@ def lie_derivative_scalar(
     total = 0.0
     for var, comp in zip(sys.chart_names, field.components):
         weight = comp._run(env)
-        if weight == 0.0:
-            continue
-        seeded = dict(env)
-        seeded[var] = Dual(env[var], 1.0)
-        out = scalar.expression._run(seeded)
-        if isinstance(out, Dual):
-            total += weight * out.eps
-    return total
-
-
-def _eta_contraction(sys: ContactSystem, field: VectorField) -> Expression:
-    """i(Y)eta = Y^s - sum_i p_i Y^{q_i} as an expression."""
-    n = sys.n
-    total = field.components[2 * n]
-    for i, momentum in enumerate(sys.momenta):
-        total = ex.sub(total, ex.mul(ex.variable(momentum), field.components[i]))
+        if weight != 0.0:
+            total += weight * scalar.expression.derivative(var)._run(env)
     return total
 
 
@@ -174,48 +159,36 @@ def lie_derivative_contact_form(
 ) -> Covector:
     """L_Y eta via Cartan's formula i(Y)d eta + d(i(Y)eta).
 
-    With g = i(Y)eta: the dq^i slot is -Y^{p_i} + dg/dq^i, the dp_i slot
-    is Y^{q_i} + dg/dp_i, and the ds slot is dg/ds.
+    With g = i(Y)eta = Y^s - sum_k p_k Y^{q_k} and
+    D_x = dY^s/dx - sum_k p_k dY^{q_k}/dx: the dq^i slot is
+    -Y^{p_i} + D_{q^i}, the dp_i slot is D_{p_i} (Y^{q_i} cancels against
+    the explicit p_i in g), and the ds slot is D_s.
     """
     _field_dim_check(sys, field)
-    g = _eta_contraction(sys, field)
     env = sys.bindings(point)
     n = sys.n
+    y_q = field.components[:n]
+    y_s = field.components[2 * n]
 
     def d_g(var: str) -> float:
-        seeded = dict(env)
-        seeded[var] = Dual(env[var], 1.0)
-        out = g._run(seeded)
-        return out.eps if isinstance(out, Dual) else 0.0
+        total = y_s.derivative(var)._run(env)
+        for p_k, comp in zip(point.p, y_q):
+            total -= p_k * comp.derivative(var)._run(env)
+        return total
 
-    y_q = [field.components[i]._run(env) for i in range(n)]
-    y_p = [field.components[n + i]._run(env) for i in range(n)]
-    cq = tuple(-y_p[i] + d_g(sys.coordinates[i]) for i in range(n))
-    cp = tuple(y_q[i] + d_g(sys.momenta[i]) for i in range(n))
+    cq = tuple(
+        d_g(c) - field.components[n + i]._run(env)
+        for i, c in enumerate(sys.coordinates)
+    )
+    cp = tuple(d_g(m) for m in sys.momenta)
     return Covector(cq, cp, d_g("s"))
 
 
 def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> VectorField:
     """The contact Hamiltonian field as component expressions.
 
-    Components are assembled from derivative nodes of H, so they can be
-    differentiated again (Jacobians, brackets) with exact second
-    derivatives of H.
+    These are the components `ContactSystem.flow` evaluates, built once
+    per system; differentiating them again (Jacobians, brackets) gives
+    exact second derivatives of H, cached on the shared components.
     """
-    h = sys.hamiltonian
-    d_s = ex.partial_deriv(h, "s")
-    dq = [ex.partial_deriv(h, m) for m in sys.momenta]
-    dp = [
-        ex.neg(
-            ex.add(
-                ex.partial_deriv(h, c),
-                ex.mul(ex.variable(m), d_s),
-            )
-        )
-        for c, m in zip(sys.coordinates, sys.momenta)
-    ]
-    ds = ex.literal(0.0)
-    for m, comp in zip(sys.momenta, dq):
-        ds = ex.add(ds, ex.mul(ex.variable(m), comp))
-    ds = ex.sub(ds, h)
-    return VectorField(name, tuple(dq) + tuple(dp) + (ds,))
+    return VectorField(name, sys._field)

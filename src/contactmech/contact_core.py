@@ -14,7 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .expr import Dual, Expression, FUNCTIONS, parse
+from . import expr as ex
+from .expr import Expression, FUNCTIONS, parse
 
 __all__ = [
     "ACTION_NAME",
@@ -154,6 +155,7 @@ class ContactSystem:
         "chart_names",
         "_env_base",
         "_index",
+        "_field",
     )
 
     def __init__(
@@ -204,6 +206,20 @@ class ContactSystem:
         self.chart_names = chart_names
         self._env_base = dict(parameters)
         self._index = {name: k for k, name in enumerate(chart_names)}
+        # Darboux form of the contact Hamiltonian field, built once from
+        # the gradient of H (cached on H for d_hamiltonian):
+        # dq^i = dH/dp_i, dp_i = -(dH/dq^i + p_i dH/ds),
+        # ds = sum_i p_i dH/dp_i - H.
+        h_s = hamiltonian.derivative(ACTION_NAME)
+        dq = tuple(hamiltonian.derivative(m) for m in momenta)
+        dp = tuple(
+            ex.neg(ex.add(hamiltonian.derivative(c), ex.mul(ex.variable(m), h_s)))
+            for c, m in zip(coordinates, momenta)
+        )
+        ds = ex.literal(0.0)
+        for m, h_p in zip(momenta, dq):
+            ds = ex.add(ds, ex.mul(ex.variable(m), h_p))
+        self._field = dq + dp + (ex.sub(ds, hamiltonian),)
 
     @property
     def n(self) -> int:
@@ -245,42 +261,16 @@ class ContactSystem:
         """Exact partial of H with respect to a chart variable."""
         if var not in self._index:
             raise ValueError(f"{var!r} is not a chart variable")
-        env = self.bindings(point)
-        env[var] = Dual(env[var], 1.0)
-        out = self.hamiltonian._run(env)
-        return out.eps if isinstance(out, Dual) else 0.0
-
-    def _value_and_gradient(self, flat) -> tuple:
-        """H and its chart-ordered partials at a flat state."""
-        env = dict(self._env_base)
-        env.update(zip(self.chart_names, flat))
-        run = self.hamiltonian._run
-        value = run(env)
-        grad = []
-        for name in self.chart_names:
-            seeded = dict(env)
-            seeded[name] = Dual(env[name], 1.0)
-            out = run(seeded)
-            grad.append(out.eps if isinstance(out, Dual) else 0.0)
-        return value, grad
+        return self.hamiltonian.derivative(var)._run(self.bindings(point))
 
     def flow(self, flat: Sequence[float]) -> tuple:
         """Right-hand side of the evolution equations in flat layout.
 
-        Darboux form of the contact Hamiltonian field:
-        dq^i = dH/dp_i, dp_i = -(dH/dq^i + p_i dH/ds),
-        ds = sum_i p_i dH/dp_i - H.
+        Evaluates the field components built once at construction.
         """
-        n = self.n
-        value, grad = self._value_and_gradient(flat)
-        h_q = grad[:n]
-        h_p = grad[n : 2 * n]
-        h_s = grad[2 * n]
-        p = flat[n : 2 * n]
-        dq = h_p
-        dp = [-(h_q[i] + p[i] * h_s) for i in range(n)]
-        ds = sum(p[i] * h_p[i] for i in range(n)) - value
-        return tuple(dq) + tuple(dp) + (ds,)
+        env = dict(self._env_base)
+        env.update(zip(self.chart_names, flat))
+        return tuple([c._run(env) for c in self._field])
 
 
 def _check_dims(point: ChartPoint, v) -> None:
@@ -333,7 +323,9 @@ def hamilton_equation_residuals(
         field = hamiltonian_vector_field(sys, point)
     else:
         _check_dims(point, field)
-    value, grad = sys._value_and_gradient(point.flat())
+    env = sys.bindings(point)
+    value = sys.hamiltonian._run(env)
+    grad = [sys.hamiltonian.derivative(c)._run(env) for c in sys.chart_names]
     n = sys.n
     h_q = grad[:n]
     h_p = grad[n : 2 * n]

@@ -13,16 +13,15 @@ Known functions: sin, cos, exp, log, sqrt, abs.  Implicit multiplication
 is rejected ("2x" is a syntax error), and every identifier must resolve
 to a declared name at parse time.
 
-Derivatives are exact: evaluation propagates first-order dual numbers
-through the tree, and dual parts may themselves be duals, so nested
-differentiation (second derivatives of composite fields) works without
+Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
+the tree into another expression, built once per variable and cached, so
+differentiating a derivative again gives exact second derivatives without
 finite differencing.  Expressions are immutable and evaluation is pure,
 so concurrent use from any number of threads is safe.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union
@@ -30,7 +29,6 @@ from typing import Callable, Iterable, Mapping, Union
 __all__ = [
     "Bindings",
     "DomainError",
-    "Dual",
     "Expression",
     "ExpressionError",
     "FUNCTIONS",
@@ -45,7 +43,6 @@ __all__ = [
     "mul",
     "neg",
     "parse",
-    "partial_deriv",
     "power",
     "sub",
     "substitute",
@@ -94,139 +91,7 @@ class DomainError(ExpressionError):
     zero, negative base with fractional power, overflow)."""
 
 
-# ---------------------------------------------------------------------------
-# Dual numbers
-# ---------------------------------------------------------------------------
-
-class Dual:
-    """First-order dual number ``val + eps * d``.
-
-    ``val`` and ``eps`` may themselves be duals; nesting levels are kept
-    separate by construction (inner seeds lift every value one level), which
-    is what makes exact second derivatives possible.
-    """
-
-    __slots__ = ("val", "eps")
-
-    def __init__(self, val, eps=0.0):
-        self.val = val
-        self.eps = eps
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.eps!r})"
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.eps + other.eps)
-        return Dual(self.val + other, self.eps)
-
-    def __radd__(self, other):
-        return Dual(other + self.val, self.eps)
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.eps - other.eps)
-        return Dual(self.val - other, self.eps)
-
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.eps)
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.val * other.val,
-                self.val * other.eps + self.eps * other.val,
-            )
-        return Dual(self.val * other, self.eps * other)
-
-    def __rmul__(self, other):
-        return Dual(other * self.val, other * self.eps)
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.val / other.val,
-                (self.eps * other.val - self.val * other.eps)
-                / (other.val * other.val),
-            )
-        return Dual(self.val / other, self.eps / other)
-
-    def __rtruediv__(self, other):
-        return Dual(
-            other / self.val, -(other * self.eps) / (self.val * self.val)
-        )
-
-    def __neg__(self):
-        return Dual(-self.val, -self.eps)
-
-    def __pos__(self):
-        return self
-
-    def __pow__(self, other):
-        return _pow(self, other)
-
-    def __rpow__(self, other):
-        return _pow(other, self)
-
-
-def _real(x):
-    """Innermost real part of a possibly nested dual."""
-    while isinstance(x, Dual):
-        x = x.val
-    return x
-
-
-def _sin(x):
-    if isinstance(x, Dual):
-        return Dual(_sin(x.val), _cos(x.val) * x.eps)
-    return math.sin(x)
-
-
-def _cos(x):
-    if isinstance(x, Dual):
-        return Dual(_cos(x.val), -_sin(x.val) * x.eps)
-    return math.cos(x)
-
-
-def _exp(x):
-    if isinstance(x, Dual):
-        v = _exp(x.val)
-        return Dual(v, v * x.eps)
-    return math.exp(x)
-
-
-def _log(x):
-    if isinstance(x, Dual):
-        return Dual(_log(x.val), x.eps / x.val)
-    return math.log(x)
-
-
-def _sqrt(x):
-    if isinstance(x, Dual):
-        v = _sqrt(x.val)
-        return Dual(v, x.eps / (2.0 * v))
-    return math.sqrt(x)
-
-
-def _abs(x):
-    if isinstance(x, Dual):
-        r = _real(x.val)
-        sign = 1.0 if r > 0.0 else (-1.0 if r < 0.0 else 0.0)
-        return Dual(_abs(x.val), sign * x.eps)
-    return abs(x)
-
-
 def _pow(base, exponent):
-    if isinstance(exponent, Dual):
-        # Variable exponent: base^e = exp(e*log(base)); needs base > 0.
-        return _exp(exponent * _log(base))
-    if isinstance(base, Dual):
-        if exponent == 0.0:
-            return 1.0
-        return Dual(
-            _pow(base.val, exponent),
-            (exponent * _pow(base.val, exponent - 1.0)) * base.eps,
-        )
     if base < 0.0 and not float(exponent).is_integer():
         raise DomainError(
             f"negative base {base!r} with fractional exponent {exponent!r}"
@@ -234,27 +99,21 @@ def _pow(base, exponent):
     return math.pow(base, exponent)
 
 
+def _sign(x):
+    """Derivative of abs; sign(0) = 0."""
+    return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
+
+
 _FUNC_IMPL = {
-    "sin": _sin,
-    "cos": _cos,
-    "exp": _exp,
-    "log": _log,
-    "sqrt": _sqrt,
-    "abs": _abs,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    # private: produced by differentiating abs, never parsed
+    "sign": _sign,
 }
-
-
-def _partial_eval(fn, name, env):
-    """Dual part of ``fn`` seeded in direction ``name``.
-
-    Every binding is lifted one dual level, so an outer differentiation in
-    progress stays distinct from this inner one.
-    """
-    lifted = {
-        k: Dual(v, 1.0 if k == name else 0.0) for k, v in env.items()
-    }
-    out = fn(lifted)
-    return out.eps if isinstance(out, Dual) else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +148,7 @@ class Call:
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Partial:
-    """First partial derivative of ``arg`` with respect to ``var``.
-
-    Never produced by the parser; assembled internally to materialize
-    Hamiltonian vector-field components as evaluable trees.
-    """
-
-    arg: "Node"
-    var: str
-
-
-Node = Union[Num, Var, Neg, Bin, Call, Partial]
+Node = Union[Num, Var, Neg, Bin, Call]
 
 
 def _collect_names(node: Node, out: set) -> None:
@@ -314,9 +161,6 @@ def _collect_names(node: Node, out: set) -> None:
         _collect_names(node.rhs, out)
     elif isinstance(node, Call):
         _collect_names(node.arg, out)
-    elif isinstance(node, Partial):
-        _collect_names(node.arg, out)
-        out.add(node.var)
 
 
 # Printer precedence levels; a negative literal prints like a unary minus.
@@ -349,8 +193,6 @@ def _to_source(node: Node) -> str:
         return f"-{inner}"
     if isinstance(node, Call):
         return f"{node.fn}({_to_source(node.arg)})"
-    if isinstance(node, Partial):
-        return f"d({_to_source(node.arg)})/d({node.var})"
     prec = _node_prec(node)
     lhs = _to_source(node.lhs)
     rhs = _to_source(node.rhs)
@@ -376,10 +218,8 @@ def _compile(root: Node) -> Callable[[dict], object]:
     """Compile a tree into a Python function of one bindings dict."""
     env = {
         "_pw": _pow,
-        "_pd": _partial_eval,
         **{f"_{name}": impl for name, impl in _FUNC_IMPL.items()},
     }
-    counter = itertools.count()
 
     def emit(node: Node) -> str:
         if isinstance(node, Num):
@@ -392,12 +232,7 @@ def _compile(root: Node) -> Callable[[dict], object]:
             if node.op == "^":
                 return f"_pw({emit(node.lhs)}, {emit(node.rhs)})"
             return f"({emit(node.lhs)} {node.op} {emit(node.rhs)})"
-        if isinstance(node, Call):
-            return f"_{node.fn}({emit(node.arg)})"
-        child = _compile(node.arg)
-        name = f"_c{next(counter)}"
-        env[name] = child
-        return f"_pd({name}, {node.var!r}, _b)"
+        return f"_{node.fn}({emit(node.arg)})"
 
     src = f"def _expr_fn(_b):\n    return {emit(root)}\n"
     exec(compile(src, "<chart-expression>", "exec"), env)
@@ -407,7 +242,7 @@ def _compile(root: Node) -> Callable[[dict], object]:
 class Expression:
     """Immutable scalar field on the chart, evaluable with exact derivatives."""
 
-    __slots__ = ("root", "names", "_fn")
+    __slots__ = ("root", "names", "_fn", "_derivatives")
 
     def __init__(self, root: Node):
         self.root = root
@@ -415,6 +250,7 @@ class Expression:
         _collect_names(root, names)
         self.names = frozenset(names)
         self._fn = None
+        self._derivatives = None
 
     def _compiled(self):
         # benign race: compilation is deterministic and idempotent
@@ -439,14 +275,23 @@ class Expression:
         env = {k: float(v) for k, v in bindings.items()}
         return self._run(env)
 
+    def derivative(self, var: str) -> "Expression":
+        """Exact first partial with respect to ``var``, as an expression."""
+        # benign race: differentiation is deterministic and idempotent
+        if self._derivatives is None:
+            self._derivatives = {}
+        out = self._derivatives.get(var)
+        if out is None:
+            out = _diff(self.root, var) if var in self.names else literal(0.0)
+            self._derivatives[var] = out
+        return out
+
     def differentiate(self, var: str, bindings: Bindings) -> float:
         """Exact first partial with respect to ``var`` at ``bindings``."""
         env = {k: float(v) for k, v in bindings.items()}
         if var not in env:
             raise MissingBindingError(var)
-        env[var] = Dual(env[var], 1.0)
-        out = self._run(env)
-        return out.eps if isinstance(out, Dual) else 0.0
+        return self.derivative(var)._run(env)
 
     def __str__(self) -> str:
         return _to_source(self.root)
@@ -655,7 +500,7 @@ def _as_node(e) -> Node:
         return e.root
     if isinstance(e, (int, float)):
         return Num(float(e))
-    if isinstance(e, (Num, Var, Neg, Bin, Call, Partial)):
+    if isinstance(e, (Num, Var, Neg, Bin, Call)):
         return e
     raise TypeError(f"cannot use {type(e).__name__} as an expression")
 
@@ -735,6 +580,8 @@ def power(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
     if isinstance(x, Num) and isinstance(y, Num):
         return literal(_pow(x.value, y.value))
+    if _is_const(y, 1.0):
+        return Expression(x)
     return Expression(Bin("^", x, y))
 
 
@@ -744,16 +591,62 @@ def call(fn: str, e) -> Expression:
     return Expression(Call(fn, _as_node(e)))
 
 
-def partial_deriv(e, var: str) -> Expression:
-    """Tree node for the first partial of ``e`` with respect to ``var``.
+def _diff(node: Node, var: str) -> Expression:
+    """First partial of ``node`` with respect to ``var``, folded by the builders.
 
-    Evaluating it runs a nested dual pass over the child tree, so
-    differentiating the result again yields exact second derivatives.
+    A subtree free of ``var`` differentiates to the literal 0, and every
+    rule below skips the terms that multiply such a zero, so no factor is
+    evaluated that the derivative does not need.
     """
-    node = _as_node(e)
     if isinstance(node, Num):
         return literal(0.0)
-    return Expression(Partial(node, var))
+    if isinstance(node, Var):
+        return literal(1.0 if node.name == var else 0.0)
+    if isinstance(node, (Neg, Call)):
+        du = _diff(node.arg, var)
+        if _is_const(du.root, 0.0):
+            return du
+        if isinstance(node, Neg):
+            return neg(du)
+        u = node.arg
+        if node.fn == "sin":
+            outer = call("cos", u)
+        elif node.fn == "cos":
+            outer = neg(call("sin", u))
+        elif node.fn == "exp":
+            outer = node
+        elif node.fn == "log":
+            return div(du, u)
+        elif node.fn == "sqrt":
+            return div(du, mul(2.0, node))
+        elif node.fn == "abs":
+            outer = Call("sign", u)
+        else:  # sign: piecewise constant
+            return literal(0.0)
+        return mul(outer, du)
+    u, v = node.lhs, node.rhs
+    du, dv = _diff(u, var), _diff(v, var)
+    u_free, v_free = _is_const(du.root, 0.0), _is_const(dv.root, 0.0)
+    if u_free and v_free:
+        return literal(0.0)
+    if node.op == "+":
+        return add(du, dv)
+    if node.op == "-":
+        return sub(du, dv)
+    if node.op == "*":
+        return add(mul(du, v), mul(u, dv))
+    if node.op == "/":
+        if v_free:
+            return div(du, v)
+        return div(sub(mul(du, v), mul(u, dv)), mul(v, v))
+    # u^v: the log(u) term appears only when the exponent depends on var,
+    # so a parameter exponent never needs u > 0
+    if v_free:
+        return mul(mul(v, power(u, sub(v, 1.0))), du)
+    log_term = mul(mul(node, call("log", u)), dv)
+    if u_free:
+        return log_term
+    return add(mul(mul(v, power(u, sub(v, 1.0))), du), log_term)
 
 
 def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expression:
@@ -769,12 +662,6 @@ def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expre
             return Bin(node.op, walk(node.lhs), walk(node.rhs))
         if isinstance(node, Call):
             return Call(node.fn, walk(node.arg))
-        if isinstance(node, Partial):
-            if node.var in repl:
-                raise ValueError(
-                    f"cannot substitute '{node.var}' under a derivative"
-                )
-            return Partial(walk(node.arg), node.var)
         return node
 
     return Expression(walk(e.root))

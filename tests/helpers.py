@@ -3,8 +3,8 @@
 The derivative comparisons need a stream of (expression, bindings) pairs
 that are smooth near the sample point and numerically tame, so the
 central-difference oracle can be trusted.  Generation is seeded and the
-rejection filter only probes plain evaluations, never the dual-number
-path under test.
+rejection filter only probes plain evaluations, never the symbolic
+derivatives under test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from contactmech import DomainError, parse
+from contactmech import DomainError, finite_difference, parse
 
 NAMES = ("a", "b", "c")
 
@@ -38,21 +38,12 @@ def _gen_source(rng, depth: int) -> str:
     return f"{fn}({_gen_source(rng, depth - 1)})"
 
 
-def _central_difference(expr, name: str, bindings: dict) -> float:
-    h = 1e-5 * max(1.0, abs(bindings[name]))
-    lo = dict(bindings)
-    hi = dict(bindings)
-    lo[name] = bindings[name] - h
-    hi[name] = bindings[name] + h
-    return (expr.evaluate(hi) - expr.evaluate(lo)) / (2.0 * h)
-
-
 def _admissible(expr, bindings: dict) -> bool:
     # Bounds keep the FD oracle accurate: moderate values and slopes,
     # and a stencil that stays inside every function's domain.
     try:
         value = expr.evaluate(bindings)
-        slopes = [_central_difference(expr, name, bindings) for name in expr.names]
+        slopes = [finite_difference(expr, name, bindings) for name in expr.names]
     except DomainError:
         return False
     if not math.isfinite(value) or abs(value) > 1e2:

@@ -193,7 +193,7 @@ def test_criterion_09_derivative_engine(record_criterion):
             )
     record_criterion(
         9,
-        "dual derivatives vs central differences on 100 expressions",
+        "symbolic derivatives vs central differences on 100 expressions",
         worst <= 1e-6,
         f"max relative deviation {worst:.2e} (tol 1e-6)",
     )

@@ -6,6 +6,7 @@ import pytest
 
 from contactmech import (
     ChartPoint,
+    ContactSystem,
     PointMap,
     ScalarField,
     VectorField,
@@ -98,6 +99,19 @@ def test_action_translation_is_no_symmetry_here(gravity, ds, gravity_states):
 def test_action_translation_passes_at_a_loose_tolerance(gravity, ds, gravity_states):
     contact, dynamical = classify_symmetry(gravity, ds, gravity_states, tol=1.0)
     assert contact.passed and dynamical.passed
+
+
+def test_parameter_exponent_drops_no_bracket_samples():
+    # The exponent n is a parameter, so d(q^n)/dq = n*q^(n-1) needs no
+    # log(q) and every sample with q < 0 must still evaluate.
+    sys = ContactSystem(
+        ("q",), "p_q^2/2 + q^n + gamma*s", {"n": 2.0, "gamma": 0.5}
+    )
+    field = VectorField.from_mapping(sys, "d/ds", {"s": "1"})
+    samples = sample_states(sys, count=50, seed=3)
+    _, dynamical = classify_symmetry(sys, field, samples)
+    assert dynamical.failed_samples == 0
+    assert dynamical.samples == 50
 
 
 def test_evolution_field_is_dynamical_but_not_contact(gravity, gravity_states):
@@ -311,6 +325,12 @@ def test_point_map_apply(gravity, base_point):
 def test_point_map_rejects_unknown_variables(gravity):
     with pytest.raises(ValueError):
         PointMap.from_mapping(gravity, "bad", {"z": "1"})
+
+
+def test_point_map_rejects_undeclared_names_in_expressions(gravity):
+    stray = parse("x + zeta", ("x", "zeta"))
+    with pytest.raises(ValueError):
+        PointMap.from_mapping(gravity, "bad", {"x": stray})
 
 
 def test_translation_map_is_a_contact_symmetry(gravity, gravity_states):

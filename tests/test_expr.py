@@ -1,9 +1,10 @@
-"""Parser, printer, evaluator, and dual-number differentiation."""
+"""Parser, printer, evaluator, and symbolic differentiation."""
 
 import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from contactmech.expr import (
     literal,
     mul,
     neg,
-    partial_deriv,
     power,
     sub,
     substitute,
@@ -160,6 +160,7 @@ def test_abs_derivative_uses_the_sign():
     expr = parse("abs(x)", ("x",))
     assert expr.differentiate("x", {"x": -3.0}) == -1.0
     assert expr.differentiate("x", {"x": 3.0}) == 1.0
+    assert expr.differentiate("x", {"x": 0.0}) == 0.0
 
 
 def test_derivative_with_respect_to_absent_variable_is_zero():
@@ -173,24 +174,62 @@ def test_dual_derivatives_match_central_differences():
             exact = expr.differentiate(name, bindings)
             approx = finite_difference(expr, name, bindings)
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(approx)), (
-                f"{expr} d/d{name} at {bindings}: dual={exact} fd={approx}"
+                f"{expr} d/d{name} at {bindings}: symbolic={exact} fd={approx}"
             )
 
 
 def test_second_derivative_through_nested_duals():
-    # d/dx of d(x^3)/dx is 6x; the inner derivative is a tree node, so
-    # the outer dual pass runs on top of the inner one.
+    # d/dx of d(x^3)/dx is 6x; the first derivative is an ordinary
+    # expression, so differentiating it again is the same rewrite.
     cubed = parse("x^3", ("x",))
-    first = partial_deriv(cubed, "x")
+    first = cubed.derivative("x")
     assert first.evaluate({"x": 2.0}) == 12.0
     assert first.differentiate("x", {"x": 2.0}) == 12.0
+    assert first.derivative("x").evaluate({"x": 2.0}) == 12.0
 
 
 def test_partial_node_prints_but_does_not_parse():
-    text = str(partial_deriv(parse("x^2", ("x",)), "x"))
-    assert "/d(x)" in text
+    # A derivative prints as ordinary source that parses back to the same
+    # values; only the private sign (from abs) prints but does not parse.
+    first = parse("x^2 + sin(x)", ("x",)).derivative("x")
+    reparsed = parse(str(first), ("x",))
+    for x in (-1.5, 0.3, 2.0):
+        assert reparsed.evaluate({"x": x}) == first.evaluate({"x": x})
+    text = str(parse("abs(x)", ("x",)).derivative("x"))
+    assert text == "sign(x)"
     with pytest.raises(ParseError):
         parse(text, ("x",))
+
+
+def test_derivative_is_cached_per_expression():
+    expr = parse("x*y", ("x", "y"))
+    assert expr.derivative("x") is expr.derivative("x")
+    assert str(expr.derivative("x")) == "y"
+    assert str(expr.derivative("z")) == "0.0"
+
+
+def test_parameter_exponent_does_not_take_a_logarithm():
+    # n does not depend on q, so d(q^n)/dq = n*q^(n-1) holds for q < 0.
+    expr = parse("q^n", ("q", "n"))
+    assert expr.differentiate("q", {"q": -2.0, "n": 2.0}) == -4.0
+    assert "log" not in str(expr.derivative("q"))
+    assert "log" in str(expr.derivative("n"))
+
+
+def test_derivatives_match_sympy():
+    symbols = {name: sympy.Symbol(name) for name in helpers.NAMES}
+    sympy_names = {**symbols, "abs": sympy.Abs}
+    for expr, bindings in helpers.derivative_cases(100, seed=5):
+        reference = sympy.sympify(
+            str(expr).replace("^", "**"), locals=sympy_names
+        )
+        subs = {symbols[k]: v for k, v in bindings.items()}
+        for name in sorted(expr.names):
+            exact = expr.differentiate(name, bindings)
+            expected = float(sympy.diff(reference, symbols[name]).evalf(subs=subs))
+            assert abs(exact - expected) <= 1e-12 * max(1.0, abs(expected)), (
+                f"{expr} d/d{name} at {bindings}: symbolic={exact} sympy={expected}"
+            )
 
 
 ROUND_TRIP_SOURCES = [
@@ -242,9 +281,11 @@ def test_substitute_variables():
 
 
 def test_substitute_under_partial_is_rejected():
-    inner = partial_deriv(parse("x^2", ("x",)), "x")
-    with pytest.raises(ValueError):
-        substitute(inner, {"x": parse("y", ("y",))})
+    # A derivative is an ordinary expression, so substitution into it works.
+    inner = parse("x^2", ("x",)).derivative("x")
+    out = substitute(inner, {"x": parse("y + 1", ("y",))})
+    assert out.evaluate({"y": 2.0}) == 6.0
+    assert out.names == frozenset({"y"})
 
 
 def test_builder_folding():
