@@ -156,6 +156,8 @@ class ContactSystem:
         "_env_base",
         "_index",
         "_field",
+        "_flow_fn",
+        "_h_fn",
     )
 
     def __init__(
@@ -220,6 +222,8 @@ class ContactSystem:
         for m, h_p in zip(momenta, dq):
             ds = ex.add(ds, ex.mul(ex.variable(m), h_p))
         self._field = dq + dp + (ex.sub(ds, hamiltonian),)
+        self._flow_fn = None
+        self._h_fn = None
 
     @property
     def n(self) -> int:
@@ -255,7 +259,18 @@ class ContactSystem:
         return env
 
     def hamiltonian_value(self, point: ChartPoint) -> float:
-        return self.hamiltonian._run(self.bindings(point))
+        self._check_point(point)
+        return self._hamiltonian_flat(point.flat())
+
+    def _hamiltonian_flat(self, flat: Sequence[float]) -> float:
+        """H at a state in flat layout, through its compiled kernel."""
+        # benign race: compilation is deterministic and idempotent
+        fn = self._h_fn
+        if fn is None:
+            fn = self._h_fn = ex._compile_kernel(
+                self.hamiltonian, self.chart_names, self.parameters
+            )
+        return fn(*flat)
 
     def d_hamiltonian(self, var: str, point: ChartPoint) -> float:
         """Exact partial of H with respect to a chart variable."""
@@ -266,11 +281,17 @@ class ContactSystem:
     def flow(self, flat: Sequence[float]) -> tuple:
         """Right-hand side of the evolution equations in flat layout.
 
-        Evaluates the field components built once at construction.
+        Runs the field components built at construction, compiled on the
+        first call into one kernel that computes shared subtrees once;
+        the values are bit-identical to evaluating each component.
         """
-        env = dict(self._env_base)
-        env.update(zip(self.chart_names, flat))
-        return tuple([c._run(env) for c in self._field])
+        # benign race: compilation is deterministic and idempotent
+        fn = self._flow_fn
+        if fn is None:
+            fn = self._flow_fn = ex._compile_kernel(
+                self._field, self.chart_names, self.parameters
+            )
+        return fn(*flat)
 
 
 def _check_dims(point: ChartPoint, v) -> None:

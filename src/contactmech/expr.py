@@ -18,13 +18,18 @@ the tree into another expression, built once per variable and cached, so
 differentiating a derivative again gives exact second derivatives without
 finite differencing.  Expressions are immutable and evaluation is pure,
 so concurrent use from any number of threads is safe.
+
+A contact system compiles its whole flow (and H) into one straight-line
+kernel through the same code emitter, lazily on first use; like an
+expression's own compilation, that is a benign race.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Bindings",
@@ -89,6 +94,18 @@ class MissingBindingError(ExpressionError):
 class DomainError(ExpressionError):
     """Arithmetic left the real domain (log of non-positive, division by
     zero, negative base with fractional power, overflow)."""
+
+
+#: Arithmetic failures that evaluation reports as DomainError.
+_ARITHMETIC_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
+
+
+def _domain_error(exc: Exception) -> DomainError:
+    if isinstance(exc, ZeroDivisionError):
+        return DomainError(f"division by zero: {exc}")
+    if isinstance(exc, OverflowError):
+        return DomainError(f"overflow: {exc}")
+    return DomainError(str(exc))
 
 
 def _pow(base, exponent):
@@ -214,29 +231,189 @@ def _to_source(node: Node) -> str:
 # Compilation
 # ---------------------------------------------------------------------------
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": _pow,
+}
+
+# Generated code sees only these names, the arguments ``_b`` or ``v<k>``
+# and the temporaries ``t<k>``; chart and parameter names never become
+# Python identifiers.
+_HELPERS = {
+    "_pw": _pow,
+    "_mpow": math.pow,
+    "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
+    "_domain_error": _domain_error,
+    **{f"_{name}": impl for name, impl in _FUNC_IMPL.items()},
+}
+
+# A kernel raises DomainError itself, as Expression._run does for a
+# function of one expression; it is compiled once per system, so the
+# larger code costs little.
+_KERNEL_SOURCE = """\
+def _fn({args}):
+    try:
+        return {result}
+    except _ARITHMETIC_ERRORS as _e:
+        raise _domain_error(_e) from None
+"""
+
+
+class _Emitter:
+    """Python source for a batch of trees, computing each distinct subtree once.
+
+    The first occurrence of a repeated subtree binds a temporary with
+    ``:=`` and later occurrences read it, so the operations that remain
+    run in the same depth-first, left-to-right order as evaluating each
+    tree alone, and the first one to fail is the same.  A subtree whose
+    leaves are all literals or ``constants`` is evaluated here by the same
+    IEEE operations and emitted as its value, but only when that raises
+    nothing and is finite; otherwise it stays in the code and fails at
+    call time.  No other rewrite is made, so results are bit-identical.
+    """
+
+    def __init__(self, leaf: Callable[[str], str], constants: Mapping[str, float]):
+        self.leaf = leaf
+        self.constants = constants
+        self.signatures: dict = {}  # structural signature -> key
+        self.keys: dict = {}  # id(node) -> key; the roots keep nodes alive
+        self.values: dict = {}  # key -> compile-time value, or None
+        self.uses: dict = {}  # key -> occurrences left in the code
+        self.temps: dict = {}  # key -> temporary bound at first occurrence
+
+    def key(self, node: Node) -> int:
+        key = self.keys.get(id(node))
+        if key is not None:
+            return key
+        if isinstance(node, Num):
+            sig = ("#", repr(node.value))  # repr keeps -0.0 apart from 0.0
+        elif isinstance(node, Var):
+            sig = ("$", node.name)
+        elif isinstance(node, Neg):
+            sig = ("neg", self.key(node.arg))
+        elif isinstance(node, Bin):
+            sig = (node.op, self.key(node.lhs), self.key(node.rhs))
+        else:
+            sig = ("call", node.fn, self.key(node.arg))
+        key = self.signatures.setdefault(sig, len(self.signatures))
+        self.keys[id(node)] = key
+        return key
+
+    def value(self, node: Node):
+        """Value known at compile time, possibly infinite; None if unknown."""
+        key = self.key(node)
+        if key in self.values:
+            return self.values[key]
+        if isinstance(node, Num):
+            out = node.value
+        elif isinstance(node, Var):
+            out = self.constants.get(node.name)
+        else:
+            args = [self.value(c) for c in _children(node)]
+            out = None
+            if all(a is not None for a in args):
+                if isinstance(node, Neg):
+                    impl = operator.neg
+                elif isinstance(node, Bin):
+                    impl = _BINARY[node.op]
+                else:
+                    impl = _FUNC_IMPL[node.fn]
+                try:
+                    out = impl(*args)
+                except (ArithmeticError, ValueError, DomainError):
+                    pass  # left in the code, so the call raises as before
+        self.values[key] = out
+        return out
+
+    def folded(self, node: Node):
+        value = self.value(node)
+        return value if value is not None and math.isfinite(value) else None
+
+    def source(self, roots) -> list:
+        """One Python expression per root, to be evaluated in order."""
+        for root in roots:
+            self.count(root)
+        return [self.emit(root) for root in roots]
+
+    def count(self, node: Node) -> None:
+        if isinstance(node, Var) or self.folded(node) is not None:
+            return
+        key = self.key(node)
+        seen = self.uses.get(key, 0)
+        self.uses[key] = seen + 1
+        if not seen:
+            for child in _children(node):
+                self.count(child)
+
+    def emit(self, node: Node) -> str:
+        value = self.folded(node)
+        if value is not None:
+            return repr(value)
+        if isinstance(node, Var):
+            return self.leaf(node.name)
+        key = self.key(node)
+        temp = self.temps.get(key)
+        if temp is not None:
+            return temp
+        if isinstance(node, Neg):
+            src = f"(-{self.emit(node.arg)})"
+        elif isinstance(node, Call):
+            src = f"_{node.fn}({self.emit(node.arg)})"
+        elif node.op == "^":
+            # _pow with an integer exponent is math.pow, so call it directly
+            exponent = self.folded(node.rhs)
+            fn = "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
+            src = f"{fn}({self.emit(node.lhs)}, {self.emit(node.rhs)})"
+        else:
+            src = f"({self.emit(node.lhs)} {node.op} {self.emit(node.rhs)})"
+        if self.uses[key] > 1:
+            temp = self.temps[key] = f"t{len(self.temps)}"
+            return f"({temp} := {src})"
+        return src
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Bin):
+        return (node.lhs, node.rhs)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
+    return ()
+
+
+def _exec(src: str) -> Callable:
+    env = dict(_HELPERS)
+    exec(compile(src, "<chart-expression>", "exec"), env)
+    return env["_fn"]
+
+
 def _compile(root: Node) -> Callable[[dict], object]:
     """Compile a tree into a Python function of one bindings dict."""
-    env = {
-        "_pw": _pow,
-        **{f"_{name}": impl for name, impl in _FUNC_IMPL.items()},
-    }
+    (body,) = _Emitter(lambda name: f"_b[{name!r}]", {}).source([root])
+    return _exec(f"def _fn(_b):\n    return {body}\n")
 
-    def emit(node: Node) -> str:
-        if isinstance(node, Num):
-            return repr(node.value)
-        if isinstance(node, Var):
-            return f"_b[{node.name!r}]"
-        if isinstance(node, Neg):
-            return f"(-{emit(node.arg)})"
-        if isinstance(node, Bin):
-            if node.op == "^":
-                return f"_pw({emit(node.lhs)}, {emit(node.rhs)})"
-            return f"({emit(node.lhs)} {node.op} {emit(node.rhs)})"
-        return f"_{node.fn}({emit(node.arg)})"
 
-    src = f"def _expr_fn(_b):\n    return {emit(root)}\n"
-    exec(compile(src, "<chart-expression>", "exec"), env)
-    return env["_expr_fn"]
+def _compile_kernel(
+    result, variables: Sequence[str], constants: Mapping[str, float]
+) -> Callable:
+    """Compile into one function of ``variables`` as positional arguments.
+
+    ``result`` is an expression, or a tuple of expressions evaluated
+    together with shared subtrees computed once; the function returns a
+    float or a tuple of the same length.  ``constants`` (finite values)
+    are folded in at compile time.  Values and DomainError messages are
+    those of ``Expression._run`` on a dict binding the same names.
+    """
+    as_tuple = isinstance(result, tuple)
+    roots = [e.root for e in result] if as_tuple else [result.root]
+    index = {name: k for k, name in enumerate(variables)}
+    parts = _Emitter(lambda name: f"v{index[name]}", constants).source(roots)
+    return _exec(_KERNEL_SOURCE.format(
+        args=", ".join(f"v{k}" for k in range(len(variables))),
+        result=f"({', '.join(parts)},)" if as_tuple else parts[0],
+    ))
 
 
 class Expression:
@@ -263,12 +440,8 @@ class Expression:
             return self._compiled()(env)
         except KeyError as exc:
             raise MissingBindingError(exc.args[0]) from None
-        except ZeroDivisionError as exc:
-            raise DomainError(f"division by zero: {exc}") from None
-        except OverflowError as exc:
-            raise DomainError(f"overflow: {exc}") from None
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
+        except _ARITHMETIC_ERRORS as exc:
+            raise _domain_error(exc) from None
 
     def evaluate(self, bindings: Bindings) -> float:
         """Value at ``bindings``; every referenced name must be bound."""

@@ -36,11 +36,20 @@ class IntegrationError(Exception):
     """Base class for integration failures."""
 
 
+def _state_text(names: Sequence[str], state: ChartPoint) -> str:
+    return ", ".join(f"{name}={value!r}" for name, value in zip(names, state.flat()))
+
+
 class DivergenceError(IntegrationError):
     """The state left the finite domain; carries the last good sample."""
 
-    def __init__(self, message: str, time: float, state: ChartPoint):
-        super().__init__(f"{message} (last good state at t={time!r})")
+    def __init__(
+        self, message: str, time: float, state: ChartPoint, names: Sequence[str]
+    ):
+        super().__init__(
+            f"{message} (last good state at t={time!r}: "
+            f"{_state_text(names, state)})"
+        )
         self.time = time
         self.state = state
 
@@ -48,13 +57,16 @@ class DivergenceError(IntegrationError):
 class StepUnderflowError(IntegrationError):
     """Adaptive step control shrank below the resolvable step size."""
 
-    def __init__(self, time: float, dt: float):
+    def __init__(
+        self, time: float, dt: float, state: ChartPoint, names: Sequence[str]
+    ):
         super().__init__(
             f"step size underflow at t={time!r}: dt={dt!r} fell below the "
-            f"minimum resolvable step"
+            f"minimum resolvable step (state: {_state_text(names, state)})"
         )
         self.time = time
         self.dt = dt
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -114,38 +126,44 @@ class Trajectory:
         return self.states[:, self.names.index(name)]
 
 
-def _check_finite(values, t: float, last_state) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise DivergenceError(
-                "state left the finite domain",
-                t,
-                ChartPoint.from_flat(last_state),
-            )
+def _diverged(sys: ContactSystem, message: str, t: float, last_good):
+    return DivergenceError(
+        message, t, ChartPoint.from_flat(last_good), sys.chart_names
+    )
+
+
+def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
+    # the sum of finite values is finite unless it overflows, so the
+    # per-value scan runs only then and on a real divergence
+    if math.isfinite(sum(values)):
+        return
+    if not all(map(math.isfinite, values)):
+        raise _diverged(sys, "state left the finite domain", t, last_good)
 
 
 def _rhs(sys: ContactSystem, y, t: float, last_good) -> tuple:
     try:
         k = sys.flow(y)
     except DomainError as exc:
-        raise DivergenceError(
-            f"right-hand side undefined: {exc}", t, ChartPoint.from_flat(last_good)
+        raise _diverged(
+            sys, f"right-hand side undefined: {exc}", t, last_good
         ) from None
-    _check_finite(k, t, last_good)
+    _check_finite(sys, k, t, last_good)
     return k
 
 
 def _rk4_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
-    dim = len(y)
+    half = 0.5 * h
     k1 = _rhs(sys, y, t, y)
-    k2 = _rhs(sys, tuple(y[i] + 0.5 * h * k1[i] for i in range(dim)), t, y)
-    k3 = _rhs(sys, tuple(y[i] + 0.5 * h * k2[i] for i in range(dim)), t, y)
-    k4 = _rhs(sys, tuple(y[i] + h * k3[i] for i in range(dim)), t, y)
-    out = tuple(
-        y[i] + (h / 6.0) * (k1[i] + 2.0 * (k2[i] + k3[i]) + k4[i])
-        for i in range(dim)
-    )
-    _check_finite(out, t, y)
+    k2 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k1)]), t, y)
+    k3 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k2)]), t, y)
+    k4 = _rhs(sys, tuple([yi + h * ki for yi, ki in zip(y, k3)]), t, y)
+    sixth = h / 6.0
+    out = tuple([
+        yi + sixth * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ])
+    _check_finite(sys, out, t, y)
     return out
 
 
@@ -179,23 +197,22 @@ _RKF_ERR = (
 
 
 def _rkf45_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
-    dim = len(y)
     ks = [_rhs(sys, y, t, y)]
     for row in _RKF_A[1:]:
-        stage = tuple(
-            y[i] + h * sum(a * ks[j][i] for j, a in enumerate(row))
-            for i in range(dim)
-        )
+        stage = tuple([
+            yi + h * sum([a * k for a, k in zip(row, col)])
+            for yi, *col in zip(y, *ks)
+        ])
         ks.append(_rhs(sys, stage, t, y))
-    out = tuple(
-        y[i] + h * sum(b * ks[j][i] for j, b in enumerate(_RKF_B4))
-        for i in range(dim)
-    )
-    _check_finite(out, t, y)
-    err = max(
-        abs(h * sum(e * ks[j][i] for j, e in enumerate(_RKF_ERR)))
-        for i in range(dim)
-    )
+    out = tuple([
+        yi + h * sum([b * k for b, k in zip(_RKF_B4, col)])
+        for yi, *col in zip(y, *ks)
+    ])
+    _check_finite(sys, out, t, y)
+    err = max([
+        abs(h * sum([e * k for e, k in zip(_RKF_ERR, col)]))
+        for col in zip(*ks)
+    ])
     return out, err
 
 
@@ -301,7 +318,9 @@ def integrate_adaptive(
         factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
         dt = h * min(5.0, max(0.2, factor))
         if t < tf and dt < dt_floor:
-            raise StepUnderflowError(t, dt)
+            raise StepUnderflowError(
+                t, dt, ChartPoint.from_flat(y), sys.chart_names
+            )
 
     return Trajectory(
         names=sys.chart_names,
@@ -317,12 +336,12 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
     """Header t,<chart names>,H; shortest round-trip float formatting."""
     if traj.names != sys.chart_names:
         raise ValueError("trajectory chart names do not match the system")
+    energy = sys._hamiltonian_flat
     lines = ["t," + ",".join(traj.names) + ",H"]
+    # one row at a time: converting the whole array at once costs memory
     for t, row in zip(traj.times, traj.states):
-        point = ChartPoint.from_flat(row.tolist())
-        h = sys.hamiltonian_value(point)
-        values = [float(t), *point.flat(), float(h)]
-        lines.append(",".join(repr(v) for v in values))
+        values = row.tolist()
+        lines.append(",".join(map(repr, [float(t), *values, energy(values)])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

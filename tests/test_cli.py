@@ -272,3 +272,20 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert "gravity_friction" in proc.stdout
+
+
+def test_divergence_exits_3_naming_the_state(tmp_path, capsys):
+    spec = tmp_path / "blowup.yaml"
+    spec.write_text(
+        "n: 1\n"
+        "coordinates: [q]\n"
+        "hamiltonian: s^2\n"
+        "initial_state: {q: 0.0, p_q: 0.0, s: -1.0}\n"
+    )
+    out = tmp_path / "blowup.csv"
+    rc = main(["simulate", str(spec), "--tf", "2", "--dt", "0.01",
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "last good state at t=" in err
+    assert ": q=0.0, p_q=0.0, s=" in err

@@ -1,11 +1,17 @@
 """Chart containers, the contact form, and the evolution equations."""
 
+import math
+import operator
+import random
+
 import pytest
 
+from contactmech import expr as ex
 from contactmech import (
     ChartPoint,
     ContactSystem,
     Covector,
+    DomainError,
     Tangent,
     builtin,
     contact_form_apply,
@@ -208,3 +214,192 @@ def test_dimension_mismatch_in_form_helpers(base_point):
         contact_form_apply(base_point, v)
     with pytest.raises(ValueError):
         interior_d_eta(base_point, v)
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernel against the per-component path
+# ---------------------------------------------------------------------------
+
+CHAIN_H = (
+    "(p_q1^2 + p_q2^2 + p_q3^2 + p_q4^2 + p_q5^2 + p_q6^2)/(2*m)"
+    " + k/2*((q2 - q1)^2 + (q3 - q2)^2 + (q4 - q3)^2 + (q5 - q4)^2"
+    " + (q6 - q5)^2) + gamma*s"
+)
+
+# every function, a fractional parameter exponent and a negative parameter
+FUNCTIONS_H = (
+    "p_q^2/(2*m) + sin(q)*cos(p_q) + exp(-q^2/2) + log(1 + q^2)"
+    " + c*sqrt(1 + p_q^2) + abs(q)*(1 + q^2)^n + gamma*s"
+)
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+_CALLS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "sign": lambda x: 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0),
+}
+
+
+def _kernel_systems():
+    systems = {name: builtin(name) for name in MODELS}
+    systems["chain"] = ContactSystem(
+        [f"q{i}" for i in range(1, 7)],
+        CHAIN_H,
+        {"m": 1.3, "k": 2.1, "gamma": 0.4},
+    )
+    systems["functions"] = ContactSystem(
+        ("q",), FUNCTIONS_H, {"m": 1.3, "c": -0.75, "n": 1.5, "gamma": 0.4}
+    )
+    return systems
+
+
+def _env(sys, flat):
+    env = dict(sys.parameters)
+    env.update(zip(sys.chart_names, flat))
+    return env
+
+
+def _per_component(sys, flat):
+    env = _env(sys, flat)
+    return tuple(c._run(env) for c in sys._field)
+
+
+def _walk(node, env):
+    """Plain tree-walking evaluation, independent of any generated code."""
+    kind = type(node).__name__
+    if kind == "Num":
+        return node.value
+    if kind == "Var":
+        return env[node.name]
+    if kind == "Neg":
+        return -_walk(node.arg, env)
+    if kind == "Call":
+        return _CALLS[node.fn](_walk(node.arg, env))
+    return _BINARY[node.op](_walk(node.lhs, env), _walk(node.rhs, env))
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0 and compares nan equal to nan
+    return tuple(float(v).hex() for v in values)
+
+
+def _states(sys, count, seed):
+    rng = random.Random(seed)
+    return [
+        tuple(rng.uniform(-2.0, 2.0) for _ in range(sys.dim))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", list(_kernel_systems()))
+def test_kernel_matches_the_per_component_path(name):
+    sys = _kernel_systems()[name]
+    for flat in _states(sys, 200, seed=11):
+        expected = _per_component(sys, flat)
+        assert _bits(sys.flow(flat)) == _bits(expected)
+        env = _env(sys, flat)
+        assert _bits(expected) == _bits(_walk(c.root, env) for c in sys._field)
+        point = ChartPoint.from_flat(flat)
+        assert _bits([sys.hamiltonian_value(point)]) == _bits(
+            [sys.hamiltonian._run(env)]
+        )
+
+
+def _raised(fn, *args):
+    with pytest.raises(DomainError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+_DIVISION = "division by zero: float division by zero"
+
+
+# the messages are those of evaluating each component through its own
+# tree, which the kernel must reproduce: the first failing operation wins
+@pytest.mark.parametrize(
+    "hamiltonian, parameters, flat, message",
+    [
+        ("p_q^2/2 + log(q) + gamma*s", {}, (-1.0, 1.0, 0.0), "math domain error"),
+        ("p_q^2/2 + log(q) + gamma*s", {}, (0.0, 1.0, 0.0), _DIVISION),
+        ("p_q^2/2 + sqrt(q) + gamma*s", {}, (-1.0, 1.0, 0.0), "math domain error"),
+        (
+            "p_q^2/2 + q^n + gamma*s",
+            {"n": 0.5},
+            (-1.0, 1.0, 0.0),
+            "negative base -1.0 with fractional exponent -0.5",
+        ),
+        ("p_q^2/2 + 1/q + gamma*s", {}, (0.0, 1.0, 0.0), _DIVISION),
+        (
+            "p_q^2/2 + exp(q) + gamma*s",
+            {},
+            (1000.0, 1.0, 0.0),
+            "overflow: math range error",
+        ),
+    ],
+)
+def test_kernel_raises_the_per_component_error(
+    hamiltonian, parameters, flat, message
+):
+    sys = ContactSystem(("q",), hamiltonian, {"gamma": 0.5, **parameters})
+    assert _raised(sys.flow, flat) == _raised(_per_component, sys, flat) == message
+    point = ChartPoint.from_flat(flat)
+    try:
+        expected = sys.hamiltonian._run(_env(sys, flat))
+    except DomainError as exc:
+        assert _raised(sys.hamiltonian_value, point) == str(exc)
+    else:
+        assert _bits([sys.hamiltonian_value(point)]) == _bits([expected])
+
+
+def test_parameter_only_division_by_zero_raises_at_call_time():
+    sys = ContactSystem(("q",), "p_q^2/2 + q*(1/(m - m)) + gamma*s",
+                        {"m": 2.0, "gamma": 0.5})
+    flat = (1.0, 1.0, 0.0)
+    first = _raised(sys.flow, flat)
+    assert sys._flow_fn is not None  # compiled, then failed in the call
+    assert first == _raised(sys.flow, flat) == _raised(_per_component, sys, flat)
+    assert first == _DIVISION
+
+
+def test_overflowing_parameter_subtree_stays_infinite():
+    sys = ContactSystem(("q",), "p_q^2/2 + a*10*q + gamma*s",
+                        {"a": 1e308, "gamma": 0.5})
+    flat = (1.0, 1.0, 0.0)
+    out = sys.flow(flat)
+    assert out[1:] == (-math.inf, -math.inf)
+    assert _bits(out) == _bits(_per_component(sys, flat))
+    assert sys.hamiltonian_value(ChartPoint.from_flat(flat)) == math.inf
+
+
+def test_kernel_survives_names_that_look_like_its_own():
+    coordinates = ("lambda", "v0", "_y", "_b")
+    parameters = {"def": 1.5, "t0": -0.5, "_pw": 2.0, "gamma": 0.3}
+    hamiltonian = (
+        "(p_lambda^2 + p_v0^2)/(2*def) + p__y^2/2 + p__b^2/2"
+        " + t0*lambda*v0 + _pw*(_y - lambda)^2 + exp(t0*_b) + gamma*s"
+    )
+    sys = ContactSystem(coordinates, hamiltonian, parameters)
+    for flat in _states(sys, 50, seed=3):
+        assert _bits(sys.flow(flat)) == _bits(_per_component(sys, flat))
+        assert sys.hamiltonian_value(ChartPoint.from_flat(flat)) == (
+            sys.hamiltonian._run(_env(sys, flat))
+        )
+
+
+def test_kernel_keeps_signed_zeros_apart():
+    # 0.0 == -0.0, so shared subtrees must not be found by float equality
+    fn = ex._compile_kernel(
+        (ex.literal(0.0), ex.neg(ex.literal(0.0)), ex.variable("x")), ("x",), {}
+    )
+    assert _bits(fn(1.0)) == _bits((0.0, -0.0, 1.0))

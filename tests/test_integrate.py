@@ -108,6 +108,12 @@ def test_divergence_reports_last_finite_state():
         integrate_fixed(sys, ChartPoint((0.0,), (0.0,), -1.0), 0.0, 2.0, 0.01)
     assert err.value.time < 1.1
     assert all(math.isfinite(v) for v in err.value.state.flat())
+    # the message names the last good state, name=value in chart order
+    state = ", ".join(
+        f"{name}={value!r}"
+        for name, value in zip(sys.chart_names, err.value.state.flat())
+    )
+    assert f"t={err.value.time!r}: {state})" in str(err.value)
 
 
 def test_non_finite_initial_state_diverges_immediately(gravity):
@@ -162,6 +168,9 @@ def test_adaptive_underflows_on_a_potential_kink():
         integrate_adaptive(sys, ChartPoint((-1.0,), (1.0,), 0.0), 0.0, 2.0, 1e-13)
     assert 0.0 < err.value.time < 2.0
     assert err.value.dt < 1e-9
+    q, p_q, s = err.value.state.flat()
+    assert abs(q) < 1e-3  # stuck at the kink
+    assert f"(state: q={q!r}, p_q={p_q!r}, s={s!r})" in str(err.value)
 
 
 def test_adaptive_rejects_nonpositive_tolerance(gravity, base_point):
