@@ -5,6 +5,12 @@ estimated by differencing trajectory samples, so a check's resolution is
 independent of integrator accuracy.  Trajectories only supply the states
 at which quantity residuals are evaluated.
 
+Each check compiles, when it starts, one straight-line kernel of the
+flat chart state (two for symmetry classification, so the contact and
+dynamical failure counts stay apart) that returns every value its
+per-sample loop needs in one call; the arithmetic after the call is that
+of the per-point `calculus` functions, so residuals are bit-identical.
+
 Two tolerance regimes apply throughout: 1e-8 for pointwise residuals
 (rounding-limited) and 1e-6 when comparing against integrated
 trajectories (includes global integration error).
@@ -23,14 +29,11 @@ from .calculus import (
     ScalarField,
     VectorField,
     _coerce_component,
-    _jacobian,
+    _field_dim_check,
     hamiltonian_field,
     lie_bracket,
-    lie_derivative_contact_form,
-    lie_derivative_scalar,
-    vector_field_value,
 )
-from .contact_core import ChartPoint, ContactSystem, contact_form_apply
+from .contact_core import ACTION_NAME, ChartPoint, ContactSystem, contact_form_apply
 from .expr import DomainError, Expression
 from .integrate import Trajectory
 
@@ -165,6 +168,87 @@ def sample_states(
     return [ChartPoint.from_flat(row.tolist()) for row in values]
 
 
+def _sample_rows(sys: ContactSystem, samples: Sequence[ChartPoint]) -> list:
+    """Flat sample states, each checked against the system's n up front."""
+    if not samples:
+        raise ValueError("need at least one sample state")
+    rows = []
+    for point in samples:
+        sys._check_point(point)
+        rows.append(point.flat())
+    return rows
+
+
+def _partials(components, names) -> tuple:
+    """d(component)/d(name), component-major, as expressions."""
+    return tuple(comp.derivative(var) for comp in components for var in names)
+
+
+def _contact_residual(sys: ContactSystem, field: VectorField):
+    """Per-state max of |L_Y eta| components and |L_Y H|, from one kernel.
+
+    The kernel returns Y, dY^s/dx, dY^{q_k}/dx and dH/dx^k for the
+    directions whose component is not a literal 0; the arithmetic after
+    it is that of `lie_derivative_contact_form` and
+    `lie_derivative_scalar`, in the same order.
+    """
+    n, dim, names = sys.n, sys.dim, sys.chart_names
+    y = field.components
+    active = [k for k, comp in enumerate(y) if not ex._is_const(comp.root, 0.0)]
+    kernel = ex._compile_kernel(
+        y
+        + _partials((y[2 * n],) + y[:n], names)
+        + tuple(sys.hamiltonian.derivative(names[k]) for k in active),
+        names,
+        sys.parameters,
+    )
+    d_yq = [slice((2 + k) * dim, (3 + k) * dim) for k in range(n)]
+    hs = 2 * dim + n * dim  # start of the dH/dx^k block
+
+    def residual(flat) -> float:
+        out = kernel(*flat)
+        # d(i(Y)eta)/dx^j = dY^s/dx^j - sum_k p_k dY^{q_k}/dx^j, k ascending
+        form = list(out[dim : 2 * dim])
+        for p_k, block in zip(flat[n : 2 * n], d_yq):
+            form = [total - p_k * d for total, d in zip(form, out[block])]
+        for i in range(n):
+            form[i] -= out[n + i]
+        rate = 0.0
+        for k, h_k in zip(active, out[hs:]):
+            weight = out[k]
+            if weight != 0.0:
+                rate += weight * h_k
+        return max(max(abs(v) for v in form), abs(rate))
+
+    return residual
+
+
+def _bracket_residual(sys: ContactSystem, field: VectorField):
+    """Per-state max component of [Y, X_H], from one kernel of both
+    fields and both Jacobians; the product is `lie_bracket`'s."""
+    dim, names = sys.dim, sys.chart_names
+    x_h = sys._field
+    kernel = ex._compile_kernel(
+        field.components
+        + x_h
+        + _partials(field.components, names)
+        + _partials(x_h, names),
+        names,
+        sys.parameters,
+    )
+    jb_at = 2 * dim + dim * dim
+
+    def residual(flat) -> float:
+        out = kernel(*flat)
+        va = np.array(out[:dim])
+        vb = np.array(out[dim : 2 * dim])
+        ja = np.array(out[2 * dim : jb_at]).reshape(dim, dim)
+        jb = np.array(out[jb_at:]).reshape(dim, dim)
+        return max(abs(v) for v in (jb @ va - ja @ vb).tolist())
+
+    return residual
+
+
 def classify_symmetry(
     sys: ContactSystem,
     field: VectorField,
@@ -177,24 +261,25 @@ def classify_symmetry(
     Dynamical residual: max component of [Y, X_H].  A passing contact
     report entails a passing dynamical report; that implication is
     asserted because its failure would mean the operators disagree.
+
+    Each residual is one compiled kernel call per state; a state where
+    a kernel raises DomainError counts as failed for that check only.
     """
-    if not samples:
-        raise ValueError("need at least one sample state")
-    ham = ScalarField("H", sys.hamiltonian)
-    x_h = hamiltonian_field(sys)
+    rows = _sample_rows(sys, samples)
+    _field_dim_check(sys, field)
+    contact_at = _contact_residual(sys, field)
+    bracket_at = _bracket_residual(sys, field)
     contact_res = []
     contact_failed = 0
     dynamical_res = []
     dynamical_failed = 0
-    for point in samples:
+    for flat in rows:
         try:
-            form = lie_derivative_contact_form(sys, field, point).max_norm()
-            rate = abs(lie_derivative_scalar(sys, field, ham, point))
-            contact_res.append(max(form, rate))
+            contact_res.append(contact_at(flat))
         except DomainError:
             contact_failed += 1
         try:
-            dynamical_res.append(lie_bracket(sys, field, x_h, point).max_norm())
+            dynamical_res.append(bracket_at(flat))
         except DomainError:
             dynamical_failed += 1
     contact = _report(field.name, KIND_CONTACT, contact_res, tol, contact_failed)
@@ -221,20 +306,6 @@ def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
     return ScalarField(f"noether[{field.name}]", expression)
 
 
-def _quantity_rates(
-    sys: ContactSystem, expression: Expression, point: ChartPoint
-) -> tuple:
-    """(L_{X_H}F, L_{X_H}F + (dH/ds) F) at one state."""
-    flow = sys.flow(point.flat())
-    env = sys.bindings(point)
-    value = expression._run(env)
-    rate = 0.0
-    for velocity, var in zip(flow, sys.chart_names):
-        rate += velocity * expression.derivative(var)._run(env)
-    h_s = sys.d_hamiltonian("s", point)
-    return rate, rate + h_s * value
-
-
 def check_quantity(
     sys: ContactSystem,
     quantity: ScalarField,
@@ -247,20 +318,42 @@ def check_quantity(
     dissipated: L_{X_H}F + (dH/ds) F = 0 at every sample.
     Both can hold (F = 0); "neither" requires both residuals to exceed
     NEITHER_MARGIN * tol, and the band in between is inconclusive.
+
+    One compiled kernel returns X_H, F, dF/dx^k in chart order and
+    dH/ds at each sample; a sample where it raises DomainError counts as
+    failed in both reports.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
+    if traj.names != sys.chart_names:
+        raise ValueError(
+            f"trajectory chart {traj.names} does not match the system "
+            f"chart {sys.chart_names}"
+        )
+    dim = sys.dim
+    expression = quantity.expression
+    kernel = ex._compile_kernel(
+        sys._field
+        + (expression,)
+        + _partials((expression,), sys.chart_names)
+        + (sys.hamiltonian.derivative(ACTION_NAME),),
+        sys.chart_names,
+        sys.parameters,
+    )
     cons = []
     diss = []
     failed = 0
-    for point in traj.points():
+    for row in traj.states.tolist():
         try:
-            r_cons, r_diss = _quantity_rates(sys, quantity.expression, point)
+            out = kernel(*row)
         except DomainError:
             failed += 1
             continue
-        cons.append(abs(r_cons))
-        diss.append(abs(r_diss))
+        rate = 0.0
+        for velocity, slope in zip(out[:dim], out[dim + 1 : 2 * dim + 1]):
+            rate += velocity * slope
+        cons.append(abs(rate))
+        diss.append(abs(rate + out[-1] * out[dim]))
     conserved = _report(quantity.name, KIND_CONSERVED, cons, tol, failed)
     dissipated = _report(quantity.name, KIND_DISSIPATED, diss, tol, failed)
     if conserved.passed and dissipated.passed:
@@ -390,10 +483,10 @@ def check_contact_symmetry_map(
     """Finite contact-symmetry test: pullback of eta and of H match.
 
     Componentwise, (pullback eta)_j = sum_k eta_k(image) * dPhi^k/dx_j is
-    compared to eta at the state, and H(image) to H(state).
+    compared to eta at the state, and H(image) to H(state).  One compiled
+    kernel returns the image and the map's Jacobian at each state.
     """
-    if not samples:
-        raise ValueError("need at least one sample state")
+    rows = _sample_rows(sys, samples)
     if point_map.names != sys.chart_names:
         raise ValueError(
             f"map {point_map.name!r} is over chart {point_map.names}, "
@@ -401,25 +494,27 @@ def check_contact_symmetry_map(
         )
     n = sys.n
     dim = sys.dim
+    kernel = ex._compile_kernel(
+        point_map.components + _partials(point_map.components, sys.chart_names),
+        sys.chart_names,
+        sys.parameters,
+    )
     residuals = []
     failed = 0
-    for point in samples:
+    for flat in rows:
         try:
-            env = sys.bindings(point)
-            image_vals = [c._run(env) for c in point_map.components]
-            image = ChartPoint.from_flat(image_vals)
-            jac = _jacobian(point_map.components, sys.chart_names, env)
+            out = kernel(*flat)
+            image = out[:dim]
+            jac = np.array(out[dim:]).reshape(dim, dim)
             eta_image = np.zeros(dim)
-            eta_image[:n] = [-pi for pi in image.p]
+            eta_image[:n] = [-pi for pi in image[n : 2 * n]]
             eta_image[2 * n] = 1.0
             pulled = eta_image @ jac
             eta_here = np.zeros(dim)
-            eta_here[:n] = [-pi for pi in point.p]
+            eta_here[:n] = [-pi for pi in flat[n : 2 * n]]
             eta_here[2 * n] = 1.0
             form_dev = float(np.max(np.abs(pulled - eta_here)))
-            h_dev = abs(
-                sys.hamiltonian_value(image) - sys.hamiltonian_value(point)
-            )
+            h_dev = abs(sys._hamiltonian_flat(image) - sys._hamiltonian_flat(flat))
             residuals.append(max(form_dev, h_dev))
         except DomainError:
             failed += 1

@@ -114,19 +114,18 @@ def vector_field_value(
     return Tangent.from_flat(tuple(c._run(env) for c in field.components))
 
 
-def _jacobian(components, names, env: dict) -> np.ndarray:
-    """Entry (k, j) = d(components[k])/d(names[j]) at ``env``."""
-    return np.array(
-        [[comp.derivative(var)._run(env) for var in names] for comp in components]
-    )
-
-
 def vf_jacobian(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
     _field_dim_check(sys, field)
-    return _jacobian(field.components, sys.chart_names, sys.bindings(point))
+    env = sys.bindings(point)
+    return np.array(
+        [
+            [comp.derivative(var)._run(env) for var in sys.chart_names]
+            for comp in field.components
+        ]
+    )
 
 
 def lie_bracket(

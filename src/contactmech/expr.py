@@ -21,7 +21,9 @@ so concurrent use from any number of threads is safe.
 
 A contact system compiles its whole flow (and H) into one straight-line
 kernel through the same code emitter, lazily on first use; like an
-expression's own compilation, that is a benign race.
+expression's own compilation, that is a benign race.  Each verification
+check in ``analysis`` compiles one such kernel when it starts, of every
+value (field components, derivatives) its per-sample loop needs.
 """
 
 from __future__ import annotations
@@ -404,12 +406,19 @@ def _compile_kernel(
     together with shared subtrees computed once; the function returns a
     float or a tuple of the same length.  ``constants`` (finite values)
     are folded in at compile time.  Values and DomainError messages are
-    those of ``Expression._run`` on a dict binding the same names.
+    those of ``Expression._run`` on a dict binding the same names; a name
+    bound by neither raises MissingBindingError here.
     """
     as_tuple = isinstance(result, tuple)
     roots = [e.root for e in result] if as_tuple else [result.root]
     index = {name: k for k, name in enumerate(variables)}
-    parts = _Emitter(lambda name: f"v{index[name]}", constants).source(roots)
+
+    def leaf(name: str) -> str:
+        if name not in index:
+            raise MissingBindingError(name)
+        return f"v{index[name]}"
+
+    parts = _Emitter(leaf, constants).source(roots)
     return _exec(_KERNEL_SOURCE.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],

@@ -17,6 +17,13 @@ from contactmech import DomainError, finite_difference, parse
 
 NAMES = ("a", "b", "c")
 
+#: six coupled damped oscillators, as in the benchmark's wide workload
+CHAIN_H = (
+    "(p_q1^2 + p_q2^2 + p_q3^2 + p_q4^2 + p_q5^2 + p_q6^2)/(2*m)"
+    " + k/2*((q2 - q1)^2 + (q3 - q2)^2 + (q4 - q3)^2 + (q5 - q4)^2"
+    " + (q6 - q5)^2) + gamma*s"
+)
+
 _BINARY = ("+", "-", "*", "/")
 _UNARY = ("sin", "cos", "exp", "log", "sqrt")
 

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import contactmech.expr
+from helpers import CHAIN_H
 from contactmech import (
     ChartPoint,
     ContactSystem,
+    MissingBindingError,
     PointMap,
     ScalarField,
     VectorField,
@@ -18,6 +22,9 @@ from contactmech import (
     conserved_from_symmetry,
     hamiltonian_field,
     integrate_fixed,
+    lie_bracket,
+    lie_derivative_contact_form,
+    lie_derivative_scalar,
     noether_quantity,
     parse,
     product_quantity,
@@ -25,8 +32,10 @@ from contactmech import (
     quotient_quantity,
     reeb_lift,
     sample_states,
+    vf_jacobian,
 )
 from contactmech.expr import literal
+from contactmech.integrate import Trajectory
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +123,44 @@ def test_parameter_exponent_drops_no_bracket_samples():
     assert dynamical.samples == 50
 
 
+def test_failed_samples_are_counted_per_check():
+    # dH/dq = 1/(2 sqrt(q)) fails for q < 0, but Y only moves p_q, so the
+    # contact check never needs it; the bracket needs d^2H/dq^2.
+    sys = ContactSystem(("q",), "p_q^2/2 + sqrt(q) + gamma*s", {"gamma": 0.5})
+    field = VectorField.from_mapping(sys, "d/dp_q", {"p_q": "1"})
+    samples = sample_states(sys, count=50, seed=42)
+    contact, dynamical = classify_symmetry(sys, field, samples, tol=1e300)
+    assert (contact.samples, contact.failed_samples) == (50, 0)
+    assert (dynamical.samples, dynamical.failed_samples) == (26, 24)
+
+
+def _no_kernel(*args):
+    raise AssertionError("a kernel was compiled before the inputs were checked")
+
+
+def test_classification_checks_dimensions_before_sampling(
+    gravity, dx, gravity_states, monkeypatch
+):
+    monkeypatch.setattr(contactmech.expr, "_compile_kernel", _no_kernel)
+    one_d = builtin("damped_free_particle")
+    narrow = VectorField.from_mapping(one_d, "d/dq", {"q": "1"})
+    with pytest.raises(ValueError, match="n=1"):
+        classify_symmetry(gravity, narrow, gravity_states)
+    stray = list(gravity_states[:3]) + [ChartPoint((0.0,), (1.0,), 0.0)]
+    with pytest.raises(ValueError, match="n=1"):
+        classify_symmetry(gravity, dx, stray)
+    shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + 1"})
+    with pytest.raises(ValueError, match="n=1"):
+        check_contact_symmetry_map(gravity, shift, stray)
+
+
+def test_unbound_field_name_is_reported(gravity, gravity_states):
+    zero = literal(0.0)
+    stray = VectorField("stray", (parse("zeta", ("zeta",)),) + (zero,) * 4)
+    with pytest.raises(MissingBindingError, match="zeta"):
+        classify_symmetry(gravity, stray, gravity_states)
+
+
 def test_evolution_field_is_dynamical_but_not_contact(gravity, gravity_states):
     contact, dynamical = classify_symmetry(
         gravity, hamiltonian_field(gravity), gravity_states
@@ -179,6 +226,17 @@ def test_near_miss_is_inconclusive(gravity, coarse_traj):
     tweaked = ScalarField("p_x+eps*x", parse("p_x + 1e-6*x", gravity.chart_names))
     report = check_quantity(gravity, tweaked, coarse_traj)
     assert report.classification == "inconclusive"
+
+
+def test_quantity_check_rejects_a_foreign_chart(gravity):
+    # same n as gravity_friction, different names
+    foreign = Trajectory(
+        ("a", "b", "p_a", "p_b", "s"), [0.0, 1.0], np.ones((2, 5)), "rk4"
+    )
+    with pytest.raises(ValueError) as err:
+        check_quantity(gravity, momentum_x(gravity), foreign)
+    assert "('a', 'b', 'p_a', 'p_b', 's')" in str(err.value)
+    assert str(gravity.chart_names) in str(err.value)
 
 
 def test_quantity_report_dict_round_trip(gravity, coarse_traj):
@@ -387,3 +445,163 @@ def test_pullback_by_a_symmetry_stays_dissipated(gravity, coarse_traj):
     pulled = pullback_quantity(shift, momentum_x(gravity))
     report = check_quantity(gravity, pulled, coarse_traj)
     assert report.classification == "dissipated"
+
+
+# ---------------------------------------------------------------------------
+# Compiled check kernels against the per-point calculus path
+# ---------------------------------------------------------------------------
+
+OSCILLATOR_H = "(p_x^2 + p_y^2)/2 + k*(x^2 + y^2)/2 + gamma*s"
+ROTATION = {"x": "-y", "y": "x", "p_x": "-p_y", "p_y": "p_x"}
+DILATION = {"x": "x", "y": "y"}
+
+
+def _oscillator(k):
+    return ContactSystem(("x", "y"), OSCILLATOR_H, {"k": k, "gamma": 0.5})
+
+
+def _chain():
+    return ContactSystem(
+        [f"q{i}" for i in range(1, 7)], CHAIN_H, {"m": 1.3, "k": 2.1, "gamma": 0.4}
+    )
+
+
+def _chain_fields(sys):
+    coords = sys.coordinates
+    return [
+        VectorField.from_mapping(sys, "common_translation", {c: "1" for c in coords}),
+        VectorField.from_mapping(sys, "s_translation", {"s": "1"}),
+        VectorField.from_mapping(
+            sys, "mixed", {"q1": "p_q2", "p_q3": "q4*q5", "s": "sin(q6) + p_q1"}
+        ),
+        hamiltonian_field(sys),
+    ]
+
+
+def _assert_stats(report, residuals):
+    # max and mean over every sample, in order, bit for bit
+    assert report.max_residual == max(residuals)
+    assert report.mean_residual == sum(residuals) / len(residuals)
+    assert report.samples == len(residuals) and report.failed_samples == 0
+
+
+def _assert_classification_parity(sys, field, states):
+    ham = ScalarField("H", sys.hamiltonian)
+    x_h = hamiltonian_field(sys)
+    contact_res = [
+        max(
+            lie_derivative_contact_form(sys, field, pt).max_norm(),
+            abs(lie_derivative_scalar(sys, field, ham, pt)),
+        )
+        for pt in states
+    ]
+    bracket_res = [lie_bracket(sys, field, x_h, pt).max_norm() for pt in states]
+    contact, dynamical = classify_symmetry(sys, field, states, tol=1e300)
+    _assert_stats(contact, contact_res)
+    _assert_stats(dynamical, bracket_res)
+    return contact, dynamical
+
+
+@pytest.mark.parametrize("k", [1.0, 1e8])
+@pytest.mark.parametrize("mapping", [ROTATION, DILATION, None])
+def test_classification_matches_calculus_on_the_oscillator(k, mapping):
+    sys = _oscillator(k)
+    if mapping is None:
+        field = hamiltonian_field(sys)
+    else:
+        field = VectorField.from_mapping(sys, "candidate", mapping)
+    _assert_classification_parity(sys, field, sample_states(sys, count=60, seed=9))
+
+
+@pytest.mark.parametrize("k, residual", [(1.0, 0.0), (1e8, 5.960464477539063e-08)])
+def test_rotation_residual_is_pure_rounding(k, residual):
+    sys = _oscillator(k)
+    rotation = VectorField.from_mapping(sys, "rotation", ROTATION)
+    states = sample_states(sys, count=100, seed=42)
+    contact, dynamical = _assert_classification_parity(sys, rotation, states)
+    assert contact.max_residual == residual
+    assert dynamical.max_residual == residual
+
+
+def test_classification_matches_calculus_on_the_chain():
+    sys = _chain()
+    states = sample_states(sys, count=20, seed=11)
+    for field in _chain_fields(sys):
+        _assert_classification_parity(sys, field, states)
+
+
+def _quantity_rates(sys, quantity, states):
+    x_h = hamiltonian_field(sys)
+    cons, diss = [], []
+    for pt in states:
+        rate = lie_derivative_scalar(sys, x_h, quantity, pt)
+        cons.append(abs(rate))
+        h_s = sys.d_hamiltonian("s", pt)
+        diss.append(abs(rate + h_s * quantity.value(sys, pt)))
+    return cons, diss
+
+
+def _assert_quantity_parity(sys, sources, states):
+    traj = Trajectory(
+        sys.chart_names,
+        np.arange(len(states), dtype=float),
+        np.array([pt.flat() for pt in states]),
+        "samples",
+    )
+    for source in sources:
+        names = sys.chart_names + tuple(sys.parameters)
+        quantity = ScalarField(source, parse(source, names))
+        cons, diss = _quantity_rates(sys, quantity, states)
+        report = check_quantity(sys, quantity, traj)
+        _assert_stats(report.conserved, cons)
+        _assert_stats(report.dissipated, diss)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e8])
+def test_quantity_rates_match_calculus_on_the_oscillator(k):
+    sys = _oscillator(k)
+    _assert_quantity_parity(
+        sys,
+        [OSCILLATOR_H, "p_x", "x*p_y - y*p_x", "sin(x)*exp(p_y) + s^2"],
+        sample_states(sys, count=60, seed=9),
+    )
+
+
+def test_quantity_rates_match_calculus_on_the_chain():
+    sys = _chain()
+    noether = [str(noether_quantity(sys, f).expression) for f in _chain_fields(sys)]
+    _assert_quantity_parity(
+        sys, [CHAIN_H, "q1", "q2*p_q3 - cos(q4)"] + noether,
+        sample_states(sys, count=20, seed=11),
+    )
+
+
+def _map_residuals(sys, point_map, states):
+    n = sys.n
+    as_field = VectorField(point_map.name, point_map.components)
+    residuals = []
+    for pt in states:
+        image = point_map.apply(sys, pt)
+        jac = vf_jacobian(sys, as_field, pt)
+        eta_image = np.array([-v for v in image.p] + [0.0] * n + [1.0])
+        eta_here = np.array([-v for v in pt.p] + [0.0] * n + [1.0])
+        form_dev = float(np.max(np.abs(eta_image @ jac - eta_here)))
+        h_dev = abs(sys.hamiltonian_value(image) - sys.hamiltonian_value(pt))
+        residuals.append(max(form_dev, h_dev))
+    return residuals
+
+
+@pytest.mark.parametrize(
+    "components",
+    [
+        {"x": "0.6*x - 0.8*y", "y": "0.8*x + 0.6*y",
+         "p_x": "0.6*p_x - 0.8*p_y", "p_y": "0.8*p_x + 0.6*p_y"},
+        {"x": "x + sin(y)", "p_x": "p_x*exp(s)", "s": "s + x*p_y"},
+    ],
+)
+def test_map_check_matches_calculus(components):
+    sys = _oscillator(3.0)
+    point_map = PointMap.from_mapping(sys, "candidate", components)
+    states = sample_states(sys, count=60, seed=9)
+    report = check_contact_symmetry_map(sys, point_map, states, tol=1e300)
+    _assert_stats(report, _map_residuals(sys, point_map, states))

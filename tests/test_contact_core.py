@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from helpers import CHAIN_H
 from contactmech import expr as ex
 from contactmech import (
     ChartPoint,
@@ -219,12 +220,6 @@ def test_dimension_mismatch_in_form_helpers(base_point):
 # ---------------------------------------------------------------------------
 # The compiled kernel against the per-component path
 # ---------------------------------------------------------------------------
-
-CHAIN_H = (
-    "(p_q1^2 + p_q2^2 + p_q3^2 + p_q4^2 + p_q5^2 + p_q6^2)/(2*m)"
-    " + k/2*((q2 - q1)^2 + (q3 - q2)^2 + (q4 - q3)^2 + (q5 - q4)^2"
-    " + (q6 - q5)^2) + gamma*s"
-)
 
 # every function, a fractional parameter exponent and a negative parameter
 FUNCTIONS_H = (
