@@ -5,11 +5,13 @@ estimated by differencing trajectory samples, so a check's resolution is
 independent of integrator accuracy.  Trajectories only supply the states
 at which quantity residuals are evaluated.
 
-Each check compiles, when it starts, one straight-line kernel of the
-flat chart state (two for symmetry classification, so the contact and
-dynamical failure counts stay apart) that returns every value its
-per-sample loop needs in one call; the arithmetic after the call is that
-of the per-point `calculus` functions, so residuals are bit-identical.
+Each check builds, when it starts, a residual closure around one
+straight-line kernel of the flat chart state, and one sample loop runs
+it on every state: a state where it raises DomainError counts as failed
+in the reports it feeds (symmetry classification runs two closures, so
+the contact and dynamical failure counts stay apart).  The arithmetic
+after each kernel call is that of the per-point `calculus` functions,
+so residuals are bit-identical.
 
 Two tolerance regimes apply throughout: 1e-8 for pointwise residuals
 (rounding-limited) and 1e-6 when comparing against integrated
@@ -28,7 +30,7 @@ from . import expr as ex
 from .calculus import (
     ScalarField,
     VectorField,
-    _coerce_component,
+    _chart_components,
     _field_dim_check,
     hamiltonian_field,
     lie_bracket,
@@ -103,24 +105,41 @@ class CheckReport:
         }
 
 
-def _report(subject, kind, residuals, tolerance, failed=0) -> CheckReport:
-    if residuals:
-        mx = max(residuals)
-        mean = sum(residuals) / len(residuals)
-    else:
-        mx = math.inf
-        mean = math.inf
-    verdict = "pass" if mx <= tolerance else "fail"
-    return CheckReport(
-        subject=subject,
-        kind=kind,
-        samples=len(residuals),
-        max_residual=mx,
-        mean_residual=mean,
-        tolerance=float(tolerance),
-        verdict=verdict,
-        failed_samples=failed,
-    )
+def _sampled_reports(subject, kinds, residual, rows, tolerance) -> tuple:
+    """One CheckReport per kind from `residual` run on each flat row.
+
+    `residual(row)` returns one value per kind; a row where it raises
+    DomainError counts as failed in every report it feeds.
+    """
+    values = []  # row-major, len(kinds) per evaluated row
+    failed = 0
+    for row in rows:
+        try:
+            values.extend(residual(row))
+        except DomainError:
+            failed += 1
+    reports = []
+    for k, kind in enumerate(kinds):
+        residuals = values[k :: len(kinds)]
+        if residuals:
+            mx = max(residuals)
+            mean = sum(residuals) / len(residuals)
+        else:
+            mx = math.inf
+            mean = math.inf
+        reports.append(
+            CheckReport(
+                subject=subject,
+                kind=kind,
+                samples=len(residuals),
+                max_residual=mx,
+                mean_residual=mean,
+                tolerance=float(tolerance),
+                verdict="pass" if mx <= tolerance else "fail",
+                failed_samples=failed,
+            )
+        )
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -155,6 +174,13 @@ def sample_states(
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    if not (math.isfinite(box) and box > 0.0):
+        raise ValueError(f"box must be finite and positive, got {box!r}")
+    if min_abs_momentum >= box:
+        # no draw from [-box, box] could clear the bound
+        raise ValueError(
+            f"min_abs_momentum={min_abs_momentum!r} must be below box={box!r}"
+        )
     rng = np.random.default_rng(seed)
     values = rng.uniform(-box, box, size=(count, sys.dim))
     if min_abs_momentum > 0.0:
@@ -185,7 +211,7 @@ def _partials(components, names) -> tuple:
 
 
 def _contact_residual(sys: ContactSystem, field: VectorField):
-    """Per-state max of |L_Y eta| components and |L_Y H|, from one kernel.
+    """Per-state 1-tuple: max of |L_Y eta| components and |L_Y H|.
 
     The kernel returns Y, dY^s/dx, dY^{q_k}/dx and dH/dx^k for the
     directions whose component is not a literal 0; the arithmetic after
@@ -205,7 +231,7 @@ def _contact_residual(sys: ContactSystem, field: VectorField):
     d_yq = [slice((2 + k) * dim, (3 + k) * dim) for k in range(n)]
     hs = 2 * dim + n * dim  # start of the dH/dx^k block
 
-    def residual(flat) -> float:
+    def residual(flat) -> tuple:
         out = kernel(*flat)
         # d(i(Y)eta)/dx^j = dY^s/dx^j - sum_k p_k dY^{q_k}/dx^j, k ascending
         form = list(out[dim : 2 * dim])
@@ -218,14 +244,14 @@ def _contact_residual(sys: ContactSystem, field: VectorField):
             weight = out[k]
             if weight != 0.0:
                 rate += weight * h_k
-        return max(max(abs(v) for v in form), abs(rate))
+        return (max(max(abs(v) for v in form), abs(rate)),)
 
     return residual
 
 
 def _bracket_residual(sys: ContactSystem, field: VectorField):
-    """Per-state max component of [Y, X_H], from one kernel of both
-    fields and both Jacobians; the product is `lie_bracket`'s."""
+    """Per-state 1-tuple: max component of [Y, X_H], from one kernel of
+    both fields and both Jacobians; the product is `lie_bracket`'s."""
     dim, names = sys.dim, sys.chart_names
     x_h = sys._field
     kernel = ex._compile_kernel(
@@ -238,13 +264,13 @@ def _bracket_residual(sys: ContactSystem, field: VectorField):
     )
     jb_at = 2 * dim + dim * dim
 
-    def residual(flat) -> float:
+    def residual(flat) -> tuple:
         out = kernel(*flat)
         va = np.array(out[:dim])
         vb = np.array(out[dim : 2 * dim])
         ja = np.array(out[2 * dim : jb_at]).reshape(dim, dim)
         jb = np.array(out[jb_at:]).reshape(dim, dim)
-        return max(abs(v) for v in (jb @ va - ja @ vb).tolist())
+        return (max(abs(v) for v in (jb @ va - ja @ vb).tolist()),)
 
     return residual
 
@@ -267,24 +293,11 @@ def classify_symmetry(
     """
     rows = _sample_rows(sys, samples)
     _field_dim_check(sys, field)
-    contact_at = _contact_residual(sys, field)
-    bracket_at = _bracket_residual(sys, field)
-    contact_res = []
-    contact_failed = 0
-    dynamical_res = []
-    dynamical_failed = 0
-    for flat in rows:
-        try:
-            contact_res.append(contact_at(flat))
-        except DomainError:
-            contact_failed += 1
-        try:
-            dynamical_res.append(bracket_at(flat))
-        except DomainError:
-            dynamical_failed += 1
-    contact = _report(field.name, KIND_CONTACT, contact_res, tol, contact_failed)
-    dynamical = _report(
-        field.name, KIND_DYNAMICAL, dynamical_res, tol, dynamical_failed
+    (contact,) = _sampled_reports(
+        field.name, (KIND_CONTACT,), _contact_residual(sys, field), rows, tol
+    )
+    (dynamical,) = _sampled_reports(
+        field.name, (KIND_DYNAMICAL,), _bracket_residual(sys, field), rows, tol
     )
     if contact.passed and not dynamical.passed:
         raise RuntimeError(
@@ -304,6 +317,30 @@ def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
         total = ex.add(total, ex.mul(ex.variable(momentum), field.components[i]))
     expression = ex.sub(total, field.components[2 * sys.n])
     return ScalarField(f"noether[{field.name}]", expression)
+
+
+def _quantity_residual(sys: ContactSystem, expression: Expression):
+    """Per-state (|L_{X_H}F|, |L_{X_H}F + (dH/ds) F|), from one kernel of
+    X_H, F, dF/dx^k in chart order and dH/ds."""
+    dim = sys.dim
+    kernel = ex._compile_kernel(
+        sys._field
+        + (expression,)
+        + _partials((expression,), sys.chart_names)
+        + (sys.hamiltonian.derivative(ACTION_NAME),),
+        sys.chart_names,
+        sys.parameters,
+    )
+
+    def residual(row) -> tuple:
+        out = kernel(*row)
+        rate = 0.0
+        # zip stops after the dim entries of X_H at the front of `out`
+        for velocity, slope in zip(out, out[dim + 1 : 2 * dim + 1]):
+            rate += velocity * slope
+        return abs(rate), abs(rate + out[-1] * out[dim])
+
+    return residual
 
 
 def check_quantity(
@@ -330,32 +367,13 @@ def check_quantity(
             f"trajectory chart {traj.names} does not match the system "
             f"chart {sys.chart_names}"
         )
-    dim = sys.dim
-    expression = quantity.expression
-    kernel = ex._compile_kernel(
-        sys._field
-        + (expression,)
-        + _partials((expression,), sys.chart_names)
-        + (sys.hamiltonian.derivative(ACTION_NAME),),
-        sys.chart_names,
-        sys.parameters,
+    conserved, dissipated = _sampled_reports(
+        quantity.name,
+        (KIND_CONSERVED, KIND_DISSIPATED),
+        _quantity_residual(sys, quantity.expression),
+        traj.states.tolist(),
+        tol,
     )
-    cons = []
-    diss = []
-    failed = 0
-    for row in traj.states.tolist():
-        try:
-            out = kernel(*row)
-        except DomainError:
-            failed += 1
-            continue
-        rate = 0.0
-        for velocity, slope in zip(out[:dim], out[dim + 1 : 2 * dim + 1]):
-            rate += velocity * slope
-        cons.append(abs(rate))
-        diss.append(abs(rate + out[-1] * out[dim]))
-    conserved = _report(quantity.name, KIND_CONSERVED, cons, tol, failed)
-    dissipated = _report(quantity.name, KIND_DISSIPATED, diss, tol, failed)
     if conserved.passed and dissipated.passed:
         label = "both"
     elif conserved.passed:
@@ -445,19 +463,7 @@ class PointMap:
         cls, sys: ContactSystem, name: str, components: Mapping[str, object]
     ) -> "PointMap":
         """Missing entries default to the identity on that variable."""
-        unknown = set(components) - set(sys.chart_names)
-        if unknown:
-            raise ValueError(
-                f"map {name!r} has components for unknown variables: "
-                f"{sorted(unknown)}"
-            )
-        declared = frozenset(sys.chart_names) | frozenset(sys.parameters)
-        built = tuple(
-            _coerce_component(components[cn], declared)
-            if cn in components
-            else ex.variable(cn)
-            for cn in sys.chart_names
-        )
+        built = _chart_components(sys, f"map {name!r}", components, ex.variable)
         return cls(name, sys.chart_names, built)
 
     def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
@@ -472,6 +478,35 @@ def pullback_quantity(point_map: PointMap, quantity: ScalarField) -> ScalarField
         f"{point_map.name}*{quantity.name}",
         ex.substitute(quantity.expression, replacements),
     )
+
+
+def _map_residual(sys: ContactSystem, point_map: PointMap):
+    """Per-state 1-tuple: max of |pullback eta - eta| components and
+    |H(image) - H(state)|, from one kernel of the image and the map's
+    Jacobian."""
+    n, dim = sys.n, sys.dim
+    kernel = ex._compile_kernel(
+        point_map.components + _partials(point_map.components, sys.chart_names),
+        sys.chart_names,
+        sys.parameters,
+    )
+
+    def residual(flat) -> tuple:
+        out = kernel(*flat)
+        image = out[:dim]
+        jac = np.array(out[dim:]).reshape(dim, dim)
+        eta_image = np.zeros(dim)
+        eta_image[:n] = [-pi for pi in image[n : 2 * n]]
+        eta_image[2 * n] = 1.0
+        pulled = eta_image @ jac
+        eta_here = np.zeros(dim)
+        eta_here[:n] = [-pi for pi in flat[n : 2 * n]]
+        eta_here[2 * n] = 1.0
+        form_dev = float(np.max(np.abs(pulled - eta_here)))
+        h_dev = abs(sys._hamiltonian_flat(image) - sys._hamiltonian_flat(flat))
+        return (max(form_dev, h_dev),)
+
+    return residual
 
 
 def check_contact_symmetry_map(
@@ -492,30 +527,7 @@ def check_contact_symmetry_map(
             f"map {point_map.name!r} is over chart {point_map.names}, "
             f"system chart is {sys.chart_names}"
         )
-    n = sys.n
-    dim = sys.dim
-    kernel = ex._compile_kernel(
-        point_map.components + _partials(point_map.components, sys.chart_names),
-        sys.chart_names,
-        sys.parameters,
+    (report,) = _sampled_reports(
+        point_map.name, (KIND_CONTACT,), _map_residual(sys, point_map), rows, tol
     )
-    residuals = []
-    failed = 0
-    for flat in rows:
-        try:
-            out = kernel(*flat)
-            image = out[:dim]
-            jac = np.array(out[dim:]).reshape(dim, dim)
-            eta_image = np.zeros(dim)
-            eta_image[:n] = [-pi for pi in image[n : 2 * n]]
-            eta_image[2 * n] = 1.0
-            pulled = eta_image @ jac
-            eta_here = np.zeros(dim)
-            eta_here[:n] = [-pi for pi in flat[n : 2 * n]]
-            eta_here[2 * n] = 1.0
-            form_dev = float(np.max(np.abs(pulled - eta_here)))
-            h_dev = abs(sys._hamiltonian_flat(image) - sys._hamiltonian_flat(flat))
-            residuals.append(max(form_dev, h_dev))
-        except DomainError:
-            failed += 1
-    return _report(point_map.name, KIND_CONTACT, residuals, tol, failed)
+    return report

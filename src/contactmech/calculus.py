@@ -33,15 +33,24 @@ __all__ = [
 _ZERO = ex.literal(0.0)
 
 
-def _coerce_component(source, declared) -> Expression:
-    if isinstance(source, Expression):
-        stray = source.names - declared
-        if stray:
-            raise ValueError(f"component references undeclared names: {sorted(stray)}")
-        return source
-    if isinstance(source, (int, float)):
-        return ex.literal(source)
-    return ex.parse(source, declared)
+def _chart_components(
+    sys: ContactSystem, label: str, components: Mapping[str, object], default
+) -> tuple:
+    """One expression per chart name, in chart order, from a sparse
+    {chart name: source} mapping; `default(name)` fills each missing slot."""
+    unknown = set(components) - set(sys.chart_names)
+    if unknown:
+        raise ValueError(
+            f"{label} has components for unknown chart names: {sorted(unknown)}"
+        )
+    return tuple(
+        ex._coerce_component(
+            components[cn], sys._declared, f"{label} component {cn!r}"
+        )
+        if cn in components
+        else default(cn)
+        for cn in sys.chart_names
+    )
 
 
 @dataclass(frozen=True)
@@ -73,18 +82,9 @@ class VectorField:
         components: Mapping[str, object],
     ) -> "VectorField":
         """Build from a sparse {chart name: source} mapping; missing slots are 0."""
-        unknown = set(components) - set(sys.chart_names)
-        if unknown:
-            raise ValueError(
-                f"field {name!r} has components for unknown directions: "
-                f"{sorted(unknown)}"
-            )
-        declared = frozenset(sys.chart_names) | frozenset(sys.parameters)
-        built = tuple(
-            _coerce_component(components[cn], declared) if cn in components else _ZERO
-            for cn in sys.chart_names
+        return cls(
+            name, _chart_components(sys, f"field {name!r}", components, lambda _: _ZERO)
         )
-        return cls(name, built)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,8 @@ from .analysis import (
 )
 from .integrate import (
     IntegrationError,
+    _require_positive,
+    _validate_window,
     integrate_adaptive,
     integrate_fixed,
     read_trajectory_csv,
@@ -52,9 +54,13 @@ class _UsageError(Exception):
     pass
 
 
-def _require_window(t0: float, tf: float) -> None:
-    if not tf > t0:
-        raise _UsageError(f"tf must exceed t0 (got t0={t0!r}, tf={tf!r})")
+def _checked(call, *args, **kwargs):
+    """Run a library call or argument check that raises ValueError on a
+    bad argument, reporting the rejection as a usage error."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _require_initial_state(doc: SpecDocument, spec_path) -> None:
@@ -66,31 +72,28 @@ def _require_initial_state(doc: SpecDocument, spec_path) -> None:
 
 
 def _fresh_trajectory(doc: SpecDocument, args):
-    _require_window(args.t0, args.tf)
+    _checked(_validate_window, args.t0, args.tf)
     _require_initial_state(doc, args.spec)
-    if not args.dt > 0.0:
-        raise _UsageError(f"dt must be positive (got {args.dt!r})")
+    _checked(_require_positive, "dt", args.dt)
     return integrate_fixed(doc.system, doc.initial_state, args.t0, args.tf, args.dt)
 
 
 def cmd_simulate(args) -> int:
     doc = load_document(args.spec)
-    _require_window(args.t0, args.tf)
+    _checked(_validate_window, args.t0, args.tf)
     _require_initial_state(doc, args.spec)
 
     if args.method == "rk4":
         if args.tol is not None:
             raise _UsageError("--tol applies only to --method rkf45")
         dt = 1e-3 if args.dt is None else args.dt
-        if not dt > 0.0:
-            raise _UsageError(f"dt must be positive (got {dt!r})")
+        _checked(_require_positive, "dt", dt)
         traj = integrate_fixed(doc.system, doc.initial_state, args.t0, args.tf, dt)
     else:
         if args.dt is not None:
             raise _UsageError("--dt applies only to --method rk4")
         tol = 1e-9 if args.tol is None else args.tol
-        if not tol > 0.0:
-            raise _UsageError(f"tol must be positive (got {tol!r})")
+        _checked(_require_positive, "tol", tol)
         traj = integrate_adaptive(doc.system, doc.initial_state, args.t0, args.tf, tol)
 
     write_trajectory_csv(doc.system, traj, args.out)
@@ -132,10 +135,9 @@ def cmd_verify(args) -> int:
             f"{args.spec}: spec declares no symmetry, quantity, or map "
             f"candidates; nothing to verify"
         )
-    if not args.tol > 0.0:
-        raise _UsageError(f"tol must be positive (got {args.tol!r})")
+    _checked(_require_positive, "tol", args.tol)
     system = doc.system
-    states = sample_states(system, count=args.samples, seed=args.seed)
+    states = _checked(sample_states, system, count=args.samples, seed=args.seed)
 
     if args.trajectory is not None:
         traj = read_trajectory_csv(args.trajectory)
@@ -285,9 +287,8 @@ def cmd_analyze(args) -> int:
         )
     cand = by_name[args.field]
     system = doc.system
-    if not args.tol > 0.0:
-        raise _UsageError(f"tol must be positive (got {args.tol!r})")
-    states = sample_states(system, count=args.samples, seed=args.seed)
+    _checked(_require_positive, "tol", args.tol)
+    states = _checked(sample_states, system, count=args.samples, seed=args.seed)
 
     contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
     print(f"field: {cand.name}")

@@ -9,13 +9,15 @@ reserved action variable, so the pairing is syntactic.
 
 from __future__ import annotations
 
+import inspect
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import expr as ex
-from .expr import Expression, FUNCTIONS, parse
+from .expr import FUNCTIONS
 
 __all__ = [
     "ACTION_NAME",
@@ -37,107 +39,87 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def _as_floats(values: Sequence[float], label: str) -> tuple:
     try:
-        return tuple(float(v) for v in values)
+        return tuple(map(float, values))
     except (TypeError, ValueError):
         raise ValueError(f"{label} must be a sequence of reals") from None
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point (q, p, s) of the (2n+1)-dimensional chart."""
+class _ChartVector:
+    """The (n, n, 1) chart layout shared by points, tangents and covectors.
 
-    q: tuple
-    p: tuple
-    s: float
+    A subclass is a frozen dataclass that declares three fields in chart
+    order: the n components against q, the n against p, and the one
+    against s, with n >= 1.  Their names, read once per class, label the
+    validation errors.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._layout = tuple(inspect.get_annotations(cls))
+        cls._head = operator.attrgetter(cls._layout[0])
+        cls._parts = operator.attrgetter(*cls._layout)
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_floats(self.q, "q"))
-        object.__setattr__(self, "p", _as_floats(self.p, "p"))
-        object.__setattr__(self, "s", float(self.s))
-        if len(self.q) < 1:
+        head_name, tail_name, last_name = self._layout
+        head = _as_floats(getattr(self, head_name), head_name)
+        tail = _as_floats(getattr(self, tail_name), tail_name)
+        object.__setattr__(self, head_name, head)
+        object.__setattr__(self, tail_name, tail)
+        object.__setattr__(self, last_name, float(getattr(self, last_name)))
+        if len(head) < 1:
             raise ValueError("chart dimension must be at least 1")
-        if len(self.q) != len(self.p):
+        if len(head) != len(tail):
             raise ValueError(
-                f"q has dimension {len(self.q)} but p has {len(self.p)}"
+                f"{head_name} has dimension {len(head)} but {tail_name} has "
+                f"{len(tail)}"
             )
 
     @property
     def n(self) -> int:
-        return len(self.q)
+        return len(self._head(self))
 
     def flat(self) -> tuple:
         """Values in chart order (q^1..q^n, p_1..p_n, s)."""
-        return self.q + self.p + (self.s,)
+        head, tail, last = self._parts(self)
+        return head + tail + (last,)
 
     @classmethod
-    def from_flat(cls, values: Sequence[float]) -> "ChartPoint":
+    def from_flat(cls, values: Sequence[float]):
         values = tuple(values)
         if len(values) < 3 or len(values) % 2 == 0:
             raise ValueError(f"flat state needs 2n+1 entries, got {len(values)}")
         n = (len(values) - 1) // 2
         return cls(values[:n], values[n : 2 * n], values[2 * n])
 
+    def max_norm(self) -> float:
+        return max(abs(v) for v in self.flat())
+
 
 @dataclass(frozen=True)
-class Tangent:
+class ChartPoint(_ChartVector):
+    """A point (q, p, s) of the (2n+1)-dimensional chart."""
+
+    q: tuple
+    p: tuple
+    s: float
+
+
+@dataclass(frozen=True)
+class Tangent(_ChartVector):
     """A tangent vector: components against (d/dq^i, d/dp_i, d/ds)."""
 
     dq: tuple
     dp: tuple
     ds: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "dq", _as_floats(self.dq, "dq"))
-        object.__setattr__(self, "dp", _as_floats(self.dp, "dp"))
-        object.__setattr__(self, "ds", float(self.ds))
-        if len(self.dq) != len(self.dp):
-            raise ValueError(
-                f"dq has dimension {len(self.dq)} but dp has {len(self.dp)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.dq)
-
-    def flat(self) -> tuple:
-        return self.dq + self.dp + (self.ds,)
-
-    @classmethod
-    def from_flat(cls, values: Sequence[float]) -> "Tangent":
-        values = tuple(values)
-        n = (len(values) - 1) // 2
-        return cls(values[:n], values[n : 2 * n], values[2 * n])
-
-    def max_norm(self) -> float:
-        return max(abs(v) for v in self.flat())
-
 
 @dataclass(frozen=True)
-class Covector:
+class Covector(_ChartVector):
     """A covector: components against the basis (dq^i, dp_i, ds)."""
 
     cq: tuple
     cp: tuple
     cs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "cq", _as_floats(self.cq, "cq"))
-        object.__setattr__(self, "cp", _as_floats(self.cp, "cp"))
-        object.__setattr__(self, "cs", float(self.cs))
-        if len(self.cq) != len(self.cp):
-            raise ValueError(
-                f"cq has dimension {len(self.cq)} but cp has {len(self.cp)}"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.cq)
-
-    def flat(self) -> tuple:
-        return self.cq + self.cp + (self.cs,)
-
-    def max_norm(self) -> float:
-        return max(abs(v) for v in self.flat())
 
 
 class ContactSystem:
@@ -153,6 +135,7 @@ class ContactSystem:
         "parameters",
         "hamiltonian",
         "chart_names",
+        "_declared",
         "_env_base",
         "_index",
         "_field",
@@ -192,20 +175,14 @@ class ContactSystem:
             parameters[name] = value
 
         declared = frozenset(chart_names) | frozenset(parameters)
-        if isinstance(hamiltonian, Expression):
-            stray = hamiltonian.names - declared
-            if stray:
-                raise ValueError(
-                    f"hamiltonian references undeclared names: {sorted(stray)}"
-                )
-        else:
-            hamiltonian = parse(hamiltonian, declared)
+        hamiltonian = ex._coerce_component(hamiltonian, declared, "hamiltonian")
 
         self.coordinates = coordinates
         self.momenta = momenta
         self.parameters = parameters
         self.hamiltonian = hamiltonian
         self.chart_names = chart_names
+        self._declared = declared
         self._env_base = dict(parameters)
         self._index = {name: k for k, name in enumerate(chart_names)}
         # Darboux form of the contact Hamiltonian field, built once from

@@ -23,7 +23,7 @@ A contact system compiles its whole flow (and H) into one straight-line
 kernel through the same code emitter, lazily on first use; like an
 expression's own compilation, that is a benign race.  Each verification
 check in ``analysis`` compiles one such kernel when it starts, of every
-value (field components, derivatives) its per-sample loop needs.
+value (field components, derivatives) its residual needs at a sample.
 """
 
 from __future__ import annotations
@@ -666,6 +666,20 @@ def parse(source: str, names: Iterable[str]) -> Expression:
             f"declared names shadow built-in functions: {sorted(reserved)}"
         )
     return Expression(_Parser(source, declared).parse())
+
+
+def _coerce_component(source, declared: frozenset, label: str) -> Expression:
+    """An Expression over the `declared` names from an Expression, a number
+    or source text; `label` names the component when an Expression uses
+    names outside them."""
+    if isinstance(source, Expression):
+        stray = source.names - declared
+        if stray:
+            raise ValueError(f"{label} references undeclared names: {sorted(stray)}")
+        return source
+    if isinstance(source, (int, float)):
+        return literal(source)
+    return parse(source, declared)
 
 
 # ---------------------------------------------------------------------------

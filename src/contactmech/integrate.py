@@ -169,8 +169,7 @@ def _rk4_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
 
 def rk4_step(sys: ContactSystem, state: ChartPoint, dt: float) -> ChartPoint:
     """One classical 4th-order Runge-Kutta step."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _require_positive("dt", dt)
     sys._check_point(state)
     return ChartPoint.from_flat(_rk4_flat(sys, state.flat(), 0.0, dt))
 
@@ -218,11 +217,17 @@ def _rkf45_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
 
 def rkf45_step(sys: ContactSystem, state: ChartPoint, dt: float) -> tuple:
     """One embedded 4(5) step: (new state, max-norm local error estimate)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    _require_positive("dt", dt)
     sys._check_point(state)
     out, err = _rkf45_flat(sys, state.flat(), 0.0, dt)
     return ChartPoint.from_flat(out), err
+
+
+def _require_positive(label: str, value: float) -> float:
+    value = float(value)
+    if not value > 0.0:
+        raise ValueError(f"{label} must be positive, got {value!r}")
+    return value
 
 
 def _validate_window(t0: float, tf: float) -> float:
@@ -243,9 +248,7 @@ def integrate_fixed(
 ) -> Trajectory:
     """RK4 on a uniform grid; a shortened final step lands exactly on tf."""
     span = _validate_window(t0, tf)
-    dt = float(dt)
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    dt = _require_positive("dt", dt)
     sys._check_point(s0)
 
     y = s0.flat()
@@ -290,9 +293,7 @@ def integrate_adaptive(
     0.9*(budget/err)^(1/5) clamped to [0.2, 5.0].
     """
     span = _validate_window(t0, tf)
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _require_positive("tol", tol)
     sys._check_point(s0)
 
     y = s0.flat()

@@ -30,7 +30,7 @@ import yaml
 from .analysis import PointMap
 from .calculus import ScalarField, VectorField
 from .contact_core import ChartPoint, ContactSystem
-from .expr import ExpressionError, parse
+from .expr import ExpressionError, _coerce_component
 from .models import ModelInfo, _info, _merge_params
 
 __all__ = [
@@ -117,15 +117,6 @@ def _as_source(value, where: str) -> str:
     return value
 
 
-def _expect(entry: dict, where: str, allowed) -> str:
-    value = entry.get("expect")
-    if value not in allowed:
-        raise SpecError(
-            f"{where}: expect must be one of {', '.join(allowed)}; got {value!r}"
-        )
-    return value
-
-
 def _component_sources(entry: dict, where: str, chart_names) -> dict:
     raw = entry.get("components", {})
     if raw is None:
@@ -143,13 +134,37 @@ def _component_sources(entry: dict, where: str, chart_names) -> dict:
     return out
 
 
-def _candidate_list(data: dict, field: str) -> list:
+def _candidates(data: dict, field: str, allowed, candidate, build) -> tuple:
+    """Parse one candidate list into `candidate(name, payload, expect)`s.
+
+    Each entry needs a name and an expectation from `allowed`; the
+    payload is `build(name, entry, where)`, and a ValueError or
+    ExpressionError it raises becomes a SpecError naming the entry.
+    """
     raw = data.get(field, [])
     if raw is None:
         raw = []
     if not isinstance(raw, list) or not all(isinstance(e, dict) for e in raw):
         raise SpecError(f"{field}: must be a list of mappings")
-    return raw
+    built = []
+    for idx, entry in enumerate(raw):
+        where = f"{field}[{idx}]"
+        name = _as_name(entry.get("name"), where)
+        where = f"{where} ({name})"
+        expect = entry.get("expect")
+        if expect not in allowed:
+            raise SpecError(
+                f"{where}: expect must be one of {', '.join(allowed)}; got {expect!r}"
+            )
+        try:
+            payload = build(name, entry, where)
+        except (ValueError, ExpressionError) as exc:
+            raise SpecError(f"{where}: {exc}") from None
+        built.append(candidate(name, payload, expect))
+    names = [c.name for c in built]
+    if len(set(names)) != len(names):
+        raise SpecError(f"{field}: candidate names must be unique")
+    return tuple(built)
 
 
 def parse_document(data) -> SpecDocument:
@@ -206,63 +221,30 @@ def parse_document(data) -> SpecDocument:
         ]
         initial_state = ChartPoint.from_flat(flat)
 
-    symmetries = []
-    for idx, entry in enumerate(_candidate_list(data, "symmetries")):
-        where = f"symmetries[{idx}]"
-        name = _as_name(entry.get("name"), where)
-        where = f"{where} ({name})"
-        expect = _expect(entry, where, SYMMETRY_EXPECTATIONS)
+    def field(name, entry, where):
         sources = _component_sources(entry, where, system.chart_names)
-        try:
-            field = VectorField.from_mapping(system, name, sources)
-        except (ValueError, ExpressionError) as exc:
-            raise SpecError(f"{where}: {exc}") from None
-        symmetries.append(SymmetryCandidate(name, field, expect))
+        return VectorField.from_mapping(system, name, sources)
 
-    quantities = []
-    for idx, entry in enumerate(_candidate_list(data, "quantities")):
-        where = f"quantities[{idx}]"
-        name = _as_name(entry.get("name"), where)
-        where = f"{where} ({name})"
-        expect = _expect(entry, where, QUANTITY_EXPECTATIONS)
+    def quantity(name, entry, where):
         source = _as_source(entry.get("expression"), f"{where}: expression")
-        declared = frozenset(system.chart_names) | frozenset(system.parameters)
-        try:
-            expression = parse(source, declared)
-        except ExpressionError as exc:
-            raise SpecError(f"{where}: expression: {exc}") from None
-        quantities.append(
-            QuantityCandidate(name, ScalarField(name, expression), expect)
+        return ScalarField(
+            name, _coerce_component(source, system._declared, f"quantity {name!r}")
         )
 
-    maps = []
-    for idx, entry in enumerate(_candidate_list(data, "maps")):
-        where = f"maps[{idx}]"
-        name = _as_name(entry.get("name"), where)
-        where = f"{where} ({name})"
-        expect = _expect(entry, where, MAP_EXPECTATIONS)
+    def point_map(name, entry, where):
         sources = _component_sources(entry, where, system.chart_names)
-        try:
-            point_map = PointMap.from_mapping(system, name, sources)
-        except (ValueError, ExpressionError) as exc:
-            raise SpecError(f"{where}: {exc}") from None
-        maps.append(MapCandidate(name, point_map, expect))
-
-    for kind, items in (
-        ("symmetries", symmetries),
-        ("quantities", quantities),
-        ("maps", maps),
-    ):
-        names = [c.name for c in items]
-        if len(set(names)) != len(names):
-            raise SpecError(f"{kind}: candidate names must be unique")
+        return PointMap.from_mapping(system, name, sources)
 
     return SpecDocument(
         system=system,
         initial_state=initial_state,
-        symmetries=tuple(symmetries),
-        quantities=tuple(quantities),
-        maps=tuple(maps),
+        symmetries=_candidates(
+            data, "symmetries", SYMMETRY_EXPECTATIONS, SymmetryCandidate, field
+        ),
+        quantities=_candidates(
+            data, "quantities", QUANTITY_EXPECTATIONS, QuantityCandidate, quantity
+        ),
+        maps=_candidates(data, "maps", MAP_EXPECTATIONS, MapCandidate, point_map),
     )
 
 

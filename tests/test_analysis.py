@@ -84,6 +84,23 @@ def test_sampling_rejects_empty_request(gravity):
         sample_states(gravity, count=0)
 
 
+@pytest.mark.parametrize(
+    "box, min_abs_momentum",
+    [
+        (0.05, 0.1),
+        (1.0, 1.0),
+        (0.0, 0.0),
+        (-1.0, 0.0),
+        (math.inf, 0.0),
+        (math.nan, 0.0),
+    ],
+)
+def test_sampling_rejects_an_unsatisfiable_box(gravity, box, min_abs_momentum):
+    # no draw from [-box, box] clears the bound, so the redraw would not end
+    with pytest.raises(ValueError):
+        sample_states(gravity, count=5, box=box, min_abs_momentum=min_abs_momentum)
+
+
 # ---------------------------------------------------------------------------
 # Symmetry classification
 # ---------------------------------------------------------------------------
@@ -387,8 +404,10 @@ def test_point_map_rejects_unknown_variables(gravity):
 
 def test_point_map_rejects_undeclared_names_in_expressions(gravity):
     stray = parse("x + zeta", ("x", "zeta"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map 'bad' component 'x' references"):
         PointMap.from_mapping(gravity, "bad", {"x": stray})
+    with pytest.raises(ValueError, match="field 'bad' component 'x' references"):
+        VectorField.from_mapping(gravity, "bad", {"x": stray})
 
 
 def test_translation_map_is_a_contact_symmetry(gravity, gravity_states):

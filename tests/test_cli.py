@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -124,12 +125,32 @@ def test_simulate_flags_are_method_specific(gravity_spec, tmp_path, capsys):
         ["--tf", "0.0"],
         ["--t0", "5.0", "--tf", "1.0"],
         ["--dt", "0.0"],
+        ["--tf", "inf"],
+        ["--t0", "nan"],
+        ["--method", "rkf45", "--tol", "0.0"],
     ],
 )
 def test_simulate_window_errors(gravity_spec, tmp_path, extra, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["simulate", str(gravity_spec), "--out", out, *extra]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--samples", "0", "--report", "r.json"],
+        ["analyze", "x_translation", "--samples", "-3"],
+        ["verify", "--tf", "inf", "--report", "r.json"],
+    ],
+)
+def test_sampling_and_window_errors_are_usage_errors(
+    gravity_spec, tmp_path, monkeypatch, command, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    name, *rest = command
+    assert main([name, str(gravity_spec), *rest]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_requires_an_initial_state(bare_spec, tmp_path, capsys):
@@ -167,7 +188,7 @@ def test_verify_shipped_spec(tmp_path, capsys):
 
 
 def test_verify_reports_mismatches(tmp_path, capsys):
-    doc = yaml.safe_load(open(SHIPPED_SPEC).read())
+    doc = yaml.safe_load(Path(SHIPPED_SPEC).read_text())
     for cand in doc["quantities"]:
         if cand["name"] == "momentum_x":
             cand["expect"] = "conserved"
@@ -225,6 +246,11 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
         ("coordinates: [q\n", "line"),                              # yaml error
         ("n: 1\ncoordinates: [q]\nhamiltonian: 'p_q +'\n", "hamiltonian"),
         ("n: 1\nhamiltonian: p_q\n", "coordinates"),                # missing field
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{name: z, expression: zeta, expect: neither}]\n",
+            "quantities[0] (z): unknown identifier 'zeta'",
+        ),
     ],
 )
 def test_verify_spec_errors(tmp_path, capsys, content, fragment):

@@ -35,12 +35,26 @@ def test_chart_point_basics():
 
 
 def test_chart_point_validation():
-    with pytest.raises(ValueError):
-        ChartPoint(q=(1.0,), p=(1.0, 2.0), s=0.0)
-    with pytest.raises(ValueError):
-        ChartPoint.from_flat([1.0, 2.0])
-    with pytest.raises(ValueError):
-        ChartPoint.from_flat([])
+    for cls, head, tail in (
+        (ChartPoint, "q", "p"),
+        (Tangent, "dq", "dp"),
+        (Covector, "cq", "cp"),
+    ):
+        mismatch = f"{head} has dimension 1 but {tail} has 2"
+        with pytest.raises(ValueError, match=mismatch):
+            cls((1.0,), (1.0, 2.0), 0.0)
+        with pytest.raises(ValueError, match="at least 1"):
+            cls((), (), 1.0)
+        with pytest.raises(ValueError, match=f"{head} must be a sequence of reals"):
+            cls(("a",), (1.0,), 0.0)
+        # from_flat takes exactly 2n+1 values, n >= 1, and drops none
+        for values in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError, match="2n\\+1"):
+                cls.from_flat(values)
+        vec = cls.from_flat([1, 2, 3, 4, 5])
+        assert vec.n == 2
+        assert vec.flat() == (1.0, 2.0, 3.0, 4.0, 5.0)
+        assert vec.max_norm() == 5.0
 
 
 def test_tangent_and_covector_norms():
@@ -109,8 +123,13 @@ def test_system_accepts_parsed_hamiltonian():
 
 def test_system_rejects_expression_with_stray_names():
     expr = parse("p_q + foo", ("p_q", "foo"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="hamiltonian references undeclared"):
         ContactSystem(("q",), expr)
+
+
+def test_system_accepts_a_numeric_hamiltonian():
+    sys = ContactSystem(("q",), 2)
+    assert sys.flow((1.0, 2.0, 3.0)) == (0.0, 0.0, -2.0)
 
 
 def test_bindings_include_parameters(gravity, base_point):
