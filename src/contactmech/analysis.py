@@ -5,13 +5,15 @@ estimated by differencing trajectory samples, so a check's resolution is
 independent of integrator accuracy.  Trajectories only supply the states
 at which quantity residuals are evaluated.
 
-Each check builds, when it starts, a residual closure around one
-straight-line kernel of the flat chart state, and one sample loop runs
-it on every state: a state where it raises DomainError counts as failed
-in the reports it feeds (symmetry classification runs two closures, so
-the contact and dynamical failure counts stay apart).  The arithmetic
-after each kernel call is that of the per-point `calculus` functions,
-so residuals are bit-identical.
+Each check compiles, when it starts, the operator trees that `calculus`
+builds into one straight-line kernel of the flat chart state, whose
+outputs are the residual components; one sample loop runs it on every
+state and keeps the largest |output| (a quantity keeps its two rates
+apart).  A state where the kernel raises DomainError counts as failed in
+the reports it feeds; symmetry classification runs two kernels, so the
+contact and dynamical failure counts stay apart.  The per-point
+`calculus` functions evaluate the same trees, so their values are
+bit-identical to the kernels'.
 
 Two tolerance regimes apply throughout: 1e-8 for pointwise residuals
 (rounding-limited) and 1e-6 when comparing against integrated
@@ -20,6 +22,7 @@ trajectories (includes global integration error).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,12 +33,18 @@ from . import expr as ex
 from .calculus import (
     ScalarField,
     VectorField,
+    _bracket_trees,
     _chart_components,
-    _field_dim_check,
+    _check_bound,
+    _check_field,
+    _dissipation_trees,
+    _lie_eta_trees,
+    _map_deviation_trees,
+    _rate_trees,
     hamiltonian_field,
     lie_bracket,
 )
-from .contact_core import ACTION_NAME, ChartPoint, ContactSystem, contact_form_apply
+from .contact_core import ChartPoint, ContactSystem, _chart_n, contact_form_apply
 from .expr import DomainError, Expression
 from .integrate import Trajectory
 
@@ -205,74 +214,10 @@ def _sample_rows(sys: ContactSystem, samples: Sequence[ChartPoint]) -> list:
     return rows
 
 
-def _partials(components, names) -> tuple:
-    """d(component)/d(name), component-major, as expressions."""
-    return tuple(comp.derivative(var) for comp in components for var in names)
-
-
-def _contact_residual(sys: ContactSystem, field: VectorField):
-    """Per-state 1-tuple: max of |L_Y eta| components and |L_Y H|.
-
-    The kernel returns Y, dY^s/dx, dY^{q_k}/dx and dH/dx^k for the
-    directions whose component is not a literal 0; the arithmetic after
-    it is that of `lie_derivative_contact_form` and
-    `lie_derivative_scalar`, in the same order.
-    """
-    n, dim, names = sys.n, sys.dim, sys.chart_names
-    y = field.components
-    active = [k for k, comp in enumerate(y) if not ex._is_const(comp.root, 0.0)]
-    kernel = ex._compile_kernel(
-        y
-        + _partials((y[2 * n],) + y[:n], names)
-        + tuple(sys.hamiltonian.derivative(names[k]) for k in active),
-        names,
-        sys.parameters,
-    )
-    d_yq = [slice((2 + k) * dim, (3 + k) * dim) for k in range(n)]
-    hs = 2 * dim + n * dim  # start of the dH/dx^k block
-
-    def residual(flat) -> tuple:
-        out = kernel(*flat)
-        # d(i(Y)eta)/dx^j = dY^s/dx^j - sum_k p_k dY^{q_k}/dx^j, k ascending
-        form = list(out[dim : 2 * dim])
-        for p_k, block in zip(flat[n : 2 * n], d_yq):
-            form = [total - p_k * d for total, d in zip(form, out[block])]
-        for i in range(n):
-            form[i] -= out[n + i]
-        rate = 0.0
-        for k, h_k in zip(active, out[hs:]):
-            weight = out[k]
-            if weight != 0.0:
-                rate += weight * h_k
-        return (max(max(abs(v) for v in form), abs(rate)),)
-
-    return residual
-
-
-def _bracket_residual(sys: ContactSystem, field: VectorField):
-    """Per-state 1-tuple: max component of [Y, X_H], from one kernel of
-    both fields and both Jacobians; the product is `lie_bracket`'s."""
-    dim, names = sys.dim, sys.chart_names
-    x_h = sys._field
-    kernel = ex._compile_kernel(
-        field.components
-        + x_h
-        + _partials(field.components, names)
-        + _partials(x_h, names),
-        names,
-        sys.parameters,
-    )
-    jb_at = 2 * dim + dim * dim
-
-    def residual(flat) -> tuple:
-        out = kernel(*flat)
-        va = np.array(out[:dim])
-        vb = np.array(out[dim : 2 * dim])
-        ja = np.array(out[2 * dim : jb_at]).reshape(dim, dim)
-        jb = np.array(out[jb_at:]).reshape(dim, dim)
-        return (max(abs(v) for v in (jb @ va - ja @ vb).tolist()),)
-
-    return residual
+def _max_abs(sys: ContactSystem, trees: tuple):
+    """Per-row 1-tuple: the largest |value| of the trees, from one kernel."""
+    kernel = ex._compile_kernel(trees, sys.chart_names, sys.parameters)
+    return lambda row: (max(map(abs, kernel(*row))),)
 
 
 def classify_symmetry(
@@ -292,12 +237,15 @@ def classify_symmetry(
     a kernel raises DomainError counts as failed for that check only.
     """
     rows = _sample_rows(sys, samples)
-    _field_dim_check(sys, field)
+    _check_field(sys, field)
+    y = field.components
+    eta_and_h = _lie_eta_trees(sys, y) + _rate_trees(sys, y, (sys.hamiltonian,))
     (contact,) = _sampled_reports(
-        field.name, (KIND_CONTACT,), _contact_residual(sys, field), rows, tol
+        field.name, (KIND_CONTACT,), _max_abs(sys, eta_and_h), rows, tol
     )
+    bracket = _bracket_trees(sys, y, sys._field)
     (dynamical,) = _sampled_reports(
-        field.name, (KIND_DYNAMICAL,), _bracket_residual(sys, field), rows, tol
+        field.name, (KIND_DYNAMICAL,), _max_abs(sys, bracket), rows, tol
     )
     if contact.passed and not dynamical.passed:
         raise RuntimeError(
@@ -319,28 +267,12 @@ def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
     return ScalarField(f"noether[{field.name}]", expression)
 
 
-def _quantity_residual(sys: ContactSystem, expression: Expression):
-    """Per-state (|L_{X_H}F|, |L_{X_H}F + (dH/ds) F|), from one kernel of
-    X_H, F, dF/dx^k in chart order and dH/ds."""
-    dim = sys.dim
-    kernel = ex._compile_kernel(
-        sys._field
-        + (expression,)
-        + _partials((expression,), sys.chart_names)
-        + (sys.hamiltonian.derivative(ACTION_NAME),),
-        sys.chart_names,
-        sys.parameters,
-    )
-
-    def residual(row) -> tuple:
-        out = kernel(*row)
-        rate = 0.0
-        # zip stops after the dim entries of X_H at the front of `out`
-        for velocity, slope in zip(out, out[dim + 1 : 2 * dim + 1]):
-            rate += velocity * slope
-        return abs(rate), abs(rate + out[-1] * out[dim])
-
-    return residual
+def _check_trajectory_chart(sys: ContactSystem, traj: Trajectory) -> None:
+    if traj.names != sys.chart_names:
+        raise ValueError(
+            f"trajectory chart {traj.names} does not match the system "
+            f"chart {sys.chart_names}"
+        )
 
 
 def check_quantity(
@@ -356,21 +288,20 @@ def check_quantity(
     Both can hold (F = 0); "neither" requires both residuals to exceed
     NEITHER_MARGIN * tol, and the band in between is inconclusive.
 
-    One compiled kernel returns X_H, F, dF/dx^k in chart order and
-    dH/ds at each sample; a sample where it raises DomainError counts as
-    failed in both reports.
+    One compiled kernel returns both rates at each sample; a sample
+    where it raises DomainError counts as failed in both reports.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if traj.names != sys.chart_names:
-        raise ValueError(
-            f"trajectory chart {traj.names} does not match the system "
-            f"chart {sys.chart_names}"
-        )
+    _check_trajectory_chart(sys, traj)
+    _check_bound(sys, (quantity.expression,))
+    kernel = ex._compile_kernel(
+        _dissipation_trees(sys, quantity.expression), sys.chart_names, sys.parameters
+    )
     conserved, dissipated = _sampled_reports(
         quantity.name,
         (KIND_CONSERVED, KIND_DISSIPATED),
-        _quantity_residual(sys, quantity.expression),
+        lambda row: tuple(map(abs, kernel(*row))),
         traj.states.tolist(),
         tol,
     )
@@ -439,12 +370,12 @@ class PointMap:
     name: str
     names: tuple
     components: tuple
+    n: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
         components = tuple(self.components)
-        if len(names) < 3 or len(names) % 2 == 0:
-            raise ValueError(f"a chart map needs 2n+1 variables, got {len(names)}")
+        object.__setattr__(self, "n", _chart_n(len(names), "a chart map"))
         if len(components) != len(names):
             raise ValueError(
                 f"{len(names)} chart variables but {len(components)} components"
@@ -453,10 +384,6 @@ class PointMap:
             raise TypeError("components must be Expressions")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "components", components)
-
-    @property
-    def n(self) -> int:
-        return (len(self.components) - 1) // 2
 
     @classmethod
     def from_mapping(
@@ -480,35 +407,6 @@ def pullback_quantity(point_map: PointMap, quantity: ScalarField) -> ScalarField
     )
 
 
-def _map_residual(sys: ContactSystem, point_map: PointMap):
-    """Per-state 1-tuple: max of |pullback eta - eta| components and
-    |H(image) - H(state)|, from one kernel of the image and the map's
-    Jacobian."""
-    n, dim = sys.n, sys.dim
-    kernel = ex._compile_kernel(
-        point_map.components + _partials(point_map.components, sys.chart_names),
-        sys.chart_names,
-        sys.parameters,
-    )
-
-    def residual(flat) -> tuple:
-        out = kernel(*flat)
-        image = out[:dim]
-        jac = np.array(out[dim:]).reshape(dim, dim)
-        eta_image = np.zeros(dim)
-        eta_image[:n] = [-pi for pi in image[n : 2 * n]]
-        eta_image[2 * n] = 1.0
-        pulled = eta_image @ jac
-        eta_here = np.zeros(dim)
-        eta_here[:n] = [-pi for pi in flat[n : 2 * n]]
-        eta_here[2 * n] = 1.0
-        form_dev = float(np.max(np.abs(pulled - eta_here)))
-        h_dev = abs(sys._hamiltonian_flat(image) - sys._hamiltonian_flat(flat))
-        return (max(form_dev, h_dev),)
-
-    return residual
-
-
 def check_contact_symmetry_map(
     sys: ContactSystem,
     point_map: PointMap,
@@ -518,8 +416,8 @@ def check_contact_symmetry_map(
     """Finite contact-symmetry test: pullback of eta and of H match.
 
     Componentwise, (pullback eta)_j = sum_k eta_k(image) * dPhi^k/dx_j is
-    compared to eta at the state, and H(image) to H(state).  One compiled
-    kernel returns the image and the map's Jacobian at each state.
+    compared to eta at the state, and H(image) to H(state); the residual
+    is the largest deviation, from one compiled kernel per state.
     """
     rows = _sample_rows(sys, samples)
     if point_map.names != sys.chart_names:
@@ -527,7 +425,9 @@ def check_contact_symmetry_map(
             f"map {point_map.name!r} is over chart {point_map.names}, "
             f"system chart is {sys.chart_names}"
         )
+    _check_bound(sys, point_map.components)
+    deviations = _map_deviation_trees(sys, point_map.components)
     (report,) = _sampled_reports(
-        point_map.name, (KIND_CONTACT,), _map_residual(sys, point_map), rows, tol
+        point_map.name, (KIND_CONTACT,), _max_abs(sys, deviations), rows, tol
     )
     return report

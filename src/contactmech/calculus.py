@@ -1,23 +1,34 @@
 """Vector fields, Lie brackets, and Lie derivatives on the chart.
 
-Derivatives of field components are symbolic derivatives from the
-expression engine, so brackets carry no finite-difference noise.  The
-Hamiltonian field is the tuple of component expressions each
-ContactSystem builds from the gradient of H; their derivatives are
-cached on the shared components, which is how second derivatives of H
-enter bracket computations exactly.
+Each geometric operator is one builder of expression trees (L_Y eta,
+L_Y F, [A, B], a quantity's two rates, a map's deviations), made with
+the folding builders of `expr` and exact symbolic derivatives, so a term
+with a literal-0 factor drops out of the tree.  The functions here
+evaluate these trees at one state; `analysis` compiles the same trees
+into its per-sample kernels.  The Hamiltonian field is the tuple of
+component expressions each ContactSystem builds from the gradient of H;
+their derivatives are cached on the shared components, which is how
+second derivatives of H enter brackets exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .contact_core import ChartPoint, ContactSystem, Covector, Tangent
-from .expr import Expression
+from .contact_core import (
+    ACTION_NAME,
+    ChartPoint,
+    ContactSystem,
+    Covector,
+    Tangent,
+    _chart_n,
+)
+from .expr import Expression, MissingBindingError
 
 __all__ = [
     "ScalarField",
@@ -31,6 +42,7 @@ __all__ = [
 ]
 
 _ZERO = ex.literal(0.0)
+_ONE = ex.literal(1.0)
 
 
 def _chart_components(
@@ -59,20 +71,14 @@ class VectorField:
 
     name: str
     components: tuple
+    n: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         components = tuple(self.components)
-        if len(components) < 3 or len(components) % 2 == 0:
-            raise ValueError(
-                f"a chart field needs 2n+1 components, got {len(components)}"
-            )
+        object.__setattr__(self, "n", _chart_n(len(components), "a chart field"))
         if not all(isinstance(c, Expression) for c in components):
             raise TypeError("components must be Expressions")
         object.__setattr__(self, "components", components)
-
-    @property
-    def n(self) -> int:
-        return (len(self.components) - 1) // 2
 
     @classmethod
     def from_mapping(
@@ -98,18 +104,27 @@ class ScalarField:
         return self.expression._run(sys.bindings(point))
 
 
-def _field_dim_check(sys: ContactSystem, field: VectorField) -> None:
+def _check_bound(sys: ContactSystem, expressions) -> None:
+    """Raise MissingBindingError for a name that is neither a chart name
+    nor a parameter; a tree built from `expressions` may fold it away."""
+    stray = set().union(*(e.names for e in expressions)) - sys._declared
+    if stray:
+        raise MissingBindingError(min(stray))
+
+
+def _check_field(sys: ContactSystem, field: VectorField) -> None:
     if field.n != sys.n:
         raise ValueError(
             f"field {field.name!r} has n={field.n}, system expects n={sys.n}"
         )
+    _check_bound(sys, field.components)
 
 
 def vector_field_value(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> Tangent:
     """Evaluate all components at a state."""
-    _field_dim_check(sys, field)
+    _check_field(sys, field)
     env = sys.bindings(point)
     return Tangent.from_flat(tuple(c._run(env) for c in field.components))
 
@@ -118,7 +133,7 @@ def vf_jacobian(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
-    _field_dim_check(sys, field)
+    _check_field(sys, field)
     env = sys.bindings(point)
     return np.array(
         [
@@ -128,59 +143,127 @@ def vf_jacobian(
     )
 
 
+def _at(sys: ContactSystem, point: ChartPoint, build, *args) -> tuple:
+    """The trees `build(sys, *args)` at a state.  They are kept on the
+    system, keyed by `args` compared structurally, so that repeated calls
+    reuse them and their compiled code."""
+    key = (build, args)
+    trees = sys._trees.get(key)
+    if trees is None:
+        trees = sys._trees[key] = build(sys, *args)  # benign race
+    env = sys.bindings(point)
+    return tuple(tree._run(env) for tree in trees)
+
+
+def _chart_sum(terms) -> Expression:
+    total = _ZERO
+    for term in terms:
+        total = ex.add(total, term)
+    return total
+
+
+def _rate_trees(sys: ContactSystem, field: Sequence[Expression], fs) -> tuple:
+    """L_Y F = sum_k Y^k dF/dx^k for each F of `fs`; dF/dx^k is not built
+    where Y^k is a literal 0, which would fold its term away."""
+    names = sys.chart_names
+    weights = [(v, y) for v, y in zip(names, field) if not ex._is_const(y.root, 0.0)]
+    return tuple(
+        _chart_sum(ex.mul(y_k, f.derivative(var)) for var, y_k in weights)
+        for f in fs
+    )
+
+
+def _bracket_trees(
+    sys: ContactSystem, a: Sequence[Expression], b: Sequence[Expression]
+) -> tuple:
+    """[A, B]^k = sum_j A^j d_j B^k - sum_j B^j d_j A^k."""
+    return tuple(map(ex.sub, _rate_trees(sys, a, b), _rate_trees(sys, b, a)))
+
+
+def _lie_eta_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
+    """Components of L_Y eta against (dq^i, dp_i, ds).
+
+    By Cartan's formula L_Y eta = i(Y)d eta + d(i(Y)eta).  With
+    D_j = dY^s/dx^j - sum_k p_k dY^{q_k}/dx^j, the dq^i slot is
+    D_{q^i} - Y^{p_i} and every other slot is D_j: the dp_i slot of
+    d(i(Y)eta) is D_{p_i} - Y^{q_i}, and i(Y)d eta adds Y^{q_i} back.
+    """
+    n = sys.n
+    y_s = field[2 * n]
+
+    def d_j(var: str) -> Expression:
+        total = y_s.derivative(var)
+        for momentum, y_q in zip(sys.momenta, field[:n]):
+            total = ex.sub(total, ex.mul(ex.variable(momentum), y_q.derivative(var)))
+        return total
+
+    slots = [d_j(var) for var in sys.chart_names]
+    return tuple(
+        ex.sub(slot, y_p) for slot, y_p in zip(slots, field[n : 2 * n])
+    ) + tuple(slots[n:])
+
+
+def _dissipation_trees(sys: ContactSystem, f: Expression) -> tuple:
+    """(L_{X_H}F, L_{X_H}F + (dH/ds) F): zero for a conserved and for a
+    dissipated quantity respectively."""
+    (rate,) = _rate_trees(sys, sys._field, (f,))
+    h_s = sys.hamiltonian.derivative(ACTION_NAME)
+    return rate, ex.add(rate, ex.mul(h_s, f))
+
+
+def _eta(sys: ContactSystem, state: Sequence[Expression]) -> tuple:
+    """Coefficients of eta = ds - p_i dq^i at a state given as expressions."""
+    n = sys.n
+    return tuple(ex.neg(p) for p in state[n : 2 * n]) + (_ZERO,) * n + (_ONE,)
+
+
+def _map_deviation_trees(sys: ContactSystem, image: Sequence[Expression]) -> tuple:
+    """Components of Phi*eta - eta, then H o Phi - H, for the map x -> image.
+
+    (Phi*eta)_j = sum_k eta_k(Phi(x)) dPhi^k/dx^j.
+    """
+    eta_image = _eta(sys, image)
+    eta_here = _eta(sys, tuple(map(ex.variable, sys.chart_names)))
+    form = tuple(
+        ex.sub(
+            _chart_sum(
+                ex.mul(e_k, phi_k.derivative(var))
+                for e_k, phi_k in zip(eta_image, image)
+            ),
+            e_j,
+        )
+        for var, e_j in zip(sys.chart_names, eta_here)
+    )
+    moved = ex.substitute(sys.hamiltonian, dict(zip(sys.chart_names, image)))
+    return form + (ex.sub(moved, sys.hamiltonian),)
+
+
 def lie_bracket(
     sys: ContactSystem, a: VectorField, b: VectorField, point: ChartPoint
 ) -> Tangent:
     """[a, b]^k = sum_j (a^j d_j b^k - b^j d_j a^k) at the state."""
-    va = np.array(vector_field_value(sys, a, point).flat())
-    vb = np.array(vector_field_value(sys, b, point).flat())
-    ja = vf_jacobian(sys, a, point)
-    jb = vf_jacobian(sys, b, point)
-    return Tangent.from_flat((jb @ va - ja @ vb).tolist())
+    _check_field(sys, a)
+    _check_field(sys, b)
+    return Tangent.from_flat(
+        _at(sys, point, _bracket_trees, a.components, b.components)
+    )
 
 
 def lie_derivative_scalar(
     sys: ContactSystem, field: VectorField, scalar: ScalarField, point: ChartPoint
 ) -> float:
     """Directional derivative sum_k Y^k dF/dx^k at the state."""
-    _field_dim_check(sys, field)
-    env = sys.bindings(point)
-    total = 0.0
-    for var, comp in zip(sys.chart_names, field.components):
-        weight = comp._run(env)
-        if weight != 0.0:
-            total += weight * scalar.expression.derivative(var)._run(env)
-    return total
+    _check_field(sys, field)
+    (rate,) = _at(sys, point, _rate_trees, field.components, (scalar.expression,))
+    return rate
 
 
 def lie_derivative_contact_form(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> Covector:
-    """L_Y eta via Cartan's formula i(Y)d eta + d(i(Y)eta).
-
-    With g = i(Y)eta = Y^s - sum_k p_k Y^{q_k} and
-    D_x = dY^s/dx - sum_k p_k dY^{q_k}/dx: the dq^i slot is
-    -Y^{p_i} + D_{q^i}, the dp_i slot is D_{p_i} (Y^{q_i} cancels against
-    the explicit p_i in g), and the ds slot is D_s.
-    """
-    _field_dim_check(sys, field)
-    env = sys.bindings(point)
-    n = sys.n
-    y_q = field.components[:n]
-    y_s = field.components[2 * n]
-
-    def d_g(var: str) -> float:
-        total = y_s.derivative(var)._run(env)
-        for p_k, comp in zip(point.p, y_q):
-            total -= p_k * comp.derivative(var)._run(env)
-        return total
-
-    cq = tuple(
-        d_g(c) - field.components[n + i]._run(env)
-        for i, c in enumerate(sys.coordinates)
-    )
-    cp = tuple(d_g(m) for m in sys.momenta)
-    return Covector(cq, cp, d_g("s"))
+    """L_Y eta at the state, by Cartan's formula (see `_lie_eta_trees`)."""
+    _check_field(sys, field)
+    return Covector.from_flat(_at(sys, point, _lie_eta_trees, field.components))
 
 
 def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> VectorField:

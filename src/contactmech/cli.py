@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _check_trajectory_chart,
     check_contact_symmetry_map,
     check_quantity,
     classify_symmetry,
@@ -141,11 +142,7 @@ def cmd_verify(args) -> int:
 
     if args.trajectory is not None:
         traj = read_trajectory_csv(args.trajectory)
-        if traj.names != system.chart_names:
-            raise _UsageError(
-                f"{args.trajectory}: trajectory chart {traj.names} does not "
-                f"match the spec chart {system.chart_names}"
-            )
+        _checked(_check_trajectory_chart, system, traj)
         traj_meta = {"source": str(args.trajectory), "samples": len(traj)}
     else:
         traj = _fresh_trajectory(doc, args)
@@ -289,6 +286,8 @@ def cmd_analyze(args) -> int:
     system = doc.system
     _checked(_require_positive, "tol", args.tol)
     states = _checked(sample_states, system, count=args.samples, seed=args.seed)
+    # integrate first, so that a bad window or dt stops before any output
+    traj = None if doc.initial_state is None else _fresh_trajectory(doc, args)
 
     contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
     print(f"field: {cand.name}")
@@ -315,10 +314,9 @@ def cmd_analyze(args) -> int:
     if not dynamical.passed:
         print("note: not a dynamical symmetry, so no dissipation guarantee")
 
-    if doc.initial_state is None:
+    if traj is None:
         print("no initial_state declared; trajectory check skipped")
     else:
-        traj = _fresh_trajectory(doc, args)
         report = check_quantity(system, quantity, traj, args.tol)
         print(
             f"along trajectory [{args.t0:g}, {args.tf:g}] at dt={args.dt:g}: "

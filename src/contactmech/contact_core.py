@@ -44,6 +44,13 @@ def _as_floats(values: Sequence[float], label: str) -> tuple:
         raise ValueError(f"{label} must be a sequence of reals") from None
 
 
+def _chart_n(count: int, what: str) -> int:
+    """The n of a chart layout with `count` = 2n+1 entries, n >= 1."""
+    if count < 3 or count % 2 == 0:
+        raise ValueError(f"{what} needs 2n+1 entries, got {count}")
+    return (count - 1) // 2
+
+
 class _ChartVector:
     """The (n, n, 1) chart layout shared by points, tangents and covectors.
 
@@ -86,9 +93,7 @@ class _ChartVector:
     @classmethod
     def from_flat(cls, values: Sequence[float]):
         values = tuple(values)
-        if len(values) < 3 or len(values) % 2 == 0:
-            raise ValueError(f"flat state needs 2n+1 entries, got {len(values)}")
-        n = (len(values) - 1) // 2
+        n = _chart_n(len(values), "a flat state")
         return cls(values[:n], values[n : 2 * n], values[2 * n])
 
     def max_norm(self) -> float:
@@ -141,6 +146,7 @@ class ContactSystem:
         "_field",
         "_flow_fn",
         "_h_fn",
+        "_trees",
     )
 
     def __init__(
@@ -201,6 +207,7 @@ class ContactSystem:
         self._field = dq + dp + (ex.sub(ds, hamiltonian),)
         self._flow_fn = None
         self._h_fn = None
+        self._trees = {}  # per-point operator trees, see calculus._at
 
     @property
     def n(self) -> int:

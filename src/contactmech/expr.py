@@ -22,8 +22,8 @@ so concurrent use from any number of threads is safe.
 A contact system compiles its whole flow (and H) into one straight-line
 kernel through the same code emitter, lazily on first use; like an
 expression's own compilation, that is a benign race.  Each verification
-check in ``analysis`` compiles one such kernel when it starts, of every
-value (field components, derivatives) its residual needs at a sample.
+check in ``analysis`` compiles one such kernel when it starts, of the
+residual trees that ``calculus`` builds for its operator.
 """
 
 from __future__ import annotations
@@ -428,7 +428,7 @@ def _compile_kernel(
 class Expression:
     """Immutable scalar field on the chart, evaluable with exact derivatives."""
 
-    __slots__ = ("root", "names", "_fn", "_derivatives")
+    __slots__ = ("root", "names", "_fn", "_derivatives", "_hash")
 
     def __init__(self, root: Node):
         self.root = root
@@ -437,6 +437,7 @@ class Expression:
         self.names = frozenset(names)
         self._fn = None
         self._derivatives = None
+        self._hash = None
 
     def _compiled(self):
         # benign race: compilation is deterministic and idempotent
@@ -485,7 +486,10 @@ class Expression:
         return isinstance(other, Expression) and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash(self.root)
+        # hashing the tree walks all of it, so keep the result
+        if self._hash is None:
+            self._hash = hash(self.root)
+        return self._hash
 
 
 def finite_difference(

@@ -32,8 +32,8 @@ from contactmech import (
     quotient_quantity,
     reeb_lift,
     sample_states,
-    vf_jacobian,
 )
+from contactmech.calculus import _dissipation_trees, _map_deviation_trees
 from contactmech.expr import literal
 from contactmech.integrate import Trajectory
 
@@ -141,14 +141,20 @@ def test_parameter_exponent_drops_no_bracket_samples():
 
 
 def test_failed_samples_are_counted_per_check():
-    # dH/dq = 1/(2 sqrt(q)) fails for q < 0, but Y only moves p_q, so the
-    # contact check never needs it; the bracket needs d^2H/dq^2.
+    # dH/dq = 1/(2 sqrt(q)) fails for q < 0 (24 of the 50 samples), but
+    # neither field's contact residual needs it.
     sys = ContactSystem(("q",), "p_q^2/2 + sqrt(q) + gamma*s", {"gamma": 0.5})
-    field = VectorField.from_mapping(sys, "d/dp_q", {"p_q": "1"})
     samples = sample_states(sys, count=50, seed=42)
-    contact, dynamical = classify_symmetry(sys, field, samples, tol=1e300)
-    assert (contact.samples, contact.failed_samples) == (50, 0)
-    assert (dynamical.samples, dynamical.failed_samples) == (26, 24)
+    for components, dynamical_counts in [
+        # [d/dp_q, X_H] = dX_H/dp_q never reaches dH/dq
+        ({"p_q": "1"}, (50, 0)),
+        # [Y, X_H]^s has -X_H^{p_q} d(p_q)/dp_q, and X_H^{p_q} has dH/dq
+        ({"s": "p_q"}, (26, 24)),
+    ]:
+        field = VectorField.from_mapping(sys, "candidate", components)
+        contact, dynamical = classify_symmetry(sys, field, samples, tol=1e300)
+        assert (contact.samples, contact.failed_samples) == (50, 0)
+        assert (dynamical.samples, dynamical.failed_samples) == dynamical_counts
 
 
 def _no_kernel(*args):
@@ -171,11 +177,18 @@ def test_classification_checks_dimensions_before_sampling(
         check_contact_symmetry_map(gravity, shift, stray)
 
 
-def test_unbound_field_name_is_reported(gravity, gravity_states):
+def test_unbound_field_name_is_reported(gravity, gravity_states, coarse_traj):
+    # H does not depend on x, so the field and map trees fold zeta away
     zero = literal(0.0)
-    stray = VectorField("stray", (parse("zeta", ("zeta",)),) + (zero,) * 4)
+    zeta = parse("zeta", ("zeta",))
+    stray = VectorField("stray", (zeta,) + (zero,) * 4)
     with pytest.raises(MissingBindingError, match="zeta"):
         classify_symmetry(gravity, stray, gravity_states)
+    moved = PointMap("stray", gravity.chart_names, (zeta,) + stray.components[1:])
+    with pytest.raises(MissingBindingError, match="zeta"):
+        check_contact_symmetry_map(gravity, moved, gravity_states)
+    with pytest.raises(MissingBindingError, match="zeta"):
+        check_quantity(gravity, ScalarField("zeta", zeta), coarse_traj)
 
 
 def test_evolution_field_is_dynamical_but_not_contact(gravity, gravity_states):
@@ -467,7 +480,7 @@ def test_pullback_by_a_symmetry_stays_dissipated(gravity, coarse_traj):
 
 
 # ---------------------------------------------------------------------------
-# Compiled check kernels against the per-point calculus path
+# Compiled check kernels against per-point evaluation of the same trees
 # ---------------------------------------------------------------------------
 
 OSCILLATOR_H = "(p_x^2 + p_y^2)/2 + k*(x^2 + y^2)/2 + gamma*s"
@@ -549,15 +562,8 @@ def test_classification_matches_calculus_on_the_chain():
         _assert_classification_parity(sys, field, states)
 
 
-def _quantity_rates(sys, quantity, states):
-    x_h = hamiltonian_field(sys)
-    cons, diss = [], []
-    for pt in states:
-        rate = lie_derivative_scalar(sys, x_h, quantity, pt)
-        cons.append(abs(rate))
-        h_s = sys.d_hamiltonian("s", pt)
-        diss.append(abs(rate + h_s * quantity.value(sys, pt)))
-    return cons, diss
+def _at_states(sys, trees, states):
+    return [[tree.evaluate(sys.bindings(pt)) for tree in trees] for pt in states]
 
 
 def _assert_quantity_parity(sys, sources, states):
@@ -570,10 +576,10 @@ def _assert_quantity_parity(sys, sources, states):
     for source in sources:
         names = sys.chart_names + tuple(sys.parameters)
         quantity = ScalarField(source, parse(source, names))
-        cons, diss = _quantity_rates(sys, quantity, states)
+        rates = _at_states(sys, _dissipation_trees(sys, quantity.expression), states)
         report = check_quantity(sys, quantity, traj)
-        _assert_stats(report.conserved, cons)
-        _assert_stats(report.dissipated, diss)
+        _assert_stats(report.conserved, [abs(cons) for cons, _ in rates])
+        _assert_stats(report.dissipated, [abs(diss) for _, diss in rates])
 
 
 @pytest.mark.parametrize("k", [1.0, 1e8])
@@ -596,18 +602,8 @@ def test_quantity_rates_match_calculus_on_the_chain():
 
 
 def _map_residuals(sys, point_map, states):
-    n = sys.n
-    as_field = VectorField(point_map.name, point_map.components)
-    residuals = []
-    for pt in states:
-        image = point_map.apply(sys, pt)
-        jac = vf_jacobian(sys, as_field, pt)
-        eta_image = np.array([-v for v in image.p] + [0.0] * n + [1.0])
-        eta_here = np.array([-v for v in pt.p] + [0.0] * n + [1.0])
-        form_dev = float(np.max(np.abs(eta_image @ jac - eta_here)))
-        h_dev = abs(sys.hamiltonian_value(image) - sys.hamiltonian_value(pt))
-        residuals.append(max(form_dev, h_dev))
-    return residuals
+    trees = _map_deviation_trees(sys, point_map.components)
+    return [max(map(abs, row)) for row in _at_states(sys, trees, states)]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from contactmech import (
     ChartPoint,
+    PointMap,
     ScalarField,
     VectorField,
     builtin,
@@ -40,12 +41,20 @@ def test_from_mapping_rejects_unknown_directions(gravity):
         VectorField.from_mapping(gravity, "bad", {"z": "1"})
 
 
-def test_vector_field_validation():
+def test_vector_field_validation(gravity):
     one = parse("1", ())
-    with pytest.raises(ValueError):
-        VectorField("bad", (one, one))  # even component count
-    with pytest.raises(TypeError):
-        VectorField("bad", (one, "1", one))
+    for build in (
+        lambda components: VectorField("bad", components),
+        lambda components: PointMap(
+            "bad", gravity.chart_names[: len(components)], components
+        ),
+    ):
+        for count in (0, 1, 2, 4):
+            with pytest.raises(ValueError, match="2n\\+1"):
+                build((one,) * count)
+        with pytest.raises(TypeError):
+            build((one, "1", one))
+        assert build((one,) * 5).n == 2
 
 
 def test_field_components_may_use_parameters(gravity, base_point):

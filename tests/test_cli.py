@@ -225,11 +225,17 @@ def test_verify_rejects_a_foreign_trajectory(gravity_spec, tmp_path, capsys):
     csv = tmp_path / "fp.csv"
     assert main(["simulate", str(other), "--dt", "1e-2", "--out", str(csv)]) == 0
     report = str(tmp_path / "report.json")
+    capsys.readouterr()
     rc = main(
         ["verify", str(gravity_spec), "--trajectory", str(csv), "--report", report]
     )
     assert rc == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "('q', 'p_q', 's')" in line
+    assert "('x', 'y', 'p_x', 'p_y', 's')" in line
 
 
 def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
@@ -283,6 +289,74 @@ def test_analyze_non_symmetry(capsys):
     text = capsys.readouterr().out
     assert "classification: not a symmetry" in text
     assert "no dissipation guarantee" in text
+
+
+@pytest.mark.parametrize("extra", [["--dt", "0"], ["--tf", "-1"]])
+def test_analyze_rejects_a_bad_window_before_any_output(extra, capsys):
+    assert main(["analyze", SHIPPED_SPEC, "x_translation", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+OSCILLATOR_SPEC = """\
+n: 2
+coordinates: [x, y]
+parameters: {k: 1.0, gamma: 0.5}
+hamiltonian: (p_x^2 + p_y^2)/2 + k*(x^2 + y^2)/2 + gamma*s
+initial_state: {x: 1.0, y: 0.5, p_x: -0.5, p_y: 1.0, s: 0.0}
+symmetries:
+- name: rotation
+  components: {x: -y, y: x, p_x: -p_y, p_y: p_x}
+  expect: contact
+- name: dilation
+  components: {x: x, y: y}
+  expect: neither
+maps:
+- name: rotation_map
+  components:
+    x: 0.6*x - 0.8*y
+    y: 0.8*x + 0.6*y
+    p_x: 0.6*p_x - 0.8*p_y
+    p_y: 0.8*p_x + 0.6*p_y
+  expect: contact
+"""
+
+
+def test_verify_candidates_with_non_constant_components(tmp_path, capsys):
+    # every shipped candidate is constant, which a wrong sign in a
+    # derivative term of the bracket or of L_Y eta would still pass
+    spec = tmp_path / "oscillator.yaml"
+    spec.write_text(OSCILLATOR_SPEC)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--report", str(report)]) == 0
+    capsys.readouterr()
+    data = json.loads(report.read_text())
+    assert data["all_expectations_met"] is True
+    observed = {entry["name"]: entry["observed"] for entry in data["checks"]}
+    assert observed == {
+        "rotation": "contact",
+        "dilation": "neither",
+        "noether[rotation]": "dissipated",
+        "rotation_map": "contact",
+    }
+
+
+def test_runtime_imports_no_test_only_oracles(tmp_path):
+    report = tmp_path / "report.json"
+    script = (
+        "import sys\n"
+        "import contactmech\n"
+        "from contactmech.cli import main\n"
+        f"assert main(['verify', {SHIPPED_SPEC!r}, '--report', {str(report)!r}]) == 0\n"
+        "print(sorted({'sympy', 'scipy', 'mpmath'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert report.exists()
 
 
 def test_analyze_unknown_field(capsys):
