@@ -100,13 +100,13 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(doc.system, traj, args.out)
 
     system = doc.system
+    last = traj.final_point
     h0 = system.hamiltonian_value(traj.point(0))
-    hf = system.hamiltonian_value(traj.final_point)
+    hf = system.hamiltonian_value(last)
     print(f"method: {traj.method}")
     print(f"steps: {traj.accepted} accepted, {traj.rejected} rejected")
     final = ", ".join(
-        f"{name}={value!r}"
-        for name, value in zip(traj.names, traj.final_point.flat())
+        f"{name}={value!r}" for name, value in zip(traj.names, last.flat())
     )
     print(f"final state (t={float(traj.times[-1])!r}): {final}")
     decay = repr(hf / h0) if h0 != 0.0 else "n/a (H(t0) = 0)"

@@ -244,17 +244,17 @@ class ContactSystem:
 
     def hamiltonian_value(self, point: ChartPoint) -> float:
         self._check_point(point)
-        return self._hamiltonian_flat(point.flat())
+        return self._hamiltonian_kernel()(*point.flat())
 
-    def _hamiltonian_flat(self, flat: Sequence[float]) -> float:
-        """H at a state in flat layout, through its compiled kernel."""
+    def _hamiltonian_kernel(self):
+        """H as a compiled function of the 2n+1 chart values."""
         # benign race: compilation is deterministic and idempotent
         fn = self._h_fn
         if fn is None:
             fn = self._h_fn = ex._compile_kernel(
                 self.hamiltonian, self.chart_names, self.parameters
             )
-        return fn(*flat)
+        return fn
 
     def d_hamiltonian(self, var: str, point: ChartPoint) -> float:
         """Exact partial of H with respect to a chart variable."""

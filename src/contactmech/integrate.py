@@ -4,10 +4,27 @@ Explicit Runge-Kutta only: classical RK4 on a fixed grid and the
 Fehlberg 4(5) embedded pair with proportional step control.  No
 structure-preserving integrator is attempted; verification tests check
 results against closed-form oracles instead.
+
+Each method has one step implementation, a straight-line function
+generated on first use for each chart dimension.  It unpacks the state
+into locals and unrolls every component's stage arithmetic with the
+IEEE operations, in the order, of the textbook formulas written over
+lists: ``0.5*h`` and ``h/6`` bound once, and each Fehlberg weighted sum
+added from the integer 0 in tableau order with its zero weights, as
+``sum`` adds floats before Python 3.12 (which made it compensated), so
+that its additions do not depend on the Python version.  It calls
+``sys.flow`` once per stage through the system, not its compiled
+kernel, so a wrapper on ``ContactSystem.flow`` sees every stage.
+Error contract of a step: a DomainError in any stage raises
+DivergenceError("right-hand side undefined: ..."), and a stage or
+result holding a non-finite value raises DivergenceError("state left
+the finite domain"); both carry the time and state at the step's start.
+Finite values whose sum overflows are not an error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,43 +158,11 @@ def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
         raise _diverged(sys, "state left the finite domain", t, last_good)
 
 
-def _rhs(sys: ContactSystem, y, t: float, last_good) -> tuple:
-    try:
-        k = sys.flow(y)
-    except DomainError as exc:
-        raise _diverged(
-            sys, f"right-hand side undefined: {exc}", t, last_good
-        ) from None
-    _check_finite(sys, k, t, last_good)
-    return k
-
-
-def _rk4_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
-    half = 0.5 * h
-    k1 = _rhs(sys, y, t, y)
-    k2 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k1)]), t, y)
-    k3 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k2)]), t, y)
-    k4 = _rhs(sys, tuple([yi + h * ki for yi, ki in zip(y, k3)]), t, y)
-    sixth = h / 6.0
-    out = tuple([
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    ])
-    _check_finite(sys, out, t, y)
-    return out
-
-
-def rk4_step(sys: ContactSystem, state: ChartPoint, dt: float) -> ChartPoint:
-    """One classical 4th-order Runge-Kutta step."""
-    _require_positive("dt", dt)
-    sys._check_point(state)
-    return ChartPoint.from_flat(_rk4_flat(sys, state.flat(), 0.0, dt))
-
-
-# Fehlberg 4(5) tableau; _RKF_ERR = b5 - b4, so the weighted sum of the
-# stages estimates the local error of the propagated 4th-order solution.
+# Fehlberg 4(5) tableau: the rows that build stages 1..5 from the stages
+# before them, the 4th-order weights, and _RKF_ERR = b5 - b4, so the
+# weighted sum of the stages estimates the local error of the propagated
+# 4th-order solution.
 _RKF_A = (
-    (),
     (1.0 / 4.0,),
     (3.0 / 32.0, 9.0 / 32.0),
     (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
@@ -195,31 +180,88 @@ _RKF_ERR = (
 )
 
 
-def _rkf45_flat(sys: ContactSystem, y: tuple, t: float, h: float) -> tuple:
-    ks = [_rhs(sys, y, t, y)]
-    for row in _RKF_A[1:]:
-        stage = tuple([
-            yi + h * sum([a * k for a, k in zip(row, col)])
-            for yi, *col in zip(y, *ks)
-        ])
-        ks.append(_rhs(sys, stage, t, y))
-    out = tuple([
-        yi + h * sum([b * k for b, k in zip(_RKF_B4, col)])
-        for yi, *col in zip(y, *ks)
-    ])
-    _check_finite(sys, out, t, y)
-    err = max([
-        abs(h * sum([e * k for e, k in zip(_RKF_ERR, col)]))
-        for col in zip(*ks)
-    ])
-    return out, err
+def _weighted(weights, i: int) -> str:
+    """Source of component i of the weighted stage sum: from the integer 0,
+    left to right, zero weights kept (0.0 * inf is nan, 0 + -0.0 is 0.0)."""
+    return "(0" + "".join(f" + {w!r} * k{j}_{i}" for j, w in enumerate(weights)) + ")"
+
+
+def _finite(name: str, parts: list) -> list:
+    # the values' sum is finite unless one of them is not or it overflows
+    return [
+        f"if not _isfinite({' + '.join(parts)}):",
+        f"    _check_finite(_sys, {name}, t, y)",
+    ]
+
+
+def _step_source(method: str, dim: int) -> str:
+    comps = range(dim)
+    if method == "rk4":
+        prologue = ["half = 0.5 * h", "sixth = h / 6.0"]
+        inputs = [
+            [f"y{i} + {scale} * k{j}_{i}" for i in comps]
+            for j, scale in enumerate(("half", "half", "h"))
+        ]
+        outputs = [
+            f"y{i} + sixth * (k0_{i} + 2.0 * (k1_{i} + k2_{i}) + k3_{i})"
+            for i in comps
+        ]
+        result = "out"
+    else:
+        prologue = []
+        inputs = [[f"y{i} + h * {_weighted(row, i)}" for i in comps] for row in _RKF_A]
+        outputs = [f"y{i} + h * {_weighted(_RKF_B4, i)}" for i in comps]
+        errors = ", ".join(f"abs(h * {_weighted(_RKF_ERR, i)})" for i in comps)
+        result = f"out, max([{errors}])"
+
+    ys = [f"y{i}" for i in comps]
+    lines = [f"{', '.join(ys)}, = y", "flow = _sys.flow", *prologue, "try:"]
+    args = ["y"] + [f"({', '.join(stage)},)" for stage in inputs]
+    for j, arg in enumerate(args):
+        ks = [f"k{j}_{i}" for i in comps]
+        stage = [f"k = flow({arg})", f"{', '.join(ks)}, = k", *_finite("k", ks)]
+        lines += [f"    {line}" for line in stage]
+    lines += [
+        "except _DomainError as exc:",
+        '    message = f"right-hand side undefined: {exc}"',
+        "    raise _diverged(_sys, message, t, y) from None",
+    ]
+    lines += [f"o{i} = {value}" for i, value in enumerate(outputs)]
+    outs = [f"o{i}" for i in comps]
+    lines += [f"out = ({', '.join(outs)},)", *_finite("out", outs), f"return {result}"]
+    return "def _fn(_sys, y, t, h):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+@functools.cache
+def _step(method: str, dim: int):
+    """The generated step ``fn(sys, y, t, h)`` of `method` for `dim` values.
+
+    Its code depends only on the method and the chart dimension, because
+    it calls ``sys.flow`` on the system it is given; so it is compiled
+    once per pair and shared by every system of that dimension.
+    """
+    env = {
+        "_DomainError": DomainError,
+        "_diverged": _diverged,
+        "_check_finite": _check_finite,
+        "_isfinite": math.isfinite,
+    }
+    exec(compile(_step_source(method, dim), f"<{method} step>", "exec"), env)
+    return env["_fn"]
+
+
+def rk4_step(sys: ContactSystem, state: ChartPoint, dt: float) -> ChartPoint:
+    """One classical 4th-order Runge-Kutta step."""
+    _require_positive("dt", dt)
+    sys._check_point(state)
+    return ChartPoint.from_flat(_step("rk4", sys.dim)(sys, state.flat(), 0.0, dt))
 
 
 def rkf45_step(sys: ContactSystem, state: ChartPoint, dt: float) -> tuple:
     """One embedded 4(5) step: (new state, max-norm local error estimate)."""
     _require_positive("dt", dt)
     sys._check_point(state)
-    out, err = _rkf45_flat(sys, state.flat(), 0.0, dt)
+    out, err = _step("rkf45", sys.dim)(sys, state.flat(), 0.0, dt)
     return ChartPoint.from_flat(out), err
 
 
@@ -251,6 +293,7 @@ def integrate_fixed(
     dt = _require_positive("dt", dt)
     sys._check_point(s0)
 
+    step = _step("rk4", sys.dim)
     y = s0.flat()
     times = [float(t0)]
     states = [y]
@@ -260,11 +303,11 @@ def integrate_fixed(
         t_k = t0 + k * dt
         t_next = t0 + (k + 1) * dt
         if t_next >= tf - tiny:
-            y = _rk4_flat(sys, y, t_k, tf - t_k)
+            y = step(sys, y, t_k, tf - t_k)
             times.append(float(tf))
             states.append(y)
             break
-        y = _rk4_flat(sys, y, t_k, dt)
+        y = step(sys, y, t_k, dt)
         times.append(t_next)
         states.append(y)
         k += 1
@@ -296,6 +339,7 @@ def integrate_adaptive(
     tol = _require_positive("tol", tol)
     sys._check_point(s0)
 
+    step = _step("rkf45", sys.dim)
     y = s0.flat()
     t = float(t0)
     times = [t]
@@ -306,8 +350,8 @@ def integrate_adaptive(
     dt_floor = 1e-12 * span
     while t < tf:
         h = min(dt, tf - t)
-        out, err = _rkf45_flat(sys, y, t, h)
-        budget = tol * (1.0 + max(abs(v) for v in y))
+        out, err = step(sys, y, t, h)
+        budget = tol * (1.0 + max(map(abs, y)))
         if err <= budget:
             t = tf if h >= tf - t else t + h
             y = out
@@ -337,12 +381,12 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
     """Header t,<chart names>,H; shortest round-trip float formatting."""
     if traj.names != sys.chart_names:
         raise ValueError("trajectory chart names do not match the system")
-    energy = sys._hamiltonian_flat
+    energy = sys._hamiltonian_kernel()
     lines = ["t," + ",".join(traj.names) + ",H"]
     # one row at a time: converting the whole array at once costs memory
     for t, row in zip(traj.times, traj.states):
         values = row.tolist()
-        lines.append(",".join(map(repr, [float(t), *values, energy(values)])))
+        lines.append(",".join(map(repr, [float(t), *values, energy(*values)])))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -5,6 +5,11 @@ that are smooth near the sample point and numerically tame, so the
 central-difference oracle can be trusted.  Generation is seeded and the
 rejection filter only probes plain evaluations, never the symbolic
 derivatives under test.
+
+The integrator comparisons need a plain Runge-Kutta reference: one
+``sys.flow`` call per stage, the stage arithmetic as list
+comprehensions over the components, and the library's own finiteness
+check and error constructor, in the same time loops as the library.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import math
 
 import numpy as np
 
-from contactmech import DomainError, finite_difference, parse
+from contactmech import DomainError, Trajectory, finite_difference, parse
+from contactmech.integrate import _check_finite, _diverged
 
 NAMES = ("a", "b", "c")
 
@@ -22,6 +28,13 @@ CHAIN_H = (
     "(p_q1^2 + p_q2^2 + p_q3^2 + p_q4^2 + p_q5^2 + p_q6^2)/(2*m)"
     " + k/2*((q2 - q1)^2 + (q3 - q2)^2 + (q4 - q3)^2 + (q5 - q4)^2"
     " + (q6 - q5)^2) + gamma*s"
+)
+
+#: every function, a fractional parameter exponent and (with c < 0) a
+#: negative parameter
+FUNCTIONS_H = (
+    "p_q^2/(2*m) + sin(q)*cos(p_q) + exp(-q^2/2) + log(1 + q^2)"
+    " + c*sqrt(1 + p_q^2) + abs(q)*(1 + q^2)^n + gamma*s"
 )
 
 _BINARY = ("+", "-", "*", "/")
@@ -70,3 +83,125 @@ def derivative_cases(count: int, seed: int) -> list:
         if _admissible(expr, bindings):
             cases.append((expr, bindings))
     return cases
+
+
+# ---------------------------------------------------------------------------
+# Reference Runge-Kutta integrator
+# ---------------------------------------------------------------------------
+
+# Fehlberg 4(5): stage rows, 4th-order weights, and b5 - b4
+_RKF_A = (
+    (1.0 / 4.0,),
+    (3.0 / 32.0, 9.0 / 32.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+_RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+_RKF_ERR = (
+    1.0 / 360.0, 0.0, -128.0 / 4275.0, -2197.0 / 75240.0, 1.0 / 50.0, 2.0 / 55.0
+)
+
+
+def _sum(values) -> float:
+    """Left to right from the integer 0: `sum` of floats before Python 3.12,
+    which switched to compensated summation."""
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def _rhs(sys, y, t, last_good) -> tuple:
+    try:
+        k = sys.flow(y)
+    except DomainError as exc:
+        raise _diverged(
+            sys, f"right-hand side undefined: {exc}", t, last_good
+        ) from None
+    _check_finite(sys, k, t, last_good)
+    return k
+
+
+def reference_rk4(sys, y: tuple, t: float, h: float) -> tuple:
+    half = 0.5 * h
+    k1 = _rhs(sys, y, t, y)
+    k2 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k1)]), t, y)
+    k3 = _rhs(sys, tuple([yi + half * ki for yi, ki in zip(y, k2)]), t, y)
+    k4 = _rhs(sys, tuple([yi + h * ki for yi, ki in zip(y, k3)]), t, y)
+    sixth = h / 6.0
+    out = tuple([
+        yi + sixth * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    ])
+    _check_finite(sys, out, t, y)
+    return out
+
+
+def reference_rkf45(sys, y: tuple, t: float, h: float) -> tuple:
+    ks = [_rhs(sys, y, t, y)]
+    for row in _RKF_A:
+        stage = tuple([
+            yi + h * _sum([a * k for a, k in zip(row, col)])
+            for yi, *col in zip(y, *ks)
+        ])
+        ks.append(_rhs(sys, stage, t, y))
+    out = tuple([
+        yi + h * _sum([b * k for b, k in zip(_RKF_B4, col)])
+        for yi, *col in zip(y, *ks)
+    ])
+    _check_finite(sys, out, t, y)
+    err = max([
+        abs(h * _sum([e * k for e, k in zip(_RKF_ERR, col)]))
+        for col in zip(*ks)
+    ])
+    return out, err
+
+
+def reference_fixed(sys, s0, t0: float, tf: float, dt: float) -> Trajectory:
+    """`integrate_fixed` stepping with `reference_rk4`."""
+    y = s0.flat()
+    times = [float(t0)]
+    states = [y]
+    tiny = 1e-9 * min(dt, tf - t0)
+    k = 0
+    while True:
+        t_k = t0 + k * dt
+        t_next = t0 + (k + 1) * dt
+        if t_next >= tf - tiny:
+            states.append(reference_rk4(sys, y, t_k, tf - t_k))
+            times.append(float(tf))
+            break
+        y = reference_rk4(sys, y, t_k, dt)
+        times.append(t_next)
+        states.append(y)
+        k += 1
+    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rk4",
+                      accepted=len(times) - 1, rejected=0)
+
+
+def reference_adaptive(sys, s0, t0: float, tf: float, tol: float) -> Trajectory:
+    """`integrate_adaptive` stepping with `reference_rkf45`, without its
+    step-underflow check."""
+    y = s0.flat()
+    t = float(t0)
+    times = [t]
+    states = [y]
+    accepted = rejected = 0
+    dt = tf - t0
+    while t < tf:
+        h = min(dt, tf - t)
+        out, err = reference_rkf45(sys, y, t, h)
+        budget = tol * (1.0 + max(abs(v) for v in y))
+        if err <= budget:
+            t = tf if h >= tf - t else t + h
+            y = out
+            times.append(t)
+            states.append(y)
+            accepted += 1
+        else:
+            rejected += 1
+        factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
+        dt = h * min(5.0, max(0.2, factor))
+    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rkf45",
+                      accepted=accepted, rejected=rejected)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import CHAIN_H
+from helpers import CHAIN_H, FUNCTIONS_H
 from contactmech import expr as ex
 from contactmech import (
     ChartPoint,
@@ -239,12 +239,6 @@ def test_dimension_mismatch_in_form_helpers(base_point):
 # ---------------------------------------------------------------------------
 # The compiled kernel against the per-component path
 # ---------------------------------------------------------------------------
-
-# every function, a fractional parameter exponent and a negative parameter
-FUNCTIONS_H = (
-    "p_q^2/(2*m) + sin(q)*cos(p_q) + exp(-q^2/2) + log(1 + q^2)"
-    " + c*sqrt(1 + p_q^2) + abs(q)*(1 + q^2)^n + gamma*s"
-)
 
 _BINARY = {
     "+": operator.add,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import CHAIN_H, FUNCTIONS_H, reference_adaptive, reference_fixed
 from contactmech import (
     ChartPoint,
     ContactSystem,
@@ -114,6 +115,144 @@ def test_divergence_reports_last_finite_state():
         for name, value in zip(sys.chart_names, err.value.state.flat())
     )
     assert f"t={err.value.time!r}: {state})" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The error contract of one step: DivergenceError with the pre-step state
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sqrt_well():
+    # dp_q = -(1/(2 sqrt(q)) + gamma p_q) is undefined for q < 0
+    return ContactSystem(("q",), "p_q^2/2 + sqrt(q) + gamma*s", {"gamma": 0.5})
+
+
+def _divergence(fn, *args) -> DivergenceError:
+    with pytest.raises(DivergenceError) as err:
+        fn(*args)
+    return err.value
+
+
+_UNDEFINED = "right-hand side undefined: math domain error (last good state at "
+
+
+@pytest.mark.parametrize("step", [rk4_step, rkf45_step])
+def test_domain_error_in_a_later_stage_reports_the_step_start(sqrt_well, step):
+    start = ChartPoint((1e-3,), (-10.0,), 0.0)
+    sqrt_well.flow(start.flat())  # the first stage is defined
+    err = _divergence(step, sqrt_well, start, 0.1)
+    assert str(err) == _UNDEFINED + "t=0.0: q=0.001, p_q=-10.0, s=0.0)"
+    assert err.time == 0.0
+    assert err.state == start
+
+
+def test_fixed_domain_error_reports_the_last_step_start(sqrt_well):
+    err = _divergence(
+        integrate_fixed, sqrt_well, ChartPoint((0.05,), (-1.0,), 0.0), 0.0, 1.0, 0.01
+    )
+    state = ChartPoint(
+        (0.008237819765289901,), (-1.1055254069642355,), 0.01498045774278203
+    )
+    assert str(err) == _UNDEFINED + (
+        "t=0.04: q=0.008237819765289901, p_q=-1.1055254069642355, "
+        "s=0.01498045774278203)"
+    )
+    assert err.time == 0.04
+    assert err.state == state
+    sqrt_well.flow(state.flat())  # a later stage failed
+
+
+def test_adaptive_domain_error_reports_the_last_accepted_state(sqrt_well):
+    err = _divergence(
+        integrate_adaptive, sqrt_well, ChartPoint((1.0,), (0.0,), 0.0), 0.0, 3.0, 1e-9
+    )
+    state = ChartPoint(
+        (1.1048935905471452e-09,), (-1.1786883232355827,), -0.7195332512092489
+    )
+    assert str(err) == _UNDEFINED + (
+        "t=2.1877280736520177: q=1.1048935905471452e-09, "
+        "p_q=-1.1786883232355827, s=-0.7195332512092489)"
+    )
+    assert err.time == 2.1877280736520177
+    assert err.state == state
+    sqrt_well.flow(state.flat())
+
+
+@pytest.mark.parametrize("step", [rk4_step, rkf45_step])
+def test_non_finite_stage_stops_the_step(step):
+    # dp_q = -a*10 = -inf; evaluating the next stage at p_q = -inf would
+    # raise in sin(p_q) instead
+    sys = ContactSystem(("q",), "p_q^2/2 + cos(p_q) + a*10*q", {"a": 1e308})
+    start = ChartPoint((1.0,), (1.0,), 0.0)
+    err = _divergence(step, sys, start, 0.1)
+    assert str(err) == (
+        "state left the finite domain (last good state at t=0.0: "
+        "q=1.0, p_q=1.0, s=0.0)"
+    )
+    assert err.state == start
+
+
+def test_finite_stages_whose_sum_overflows_do_not_raise():
+    # RKF45: two stage components at 1e308 (their sum is inf)
+    two = ContactSystem(("x", "y"), "1e308*(p_x + p_y)")
+    start = ChartPoint((0.0, 0.0), (0.0, 0.0), 0.0)
+    assert sum(two.flow(start.flat())) == math.inf
+    out, err = rkf45_step(two, start, 1e-3)
+    assert out == ChartPoint((1e305, 1e305), (0.0, 0.0), 0.0)
+    assert err == 6.237000967296e287
+    # RK4 forms a + 2(b + c) + d, which overflows at 1e308; seven
+    # components of 2.8e307 overflow the stage and output sums but no
+    # component
+    c = 2.8e307
+    coordinates = tuple(f"x{i}" for i in range(6))
+    seven = ContactSystem(
+        coordinates, f"{c!r}*({' + '.join(f'p_{x}' for x in coordinates)}) - {c!r}"
+    )
+    zeros = seven.point((0.0,) * 13)
+    assert sum(seven.flow(zeros.flat())) == math.inf
+    out = rk4_step(seven, zeros, 1.0)
+    assert out == ChartPoint((c,) * 6, (0.0,) * 6, c)
+    assert sum(out.flat()) == math.inf
+    traj = integrate_fixed(seven, zeros, 0.0, 2.0, 1.0)
+    assert traj.states[-1].tolist() == [2 * c] * 6 + [0.0] * 6 + [2 * c]
+
+
+def test_non_finite_output_reports_the_step_start():
+    # every stage is finite; the combination overflows
+    two = ContactSystem(("x", "y"), "1e308*(p_x + p_y)")
+    start = ChartPoint((1.0, -2.0), (0.0, 0.0), 0.5)
+    err = _divergence(integrate_fixed, two, start, 0.25, 1.0, 0.1)
+    assert str(err) == (
+        "state left the finite domain (last good state at t=0.25: "
+        "x=1.0, y=-2.0, p_x=0.0, p_y=0.0, s=0.5)"
+    )
+    assert err.time == 0.25
+    assert err.state == start
+    err = _divergence(rkf45_step, two, start, 2.0)
+    assert str(err) == (
+        "state left the finite domain (last good state at t=0.0: "
+        "x=1.0, y=-2.0, p_x=0.0, p_y=0.0, s=0.5)"
+    )
+    assert err.time == 0.0
+    assert err.state == start
+
+
+def test_each_stage_calls_flow_through_the_method(gravity, base_point, monkeypatch):
+    # a wrapper on the class sees one call per stage
+    calls = []
+    flow = ContactSystem.flow
+
+    def counted(self, flat):
+        calls.append(1)
+        return flow(self, flat)
+
+    monkeypatch.setattr(ContactSystem, "flow", counted)
+    rk4_step(gravity, base_point, 0.1)
+    assert len(calls) == 4
+    rkf45_step(gravity, base_point, 0.1)
+    assert len(calls) == 4 + 6
+    traj = integrate_adaptive(gravity, base_point, 0.0, 1.0, 1e-9)
+    assert len(calls) == 4 + 6 + 6 * (traj.accepted + traj.rejected)
 
 
 def test_non_finite_initial_state_diverges_immediately(gravity):
@@ -240,3 +379,97 @@ def test_csv_read_errors(tmp_path, content, message):
     path.write_text(content)
     with pytest.raises(ValueError, match=message):
         read_trajectory_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identical to the plain reference integrator in helpers.py
+# ---------------------------------------------------------------------------
+
+def _parity_systems() -> dict:
+    collision = ("lambda", "v0", "_y", "_b", "y0", "h")
+    return {
+        "gravity_friction": (builtin("gravity_friction"), (0.0, 0.0, 1.0, 1.0, 0.0)),
+        "damped_free_particle": (builtin("damped_free_particle"), (0.5, -1.0, 0.25)),
+        "damped_oscillator": (builtin("damped_oscillator"), (1.0, 0.0, 0.0)),
+        "chain": (
+            ContactSystem(
+                [f"q{i}" for i in range(1, 7)], CHAIN_H,
+                {"m": 1.3, "k": 2.1, "gamma": 0.4},
+            ),
+            (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, -0.5, 0.0),
+        ),
+        "functions": (
+            ContactSystem(
+                ("q",), FUNCTIONS_H, {"m": 1.3, "c": -0.75, "n": 1.5, "gamma": 0.4}
+            ),
+            (0.3, -0.7, 0.1),
+        ),
+        # chart and parameter names that a code generator might also use
+        "collision": (
+            ContactSystem(
+                collision,
+                "(p_lambda^2 + p_v0^2)/(2*def) + p__y^2/2 + p__b^2/2"
+                " + (p_y0^2 + p_h^2)/2 + t0*lambda*v0 + _pw*(_y - lambda)^2"
+                " + exp(t0*_b^2) + half*(y0 - h)^2 + sixth*h^2 + out*y0 + gamma*s",
+                {"def": 1.5, "t0": -0.5, "_pw": 2.0, "half": 0.7, "sixth": 0.2,
+                 "out": -0.1, "gamma": 0.3},
+            ),
+            (0.1, -0.2, 0.3, 0.0, 0.5, -0.5, 0.4, 0.0, -0.3, 0.2, 0.1, -0.1, 0.0),
+        ),
+        # 0 + (-0.0) is 0.0, so the RKF45 sums must start from 0
+        "signed_zeros": (builtin("gravity_friction"), (-0.0, 0.0, -0.0, 1.0, -0.0)),
+    }
+
+
+def _same_bits(a: Trajectory, b: Trajectory) -> bool:
+    # tobytes tells -0.0 from 0.0, which == does not
+    return (
+        a.times.tobytes() == b.times.tobytes()
+        and a.states.tobytes() == b.states.tobytes()
+        and (a.accepted, a.rejected) == (b.accepted, b.rejected)
+    )
+
+
+@pytest.mark.parametrize("name", list(_parity_systems()))
+def test_fixed_is_bit_identical_to_the_reference(name):
+    sys, flat = _parity_systems()[name]
+    s0 = sys.point(flat)
+    traj = integrate_fixed(sys, s0, 0.0, 20.0, 1e-3)
+    assert len(traj) == 20_001
+    assert _same_bits(traj, reference_fixed(sys, s0, 0.0, 20.0, 1e-3))
+
+
+@pytest.mark.parametrize("name", list(_parity_systems()))
+def test_adaptive_is_bit_identical_to_the_reference(name):
+    sys, flat = _parity_systems()[name]
+    s0 = sys.point(flat)
+    traj = integrate_adaptive(sys, s0, 0.0, 20.0, 1e-12)
+    assert traj.rejected > 0
+    assert _same_bits(traj, reference_adaptive(sys, s0, 0.0, 20.0, 1e-12))
+
+
+@pytest.mark.parametrize("name", list(_parity_systems()))
+def test_stage_states_are_bit_identical_to_the_reference(name, monkeypatch):
+    # the state of every stage, as flow sees it: a signed zero that does
+    # not reach the trajectory still shows here
+    sys, flat = _parity_systems()[name]
+    s0 = sys.point(flat)
+    seen = []
+    flow = ContactSystem.flow
+
+    def recorded(self, values):
+        seen.append(tuple(map(float.hex, values)))
+        return flow(self, values)
+
+    monkeypatch.setattr(ContactSystem, "flow", recorded)
+    runs = []
+    for fixed, adaptive in (
+        (integrate_fixed, integrate_adaptive),
+        (reference_fixed, reference_adaptive),
+    ):
+        seen.clear()
+        fixed(sys, s0, 0.0, 0.2, 1e-3)
+        adaptive(sys, s0, 0.0, 2.0, 1e-12)
+        runs.append(list(seen))
+    assert len(runs[0]) > 4 * 200
+    assert runs[0] == runs[1]
