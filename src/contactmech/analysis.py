@@ -6,14 +6,14 @@ independent of integrator accuracy.  Trajectories only supply the states
 at which quantity residuals are evaluated.
 
 Each check compiles, when it starts, the operator trees that `calculus`
-builds into one straight-line kernel of the flat chart state, whose
-outputs are the residual components; one sample loop runs it on every
-state and keeps the largest |output| (a quantity keeps its two rates
-apart).  A state where the kernel raises DomainError counts as failed in
-the reports it feeds; symmetry classification runs two kernels, so the
-contact and dynamical failure counts stay apart.  The per-point
-`calculus` functions evaluate the same trees, so their values are
-bit-identical to the kernels'.
+builds into one uncached kernel of the flat chart state, through the
+system's `_compile_chart`; one sample loop runs it on every state and
+keeps the largest |output| (a quantity keeps its two rates apart).  A
+state where the kernel raises DomainError counts as failed in the
+reports it feeds, and one with a NaN residual in that report; symmetry
+classification runs two kernels, so the contact and dynamical failure
+counts stay apart.  The per-point `calculus` functions compile the same
+trees through the same method, so their values are bit-identical.
 
 Two tolerance regimes apply throughout: 1e-8 for pointwise residuals
 (rounding-limited) and 1e-6 when comparing against integrated
@@ -44,7 +44,7 @@ from .calculus import (
     hamiltonian_field,
     lie_bracket,
 )
-from .contact_core import ChartPoint, ContactSystem, _chart_n, contact_form_apply
+from .contact_core import ChartPoint, ContactSystem, _chart_n, _given, contact_form_apply
 from .expr import DomainError, Expression
 from .integrate import Trajectory
 
@@ -84,8 +84,9 @@ class CheckReport:
     """Residual statistics for one check over a set of sample states.
 
     `samples` counts states where the residual evaluated; states that
-    raised a domain error are counted in `failed_samples` and excluded
-    from the statistics (an all-failed check reports infinite residual).
+    raised a domain error or gave a NaN residual are counted in
+    `failed_samples` and excluded from the statistics (an all-failed
+    check reports infinite residual).
     """
 
     subject: str
@@ -118,24 +119,27 @@ def _sampled_reports(subject, kinds, residual, rows, tolerance) -> tuple:
     """One CheckReport per kind from `residual` run on each flat row.
 
     `residual(row)` returns one value per kind; a row where it raises
-    DomainError counts as failed in every report it feeds.
+    DomainError counts as failed in every report it feeds, and a row
+    whose value for a kind is NaN counts as failed in that kind's report.
     """
     values = []  # row-major, len(kinds) per evaluated row
-    failed = 0
     for row in rows:
         try:
             values.extend(residual(row))
         except DomainError:
-            failed += 1
+            pass  # counted below, as a row missing from the values
     reports = []
     for k, kind in enumerate(kinds):
         residuals = values[k :: len(kinds)]
+        total = sum(residuals)
+        if math.isnan(total):  # exactly when some |residual| is NaN
+            residuals = [r for r in residuals if not math.isnan(r)]
+            total = sum(residuals)
         if residuals:
             mx = max(residuals)
-            mean = sum(residuals) / len(residuals)
+            mean = total / len(residuals)
         else:
-            mx = math.inf
-            mean = math.inf
+            mx = mean = math.inf
         reports.append(
             CheckReport(
                 subject=subject,
@@ -145,7 +149,7 @@ def _sampled_reports(subject, kinds, residual, rows, tolerance) -> tuple:
                 mean_residual=mean,
                 tolerance=float(tolerance),
                 verdict="pass" if mx <= tolerance else "fail",
-                failed_samples=failed,
+                failed_samples=len(rows) - len(residuals),
             )
         )
     return tuple(reports)
@@ -215,9 +219,16 @@ def _sample_rows(sys: ContactSystem, samples: Sequence[ChartPoint]) -> list:
 
 
 def _max_abs(sys: ContactSystem, trees: tuple):
-    """Per-row 1-tuple: the largest |value| of the trees, from one kernel."""
-    kernel = ex._compile_kernel(trees, sys.chart_names, sys.parameters)
-    return lambda row: (max(map(abs, kernel(*row))),)
+    """Per-row 1-tuple: the largest |value| of the trees, from one kernel,
+    or NaN if one of them is NaN, which `max` alone would drop."""
+    kernel = sys._compile_chart(trees)
+
+    def residual(row):
+        values = tuple(map(abs, kernel(*row)))
+        total = sum(values)  # NaN exactly when some value is NaN
+        return (total if math.isnan(total) else max(values),)
+
+    return residual
 
 
 def classify_symmetry(
@@ -295,9 +306,7 @@ def check_quantity(
         raise ValueError("empty trajectory")
     _check_trajectory_chart(sys, traj)
     _check_bound(sys, (quantity.expression,))
-    kernel = ex._compile_kernel(
-        _dissipation_trees(sys, quantity.expression), sys.chart_names, sys.parameters
-    )
+    kernel = sys._compile_chart(_dissipation_trees(sys, quantity.expression))
     conserved, dissipated = _sampled_reports(
         quantity.name,
         (KIND_CONSERVED, KIND_DISSIPATED),
@@ -394,8 +403,7 @@ class PointMap:
         return cls(name, sys.chart_names, built)
 
     def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
-        env = sys.bindings(point)
-        return ChartPoint.from_flat(tuple(c._run(env) for c in self.components))
+        return ChartPoint.from_flat(sys._at(point, _given, self.components))
 
 
 def pullback_quantity(point_map: PointMap, quantity: ScalarField) -> ScalarField:

@@ -4,8 +4,9 @@ Each geometric operator is one builder of expression trees (L_Y eta,
 L_Y F, [A, B], a quantity's two rates, a map's deviations), made with
 the folding builders of `expr` and exact symbolic derivatives, so a term
 with a literal-0 factor drops out of the tree.  The functions here
-evaluate these trees at one state; `analysis` compiles the same trees
-into its per-sample kernels.  The Hamiltonian field is the tuple of
+evaluate these trees at one state through `ContactSystem._at`, which
+compiles them once per system; `analysis` compiles the same trees into
+its per-sample kernels.  The Hamiltonian field is the tuple of
 component expressions each ContactSystem builds from the gradient of H;
 their derivatives are cached on the shared components, which is how
 second derivatives of H enter brackets exactly.
@@ -27,6 +28,7 @@ from .contact_core import (
     Covector,
     Tangent,
     _chart_n,
+    _given,
 )
 from .expr import Expression, MissingBindingError
 
@@ -101,7 +103,7 @@ class ScalarField:
     expression: Expression
 
     def value(self, sys: ContactSystem, point: ChartPoint) -> float:
-        return self.expression._run(sys.bindings(point))
+        return sys._at(point, _given, self.expression)
 
 
 def _check_bound(sys: ContactSystem, expressions) -> None:
@@ -125,8 +127,7 @@ def vector_field_value(
 ) -> Tangent:
     """Evaluate all components at a state."""
     _check_field(sys, field)
-    env = sys.bindings(point)
-    return Tangent.from_flat(tuple(c._run(env) for c in field.components))
+    return Tangent.from_flat(sys._at(point, _given, field.components))
 
 
 def vf_jacobian(
@@ -134,25 +135,13 @@ def vf_jacobian(
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
     _check_field(sys, field)
-    env = sys.bindings(point)
-    return np.array(
-        [
-            [comp.derivative(var)._run(env) for var in sys.chart_names]
-            for comp in field.components
-        ]
-    )
+    values = sys._at(point, _jacobian_trees, field.components)
+    return np.array(values).reshape(sys.dim, sys.dim)
 
 
-def _at(sys: ContactSystem, point: ChartPoint, build, *args) -> tuple:
-    """The trees `build(sys, *args)` at a state.  They are kept on the
-    system, keyed by `args` compared structurally, so that repeated calls
-    reuse them and their compiled code."""
-    key = (build, args)
-    trees = sys._trees.get(key)
-    if trees is None:
-        trees = sys._trees[key] = build(sys, *args)  # benign race
-    env = sys.bindings(point)
-    return tuple(tree._run(env) for tree in trees)
+def _jacobian_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
+    """dY^k/dx^j, row-major over (k, j)."""
+    return tuple(y.derivative(var) for y in field for var in sys.chart_names)
 
 
 def _chart_sum(terms) -> Expression:
@@ -245,7 +234,7 @@ def lie_bracket(
     _check_field(sys, a)
     _check_field(sys, b)
     return Tangent.from_flat(
-        _at(sys, point, _bracket_trees, a.components, b.components)
+        sys._at(point, _bracket_trees, a.components, b.components)
     )
 
 
@@ -254,7 +243,7 @@ def lie_derivative_scalar(
 ) -> float:
     """Directional derivative sum_k Y^k dF/dx^k at the state."""
     _check_field(sys, field)
-    (rate,) = _at(sys, point, _rate_trees, field.components, (scalar.expression,))
+    (rate,) = sys._at(point, _rate_trees, field.components, (scalar.expression,))
     return rate
 
 
@@ -263,7 +252,7 @@ def lie_derivative_contact_form(
 ) -> Covector:
     """L_Y eta at the state, by Cartan's formula (see `_lie_eta_trees`)."""
     _check_field(sys, field)
-    return Covector.from_flat(_at(sys, point, _lie_eta_trees, field.components))
+    return Covector.from_flat(sys._at(point, _lie_eta_trees, field.components))
 
 
 def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> VectorField:

@@ -25,6 +25,7 @@ from .analysis import (
     quotient_quantity,
     sample_states,
 )
+from .expr import DomainError
 from .integrate import (
     IntegrationError,
     _require_positive,
@@ -324,8 +325,19 @@ def cmd_analyze(args) -> int:
             f"(dissipation residual {report.dissipated.max_residual:.3e})"
         )
 
-    h_values = [abs(system.hamiltonian_value(pt)) for pt in states]
-    if min(h_values) > 1e-3:
+    h_values = []
+    for pt in states:
+        try:
+            h_values.append(abs(system.hamiltonian_value(pt)))
+        except DomainError:
+            pass
+    undefined = len(states) - len(h_values)
+    if undefined:
+        print(
+            f"H is undefined on {undefined} of {len(states)} sampled states; "
+            "conserved ratio skipped"
+        )
+    elif min(h_values) > 1e-3:
         ratio = conserved_from_symmetry(system, cand.field)
         print(f"conserved ratio (valid while H != 0): {ratio.expression}")
     else:

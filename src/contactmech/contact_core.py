@@ -141,12 +141,9 @@ class ContactSystem:
         "hamiltonian",
         "chart_names",
         "_declared",
-        "_env_base",
-        "_index",
         "_field",
         "_flow_fn",
-        "_h_fn",
-        "_trees",
+        "_kernels",
     )
 
     def __init__(
@@ -189,8 +186,6 @@ class ContactSystem:
         self.hamiltonian = hamiltonian
         self.chart_names = chart_names
         self._declared = declared
-        self._env_base = dict(parameters)
-        self._index = {name: k for k, name in enumerate(chart_names)}
         # Darboux form of the contact Hamiltonian field, built once from
         # the gradient of H (cached on H for d_hamiltonian):
         # dq^i = dH/dp_i, dp_i = -(dH/dq^i + p_i dH/ds),
@@ -206,8 +201,7 @@ class ContactSystem:
             ds = ex.add(ds, ex.mul(ex.variable(m), h_p))
         self._field = dq + dp + (ex.sub(ds, hamiltonian),)
         self._flow_fn = None
-        self._h_fn = None
-        self._trees = {}  # per-point operator trees, see calculus._at
+        self._kernels = {}  # compiled trees per (build, args), see _kernel
 
     @property
     def n(self) -> int:
@@ -238,29 +232,37 @@ class ContactSystem:
     def bindings(self, point: ChartPoint) -> dict:
         """Complete evaluation environment at a state."""
         self._check_point(point)
-        env = dict(self._env_base)
+        env = dict(self.parameters)
         env.update(zip(self.chart_names, point.flat()))
         return env
 
-    def hamiltonian_value(self, point: ChartPoint) -> float:
-        self._check_point(point)
-        return self._hamiltonian_kernel()(*point.flat())
+    def _compile_chart(self, result):
+        """One kernel of an expression or a tuple of them, taking the
+        2n+1 chart values in chart order, with the parameters folded in."""
+        return ex._compile_kernel(result, self.chart_names, self.parameters)
 
-    def _hamiltonian_kernel(self):
-        """H as a compiled function of the 2n+1 chart values."""
-        # benign race: compilation is deterministic and idempotent
-        fn = self._h_fn
-        if fn is None:
-            fn = self._h_fn = ex._compile_kernel(
-                self.hamiltonian, self.chart_names, self.parameters
-            )
+    def _kernel(self, build, *args):
+        """The kernel of the trees `build(self, *args)`, kept on the system
+        and keyed by `args` compared structurally, so it compiles once."""
+        key = (build, args)
+        fn = self._kernels.get(key)
+        if fn is None:  # benign race: compilation is deterministic
+            fn = self._kernels[key] = self._compile_chart(build(self, *args))
         return fn
+
+    def _at(self, point: ChartPoint, build, *args):
+        """The value at a state of the trees `build(self, *args)`."""
+        self._check_point(point)
+        return self._kernel(build, *args)(*point.flat())
+
+    def hamiltonian_value(self, point: ChartPoint) -> float:
+        return self._at(point, _given, self.hamiltonian)
 
     def d_hamiltonian(self, var: str, point: ChartPoint) -> float:
         """Exact partial of H with respect to a chart variable."""
-        if var not in self._index:
+        if var not in self.chart_names:
             raise ValueError(f"{var!r} is not a chart variable")
-        return self.hamiltonian.derivative(var)._run(self.bindings(point))
+        return self._at(point, _given, self.hamiltonian.derivative(var))
 
     def flow(self, flat: Sequence[float]) -> tuple:
         """Right-hand side of the evolution equations in flat layout.
@@ -272,10 +274,13 @@ class ContactSystem:
         # benign race: compilation is deterministic and idempotent
         fn = self._flow_fn
         if fn is None:
-            fn = self._flow_fn = ex._compile_kernel(
-                self._field, self.chart_names, self.parameters
-            )
+            fn = self._flow_fn = self._compile_chart(self._field)
         return fn(*flat)
+
+
+def _given(sys: ContactSystem, trees):
+    """The build for `ContactSystem._at` of trees already built."""
+    return trees
 
 
 def _check_dims(point: ChartPoint, v) -> None:
@@ -328,9 +333,8 @@ def hamilton_equation_residuals(
         field = hamiltonian_vector_field(sys, point)
     else:
         _check_dims(point, field)
-    env = sys.bindings(point)
-    value = sys.hamiltonian._run(env)
-    grad = [sys.hamiltonian.derivative(c)._run(env) for c in sys.chart_names]
+    h = sys.hamiltonian
+    value, *grad = sys._at(point, _given, (h, *map(h.derivative, sys.chart_names)))
     n = sys.n
     h_q = grad[:n]
     h_p = grad[n : 2 * n]

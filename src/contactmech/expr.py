@@ -19,11 +19,12 @@ differentiating a derivative again gives exact second derivatives without
 finite differencing.  Expressions are immutable and evaluation is pure,
 so concurrent use from any number of threads is safe.
 
-A contact system compiles its whole flow (and H) into one straight-line
-kernel through the same code emitter, lazily on first use; like an
-expression's own compilation, that is a benign race.  Each verification
-check in ``analysis`` compiles one such kernel when it starts, of the
-residual trees that ``calculus`` builds for its operator.
+Every compiled form is a kernel: one straight-line function of named
+values as positional arguments, with constants folded in, from
+``_compile_kernel``.  An expression compiles itself over its sorted
+names for ``evaluate``; a contact system compiles its flow, H and the
+operator trees of ``calculus`` over its chart, with its parameters
+folded in.  Compilation is lazy and cached, a benign race.
 """
 
 from __future__ import annotations
@@ -170,18 +171,6 @@ class Call:
 Node = Union[Num, Var, Neg, Bin, Call]
 
 
-def _collect_names(node: Node, out: set) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _collect_names(node.arg, out)
-    elif isinstance(node, Bin):
-        _collect_names(node.lhs, out)
-        _collect_names(node.rhs, out)
-    elif isinstance(node, Call):
-        _collect_names(node.arg, out)
-
-
 # Printer precedence levels; a negative literal prints like a unary minus.
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
 
@@ -241,9 +230,9 @@ _BINARY = {
     "^": _pow,
 }
 
-# Generated code sees only these names, the arguments ``_b`` or ``v<k>``
-# and the temporaries ``t<k>``; chart and parameter names never become
-# Python identifiers.
+# Generated code sees only these names, the arguments ``v<k>`` and the
+# temporaries ``t<k>``; chart and parameter names never become Python
+# identifiers.
 _HELPERS = {
     "_pw": _pow,
     "_mpow": math.pow,
@@ -252,9 +241,9 @@ _HELPERS = {
     **{f"_{name}": impl for name, impl in _FUNC_IMPL.items()},
 }
 
-# A kernel raises DomainError itself, as Expression._run does for a
-# function of one expression; it is compiled once per system, so the
-# larger code costs little.
+# A kernel raises DomainError itself, so callers see no raw arithmetic
+# error; it is compiled once per expression or system, so the larger
+# code costs little.
 _KERNEL_SOURCE = """\
 def _fn({args}):
     try:
@@ -277,8 +266,8 @@ class _Emitter:
     call time.  No other rewrite is made, so results are bit-identical.
     """
 
-    def __init__(self, leaf: Callable[[str], str], constants: Mapping[str, float]):
-        self.leaf = leaf
+    def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
+        self.index = {name: k for k, name in enumerate(variables)}
         self.constants = constants
         self.signatures: dict = {}  # structural signature -> key
         self.keys: dict = {}  # id(node) -> key; the roots keep nodes alive
@@ -355,7 +344,9 @@ class _Emitter:
         if value is not None:
             return repr(value)
         if isinstance(node, Var):
-            return self.leaf(node.name)
+            if node.name not in self.index:
+                raise MissingBindingError(node.name)
+            return f"v{self.index[node.name]}"
         key = self.key(node)
         temp = self.temps.get(key)
         if temp is not None:
@@ -391,12 +382,6 @@ def _exec(src: str) -> Callable:
     return env["_fn"]
 
 
-def _compile(root: Node) -> Callable[[dict], object]:
-    """Compile a tree into a Python function of one bindings dict."""
-    (body,) = _Emitter(lambda name: f"_b[{name!r}]", {}).source([root])
-    return _exec(f"def _fn(_b):\n    return {body}\n")
-
-
 def _compile_kernel(
     result, variables: Sequence[str], constants: Mapping[str, float]
 ) -> Callable:
@@ -405,20 +390,13 @@ def _compile_kernel(
     ``result`` is an expression, or a tuple of expressions evaluated
     together with shared subtrees computed once; the function returns a
     float or a tuple of the same length.  ``constants`` (finite values)
-    are folded in at compile time.  Values and DomainError messages are
-    those of ``Expression._run`` on a dict binding the same names; a name
-    bound by neither raises MissingBindingError here.
+    are folded in at compile time, and the values and DomainError
+    messages are those of evaluating each tree alone with the same names
+    bound; a name bound by neither raises MissingBindingError here.
     """
     as_tuple = isinstance(result, tuple)
     roots = [e.root for e in result] if as_tuple else [result.root]
-    index = {name: k for k, name in enumerate(variables)}
-
-    def leaf(name: str) -> str:
-        if name not in index:
-            raise MissingBindingError(name)
-        return f"v{index[name]}"
-
-    parts = _Emitter(leaf, constants).source(roots)
+    parts = _Emitter(variables, constants).source(roots)
     return _exec(_KERNEL_SOURCE.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],
@@ -428,35 +406,44 @@ def _compile_kernel(
 class Expression:
     """Immutable scalar field on the chart, evaluable with exact derivatives."""
 
-    __slots__ = ("root", "names", "_fn", "_derivatives", "_hash")
+    __slots__ = ("root", "_names", "_fn", "_derivatives", "_hash")
 
     def __init__(self, root: Node):
         self.root = root
-        names: set = set()
-        _collect_names(root, names)
-        self.names = frozenset(names)
+        self._names = None
         self._fn = None
         self._derivatives = None
         self._hash = None
 
-    def _compiled(self):
-        # benign race: compilation is deterministic and idempotent
-        if self._fn is None:
-            self._fn = _compile(self.root)
-        return self._fn
+    @property
+    def names(self) -> frozenset:
+        """Every variable name in the tree, collected on first read."""
+        if self._names is None:  # benign race: the walk is deterministic
+            names, stack = set(), [self.root]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Var):
+                    names.add(node.name)
+                stack.extend(_children(node))
+            self._names = frozenset(names)
+        return self._names
 
-    def _run(self, env: dict):
+    def _run(self, env: Mapping[str, float]):
+        """Value from a kernel over the sorted names, all bound in ``env``;
+        the first unbound one in that order is reported before evaluating."""
+        if self._fn is None:  # benign race: compilation is deterministic
+            order = tuple(sorted(self.names))
+            self._fn = (order, _compile_kernel(self, order, {}))
+        order, kernel = self._fn
         try:
-            return self._compiled()(env)
+            args = [env[name] for name in order]
         except KeyError as exc:
             raise MissingBindingError(exc.args[0]) from None
-        except _ARITHMETIC_ERRORS as exc:
-            raise _domain_error(exc) from None
+        return kernel(*args)
 
     def evaluate(self, bindings: Bindings) -> float:
         """Value at ``bindings``; every referenced name must be bound."""
-        env = {k: float(v) for k, v in bindings.items()}
-        return self._run(env)
+        return self._run({k: float(v) for k, v in bindings.items()})
 
     def derivative(self, var: str) -> "Expression":
         """Exact first partial with respect to ``var``, as an expression."""
@@ -471,10 +458,9 @@ class Expression:
 
     def differentiate(self, var: str, bindings: Bindings) -> float:
         """Exact first partial with respect to ``var`` at ``bindings``."""
-        env = {k: float(v) for k, v in bindings.items()}
-        if var not in env:
+        if var not in bindings:
             raise MissingBindingError(var)
-        return self.derivative(var)._run(env)
+        return self.derivative(var).evaluate(bindings)
 
     def __str__(self) -> str:
         return _to_source(self.root)

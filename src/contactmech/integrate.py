@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contact_core import ChartPoint, ContactSystem
+from .contact_core import ChartPoint, ContactSystem, _given
 from .expr import DomainError
 
 __all__ = [
@@ -381,7 +381,7 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
     """Header t,<chart names>,H; shortest round-trip float formatting."""
     if traj.names != sys.chart_names:
         raise ValueError("trajectory chart names do not match the system")
-    energy = sys._hamiltonian_kernel()
+    energy = sys._kernel(_given, sys.hamiltonian)
     lines = ["t," + ",".join(traj.names) + ",H"]
     # one row at a time: converting the whole array at once costs memory
     for t, row in zip(traj.times, traj.states):

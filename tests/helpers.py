@@ -6,6 +6,9 @@ central-difference oracle can be trusted.  Generation is seeded and the
 rejection filter only probes plain evaluations, never the symbolic
 derivatives under test.
 
+The per-state kernels are compared with a plain tree walk that shares
+no code with the generated kernels.
+
 The integrator comparisons need a plain Runge-Kutta reference: one
 ``sys.flow`` call per stage, the stage arithmetic as list
 comprehensions over the components, and the library's own finiteness
@@ -15,6 +18,7 @@ check and error constructor, in the same time loops as the library.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -83,6 +87,43 @@ def derivative_cases(count: int, seed: int) -> list:
         if _admissible(expr, bindings):
             cases.append((expr, bindings))
     return cases
+
+
+# ---------------------------------------------------------------------------
+# Reference tree walk
+# ---------------------------------------------------------------------------
+
+_WALK_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+_WALK_CALLS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
+    "abs": abs,
+    "sign": lambda x: 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0),
+}
+
+
+def walk(node, env):
+    """Plain tree-walking evaluation, independent of any generated code."""
+    kind = type(node).__name__
+    if kind == "Num":
+        return node.value
+    if kind == "Var":
+        return env[node.name]
+    if kind == "Neg":
+        return -walk(node.arg, env)
+    if kind == "Call":
+        return _WALK_CALLS[node.fn](walk(node.arg, env))
+    return _WALK_BINARY[node.op](walk(node.lhs, env), walk(node.rhs, env))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Symmetry classification, dissipated quantities, and map checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,6 +301,32 @@ def test_quotient_by_zero_reports_failed_samples(gravity, coarse_traj):
     assert report.conserved.failed_samples == len(coarse_traj)
     assert not report.conserved.passed
     assert not report.dissipated.passed
+
+
+def test_nan_rate_fails_its_row_in_that_report(gravity, coarse_traj):
+    # p_x = inf makes the dissipation residual -gamma*inf + gamma*inf = NaN,
+    # while the conserved rate is a plain inf
+    states = coarse_traj.states.copy()
+    states[37, gravity.chart_names.index("p_x")] = math.inf
+    traj = dataclasses.replace(coarse_traj, states=states)
+    report = check_quantity(gravity, momentum_x(gravity), traj)
+    dissipated = report.dissipated
+    assert (dissipated.samples, dissipated.failed_samples) == (len(traj) - 1, 1)
+    assert math.isfinite(dissipated.mean_residual)
+    conserved = report.conserved
+    assert (conserved.samples, conserved.failed_samples) == (len(traj), 0)
+    assert conserved.max_residual == math.inf
+
+
+def test_nan_after_the_first_component_fails_the_row(gravity, gravity_states):
+    # H does not depend on x, so at y = inf the last deviation,
+    # H(image) - H, is inf - inf while every eta component is finite
+    shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + 1"})
+    states = list(gravity_states)
+    states[5] = ChartPoint((0.5, math.inf), (1.0, -1.0), 0.0)
+    report = check_contact_symmetry_map(gravity, shift, states)
+    assert (report.samples, report.failed_samples) == (len(states) - 1, 1)
+    assert report.passed and report.max_residual == 0.0
 
 
 def test_product_with_a_conserved_factor_dissipates(gravity, coarse_traj):

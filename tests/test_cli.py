@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from contactmech import read_trajectory_csv
+from contactmech import load_document, read_trajectory_csv, sample_states
 from contactmech.cli import main
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
@@ -389,3 +389,32 @@ def test_divergence_exits_3_naming_the_state(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "last good state at t=" in err
     assert ": q=0.0, p_q=0.0, s=" in err
+
+
+SQRT_SPEC = """\
+n: 1
+coordinates: [q]
+parameters: {gamma: 0.5}
+hamiltonian: p_q^2/2 + sqrt(q) + gamma*s
+symmetries:
+- name: action_shift
+  components: {s: "1"}
+  expect: neither
+"""
+
+
+def test_analyze_reports_states_where_h_is_undefined(tmp_path, capsys):
+    # sqrt(q) fails on the sampled states with q < 0; no initial_state,
+    # so the H scan is the first evaluation of H itself
+    spec = tmp_path / "sqrt.yaml"
+    spec.write_text(SQRT_SPEC)
+    assert main(["analyze", str(spec), "action_shift"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    system = load_document(spec).system
+    undefined = sum(pt.q[0] < 0.0 for pt in sample_states(system, 100, seed=42))
+    assert 0 < undefined < 100
+    assert captured.out.splitlines()[-1] == (
+        f"H is undefined on {undefined} of 100 sampled states; "
+        f"conserved ratio skipped"
+    )

@@ -1,28 +1,38 @@
 """Chart containers, the contact form, and the evolution equations."""
 
+import functools
 import math
-import operator
 import random
 
 import pytest
 
-from helpers import CHAIN_H, FUNCTIONS_H
+from helpers import CHAIN_H, FUNCTIONS_H, walk
 from contactmech import expr as ex
 from contactmech import (
     ChartPoint,
     ContactSystem,
     Covector,
     DomainError,
+    PointMap,
+    ScalarField,
     Tangent,
+    VectorField,
     builtin,
     contact_form_apply,
     hamilton_equation_residuals,
+    hamiltonian_field,
     hamiltonian_vector_field,
     interior_d_eta,
+    lie_bracket,
+    lie_derivative_contact_form,
+    lie_derivative_scalar,
     parse,
     reeb_field,
     sample_states,
+    vector_field_value,
+    vf_jacobian,
 )
+from contactmech.calculus import _bracket_trees, _lie_eta_trees, _rate_trees
 
 MODELS = ("gravity_friction", "damped_free_particle", "damped_oscillator")
 
@@ -240,25 +250,6 @@ def test_dimension_mismatch_in_form_helpers(base_point):
 # The compiled kernel against the per-component path
 # ---------------------------------------------------------------------------
 
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
-}
-
-_CALLS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "sign": lambda x: 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0),
-}
-
-
 def _kernel_systems():
     systems = {name: builtin(name) for name in MODELS}
     systems["chain"] = ContactSystem(
@@ -283,20 +274,6 @@ def _per_component(sys, flat):
     return tuple(c._run(env) for c in sys._field)
 
 
-def _walk(node, env):
-    """Plain tree-walking evaluation, independent of any generated code."""
-    kind = type(node).__name__
-    if kind == "Num":
-        return node.value
-    if kind == "Var":
-        return env[node.name]
-    if kind == "Neg":
-        return -_walk(node.arg, env)
-    if kind == "Call":
-        return _CALLS[node.fn](_walk(node.arg, env))
-    return _BINARY[node.op](_walk(node.lhs, env), _walk(node.rhs, env))
-
-
 def _bits(values):
     # float.hex tells -0.0 from 0.0 and compares nan equal to nan
     return tuple(float(v).hex() for v in values)
@@ -317,11 +294,98 @@ def test_kernel_matches_the_per_component_path(name):
         expected = _per_component(sys, flat)
         assert _bits(sys.flow(flat)) == _bits(expected)
         env = _env(sys, flat)
-        assert _bits(expected) == _bits(_walk(c.root, env) for c in sys._field)
+        assert _bits(expected) == _bits(walk(c.root, env) for c in sys._field)
         point = ChartPoint.from_flat(flat)
         assert _bits([sys.hamiltonian_value(point)]) == _bits(
             [sys.hamiltonian._run(env)]
         )
+
+
+def _probes(sys):
+    """(label, per-state call, the trees its values come from) for each
+    per-state function that evaluates through `ContactSystem._at`.  The
+    field, scalar and map are built anew on every call of this helper."""
+    q, p = sys.coordinates[0], sys.momenta[0]
+    mix = VectorField.from_mapping(
+        sys, "mix", {q: f"{p}*{q}", p: f"sin({q})", "s": f"{p}^2 + s"}
+    )
+    xh = hamiltonian_field(sys)
+    energy = ScalarField("H", sys.hamiltonian)
+    moved = PointMap.from_mapping(
+        sys, "moved", {q: f"{q} + 0.5", p: f"2*{p}", "s": f"s + {q}"}
+    )
+    h = sys.hamiltonian
+    names = sys.chart_names
+    return [
+        ("hamiltonian_value", sys.hamiltonian_value, (h,)),
+        *[
+            (f"d_hamiltonian {v}", functools.partial(sys.d_hamiltonian, v),
+             (h.derivative(v),))
+            for v in names
+        ],
+        ("vector_field_value", lambda pt: vector_field_value(sys, mix, pt).flat(),
+         mix.components),
+        ("vf_jacobian", lambda pt: vf_jacobian(sys, mix, pt).ravel().tolist(),
+         tuple(c.derivative(v) for c in mix.components for v in names)),
+        ("ScalarField.value", lambda pt: energy.value(sys, pt), (h,)),
+        ("PointMap.apply", lambda pt: moved.apply(sys, pt).flat(), moved.components),
+        ("lie_bracket", lambda pt: lie_bracket(sys, mix, xh, pt).flat(),
+         _bracket_trees(sys, mix.components, xh.components)),
+        ("lie_derivative_scalar",
+         lambda pt: lie_derivative_scalar(sys, mix, energy, pt),
+         _rate_trees(sys, mix.components, (h,))),
+        ("lie_derivative_contact_form",
+         lambda pt: lie_derivative_contact_form(sys, mix, pt).flat(),
+         _lie_eta_trees(sys, mix.components)),
+    ]
+
+
+def _as_list(values):
+    return list(values) if isinstance(values, (tuple, list)) else [values]
+
+
+@pytest.mark.parametrize("name", list(_kernel_systems()))
+def test_per_state_functions_match_a_tree_walk(name):
+    sys = _kernel_systems()[name]
+    n = sys.n
+    for flat in _states(sys, 50, seed=23):
+        point = ChartPoint.from_flat(flat)
+        env = _env(sys, flat)
+        for label, call, trees in _probes(sys):
+            expected = [walk(tree.root, env) for tree in trees]
+            assert _bits(_as_list(call(point))) == _bits(expected), label
+        # hamilton_equation_residuals: H and its gradient from the kernel,
+        # combined with the flow by the formulas of its docstring
+        field = Tangent.from_flat(sys.flow(flat))
+        value = walk(sys.hamiltonian.root, env)
+        grad = [walk(sys.hamiltonian.derivative(v).root, env) for v in sys.chart_names]
+        r_eta, r_deta = hamilton_equation_residuals(sys, point)
+        expected = (
+            contact_form_apply(point, field) + value,
+            *(-field.dp[i] - grad[i] - point.p[i] * grad[2 * n] for i in range(n)),
+            *(field.dq[i] - grad[n + i] for i in range(n)),
+            0.0,
+        )
+        assert _bits((r_eta, *r_deta.flat())) == _bits(expected)
+
+
+def _no_compile(*args):
+    raise AssertionError("compiled again at a new state")
+
+
+@pytest.mark.parametrize("name", list(_kernel_systems()))
+def test_second_call_at_a_new_state_compiles_nothing(name, monkeypatch):
+    sys = _kernel_systems()[name]
+    first, second = (ChartPoint.from_flat(f) for f in _states(sys, 2, seed=5))
+    for _, call, _ in _probes(sys):
+        call(first)
+    hamilton_equation_residuals(sys, first)
+    monkeypatch.setattr(ex, "_compile_kernel", _no_compile)
+    # the probes rebuild their field, scalar and map, so each call finds
+    # its kernel by comparing trees structurally
+    for _, call, _ in _probes(sys):
+        call(second)
+    hamilton_equation_residuals(sys, second)
 
 
 def _raised(fn, *args):

@@ -1,5 +1,6 @@
 """Parser, printer, evaluator, and symbolic differentiation."""
 
+import functools
 import math
 
 import numpy as np
@@ -138,6 +139,16 @@ def test_missing_binding():
     with pytest.raises(MissingBindingError) as err:
         expr.evaluate({"x": 1.0})
     assert err.value.name == "y"
+
+
+def test_unbound_name_is_reported_before_evaluation():
+    # log(-1) would raise first if evaluation started; of the unbound
+    # z and y, the first in sorted order is reported
+    expr = parse("log(x)*z*y", ("x", "y", "z"))
+    for run in (expr.evaluate, functools.partial(expr.differentiate, "x")):
+        with pytest.raises(MissingBindingError) as err:
+            run({"x": -1.0})
+        assert err.value.name == "y"
 
 
 @pytest.mark.parametrize(
