@@ -6,14 +6,18 @@ independent of integrator accuracy.  Trajectories only supply the states
 at which quantity residuals are evaluated.
 
 Each check compiles, when it starts, the operator trees that `calculus`
-builds into one uncached kernel of the flat chart state, through the
-system's `_compile_chart`; one sample loop runs it on every state and
-keeps the largest |output| (a quantity keeps its two rates apart).  A
-state where the kernel raises DomainError counts as failed in the
-reports it feeds, and one with a NaN residual in that report; symmetry
+builds into one uncached column kernel, through the system's
+`_compile_chart`, and calls it once on the chart columns of all its
+states: the sample array, or `traj.states`.  It returns every output as
+an (N,) array and a mask of the rows where the scalar kernel would raise
+DomainError.  A row's residual in a report is the largest |output| that
+report owns (a quantity keeps its two rates apart), NaN if one of them
+is NaN.  A masked row counts as failed in every report its kernel feeds,
+and a row with a NaN residual in that report only; symmetry
 classification runs two kernels, so the contact and dynamical failure
-counts stay apart.  The per-point `calculus` functions compile the same
-trees through the same method, so their values are bit-identical.
+counts stay apart.  Each unmasked row's outputs are bit-identical to the
+scalar kernel that the per-point `calculus` functions run on the same
+trees.
 
 Two tolerance regimes apply throughout: 1e-8 for pointwise residuals
 (rounding-limited) and 1e-6 when comparing against integrated
@@ -45,7 +49,7 @@ from .calculus import (
     lie_bracket,
 )
 from .contact_core import ChartPoint, ContactSystem, _chart_n, _given, contact_form_apply
-from .expr import DomainError, Expression
+from .expr import Expression
 from .integrate import Trajectory
 
 __all__ = [
@@ -115,44 +119,32 @@ class CheckReport:
         }
 
 
-def _sampled_reports(subject, kinds, residual, rows, tolerance) -> tuple:
-    """One CheckReport per kind from `residual` run on each flat row.
+def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
+    """The CheckReport of one kind from the (N,) column-kernel `outputs`
+    it owns and the kernel's mask `failed`.
 
-    `residual(row)` returns one value per kind; a row where it raises
-    DomainError counts as failed in every report it feeds, and a row
-    whose value for a kind is NaN counts as failed in that kind's report.
+    A row's residual is the largest |output|, NaN if one is NaN; a row
+    that `failed` marks or whose residual is NaN counts as failed.  The
+    max and the mean, summed left to right, are taken over the Python
+    floats of the other rows, so they match a per-row loop bit for bit.
     """
-    values = []  # row-major, len(kinds) per evaluated row
-    for row in rows:
-        try:
-            values.extend(residual(row))
-        except DomainError:
-            pass  # counted below, as a row missing from the values
-    reports = []
-    for k, kind in enumerate(kinds):
-        residuals = values[k :: len(kinds)]
-        total = sum(residuals)
-        if math.isnan(total):  # exactly when some |residual| is NaN
-            residuals = [r for r in residuals if not math.isnan(r)]
-            total = sum(residuals)
-        if residuals:
-            mx = max(residuals)
-            mean = total / len(residuals)
-        else:
-            mx = mean = math.inf
-        reports.append(
-            CheckReport(
-                subject=subject,
-                kind=kind,
-                samples=len(residuals),
-                max_residual=mx,
-                mean_residual=mean,
-                tolerance=float(tolerance),
-                verdict="pass" if mx <= tolerance else "fail",
-                failed_samples=len(rows) - len(residuals),
-            )
-        )
-    return tuple(reports)
+    residual = np.max(np.abs(outputs), axis=0)
+    residuals = residual[~(failed | np.isnan(residual))].tolist()
+    if residuals:
+        mx = max(residuals)
+        mean = sum(residuals) / len(residuals)
+    else:
+        mx = mean = math.inf
+    return CheckReport(
+        subject=subject,
+        kind=kind,
+        samples=len(residuals),
+        max_residual=mx,
+        mean_residual=mean,
+        tolerance=float(tolerance),
+        verdict="pass" if mx <= tolerance else "fail",
+        failed_samples=len(failed) - len(residuals),
+    )
 
 
 @dataclass(frozen=True)
@@ -207,28 +199,14 @@ def sample_states(
     return [ChartPoint.from_flat(row.tolist()) for row in values]
 
 
-def _sample_rows(sys: ContactSystem, samples: Sequence[ChartPoint]) -> list:
-    """Flat sample states, each checked against the system's n up front."""
+def _sample_columns(sys: ContactSystem, samples: Sequence[ChartPoint]) -> np.ndarray:
+    """The 2n+1 chart columns of the sample states, each state checked
+    against the system's n up front."""
     if not samples:
         raise ValueError("need at least one sample state")
-    rows = []
     for point in samples:
         sys._check_point(point)
-        rows.append(point.flat())
-    return rows
-
-
-def _max_abs(sys: ContactSystem, trees: tuple):
-    """Per-row 1-tuple: the largest |value| of the trees, from one kernel,
-    or NaN if one of them is NaN, which `max` alone would drop."""
-    kernel = sys._compile_chart(trees)
-
-    def residual(row):
-        values = tuple(map(abs, kernel(*row)))
-        total = sum(values)  # NaN exactly when some value is NaN
-        return (total if math.isnan(total) else max(values),)
-
-    return residual
+    return np.array([point.flat() for point in samples]).T
 
 
 def classify_symmetry(
@@ -244,20 +222,18 @@ def classify_symmetry(
     report entails a passing dynamical report; that implication is
     asserted because its failure would mean the operators disagree.
 
-    Each residual is one compiled kernel call per state; a state where
-    a kernel raises DomainError counts as failed for that check only.
+    Each residual is one column-kernel call over all states; a state
+    where a kernel fails counts as failed for that check only.
     """
-    rows = _sample_rows(sys, samples)
+    columns = _sample_columns(sys, samples)
     _check_field(sys, field)
     y = field.components
     eta_and_h = _lie_eta_trees(sys, y) + _rate_trees(sys, y, (sys.hamiltonian,))
-    (contact,) = _sampled_reports(
-        field.name, (KIND_CONTACT,), _max_abs(sys, eta_and_h), rows, tol
-    )
+    outputs, failed = sys._compile_chart(eta_and_h, columns=True)(*columns)
+    contact = _sampled_report(field.name, KIND_CONTACT, outputs, failed, tol)
     bracket = _bracket_trees(sys, y, sys._field)
-    (dynamical,) = _sampled_reports(
-        field.name, (KIND_DYNAMICAL,), _max_abs(sys, bracket), rows, tol
-    )
+    outputs, failed = sys._compile_chart(bracket, columns=True)(*columns)
+    dynamical = _sampled_report(field.name, KIND_DYNAMICAL, outputs, failed, tol)
     if contact.passed and not dynamical.passed:
         raise RuntimeError(
             f"field {field.name!r} passed the contact check but failed the "
@@ -299,20 +275,20 @@ def check_quantity(
     Both can hold (F = 0); "neither" requires both residuals to exceed
     NEITHER_MARGIN * tol, and the band in between is inconclusive.
 
-    One compiled kernel returns both rates at each sample; a sample
-    where it raises DomainError counts as failed in both reports.
+    One column kernel returns both rates at every sample; a sample
+    where it fails counts as failed in both reports.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     _check_trajectory_chart(sys, traj)
     _check_bound(sys, (quantity.expression,))
-    kernel = sys._compile_chart(_dissipation_trees(sys, quantity.expression))
-    conserved, dissipated = _sampled_reports(
-        quantity.name,
-        (KIND_CONSERVED, KIND_DISSIPATED),
-        lambda row: tuple(map(abs, kernel(*row))),
-        traj.states.tolist(),
-        tol,
+    kernel = sys._compile_chart(
+        _dissipation_trees(sys, quantity.expression), columns=True
+    )
+    (rate, dissipation), failed = kernel(*traj.states.T)
+    conserved = _sampled_report(quantity.name, KIND_CONSERVED, (rate,), failed, tol)
+    dissipated = _sampled_report(
+        quantity.name, KIND_DISSIPATED, (dissipation,), failed, tol
     )
     if conserved.passed and dissipated.passed:
         label = "both"
@@ -425,9 +401,9 @@ def check_contact_symmetry_map(
 
     Componentwise, (pullback eta)_j = sum_k eta_k(image) * dPhi^k/dx_j is
     compared to eta at the state, and H(image) to H(state); the residual
-    is the largest deviation, from one compiled kernel per state.
+    is the largest deviation, from one column-kernel call over all states.
     """
-    rows = _sample_rows(sys, samples)
+    columns = _sample_columns(sys, samples)
     if point_map.names != sys.chart_names:
         raise ValueError(
             f"map {point_map.name!r} is over chart {point_map.names}, "
@@ -435,7 +411,5 @@ def check_contact_symmetry_map(
         )
     _check_bound(sys, point_map.components)
     deviations = _map_deviation_trees(sys, point_map.components)
-    (report,) = _sampled_reports(
-        point_map.name, (KIND_CONTACT,), _max_abs(sys, deviations), rows, tol
-    )
-    return report
+    outputs, failed = sys._compile_chart(deviations, columns=True)(*columns)
+    return _sampled_report(point_map.name, KIND_CONTACT, outputs, failed, tol)

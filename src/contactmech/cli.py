@@ -142,7 +142,10 @@ def cmd_verify(args) -> int:
     states = _checked(sample_states, system, count=args.samples, seed=args.seed)
 
     if args.trajectory is not None:
-        traj = read_trajectory_csv(args.trajectory)
+        try:
+            traj = read_trajectory_csv(args.trajectory)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(str(exc)) from None
         _checked(_check_trajectory_chart, system, traj)
         traj_meta = {"source": str(args.trajectory), "samples": len(traj)}
     else:

@@ -236,10 +236,12 @@ class ContactSystem:
         env.update(zip(self.chart_names, point.flat()))
         return env
 
-    def _compile_chart(self, result):
+    def _compile_chart(self, result, columns: bool = False):
         """One kernel of an expression or a tuple of them, taking the
-        2n+1 chart values in chart order, with the parameters folded in."""
-        return ex._compile_kernel(result, self.chart_names, self.parameters)
+        2n+1 chart values in chart order, with the parameters folded in;
+        with `columns`, the 2n+1 chart columns of all rows (see
+        `expr._compile_kernel`)."""
+        return ex._compile_kernel(result, self.chart_names, self.parameters, columns)
 
     def _kernel(self, build, *args):
         """The kernel of the trees `build(self, *args)`, kept on the system

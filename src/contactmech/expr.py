@@ -25,6 +25,15 @@ values as positional arguments, with constants folded in, from
 names for ``evaluate``; a contact system compiles its flow, H and the
 operator trees of ``calculus`` over its chart, with its parameters
 folded in.  Compilation is lazy and cached, a benign race.
+
+A kernel compiled with ``columns`` runs the same operations on numpy
+arrays, one row per state, and returns with its values a mask of the
+rows where the scalar kernel would raise DomainError.  numpy's
+arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do, but its
+``exp``, ``log`` and ``power`` differ from ``math`` in the last bit on
+some inputs, so sin, cos, exp, log and both powers call the ``math``
+functions element by element: every unmasked row is bit-identical to
+the scalar kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Bindings",
@@ -253,6 +264,80 @@ def _fn({args}):
 """
 
 
+# ---------------------------------------------------------------------------
+# Column kernels
+# ---------------------------------------------------------------------------
+#
+# The column form of each guarded helper takes the mask ``_m`` last and
+# marks in it the rows where the scalar helper raises (see the module
+# docstring for which of them run element by element).
+
+#: What a guarded helper raises on a row the column kernel marks.
+_ROW_ERRORS = (ArithmeticError, ValueError, DomainError)
+
+
+def _rowwise(fn: Callable) -> Callable:
+    """The column form of a scalar helper: ``fn`` on each row, with the
+    rows where it raises marked and given NaN."""
+
+    def column(*args):
+        *args, mask = args
+        rows = [np.broadcast_to(a, mask.shape).tolist() for a in args]
+        try:
+            return np.fromiter(map(fn, *rows), float, len(mask))
+        except _ROW_ERRORS:
+            pass  # some row raises; find which, one by one
+        out = []
+        for k, row in enumerate(zip(*rows)):
+            try:
+                out.append(fn(*row))
+            except _ROW_ERRORS:
+                mask[k] = True
+                out.append(math.nan)
+        return np.array(out)
+
+    return column
+
+
+def _column_div(a, b, mask):
+    mask |= b == 0.0  # Python raises for every x/0.0, x = 0, inf or NaN too
+    return np.true_divide(a, b)
+
+
+def _column_sqrt(x, mask):
+    mask |= x < 0.0
+    return np.sqrt(x)
+
+
+def _column(x, shape):
+    """An output as a column: a tree without variables gives a scalar."""
+    return x if getattr(x, "shape", None) == shape else np.full(shape, x)
+
+
+_COLUMN_HELPERS = {
+    "_pw": _rowwise(_pow),
+    "_mpow": _rowwise(math.pow),
+    "_div": _column_div,
+    "_sqrt": _column_sqrt,
+    "_abs": lambda x, mask: np.abs(x),
+    # as _sign: sign(0) = sign(NaN) = 0.0
+    "_sign": lambda x, mask: 1.0 * (x > 0.0) - 1.0 * (x < 0.0),
+    **{f"_{name}": _rowwise(_FUNC_IMPL[name]) for name in ("sin", "cos", "exp", "log")},
+    "_errstate": np.errstate,
+    "_zeros": np.zeros,
+    "_column": _column,
+}
+
+# Every output is broadcast to N rows, so a folded one is a column too;
+# the rows that the mask fails may overflow or divide by zero, silently.
+_COLUMN_SOURCE = """\
+def _fn({args}):
+    _m = _zeros(len(v0), bool)
+    with _errstate(all="ignore"):
+        return {result}, _m
+"""
+
+
 class _Emitter:
     """Python source for a batch of trees, computing each distinct subtree once.
 
@@ -264,11 +349,23 @@ class _Emitter:
     IEEE operations and emitted as its value, but only when that raises
     nothing and is finite; otherwise it stays in the code and fails at
     call time.  No other rewrite is made, so results are bit-identical.
+
+    With ``columns`` the arguments are (N,) arrays and only the leaves of
+    the guarded operations change: division, every function call and
+    both powers go to the column helpers, which mark in ``_m`` the rows
+    where the scalar code would raise.  ``+ - *`` and negation stay
+    operators, exact on arrays as on floats.
     """
 
-    def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
+    def __init__(
+        self,
+        variables: Sequence[str],
+        constants: Mapping[str, float],
+        columns: bool = False,
+    ):
         self.index = {name: k for k, name in enumerate(variables)}
         self.constants = constants
+        self.columns = columns
         self.signatures: dict = {}  # structural signature -> key
         self.keys: dict = {}  # id(node) -> key; the roots keep nodes alive
         self.values: dict = {}  # key -> compile-time value, or None
@@ -351,15 +448,18 @@ class _Emitter:
         temp = self.temps.get(key)
         if temp is not None:
             return temp
+        mask = ", _m" if self.columns else ""
         if isinstance(node, Neg):
             src = f"(-{self.emit(node.arg)})"
         elif isinstance(node, Call):
-            src = f"_{node.fn}({self.emit(node.arg)})"
+            src = f"_{node.fn}({self.emit(node.arg)}{mask})"
         elif node.op == "^":
             # _pow with an integer exponent is math.pow, so call it directly
             exponent = self.folded(node.rhs)
             fn = "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
-            src = f"{fn}({self.emit(node.lhs)}, {self.emit(node.rhs)})"
+            src = f"{fn}({self.emit(node.lhs)}, {self.emit(node.rhs)}{mask})"
+        elif node.op == "/" and self.columns:
+            src = f"_div({self.emit(node.lhs)}, {self.emit(node.rhs)}, _m)"
         else:
             src = f"({self.emit(node.lhs)} {node.op} {self.emit(node.rhs)})"
         if self.uses[key] > 1:
@@ -376,14 +476,11 @@ def _children(node: Node) -> tuple:
     return ()
 
 
-def _exec(src: str) -> Callable:
-    env = dict(_HELPERS)
-    exec(compile(src, "<chart-expression>", "exec"), env)
-    return env["_fn"]
-
-
 def _compile_kernel(
-    result, variables: Sequence[str], constants: Mapping[str, float]
+    result,
+    variables: Sequence[str],
+    constants: Mapping[str, float],
+    columns: bool = False,
 ) -> Callable:
     """Compile into one function of ``variables`` as positional arguments.
 
@@ -393,14 +490,25 @@ def _compile_kernel(
     are folded in at compile time, and the values and DomainError
     messages are those of evaluating each tree alone with the same names
     bound; a name bound by neither raises MissingBindingError here.
+
+    With ``columns`` (and at least one variable) the function takes one
+    (N,) array per variable and returns ``(values, mask)``: the values
+    are (N,) arrays, bit-identical row by row to the scalar kernel's
+    wherever the boolean ``mask`` is False, and ``mask`` is True on
+    exactly the rows where the scalar kernel raises DomainError.
     """
     as_tuple = isinstance(result, tuple)
     roots = [e.root for e in result] if as_tuple else [result.root]
-    parts = _Emitter(variables, constants).source(roots)
-    return _exec(_KERNEL_SOURCE.format(
+    parts = _Emitter(variables, constants, columns).source(roots)
+    if columns:
+        parts = [f"_column({part}, _m.shape)" for part in parts]
+    src = _COLUMN_SOURCE if columns else _KERNEL_SOURCE
+    env = dict(_COLUMN_HELPERS if columns else _HELPERS)
+    exec(compile(src.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],
-    ))
+    ), "<chart-expression>", "exec"), env)
+    return env["_fn"]
 
 
 class Expression:

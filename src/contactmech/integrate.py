@@ -399,6 +399,8 @@ def read_trajectory_csv(path) -> Trajectory:
     header = lines[0].split(",")
     if len(header) < 5 or header[0] != "t" or header[-1] != "H":
         raise ValueError(f"{path}: expected header t,<chart names>,H")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows after the header")
     names = tuple(header[1:-1])
     times = []
     states = []
@@ -415,11 +417,14 @@ def read_trajectory_csv(path) -> Trajectory:
             raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
         times.append(row[0])
         states.append(row[1:-1])
-    return Trajectory(
-        names=names,
-        times=np.array(times),
-        states=np.array(states),
-        method="file",
-        accepted=0,
-        rejected=0,
-    )
+    try:
+        return Trajectory(
+            names=names,
+            times=np.array(times),
+            states=np.array(states),
+            method="file",
+            accepted=0,
+            rejected=0,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -248,6 +248,19 @@ def parse_document(data) -> SpecDocument:
     )
 
 
+def _parse_yaml(text: str):
+    """The document in `text`, parsed by libyaml's `CSafeLoader` when
+    PyYAML has it; a document it rejects, or any document without it, is
+    parsed by the pure-Python `SafeLoader`, so errors keep its wording."""
+    fast = getattr(yaml, "CSafeLoader", None)
+    if fast is not None:
+        try:
+            return yaml.load(text, Loader=fast)
+        except yaml.YAMLError:
+            pass  # parsed again below, for the pure-Python loader's message
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
 def load_document(path) -> SpecDocument:
     path = Path(path)
     try:
@@ -255,7 +268,7 @@ def load_document(path) -> SpecDocument:
     except OSError as exc:
         raise SpecError(f"{path}: {exc}") from None
     try:
-        data = yaml.safe_load(text)
+        data = _parse_yaml(text)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         line = f"line {mark.line + 1}: " if mark is not None else ""

@@ -13,6 +13,11 @@ The integrator comparisons need a plain Runge-Kutta reference: one
 ``sys.flow`` call per stage, the stage arithmetic as list
 comprehensions over the components, and the library's own finiteness
 check and error constructor, in the same time loops as the library.
+
+The column-kernel comparisons need the per-row check loop the batched
+checks replaced: one scalar-kernel call per state, a ``try`` around it,
+and the report statistics in plain Python, with the same tree builders
+feeding it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,20 @@ import operator
 import numpy as np
 
 from contactmech import DomainError, Trajectory, finite_difference, parse
+from contactmech.analysis import (
+    KIND_CONSERVED,
+    KIND_CONTACT,
+    KIND_DISSIPATED,
+    KIND_DYNAMICAL,
+    CheckReport,
+)
+from contactmech.calculus import (
+    _bracket_trees,
+    _dissipation_trees,
+    _lie_eta_trees,
+    _map_deviation_trees,
+    _rate_trees,
+)
 from contactmech.integrate import _check_finite, _diverged
 
 NAMES = ("a", "b", "c")
@@ -246,3 +265,150 @@ def reference_adaptive(sys, s0, t0: float, tf: float, tol: float) -> Trajectory:
         dt = h * min(5.0, max(0.2, factor))
     return Trajectory(sys.chart_names, np.array(times), np.array(states), "rkf45",
                       accepted=accepted, rejected=rejected)
+
+
+# ---------------------------------------------------------------------------
+# Reference per-row check loop
+# ---------------------------------------------------------------------------
+
+def reference_sampled_reports(subject, kinds, residual, rows, tolerance) -> tuple:
+    """One CheckReport per kind from `residual` run on each flat row.
+
+    `residual(row)` returns one value per kind; a row where it raises
+    DomainError counts as failed in every report it feeds, and a row
+    whose value for a kind is NaN counts as failed in that kind's report.
+    """
+    values = []  # row-major, len(kinds) per evaluated row
+    for row in rows:
+        try:
+            values.extend(residual(row))
+        except DomainError:
+            pass  # counted below, as a row missing from the values
+    reports = []
+    for k, kind in enumerate(kinds):
+        residuals = values[k :: len(kinds)]
+        total = sum(residuals)
+        if math.isnan(total):  # exactly when some |residual| is NaN
+            residuals = [r for r in residuals if not math.isnan(r)]
+            total = sum(residuals)
+        if residuals:
+            mx = max(residuals)
+            mean = total / len(residuals)
+        else:
+            mx = mean = math.inf
+        reports.append(
+            CheckReport(
+                subject=subject,
+                kind=kind,
+                samples=len(residuals),
+                max_residual=mx,
+                mean_residual=mean,
+                tolerance=float(tolerance),
+                verdict="pass" if mx <= tolerance else "fail",
+                failed_samples=len(rows) - len(residuals),
+            )
+        )
+    return tuple(reports)
+
+
+def reference_max_abs(sys, trees):
+    """Per-row 1-tuple: the largest |value| of the trees, from one scalar
+    kernel, or NaN if one of them is NaN, which `max` alone would drop."""
+    kernel = sys._compile_chart(trees)
+
+    def residual(row):
+        values = tuple(map(abs, kernel(*row)))
+        total = sum(values)  # NaN exactly when some value is NaN
+        return (total if math.isnan(total) else max(values),)
+
+    return residual
+
+
+def reference_classify(sys, field, rows, tol) -> tuple:
+    """The contact and dynamical reports of `classify_symmetry`."""
+    y = field.components
+    eta_and_h = _lie_eta_trees(sys, y) + _rate_trees(sys, y, (sys.hamiltonian,))
+    (contact,) = reference_sampled_reports(
+        field.name, (KIND_CONTACT,), reference_max_abs(sys, eta_and_h), rows, tol
+    )
+    bracket = _bracket_trees(sys, y, sys._field)
+    (dynamical,) = reference_sampled_reports(
+        field.name, (KIND_DYNAMICAL,), reference_max_abs(sys, bracket), rows, tol
+    )
+    return contact, dynamical
+
+
+def reference_quantity(sys, quantity, rows, tol) -> tuple:
+    """The conserved and dissipated reports of `check_quantity`."""
+    kernel = sys._compile_chart(_dissipation_trees(sys, quantity.expression))
+    return reference_sampled_reports(
+        quantity.name,
+        (KIND_CONSERVED, KIND_DISSIPATED),
+        lambda row: tuple(map(abs, kernel(*row))),
+        rows,
+        tol,
+    )
+
+
+def reference_map(sys, point_map, rows, tol) -> CheckReport:
+    """The report of `check_contact_symmetry_map`."""
+    deviations = _map_deviation_trees(sys, point_map.components)
+    (report,) = reference_sampled_reports(
+        point_map.name, (KIND_CONTACT,), reference_max_abs(sys, deviations), rows, tol
+    )
+    return report
+
+
+def report_bits(report) -> tuple:
+    """Every field of a CheckReport, floats by their exact hex form."""
+    return (
+        report.subject,
+        report.kind,
+        report.samples,
+        report.failed_samples,
+        report.max_residual.hex(),
+        report.mean_residual.hex(),
+        report.tolerance.hex(),
+        report.verdict,
+    )
+
+
+#: leaves that reach the edges of every function's domain
+_EDGE_LITERALS = ("0", "1", "2", "0.5", "800", "1e200")
+_EDGE_FUNCTIONS = _UNARY + ("abs",)
+
+
+def edge_source(rng, names, depth: int) -> str:
+    """Seeded source over `names` using every function, both powers (an
+    integer, a fractional and a variable exponent) and literals that
+    overflow, divide by zero and leave the real domain."""
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.3:
+            return _EDGE_LITERALS[rng.integers(len(_EDGE_LITERALS))]
+        return str(names[rng.integers(len(names))])
+    kind = rng.random()
+    a = edge_source(rng, names, depth - 1)
+    if kind < 0.4:
+        op = _BINARY[rng.integers(len(_BINARY))]
+        return f"({a} {op} {edge_source(rng, names, depth - 1)})"
+    if kind < 0.55:
+        exponent = ("2", "3", "-1", "0.5", "2.5", edge_source(rng, names, 0))
+        return f"({a})^({exponent[rng.integers(len(exponent))]})"
+    if kind < 0.62:
+        return f"-({a})"
+    fn = _EDGE_FUNCTIONS[rng.integers(len(_EDGE_FUNCTIONS))]
+    return f"{fn}({a})"
+
+
+#: state entries that reach the same edges: signed zeros, infinities, NaN
+_EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, -2.0, 800.0, 1e200, math.inf, -math.inf, math.nan)
+
+
+def edge_rows(rng, dim: int, count: int) -> np.ndarray:
+    """`count` seeded flat states, each entry an edge value a third of the
+    time and a uniform draw from [-2, 2] otherwise."""
+    rows = rng.uniform(-2.0, 2.0, size=(count, dim))
+    edges = rng.random((count, dim)) < 1.0 / 3.0
+    picks = rng.integers(len(_EDGE_VALUES), size=(count, dim))
+    rows[edges] = np.array(_EDGE_VALUES)[picks[edges]]
+    return rows

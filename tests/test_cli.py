@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from contactmech import load_document, read_trajectory_csv, sample_states
+from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
 from contactmech.cli import main
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
@@ -273,6 +273,104 @@ def test_verify_missing_file(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (None, "No such file"),
+        ("t,x,y,p_x,p_y,s,H\n0,0,0,1,0,oops,0\n", "line 2: non-numeric cell"),
+        ("t,x,y,p_x,p_y,s,H\n", "no data rows"),
+    ],
+    ids=["missing", "non-numeric", "header-only"],
+)
+def test_verify_reports_an_unreadable_trajectory_as_a_usage_error(
+    gravity_spec, tmp_path, capsys, content, fragment
+):
+    csv = tmp_path / "run.csv"
+    if content is not None:
+        csv.write_text(content)
+    rc = main(
+        ["verify", str(gravity_spec), "--trajectory", str(csv),
+         "--report", str(tmp_path / "r.json")]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "run.csv" in line and fragment in line
+    assert not (tmp_path / "r.json").exists()
+
+
+def _without_libyaml(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+def _document_fields(doc) -> tuple:
+    return (
+        repr(doc.system),
+        doc.initial_state,
+        doc.symmetries,
+        doc.quantities,
+        doc.maps,
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["shipped", "gravity_friction", "damped_oscillator", "damped_free_particle"]
+)
+def test_both_yaml_loaders_give_equal_documents(name, tmp_path, monkeypatch):
+    if name == "shipped":
+        spec = Path(SHIPPED_SPEC)
+    else:
+        spec = tmp_path / f"{name}.yaml"
+        assert main(["export-model", name, "--out", str(spec)]) == 0
+    with_libyaml = load_document(spec)
+    _without_libyaml(monkeypatch)
+    assert _document_fields(load_document(spec)) == _document_fields(with_libyaml)
+
+
+def test_libyaml_parses_when_present(monkeypatch):
+    fast = getattr(yaml, "CSafeLoader", None)
+    if fast is None:
+        pytest.skip("PyYAML is built without libyaml")
+    made = []
+
+    class Counting(fast):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Counting)
+    load_document(SHIPPED_SPEC)
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "coordinates: [q\n",
+        "n: 1\ncoordinates: x: y\n",
+        "hamiltonian: 'p_q\n",
+        "- a\nb: 1\n",
+        "n: 1\n\tcoordinates: [q]\n",
+        "n: &a 1\nm: *b\n",
+        "n: 1\nn: {\n",
+    ],
+)
+def test_yaml_errors_read_the_same_with_or_without_libyaml(
+    content, tmp_path, monkeypatch
+):
+    spec = tmp_path / "broken.yaml"
+    spec.write_text(content)
+    with pytest.raises(SpecError) as fast:
+        load_document(spec)
+    _without_libyaml(monkeypatch)
+    with pytest.raises(SpecError) as slow:
+        load_document(spec)
+    assert str(fast.value) == str(slow.value)
+    assert str(fast.value).startswith(f"{spec}: ")
 
 
 def test_analyze_contact_symmetry(capsys):

@@ -372,6 +372,8 @@ def test_csv_write_requires_matching_chart(tmp_path, gravity):
         ("a,b\n1,2\n", "header"),
         ("t,q,p_q,s,H\n0.0,1.0,2.0\n", "columns"),
         ("t,q,p_q,s,H\n0.0,1.0,2.0,3.0,oops\n", "non-numeric"),
+        ("t,q,p_q,s,H\n", "bad.csv: no data rows"),
+        ("t,q,p_q,s,H\n1.0,0,0,0,0\n0.0,0,0,0,0\n", "bad.csv: times must be"),
     ],
 )
 def test_csv_read_errors(tmp_path, content, message):
