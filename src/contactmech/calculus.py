@@ -5,11 +5,11 @@ L_Y F, [A, B], a quantity's two rates, a map's deviations), made with
 the folding builders of `expr` and exact symbolic derivatives, so a term
 with a literal-0 factor drops out of the tree.  The functions here
 evaluate these trees at one state through `ContactSystem._at`, which
-compiles them once per system; `analysis` compiles the same trees into
-its per-sample kernels.  The Hamiltonian field is the tuple of
-component expressions each ContactSystem builds from the gradient of H;
-their derivatives are cached on the shared components, which is how
-second derivatives of H enter brackets exactly.
+compiles them once per system; `analysis` evaluates the same trees
+over the columns of all its samples.  The Hamiltonian field is the
+tuple of component expressions each ContactSystem builds from the
+gradient of H; their derivatives are kept on the shared nodes, which is
+how second derivatives of H enter brackets exactly.
 """
 
 from __future__ import annotations
@@ -260,6 +260,6 @@ def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> Ve
 
     These are the components `ContactSystem.flow` evaluates, built once
     per system; differentiating them again (Jacobians, brackets) gives
-    exact second derivatives of H, cached on the shared components.
+    exact second derivatives of H, kept on the shared nodes.
     """
     return VectorField(name, sys._field)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 spec/usage error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -371,7 +372,10 @@ def cmd_export_model(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves
+    it as it was."""
     parser = argparse.ArgumentParser(
         prog="contactmech",
         description=(

@@ -187,7 +187,7 @@ class ContactSystem:
         self.chart_names = chart_names
         self._declared = declared
         # Darboux form of the contact Hamiltonian field, built once from
-        # the gradient of H (cached on H for d_hamiltonian):
+        # the gradient of H (kept on H's nodes for d_hamiltonian):
         # dq^i = dH/dp_i, dp_i = -(dH/dq^i + p_i dH/ds),
         # ds = sum_i p_i dH/dp_i - H.
         h_s = hamiltonian.derivative(ACTION_NAME)
@@ -245,7 +245,8 @@ class ContactSystem:
 
     def _kernel(self, build, *args):
         """The kernel of the trees `build(self, *args)`, kept on the system
-        and keyed by `args` compared structurally, so it compiles once."""
+        and keyed by `args`; equal trees share interned nodes (-0.0 apart
+        from 0.0), so each structure compiles once."""
         key = (build, args)
         fn = self._kernels.get(key)
         if fn is None:  # benign race: compilation is deterministic

@@ -14,32 +14,40 @@ is rejected ("2x" is a syntax error), and every identifier must resolve
 to a declared name at parse time.
 
 Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
-the tree into another expression, built once per variable and cached, so
-differentiating a derivative again gives exact second derivatives without
-finite differencing.  Expressions are immutable and evaluation is pure,
+the tree into another expression, so differentiating a derivative again
+gives exact second derivatives without finite differencing.
+
+Nodes are hash-consed: structurally equal subtrees are one object, so
+equality and hashing take O(1), and each node keeps its derivatives,
+derived once per variable and shared by every tree that contains the
+node.  The intern table holds nodes weakly, so nothing outlives the
+trees that use it.  Expressions are immutable and evaluation is pure,
 so concurrent use from any number of threads is safe.
 
-Every compiled form is a kernel: one straight-line function of named
-values as positional arguments, with constants folded in, from
-``_compile_kernel``.  An expression compiles itself over its sorted
-names for ``evaluate``; a contact system compiles its flow, H and the
-operator trees of ``calculus`` over its chart, with its parameters
-folded in.  Compilation is lazy and cached, a benign race.
+A scalar kernel is one straight-line function of named values as
+positional arguments, with constants folded in, generated as Python
+source and compiled by ``_compile_kernel``.  An expression compiles
+itself over its sorted names for ``evaluate``; a contact system
+compiles its flow, H and the operator trees of ``calculus`` over its
+chart, with its parameters folded in, for single states.  Compilation
+is lazy and cached, a benign race.
 
-A kernel compiled with ``columns`` runs the same operations on numpy
-arrays, one row per state, and returns with its values a mask of the
-rows where the scalar kernel would raise DomainError.  numpy's
-arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do, but its
-``exp``, ``log`` and ``power`` differ from ``math`` in the last bit on
-some inputs, so sin, cos, exp, log and both powers call the ``math``
-functions element by element: every unmasked row is bit-identical to
-the scalar kernel.
+A column kernel (``columns``) compiles nothing: it evaluates the same
+operations, each distinct one once, over numpy arrays, one row per
+state, and returns with its values a mask of the rows where the scalar
+kernel would raise DomainError.  numpy's arithmetic, ``abs`` and
+``sqrt`` round exactly as Python's do, but its ``exp``, ``log`` and
+``power`` differ from ``math`` in the last bit on some inputs, so sin,
+cos, exp, log and both powers call the ``math`` functions element by
+element: every unmasked row is bit-identical to the scalar kernel.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -151,32 +159,82 @@ _FUNC_IMPL = {
 # Syntax tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+# Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+# hash-consing", 2006): making a node returns the live node of the same
+# structure when there is one, so structurally equal subtrees are one
+# object, compared and hashed by identity.  The table holds its nodes
+# weakly, so a tree dies with its last user.  Its keys name children by
+# `id`, which is unique while the parent holds them, so that no key
+# holds a node: a derivative memo (see `_diff`) that leads back to its
+# node is then a cycle the collector can free.  The lock makes finding
+# or adding a node atomic across threads.  A node is immutable apart
+# from that memo.
+
+_NODES = weakref.WeakValueDictionary()  # structure key -> live node
+_NODES_LOCK = threading.Lock()
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node:
+    __slots__ = ("_diffs", "__weakref__")
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self) -> str:
+        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+def _interned(cls, key: tuple, values: tuple):
+    node = _NODES.get(key)
+    if node is None:
+        with _NODES_LOCK:
+            node = _NODES.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls._fields, values):
+                    _set(node, name, value)
+                _set(node, "_diffs", None)
+                _NODES[key] = node
+    return node
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * / ^
-    lhs: "Node"
-    rhs: "Node"
+class Num(_Node):
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value: float):
+        # the sign keeps -0.0 apart from 0.0, which compare equal
+        return _interned(cls, (cls, value, math.copysign(1.0, value)), (value,))
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _interned(cls, (cls, name), (name,))
+
+
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __new__(cls, arg: "Node"):
+        return _interned(cls, (cls, id(arg)), (arg,))
+
+
+class Bin(_Node):
+    __slots__ = _fields = ("op", "lhs", "rhs")  # op: one of + - * / ^
+
+    def __new__(cls, op: str, lhs: "Node", rhs: "Node"):
+        return _interned(cls, (cls, op, id(lhs), id(rhs)), (op, lhs, rhs))
+
+
+class Call(_Node):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __new__(cls, fn: str, arg: "Node"):
+        return _interned(cls, (cls, fn, id(arg)), (fn, arg))
 
 
 Node = Union[Num, Var, Neg, Bin, Call]
@@ -268,7 +326,7 @@ def _fn({args}):
 # Column kernels
 # ---------------------------------------------------------------------------
 #
-# The column form of each guarded helper takes the mask ``_m`` last and
+# The column form of each guarded helper takes the row mask last and
 # marks in it the rows where the scalar helper raises (see the module
 # docstring for which of them run element by element).
 
@@ -314,87 +372,56 @@ def _column(x, shape):
     return x if getattr(x, "shape", None) == shape else np.full(shape, x)
 
 
-_COLUMN_HELPERS = {
+#: The column operation of each helper name (see `_Emitter.helper`),
+#: taking the mask last.
+_COLUMN_OPS = {
+    "neg": lambda x, mask: -x,
+    "+": lambda a, b, mask: a + b,
+    "-": lambda a, b, mask: a - b,
+    "*": lambda a, b, mask: a * b,
+    "/": _column_div,
     "_pw": _rowwise(_pow),
     "_mpow": _rowwise(math.pow),
-    "_div": _column_div,
     "_sqrt": _column_sqrt,
     "_abs": lambda x, mask: np.abs(x),
     # as _sign: sign(0) = sign(NaN) = 0.0
     "_sign": lambda x, mask: 1.0 * (x > 0.0) - 1.0 * (x < 0.0),
     **{f"_{name}": _rowwise(_FUNC_IMPL[name]) for name in ("sin", "cos", "exp", "log")},
-    "_errstate": np.errstate,
-    "_zeros": np.zeros,
-    "_column": _column,
 }
-
-# Every output is broadcast to N rows, so a folded one is a column too;
-# the rows that the mask fails may overflow or divide by zero, silently.
-_COLUMN_SOURCE = """\
-def _fn({args}):
-    _m = _zeros(len(v0), bool)
-    with _errstate(all="ignore"):
-        return {result}, _m
-"""
 
 
 class _Emitter:
-    """Python source for a batch of trees, computing each distinct subtree once.
+    """A batch of trees as kernel operations, each distinct subtree once.
 
-    The first occurrence of a repeated subtree binds a temporary with
-    ``:=`` and later occurrences read it, so the operations that remain
-    run in the same depth-first, left-to-right order as evaluating each
-    tree alone, and the first one to fail is the same.  A subtree whose
-    leaves are all literals or ``constants`` is evaluated here by the same
-    IEEE operations and emitted as its value, but only when that raises
-    nothing and is finite; otherwise it stays in the code and fails at
-    call time.  No other rewrite is made, so results are bit-identical.
+    A subtree whose leaves are all literals or ``constants`` is evaluated
+    here by the same IEEE operations and used as its value, but only
+    when that raises nothing and is finite; otherwise it stays an
+    operation and fails at call time.  No other rewrite is made, so
+    results are bit-identical.  Nodes are interned, so a repeated
+    subtree is one node, and every table here is keyed by the node.
 
-    With ``columns`` the arguments are (N,) arrays and only the leaves of
-    the guarded operations change: division, every function call and
-    both powers go to the column helpers, which mark in ``_m`` the rows
-    where the scalar code would raise.  ``+ - *`` and negation stay
-    operators, exact on arrays as on floats.
+    ``source`` writes Python code: the first occurrence of a repeated
+    subtree binds a temporary with ``:=`` and later occurrences read it,
+    so the operations run in the same depth-first, left-to-right order
+    as evaluating each tree alone, and the first one to fail is the
+    same.  ``columns`` lists the same operations, in the same order, for
+    a column kernel to run over (N,) arrays.
     """
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        constants: Mapping[str, float],
-        columns: bool = False,
-    ):
+    def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
         self.index = {name: k for k, name in enumerate(variables)}
         self.constants = constants
-        self.columns = columns
-        self.signatures: dict = {}  # structural signature -> key
-        self.keys: dict = {}  # id(node) -> key; the roots keep nodes alive
-        self.values: dict = {}  # key -> compile-time value, or None
-        self.uses: dict = {}  # key -> occurrences left in the code
-        self.temps: dict = {}  # key -> temporary bound at first occurrence
-
-    def key(self, node: Node) -> int:
-        key = self.keys.get(id(node))
-        if key is not None:
-            return key
-        if isinstance(node, Num):
-            sig = ("#", repr(node.value))  # repr keeps -0.0 apart from 0.0
-        elif isinstance(node, Var):
-            sig = ("$", node.name)
-        elif isinstance(node, Neg):
-            sig = ("neg", self.key(node.arg))
-        elif isinstance(node, Bin):
-            sig = (node.op, self.key(node.lhs), self.key(node.rhs))
-        else:
-            sig = ("call", node.fn, self.key(node.arg))
-        key = self.signatures.setdefault(sig, len(self.signatures))
-        self.keys[id(node)] = key
-        return key
+        self.values: dict = {}  # node -> compile-time value, or None
+        self.uses: dict = {}  # node -> occurrences left in the code
+        self.temps: dict = {}  # node -> temporary bound at first occurrence
+        self.slots: dict = {}  # node -> its slot in a column kernel
+        self.cells: list = []  # its slots after the variables' columns
+        self.steps: list = []  # its operations, see `columns`
 
     def value(self, node: Node):
         """Value known at compile time, possibly infinite; None if unknown."""
-        key = self.key(node)
-        if key in self.values:
-            return self.values[key]
+        if node in self.values:
+            return self.values[node]
         if isinstance(node, Num):
             out = node.value
         elif isinstance(node, Var):
@@ -413,12 +440,32 @@ class _Emitter:
                     out = impl(*args)
                 except (ArithmeticError, ValueError, DomainError):
                     pass  # left in the code, so the call raises as before
-        self.values[key] = out
+        self.values[node] = out
         return out
 
     def folded(self, node: Node):
         value = self.value(node)
         return value if value is not None and math.isfinite(value) else None
+
+    def argument(self, node: Node) -> int:
+        """The position of a variable the kernel takes."""
+        k = self.index.get(node.name)
+        if k is None:
+            raise MissingBindingError(node.name)
+        return k
+
+    def helper(self, node: Node) -> str:
+        """The name of an operation node's helper: ``neg``, an operator,
+        ``_<fn>`` for a call, and for a power ``_mpow`` (``_pow`` with an
+        integer exponent is math.pow) or ``_pw``."""
+        if isinstance(node, Neg):
+            return "neg"
+        if isinstance(node, Call):
+            return f"_{node.fn}"
+        if node.op != "^":
+            return node.op
+        exponent = self.folded(node.rhs)
+        return "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
 
     def source(self, roots) -> list:
         """One Python expression per root, to be evaluated in order."""
@@ -429,9 +476,8 @@ class _Emitter:
     def count(self, node: Node) -> None:
         if isinstance(node, Var) or self.folded(node) is not None:
             return
-        key = self.key(node)
-        seen = self.uses.get(key, 0)
-        self.uses[key] = seen + 1
+        seen = self.uses.get(node, 0)
+        self.uses[node] = seen + 1
         if not seen:
             for child in _children(node):
                 self.count(child)
@@ -441,31 +487,54 @@ class _Emitter:
         if value is not None:
             return repr(value)
         if isinstance(node, Var):
-            if node.name not in self.index:
-                raise MissingBindingError(node.name)
-            return f"v{self.index[node.name]}"
-        key = self.key(node)
-        temp = self.temps.get(key)
+            return f"v{self.argument(node)}"
+        temp = self.temps.get(node)
         if temp is not None:
             return temp
-        mask = ", _m" if self.columns else ""
-        if isinstance(node, Neg):
-            src = f"(-{self.emit(node.arg)})"
-        elif isinstance(node, Call):
-            src = f"_{node.fn}({self.emit(node.arg)}{mask})"
-        elif node.op == "^":
-            # _pow with an integer exponent is math.pow, so call it directly
-            exponent = self.folded(node.rhs)
-            fn = "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
-            src = f"{fn}({self.emit(node.lhs)}, {self.emit(node.rhs)}{mask})"
-        elif node.op == "/" and self.columns:
-            src = f"_div({self.emit(node.lhs)}, {self.emit(node.rhs)}, _m)"
+        helper = self.helper(node)
+        args = [self.emit(child) for child in _children(node)]
+        if helper == "neg":
+            src = f"(-{args[0]})"
+        elif helper in _BINARY:
+            src = f"({args[0]} {helper} {args[1]})"
         else:
-            src = f"({self.emit(node.lhs)} {node.op} {self.emit(node.rhs)})"
-        if self.uses[key] > 1:
-            temp = self.temps[key] = f"t{len(self.temps)}"
+            src = f"{helper}({', '.join(args)})"
+        if self.uses[node] > 1:
+            temp = self.temps[node] = f"t{len(self.temps)}"
             return f"({temp} := {src})"
         return src
+
+    def columns(self, roots) -> tuple:
+        """``(cells, steps, outputs)`` for `_column_kernel`.
+
+        Slots 0..V-1 hold the V variable columns and the slots after
+        them start as ``cells``: the folded values, and None where a
+        step ``(slot, operation, argument slots)`` puts its result.  The
+        steps run each distinct operation once, depth first and left to
+        right; ``outputs`` are the slots of the roots.
+        """
+        outputs = [self.place(root) for root in roots]
+        return self.cells, self.steps, outputs
+
+    def place(self, node: Node) -> int:
+        """The slot of ``node``'s value, after the steps that compute it."""
+        slot = self.slots.get(node)
+        if slot is not None:
+            return slot
+        value = self.folded(node)
+        if value is not None:
+            slot = len(self.index) + len(self.cells)
+            self.cells.append(value)
+        elif isinstance(node, Var):
+            slot = self.argument(node)
+        else:
+            op = _COLUMN_OPS[self.helper(node)]
+            args = tuple(map(self.place, _children(node)))
+            slot = len(self.index) + len(self.cells)
+            self.cells.append(None)
+            self.steps.append((slot, op, args))
+        self.slots[node] = slot
+        return slot
 
 
 def _children(node: Node) -> tuple:
@@ -476,35 +545,64 @@ def _children(node: Node) -> tuple:
     return ()
 
 
+def _column_kernel(width: int, cells: list, steps: list, outputs: list,
+                   as_tuple: bool) -> Callable:
+    """Run the `_Emitter.columns` steps over ``width`` (N,) columns, each
+    step once.
+
+    The steps run under ``np.errstate(all="ignore")``: the rows that
+    the mask fails may overflow or divide by zero, silently.  Every
+    output is broadcast to N rows, so a folded one is a column too.
+    """
+
+    def kernel(*columns):
+        if len(columns) != width:
+            raise TypeError(f"kernel takes {width} columns, got {len(columns)}")
+        mask = np.zeros(len(columns[0]), bool)
+        regs = [*columns, *cells]
+        with np.errstate(all="ignore"):
+            for slot, op, args in steps:
+                regs[slot] = op(*[regs[k] for k in args], mask)
+        values = tuple(_column(regs[k], mask.shape) for k in outputs)
+        return (values if as_tuple else values[0]), mask
+
+    return kernel
+
+
 def _compile_kernel(
     result,
     variables: Sequence[str],
     constants: Mapping[str, float],
     columns: bool = False,
 ) -> Callable:
-    """Compile into one function of ``variables`` as positional arguments.
+    """One function of ``variables`` as positional arguments.
 
     ``result`` is an expression, or a tuple of expressions evaluated
     together with shared subtrees computed once; the function returns a
     float or a tuple of the same length.  ``constants`` (finite values)
-    are folded in at compile time, and the values and DomainError
-    messages are those of evaluating each tree alone with the same names
-    bound; a name bound by neither raises MissingBindingError here.
+    are folded in when the kernel is made, and the values and
+    DomainError messages are those of evaluating each tree alone with
+    the same names bound; a name bound by neither raises
+    MissingBindingError here.
 
-    With ``columns`` (and at least one variable) the function takes one
-    (N,) array per variable and returns ``(values, mask)``: the values
-    are (N,) arrays, bit-identical row by row to the scalar kernel's
-    wherever the boolean ``mask`` is False, and ``mask`` is True on
-    exactly the rows where the scalar kernel raises DomainError.
+    Without ``columns`` the kernel is generated Python source, compiled:
+    it runs once per state.  With ``columns`` (and at least one
+    variable) nothing is compiled: the function takes one (N,) array
+    per variable, evaluates each distinct operation once over the
+    arrays with the helpers of `_COLUMN_OPS`, and returns
+    ``(values, mask)``.  The
+    values are (N,) arrays, bit-identical row by row to the scalar
+    kernel's wherever the boolean ``mask`` is False, and ``mask`` is
+    True on exactly the rows where the scalar kernel raises DomainError.
     """
     as_tuple = isinstance(result, tuple)
     roots = [e.root for e in result] if as_tuple else [result.root]
-    parts = _Emitter(variables, constants, columns).source(roots)
+    emitter = _Emitter(variables, constants)
     if columns:
-        parts = [f"_column({part}, _m.shape)" for part in parts]
-    src = _COLUMN_SOURCE if columns else _KERNEL_SOURCE
-    env = dict(_COLUMN_HELPERS if columns else _HELPERS)
-    exec(compile(src.format(
+        return _column_kernel(len(variables), *emitter.columns(roots), as_tuple)
+    parts = emitter.source(roots)
+    env = dict(_HELPERS)
+    exec(compile(_KERNEL_SOURCE.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],
     ), "<chart-expression>", "exec"), env)
@@ -514,14 +612,12 @@ def _compile_kernel(
 class Expression:
     """Immutable scalar field on the chart, evaluable with exact derivatives."""
 
-    __slots__ = ("root", "_names", "_fn", "_derivatives", "_hash")
+    __slots__ = ("root", "_names", "_fn")
 
     def __init__(self, root: Node):
         self.root = root
         self._names = None
         self._fn = None
-        self._derivatives = None
-        self._hash = None
 
     @property
     def names(self) -> frozenset:
@@ -554,15 +650,9 @@ class Expression:
         return self._run({k: float(v) for k, v in bindings.items()})
 
     def derivative(self, var: str) -> "Expression":
-        """Exact first partial with respect to ``var``, as an expression."""
-        # benign race: differentiation is deterministic and idempotent
-        if self._derivatives is None:
-            self._derivatives = {}
-        out = self._derivatives.get(var)
-        if out is None:
-            out = _diff(self.root, var) if var in self.names else literal(0.0)
-            self._derivatives[var] = out
-        return out
+        """Exact first partial with respect to ``var``, as an expression;
+        equal trees share one, kept on their root node (see `_diff`)."""
+        return _diff(self.root, var) if var in self.names else _D_ZERO
 
     def differentiate(self, var: str, bindings: Bindings) -> float:
         """Exact first partial with respect to ``var`` at ``bindings``."""
@@ -576,14 +666,12 @@ class Expression:
     def __repr__(self) -> str:
         return f"Expression({_to_source(self.root)!r})"
 
+    # equal trees have one interned root
     def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and self.root == other.root
+        return isinstance(other, Expression) and self.root is other.root
 
     def __hash__(self) -> int:
-        # hashing the tree walks all of it, so keep the result
-        if self._hash is None:
-            self._hash = hash(self.root)
-        return self._hash
+        return hash(self.root)
 
 
 def finite_difference(
@@ -805,11 +893,75 @@ def _is_const(node: Node, value: float | None = None) -> bool:
     return value is None or node.value == value
 
 
-def literal(value: float) -> Expression:
+def _literal(value: float) -> Num:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"literal must be finite, got {value!r}")
-    return Expression(Num(value))
+    return Num(value)
+
+
+def _neg(x: Node) -> Node:
+    if isinstance(x, Num):
+        return Num(-x.value)
+    if isinstance(x, Neg):
+        return x.arg
+    return Neg(x)
+
+
+def _add(x: Node, y: Node) -> Node:
+    if isinstance(x, Num) and isinstance(y, Num):
+        return _literal(x.value + y.value)
+    if _is_const(x, 0.0):
+        return y
+    if _is_const(y, 0.0):
+        return x
+    return Bin("+", x, y)
+
+
+def _sub(x: Node, y: Node) -> Node:
+    if isinstance(x, Num) and isinstance(y, Num):
+        return _literal(x.value - y.value)
+    if _is_const(y, 0.0):
+        return x
+    if _is_const(x, 0.0):
+        return _neg(y)
+    return Bin("-", x, y)
+
+
+def _mul(x: Node, y: Node) -> Node:
+    if isinstance(x, Num) and isinstance(y, Num):
+        return _literal(x.value * y.value)
+    if _is_const(x, 0.0) or _is_const(y, 0.0):
+        return _ZERO
+    if _is_const(x, 1.0):
+        return y
+    if _is_const(y, 1.0):
+        return x
+    return Bin("*", x, y)
+
+
+def _div(x: Node, y: Node) -> Node:
+    if _is_const(y, 1.0):
+        return x
+    # x/0 is left in the tree so evaluation reports the domain error
+    if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
+        return _literal(x.value / y.value)
+    return Bin("/", x, y)
+
+
+def _power(x: Node, y: Node) -> Node:
+    if isinstance(x, Num) and isinstance(y, Num):
+        return _literal(_pow(x.value, y.value))
+    if _is_const(y, 1.0):
+        return x
+    return Bin("^", x, y)
+
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def literal(value: float) -> Expression:
+    return Expression(_literal(value))
 
 
 def variable(name: str) -> Expression:
@@ -817,66 +969,27 @@ def variable(name: str) -> Expression:
 
 
 def neg(e) -> Expression:
-    node = _as_node(e)
-    if isinstance(node, Num):
-        return Expression(Num(-node.value))
-    if isinstance(node, Neg):
-        return Expression(node.arg)
-    return Expression(Neg(node))
+    return Expression(_neg(_as_node(e)))
 
 
 def add(a, b) -> Expression:
-    x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value + y.value)
-    if _is_const(x, 0.0):
-        return Expression(y)
-    if _is_const(y, 0.0):
-        return Expression(x)
-    return Expression(Bin("+", x, y))
+    return Expression(_add(_as_node(a), _as_node(b)))
 
 
 def sub(a, b) -> Expression:
-    x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value - y.value)
-    if _is_const(y, 0.0):
-        return Expression(x)
-    if _is_const(x, 0.0):
-        return neg(y)
-    return Expression(Bin("-", x, y))
+    return Expression(_sub(_as_node(a), _as_node(b)))
 
 
 def mul(a, b) -> Expression:
-    x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value * y.value)
-    if _is_const(x, 0.0) or _is_const(y, 0.0):
-        return literal(0.0)
-    if _is_const(x, 1.0):
-        return Expression(y)
-    if _is_const(y, 1.0):
-        return Expression(x)
-    return Expression(Bin("*", x, y))
+    return Expression(_mul(_as_node(a), _as_node(b)))
 
 
 def div(a, b) -> Expression:
-    x, y = _as_node(a), _as_node(b)
-    if _is_const(y, 1.0):
-        return Expression(x)
-    # x/0 is left in the tree so evaluation reports the domain error
-    if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
-        return literal(x.value / y.value)
-    return Expression(Bin("/", x, y))
+    return Expression(_div(_as_node(a), _as_node(b)))
 
 
 def power(a, b) -> Expression:
-    x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(_pow(x.value, y.value))
-    if _is_const(y, 1.0):
-        return Expression(x)
-    return Expression(Bin("^", x, y))
+    return Expression(_power(_as_node(a), _as_node(b)))
 
 
 def call(fn: str, e) -> Expression:
@@ -885,77 +998,111 @@ def call(fn: str, e) -> Expression:
     return Expression(Call(fn, _as_node(e)))
 
 
+# the derivatives of a leaf, shared
+_D_ZERO, _D_ONE = Expression(_ZERO), Expression(_ONE)
+
+
 def _diff(node: Node, var: str) -> Expression:
-    """First partial of ``node`` with respect to ``var``, folded by the builders.
+    """First partial of ``node`` with respect to ``var``, folded as the
+    builders fold.
+
+    The rule of an operation node runs once per live node and variable:
+    its result is kept on the node, and a structurally equal subtree
+    anywhere, in this tree or another, is the same node.
+    """
+    if isinstance(node, Num):
+        return _D_ZERO
+    if isinstance(node, Var):
+        return _D_ONE if node.name == var else _D_ZERO
+    memo = node._diffs
+    if memo is None:  # benign race: the rule is deterministic
+        memo = {}
+        _set(node, "_diffs", memo)
+    out = memo.get(var)
+    if out is None:
+        out = memo[var] = Expression(_diff_rule(node, var))
+    return out
+
+
+def _diff_rule(node: Node, var: str) -> Node:
+    """The differentiation rule of ``node``'s kind.
 
     A subtree free of ``var`` differentiates to the literal 0, and every
     rule below skips the terms that multiply such a zero, so no factor is
     evaluated that the derivative does not need.
     """
-    if isinstance(node, Num):
-        return literal(0.0)
-    if isinstance(node, Var):
-        return literal(1.0 if node.name == var else 0.0)
     if isinstance(node, (Neg, Call)):
-        du = _diff(node.arg, var)
-        if _is_const(du.root, 0.0):
+        du = _diff(node.arg, var).root
+        if _is_const(du, 0.0):
             return du
         if isinstance(node, Neg):
-            return neg(du)
+            return _neg(du)
         u = node.arg
         if node.fn == "sin":
-            outer = call("cos", u)
+            outer = Call("cos", u)
         elif node.fn == "cos":
-            outer = neg(call("sin", u))
+            outer = _neg(Call("sin", u))
         elif node.fn == "exp":
             outer = node
         elif node.fn == "log":
-            return div(du, u)
+            return _div(du, u)
         elif node.fn == "sqrt":
-            return div(du, mul(2.0, node))
+            return _div(du, _mul(_TWO, node))
         elif node.fn == "abs":
             outer = Call("sign", u)
         else:  # sign: piecewise constant
-            return literal(0.0)
-        return mul(outer, du)
+            return _ZERO
+        return _mul(outer, du)
     u, v = node.lhs, node.rhs
-    du, dv = _diff(u, var), _diff(v, var)
-    u_free, v_free = _is_const(du.root, 0.0), _is_const(dv.root, 0.0)
+    du, dv = _diff(u, var).root, _diff(v, var).root
+    u_free, v_free = _is_const(du, 0.0), _is_const(dv, 0.0)
     if u_free and v_free:
-        return literal(0.0)
+        return _ZERO
     if node.op == "+":
-        return add(du, dv)
+        return _add(du, dv)
     if node.op == "-":
-        return sub(du, dv)
+        return _sub(du, dv)
     if node.op == "*":
-        return add(mul(du, v), mul(u, dv))
+        return _add(_mul(du, v), _mul(u, dv))
     if node.op == "/":
         if v_free:
-            return div(du, v)
-        return div(sub(mul(du, v), mul(u, dv)), mul(v, v))
+            return _div(du, v)
+        return _div(_sub(_mul(du, v), _mul(u, dv)), _mul(v, v))
     # u^v: the log(u) term appears only when the exponent depends on var,
     # so a parameter exponent never needs u > 0
     if v_free:
-        return mul(mul(v, power(u, sub(v, 1.0))), du)
-    log_term = mul(mul(node, call("log", u)), dv)
+        return _mul(_mul(v, _power(u, _sub(v, _ONE))), du)
+    log_term = _mul(_mul(node, Call("log", u)), dv)
     if u_free:
         return log_term
-    return add(mul(mul(v, power(u, sub(v, 1.0))), du), log_term)
+    return _add(_mul(_mul(v, _power(u, _sub(v, _ONE))), du), log_term)
 
 
 def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expression:
     """Replace variables by expressions (exact rebuild, no folding)."""
     repl = {name: _as_node(r) for name, r in replacements.items()}
+    return Expression(_substituted(e.root, repl, {}))
 
-    def walk(node: Node) -> Node:
+
+def _substituted(node: Node, repl: dict, done: dict) -> Node:
+    """``node`` with ``repl`` put in, each distinct subtree rebuilt once.
+
+    A module function, not a closure: a nested function that calls
+    itself is a reference cycle, which would keep the nodes it saw alive
+    until the cyclic collector runs.
+    """
+    out = done.get(node)
+    if out is None:
         if isinstance(node, Var):
-            return repl.get(node.name, node)
-        if isinstance(node, Neg):
-            return Neg(walk(node.arg))
-        if isinstance(node, Bin):
-            return Bin(node.op, walk(node.lhs), walk(node.rhs))
-        if isinstance(node, Call):
-            return Call(node.fn, walk(node.arg))
-        return node
-
-    return Expression(walk(e.root))
+            out = repl.get(node.name, node)
+        elif isinstance(node, Neg):
+            out = Neg(_substituted(node.arg, repl, done))
+        elif isinstance(node, Bin):
+            lhs = _substituted(node.lhs, repl, done)
+            out = Bin(node.op, lhs, _substituted(node.rhs, repl, done))
+        elif isinstance(node, Call):
+            out = Call(node.fn, _substituted(node.arg, repl, done))
+        else:
+            out = node
+        done[node] = out
+    return out

@@ -53,6 +53,48 @@ CHAIN_H = (
     " + (q6 - q5)^2) + gamma*s"
 )
 
+
+def chain_document() -> dict:
+    """A spec of the CHAIN_H system with the candidates of the
+    benchmark's wide workload, at fixed parameters and state."""
+    coords = [f"q{i}" for i in range(1, 7)]
+    momenta = [f"p_{c}" for c in coords]
+    state = {c: 0.1 * k for k, c in enumerate(coords)}
+    state.update({p: 0.3 + 0.1 * k for k, p in enumerate(momenta)})
+    state["s"] = 0.2
+    return {
+        "n": 6,
+        "coordinates": coords,
+        "parameters": {"m": 1.3, "k": 2.1, "gamma": 0.4},
+        "hamiltonian": CHAIN_H,
+        "initial_state": state,
+        "symmetries": [
+            {
+                "name": "common_translation",
+                "components": {c: "1" for c in coords},
+                "expect": "contact",
+            },
+            {"name": "s_translation", "components": {"s": "1"}, "expect": "neither"},
+        ],
+        "quantities": [
+            {
+                "name": "total_momentum",
+                "expression": " + ".join(momenta),
+                "expect": "dissipated",
+            },
+            {"name": "energy", "expression": CHAIN_H, "expect": "dissipated"},
+            {"name": "q1", "expression": "q1", "expect": "neither"},
+        ],
+        "maps": [
+            {
+                "name": "common_shift",
+                "components": {c: f"{c} + 1" for c in coords},
+                "expect": "contact",
+            },
+        ],
+    }
+
+
 #: every function, a fractional parameter exponent and (with c < 0) a
 #: negative parameter
 FUNCTIONS_H = (

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
+from contactmech import cli
 from contactmech.cli import main
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
@@ -516,3 +517,33 @@ def test_analyze_reports_states_where_h_is_undefined(tmp_path, capsys):
         f"H is undefined on {undefined} of 100 sampled states; "
         f"conserved ratio skipped"
     )
+
+
+def test_successive_calls_behave_as_with_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "gravity.yaml"
+    runs = [
+        ["list-models"],
+        ["export-model", "gravity_friction", "--out", str(spec)],
+        ["simulate", str(spec), "--tf"],  # argparse usage error
+        ["analyze", SHIPPED_SPEC, "x_translation"],
+        ["export-model", "no_such_model"],  # usage error from the command
+        ["verify", SHIPPED_SPEC, "--samples", "5", "--report", str(tmp_path / "r.json")],
+        ["list-models"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    parser = cli._build_parser()
+    shared = outcomes()
+    assert cli._build_parser() is parser
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outcomes() == shared
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0]

@@ -7,6 +7,7 @@ samples, failed samples, max and mean residual, including where rows
 raise, give NaN or infinity, or hold signed zeros.
 """
 
+import builtins
 import math
 
 import numpy as np
@@ -35,9 +36,11 @@ from contactmech import (
     classify_symmetry,
     parse,
 )
+from contactmech import expr as ex
 from contactmech.analysis import _sampled_report
 from contactmech.calculus import _dissipation_trees
 from contactmech.expr import literal, variable
+from contactmech.cli import main
 from contactmech.integrate import Trajectory
 
 TOL = 1e-8
@@ -279,3 +282,19 @@ def test_random_check_trees_match_the_scalar_kernel_row_by_row():
         rows = edge_rows(rng, sys.dim, 12)
         masked += _assert_rows_match(sys, _dissipation_trees(sys, expression), rows)
     assert masked > 0
+
+
+def test_column_kernels_compile_nothing(tmp_path, monkeypatch):
+    compiled = []
+
+    def counting(source, *args, **kwargs):
+        compiled.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(ex, "compile", counting, raising=False)
+    report = tmp_path / "report.json"
+    assert main(["verify", "specs/gravity_friction.yaml", "--report", str(report)]) == 0
+    # at most the scalar flow kernel (for the reference trajectory) and H;
+    # every check ran a column kernel
+    assert 1 <= len(compiled) <= 2
+    assert all(src.startswith("def _fn(v0, v1, v2, v3, v4):") for src in compiled)

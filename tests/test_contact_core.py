@@ -475,3 +475,23 @@ def test_kernel_keeps_signed_zeros_apart():
         (ex.literal(0.0), ex.neg(ex.literal(0.0)), ex.variable("x")), ("x",), {}
     )
     assert _bits(fn(1.0)) == _bits((0.0, -0.0, 1.0))
+
+
+def test_kernel_cache_keeps_signed_zero_trees_apart():
+    # the cache keys trees by equality, and 0.0 == -0.0: a tree must not
+    # find the kernel of the tree with the other zero
+    sys = ContactSystem(["q"], "p_q^2/2 + gamma*s", {"gamma": 0.5})
+    point = ChartPoint((-0.0,), (1.0,), 0.0)
+    zero = ScalarField("a", ex.literal(0.0))
+    negative_zero = ScalarField("b", ex.literal(-0.0))
+    assert _bits([zero.value(sys, point)]) == _bits([0.0])
+    assert _bits([negative_zero.value(sys, point)]) == _bits([-0.0])
+    assert _bits([negative_zero.expression.evaluate({})]) == _bits([-0.0])
+    # at q = -0.0, q + 0.0 is 0.0 but q + -0.0 is -0.0
+    q = ex.Var("q")
+    plus_zero = ex.Expression(ex.Bin("+", q, ex.Num(0.0)))
+    plus_negative_zero = ex.Expression(ex.Bin("+", q, ex.Num(-0.0)))
+    assert _bits([ScalarField("c", plus_zero).value(sys, point)]) == _bits([0.0])
+    assert _bits([ScalarField("d", plus_negative_zero).value(sys, point)]) == (
+        _bits([-0.0])
+    )

@@ -1,7 +1,12 @@
 """Parser, printer, evaluator, and symbolic differentiation."""
 
 import functools
+import gc
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +23,9 @@ from contactmech import (
     finite_difference,
     parse,
 )
+from contactmech import expr as ex
+from contactmech.cli import main
+from contactmech.specdoc import parse_document, write_document
 from contactmech.expr import (
     add,
     div,
@@ -351,3 +359,123 @@ def test_dual_chain_rule_matches_closed_form(x):
     assert expr.differentiate("x", {"x": x}) == pytest.approx(
         2.0 * x * math.cos(x * x), rel=1e-12, abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+# ---------------------------------------------------------------------------
+
+
+def test_equal_sources_parse_to_one_root():
+    names = ("x", "y", "k")
+    first = parse("k*(x - y)^2/2 + sin(x)*exp(-y)", names)
+    second = parse("k * (x-y)^2 / 2 + sin(x) * exp(-y)", names)
+    assert first.root is second.root
+    assert first.root.lhs.lhs.rhs.lhs is parse("x - y", names).root
+
+
+def test_signed_zero_literals_stay_apart():
+    assert literal(-0.0) != literal(0.0)
+    assert literal(-0.0).root is not literal(0.0).root
+    assert literal(0.0) == literal(0.0)
+    assert hash(literal(-0.0)) == hash(literal(-0.0))
+    assert str(literal(-0.0)) == "-0.0"
+
+
+class _SlowTable(weakref.WeakValueDictionary):
+    """An intern table that yields to other threads before each insert."""
+
+    def __setitem__(self, key, node):
+        time.sleep(0.001)
+        super().__setitem__(key, node)
+
+
+def test_threads_intern_equal_trees_to_one_node(monkeypatch):
+    table = _SlowTable()
+    table.update(ex._NODES)
+    monkeypatch.setattr(ex, "_NODES", table)
+    sources = [f"x^{k} + sin(y*{k}) - exp(x/{k + 1})" for k in range(8)]
+    roots = [None] * 4
+    start = threading.Barrier(len(roots))
+
+    def parse_all(slot):
+        start.wait(timeout=10)
+        roots[slot] = [parse(src, ("x", "y")).root for src in sources]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=parse_all, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for other in roots[1:]:
+        assert all(a is b for a, b in zip(roots[0], other))
+
+
+def test_nodes_are_immutable():
+    root = parse("x + 1", ("x",)).root
+    with pytest.raises(AttributeError):
+        root.op = "-"
+
+
+def test_a_dropped_tree_leaves_the_intern_table():
+    # exp and sin put the tree in its own derivatives, a reference cycle
+    # through the memo that only the cyclic collector breaks
+    tree = parse("exp(only_here*x) + sin(x)^3", ("only_here", "x"))
+    tree.derivative("x").derivative("x")
+    root = weakref.ref(tree.root)
+    del tree
+    gc.collect()
+    assert root() is None
+    assert not any(
+        isinstance(node, ex.Var) and node.name == "only_here"
+        for node in list(ex._NODES.values())
+    )
+
+
+def test_no_node_outlives_a_chain_command(tmp_path):
+    # the chain's trees are polynomial, so nothing holds a cycle and every
+    # node a command made is freed when it returns, without the collector
+    spec = tmp_path / "chain.yaml"
+    write_document(helpers.chain_document(), spec)
+    report = tmp_path / "report.json"
+    gc.collect()
+    before = len(ex._NODES)
+    gc.disable()
+    try:
+        assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
+        assert len(ex._NODES) == before
+    finally:
+        gc.enable()
+
+
+def test_the_chain_energy_quantity_shares_the_derivatives_of_h():
+    doc = parse_document(helpers.chain_document())
+    h = doc.system.hamiltonian
+    (energy,) = [c.quantity.expression for c in doc.quantities if c.name == "energy"]
+    assert energy is not h and energy == h
+    for var in doc.system.chart_names:
+        assert energy.derivative(var) is h.derivative(var)
+    assert energy.derivative("q2").derivative("q3") is h.derivative("q2").derivative("q3")
+
+
+def test_verify_of_the_chain_applies_each_rule_once(tmp_path, monkeypatch):
+    spec = tmp_path / "chain.yaml"
+    write_document(helpers.chain_document(), spec)
+    applied = []  # holds the nodes, so equal subtrees stay one node
+    rule = ex._diff_rule
+
+    def recording(node, var):
+        applied.append((node, var))
+        return rule(node, var)
+
+    monkeypatch.setattr(ex, "_diff_rule", recording)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
+    assert len(applied) > 500
+    assert len(set(applied)) == len(applied)
