@@ -155,7 +155,7 @@ def _rate_trees(sys: ContactSystem, field: Sequence[Expression], fs) -> tuple:
     """L_Y F = sum_k Y^k dF/dx^k for each F of `fs`; dF/dx^k is not built
     where Y^k is a literal 0, which would fold its term away."""
     names = sys.chart_names
-    weights = [(v, y) for v, y in zip(names, field) if not ex._is_const(y.root, 0.0)]
+    weights = [(v, y) for v, y in zip(names, field) if not ex._is_const(y, 0.0)]
     return tuple(
         _chart_sum(ex.mul(y_k, f.derivative(var)) for var, y_k in weights)
         for f in fs

@@ -13,16 +13,20 @@ Known functions: sin, cos, exp, log, sqrt, abs.  Implicit multiplication
 is rejected ("2x" is a syntax error), and every identifier must resolve
 to a declared name at parse time.
 
+An expression is its root node: ``Num``, ``Var``, ``Neg``, ``Bin`` and
+``Call`` are the kinds of ``Expression``, and every node is an
+expression in its own right.  Nodes are hash-consed: structurally equal
+trees are one object, so equality and hashing are identity and take
+O(1), and copying or unpickling a node returns the live node.  Each node
+keeps its derivatives, derived once per variable and shared by every
+tree that contains the node.  The intern table holds nodes weakly, so
+nothing outlives the trees that use it.  Expressions are immutable and
+evaluation is pure, so concurrent use from any number of threads is
+safe.
+
 Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
 the tree into another expression, so differentiating a derivative again
 gives exact second derivatives without finite differencing.
-
-Nodes are hash-consed: structurally equal subtrees are one object, so
-equality and hashing take O(1), and each node keeps its derivatives,
-derived once per variable and shared by every tree that contains the
-node.  The intern table holds nodes weakly, so nothing outlives the
-trees that use it.  Expressions are immutable and evaluation is pure,
-so concurrent use from any number of threads is safe.
 
 A scalar kernel is one straight-line function of named values as
 positional arguments, with constants folded in, generated as Python
@@ -49,7 +53,7 @@ import operator
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,23 +172,78 @@ _FUNC_IMPL = {
 # holds a node: a derivative memo (see `_diff`) that leads back to its
 # node is then a cycle the collector can free.  The lock makes finding
 # or adding a node atomic across threads.  A node is immutable apart
-# from that memo.
+# from its caches: that memo, its names and its kernel.
 
 _NODES = weakref.WeakValueDictionary()  # structure key -> live node
 _NODES_LOCK = threading.Lock()
 _set = object.__setattr__
 
 
-class _Node:
-    __slots__ = ("_diffs", "__weakref__")
+class Expression:
+    """Immutable scalar field on the chart, evaluable with exact derivatives.
+
+    An expression is the interned root node of its tree, one of the
+    kinds ``Num``, ``Var``, ``Neg``, ``Bin`` and ``Call``; build one with
+    `parse` or the builders, not by calling this class.  Equal trees are
+    one node, so ``==`` is ``is``.
+    """
+
+    __slots__ = ("_diffs", "_names", "_fn", "__weakref__")
     _fields: tuple = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
+    def __reduce__(self):
+        # rebuilding through the constructor interns the copy
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    @property
+    def names(self) -> frozenset:
+        """Every variable name in the tree, collected on first read."""
+        if self._names is None:  # benign race: the walk is deterministic
+            names, stack = set(), [self]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Var):
+                    names.add(node.name)
+                stack.extend(_children(node))
+            _set(self, "_names", frozenset(names))
+        return self._names
+
+    def _run(self, env: Mapping[str, float]):
+        """Value from a kernel over the sorted names, all bound in ``env``;
+        the first unbound one in that order is reported before evaluating."""
+        if self._fn is None:  # benign race: compilation is deterministic
+            order = tuple(sorted(self.names))
+            _set(self, "_fn", (order, _compile_kernel(self, order, {})))
+        order, kernel = self._fn
+        try:
+            args = [env[name] for name in order]
+        except KeyError as exc:
+            raise MissingBindingError(exc.args[0]) from None
+        return kernel(*args)
+
+    def evaluate(self, bindings: Bindings) -> float:
+        """Value at ``bindings``; every referenced name must be bound."""
+        return self._run({k: float(v) for k, v in bindings.items()})
+
+    def derivative(self, var: str) -> "Expression":
+        """Exact first partial with respect to ``var``, as an expression;
+        equal trees share one, kept on their node (see `_diff`)."""
+        return _diff(self, var) if var in self.names else _ZERO
+
+    def differentiate(self, var: str, bindings: Bindings) -> float:
+        """Exact first partial with respect to ``var`` at ``bindings``."""
+        if var not in bindings:
+            raise MissingBindingError(var)
+        return self.derivative(var).evaluate(bindings)
+
+    def __str__(self) -> str:
+        return _to_source(self)
+
     def __repr__(self) -> str:
-        args = ", ".join(repr(getattr(self, f)) for f in self._fields)
-        return f"{type(self).__name__}({args})"
+        return f"Expression({_to_source(self)!r})"
 
 
 def _interned(cls, key: tuple, values: tuple):
@@ -196,12 +255,13 @@ def _interned(cls, key: tuple, values: tuple):
                 node = object.__new__(cls)
                 for name, value in zip(cls._fields, values):
                     _set(node, name, value)
-                _set(node, "_diffs", None)
+                for name in ("_diffs", "_names", "_fn"):
+                    _set(node, name, None)
                 _NODES[key] = node
     return node
 
 
-class Num(_Node):
+class Num(Expression):
     __slots__ = _fields = ("value",)
 
     def __new__(cls, value: float):
@@ -209,42 +269,39 @@ class Num(_Node):
         return _interned(cls, (cls, value, math.copysign(1.0, value)), (value,))
 
 
-class Var(_Node):
+class Var(Expression):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
         return _interned(cls, (cls, name), (name,))
 
 
-class Neg(_Node):
+class Neg(Expression):
     __slots__ = _fields = ("arg",)
 
-    def __new__(cls, arg: "Node"):
+    def __new__(cls, arg: Expression):
         return _interned(cls, (cls, id(arg)), (arg,))
 
 
-class Bin(_Node):
+class Bin(Expression):
     __slots__ = _fields = ("op", "lhs", "rhs")  # op: one of + - * / ^
 
-    def __new__(cls, op: str, lhs: "Node", rhs: "Node"):
+    def __new__(cls, op: str, lhs: Expression, rhs: Expression):
         return _interned(cls, (cls, op, id(lhs), id(rhs)), (op, lhs, rhs))
 
 
-class Call(_Node):
+class Call(Expression):
     __slots__ = _fields = ("fn", "arg")
 
-    def __new__(cls, fn: str, arg: "Node"):
+    def __new__(cls, fn: str, arg: Expression):
         return _interned(cls, (cls, fn, id(arg)), (fn, arg))
-
-
-Node = Union[Num, Var, Neg, Bin, Call]
 
 
 # Printer precedence levels; a negative literal prints like a unary minus.
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
 
 
-def _node_prec(node: Node) -> int:
+def _node_prec(node: Expression) -> int:
     if isinstance(node, Bin):
         if node.op in "+-":
             return _PREC_ADD
@@ -258,7 +315,7 @@ def _node_prec(node: Node) -> int:
     return _PREC_ATOM
 
 
-def _to_source(node: Node) -> str:
+def _to_source(node: Expression) -> str:
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -418,7 +475,7 @@ class _Emitter:
         self.cells: list = []  # its slots after the variables' columns
         self.steps: list = []  # its operations, see `columns`
 
-    def value(self, node: Node):
+    def value(self, node: Expression):
         """Value known at compile time, possibly infinite; None if unknown."""
         if node in self.values:
             return self.values[node]
@@ -443,18 +500,18 @@ class _Emitter:
         self.values[node] = out
         return out
 
-    def folded(self, node: Node):
+    def folded(self, node: Expression):
         value = self.value(node)
         return value if value is not None and math.isfinite(value) else None
 
-    def argument(self, node: Node) -> int:
+    def argument(self, node: Expression) -> int:
         """The position of a variable the kernel takes."""
         k = self.index.get(node.name)
         if k is None:
             raise MissingBindingError(node.name)
         return k
 
-    def helper(self, node: Node) -> str:
+    def helper(self, node: Expression) -> str:
         """The name of an operation node's helper: ``neg``, an operator,
         ``_<fn>`` for a call, and for a power ``_mpow`` (``_pow`` with an
         integer exponent is math.pow) or ``_pw``."""
@@ -473,7 +530,7 @@ class _Emitter:
             self.count(root)
         return [self.emit(root) for root in roots]
 
-    def count(self, node: Node) -> None:
+    def count(self, node: Expression) -> None:
         if isinstance(node, Var) or self.folded(node) is not None:
             return
         seen = self.uses.get(node, 0)
@@ -482,7 +539,7 @@ class _Emitter:
             for child in _children(node):
                 self.count(child)
 
-    def emit(self, node: Node) -> str:
+    def emit(self, node: Expression) -> str:
         value = self.folded(node)
         if value is not None:
             return repr(value)
@@ -516,7 +573,7 @@ class _Emitter:
         outputs = [self.place(root) for root in roots]
         return self.cells, self.steps, outputs
 
-    def place(self, node: Node) -> int:
+    def place(self, node: Expression) -> int:
         """The slot of ``node``'s value, after the steps that compute it."""
         slot = self.slots.get(node)
         if slot is not None:
@@ -537,7 +594,7 @@ class _Emitter:
         return slot
 
 
-def _children(node: Node) -> tuple:
+def _children(node: Expression) -> tuple:
     if isinstance(node, Bin):
         return (node.lhs, node.rhs)
     if isinstance(node, (Neg, Call)):
@@ -596,7 +653,7 @@ def _compile_kernel(
     True on exactly the rows where the scalar kernel raises DomainError.
     """
     as_tuple = isinstance(result, tuple)
-    roots = [e.root for e in result] if as_tuple else [result.root]
+    roots = list(result) if as_tuple else [result]
     emitter = _Emitter(variables, constants)
     if columns:
         return _column_kernel(len(variables), *emitter.columns(roots), as_tuple)
@@ -609,75 +666,12 @@ def _compile_kernel(
     return env["_fn"]
 
 
-class Expression:
-    """Immutable scalar field on the chart, evaluable with exact derivatives."""
-
-    __slots__ = ("root", "_names", "_fn")
-
-    def __init__(self, root: Node):
-        self.root = root
-        self._names = None
-        self._fn = None
-
-    @property
-    def names(self) -> frozenset:
-        """Every variable name in the tree, collected on first read."""
-        if self._names is None:  # benign race: the walk is deterministic
-            names, stack = set(), [self.root]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Var):
-                    names.add(node.name)
-                stack.extend(_children(node))
-            self._names = frozenset(names)
-        return self._names
-
-    def _run(self, env: Mapping[str, float]):
-        """Value from a kernel over the sorted names, all bound in ``env``;
-        the first unbound one in that order is reported before evaluating."""
-        if self._fn is None:  # benign race: compilation is deterministic
-            order = tuple(sorted(self.names))
-            self._fn = (order, _compile_kernel(self, order, {}))
-        order, kernel = self._fn
-        try:
-            args = [env[name] for name in order]
-        except KeyError as exc:
-            raise MissingBindingError(exc.args[0]) from None
-        return kernel(*args)
-
-    def evaluate(self, bindings: Bindings) -> float:
-        """Value at ``bindings``; every referenced name must be bound."""
-        return self._run({k: float(v) for k, v in bindings.items()})
-
-    def derivative(self, var: str) -> "Expression":
-        """Exact first partial with respect to ``var``, as an expression;
-        equal trees share one, kept on their root node (see `_diff`)."""
-        return _diff(self.root, var) if var in self.names else _D_ZERO
-
-    def differentiate(self, var: str, bindings: Bindings) -> float:
-        """Exact first partial with respect to ``var`` at ``bindings``."""
-        if var not in bindings:
-            raise MissingBindingError(var)
-        return self.derivative(var).evaluate(bindings)
-
-    def __str__(self) -> str:
-        return _to_source(self.root)
-
-    def __repr__(self) -> str:
-        return f"Expression({_to_source(self.root)!r})"
-
-    # equal trees have one interned root
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Expression) and self.root is other.root
-
-    def __hash__(self) -> int:
-        return hash(self.root)
-
-
 def finite_difference(
     expr: Expression, var: str, bindings: Bindings, h: float | None = None
 ) -> float:
     """Central-difference estimate of a partial; cross-check oracle only."""
+    if var not in bindings:
+        raise MissingBindingError(var)
     x = float(bindings[var])
     if h is None:
         h = 1e-5 * max(1.0, abs(x))
@@ -767,35 +761,35 @@ class _Parser:
     def fail(self, message: str, tok: _Token):
         raise ParseError(message, self.source, tok.pos)
 
-    def parse(self) -> Node:
+    def parse(self) -> Expression:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             self.fail(f"unexpected token {tok.text!r}", tok)
         return node
 
-    def expr(self) -> Node:
+    def expr(self) -> Expression:
         node = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             node = Bin(op, node, self.term())
         return node
 
-    def term(self) -> Node:
+    def term(self) -> Expression:
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             node = Bin(op, node, self.unary())
         return node
 
-    def unary(self) -> Node:
+    def unary(self) -> Expression:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             return Neg(self.unary())
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> Expression:
         node = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
@@ -803,7 +797,7 @@ class _Parser:
             return Bin("^", node, self.unary())
         return node
 
-    def atom(self) -> Node:
+    def atom(self) -> Expression:
         tok = self.advance()
         if tok.kind == "num":
             return Num(float(tok.text))
@@ -851,7 +845,7 @@ def parse(source: str, names: Iterable[str]) -> Expression:
         raise ValueError(
             f"declared names shadow built-in functions: {sorted(reserved)}"
         )
-    return Expression(_Parser(source, declared).parse())
+    return _Parser(source, declared).parse()
 
 
 def _coerce_component(source, declared: frozenset, label: str) -> Expression:
@@ -877,30 +871,34 @@ def _coerce_component(source, declared: frozenset, label: str) -> Expression:
 # identities (x+0, 1*x, 0*x, --x, constant arithmetic) so assembled
 # expressions stay readable; user-parsed trees are never rewritten.
 
-def _as_node(e) -> Node:
+def _as_node(e) -> Expression:
+    """The one coercion: an expression as it is, a number as its literal."""
     if isinstance(e, Expression):
-        return e.root
-    if isinstance(e, (int, float)):
-        return Num(float(e))
-    if isinstance(e, (Num, Var, Neg, Bin, Call)):
         return e
+    if isinstance(e, (int, float)):
+        return literal(e)
     raise TypeError(f"cannot use {type(e).__name__} as an expression")
 
 
-def _is_const(node: Node, value: float | None = None) -> bool:
+def _is_const(node: Expression, value: float | None = None) -> bool:
     if not isinstance(node, Num):
         return False
     return value is None or node.value == value
 
 
-def _literal(value: float) -> Num:
+def literal(value: float) -> Expression:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"literal must be finite, got {value!r}")
     return Num(value)
 
 
-def _neg(x: Node) -> Node:
+def variable(name: str) -> Expression:
+    return Var(name)
+
+
+def neg(e) -> Expression:
+    x = _as_node(e)
     if isinstance(x, Num):
         return Num(-x.value)
     if isinstance(x, Neg):
@@ -908,9 +906,10 @@ def _neg(x: Node) -> Node:
     return Neg(x)
 
 
-def _add(x: Node, y: Node) -> Node:
+def add(a, b) -> Expression:
+    x, y = _as_node(a), _as_node(b)
     if isinstance(x, Num) and isinstance(y, Num):
-        return _literal(x.value + y.value)
+        return literal(x.value + y.value)
     if _is_const(x, 0.0):
         return y
     if _is_const(y, 0.0):
@@ -918,19 +917,21 @@ def _add(x: Node, y: Node) -> Node:
     return Bin("+", x, y)
 
 
-def _sub(x: Node, y: Node) -> Node:
+def sub(a, b) -> Expression:
+    x, y = _as_node(a), _as_node(b)
     if isinstance(x, Num) and isinstance(y, Num):
-        return _literal(x.value - y.value)
+        return literal(x.value - y.value)
     if _is_const(y, 0.0):
         return x
     if _is_const(x, 0.0):
-        return _neg(y)
+        return neg(y)
     return Bin("-", x, y)
 
 
-def _mul(x: Node, y: Node) -> Node:
+def mul(a, b) -> Expression:
+    x, y = _as_node(a), _as_node(b)
     if isinstance(x, Num) and isinstance(y, Num):
-        return _literal(x.value * y.value)
+        return literal(x.value * y.value)
     if _is_const(x, 0.0) or _is_const(y, 0.0):
         return _ZERO
     if _is_const(x, 1.0):
@@ -940,69 +941,35 @@ def _mul(x: Node, y: Node) -> Node:
     return Bin("*", x, y)
 
 
-def _div(x: Node, y: Node) -> Node:
+def div(a, b) -> Expression:
+    x, y = _as_node(a), _as_node(b)
     if _is_const(y, 1.0):
         return x
     # x/0 is left in the tree so evaluation reports the domain error
     if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
-        return _literal(x.value / y.value)
+        return literal(x.value / y.value)
     return Bin("/", x, y)
 
 
-def _power(x: Node, y: Node) -> Node:
+def power(a, b) -> Expression:
+    x, y = _as_node(a), _as_node(b)
     if isinstance(x, Num) and isinstance(y, Num):
-        return _literal(_pow(x.value, y.value))
+        return literal(_pow(x.value, y.value))
     if _is_const(y, 1.0):
         return x
     return Bin("^", x, y)
 
 
-_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
-
-
-def literal(value: float) -> Expression:
-    return Expression(_literal(value))
-
-
-def variable(name: str) -> Expression:
-    return Expression(Var(name))
-
-
-def neg(e) -> Expression:
-    return Expression(_neg(_as_node(e)))
-
-
-def add(a, b) -> Expression:
-    return Expression(_add(_as_node(a), _as_node(b)))
-
-
-def sub(a, b) -> Expression:
-    return Expression(_sub(_as_node(a), _as_node(b)))
-
-
-def mul(a, b) -> Expression:
-    return Expression(_mul(_as_node(a), _as_node(b)))
-
-
-def div(a, b) -> Expression:
-    return Expression(_div(_as_node(a), _as_node(b)))
-
-
-def power(a, b) -> Expression:
-    return Expression(_power(_as_node(a), _as_node(b)))
-
-
 def call(fn: str, e) -> Expression:
     if fn not in FUNCTIONS:
         raise ValueError(f"unknown function '{fn}'")
-    return Expression(Call(fn, _as_node(e)))
+    return Call(fn, _as_node(e))
 
 
-# the derivatives of a leaf, shared
-_D_ZERO, _D_ONE = Expression(_ZERO), Expression(_ONE)
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
 
 
-def _diff(node: Node, var: str) -> Expression:
+def _diff(node: Expression, var: str) -> Expression:
     """First partial of ``node`` with respect to ``var``, folded as the
     builders fold.
 
@@ -1011,20 +978,20 @@ def _diff(node: Node, var: str) -> Expression:
     anywhere, in this tree or another, is the same node.
     """
     if isinstance(node, Num):
-        return _D_ZERO
+        return _ZERO
     if isinstance(node, Var):
-        return _D_ONE if node.name == var else _D_ZERO
+        return _ONE if node.name == var else _ZERO
     memo = node._diffs
     if memo is None:  # benign race: the rule is deterministic
         memo = {}
         _set(node, "_diffs", memo)
     out = memo.get(var)
     if out is None:
-        out = memo[var] = Expression(_diff_rule(node, var))
+        out = memo[var] = _diff_rule(node, var)
     return out
 
 
-def _diff_rule(node: Node, var: str) -> Node:
+def _diff_rule(node: Expression, var: str) -> Expression:
     """The differentiation rule of ``node``'s kind.
 
     A subtree free of ``var`` differentiates to the literal 0, and every
@@ -1032,59 +999,59 @@ def _diff_rule(node: Node, var: str) -> Node:
     evaluated that the derivative does not need.
     """
     if isinstance(node, (Neg, Call)):
-        du = _diff(node.arg, var).root
+        du = _diff(node.arg, var)
         if _is_const(du, 0.0):
             return du
         if isinstance(node, Neg):
-            return _neg(du)
+            return neg(du)
         u = node.arg
         if node.fn == "sin":
             outer = Call("cos", u)
         elif node.fn == "cos":
-            outer = _neg(Call("sin", u))
+            outer = neg(Call("sin", u))
         elif node.fn == "exp":
             outer = node
         elif node.fn == "log":
-            return _div(du, u)
+            return div(du, u)
         elif node.fn == "sqrt":
-            return _div(du, _mul(_TWO, node))
+            return div(du, mul(_TWO, node))
         elif node.fn == "abs":
             outer = Call("sign", u)
         else:  # sign: piecewise constant
             return _ZERO
-        return _mul(outer, du)
+        return mul(outer, du)
     u, v = node.lhs, node.rhs
-    du, dv = _diff(u, var).root, _diff(v, var).root
+    du, dv = _diff(u, var), _diff(v, var)
     u_free, v_free = _is_const(du, 0.0), _is_const(dv, 0.0)
     if u_free and v_free:
         return _ZERO
     if node.op == "+":
-        return _add(du, dv)
+        return add(du, dv)
     if node.op == "-":
-        return _sub(du, dv)
+        return sub(du, dv)
     if node.op == "*":
-        return _add(_mul(du, v), _mul(u, dv))
+        return add(mul(du, v), mul(u, dv))
     if node.op == "/":
         if v_free:
-            return _div(du, v)
-        return _div(_sub(_mul(du, v), _mul(u, dv)), _mul(v, v))
+            return div(du, v)
+        return div(sub(mul(du, v), mul(u, dv)), mul(v, v))
     # u^v: the log(u) term appears only when the exponent depends on var,
     # so a parameter exponent never needs u > 0
     if v_free:
-        return _mul(_mul(v, _power(u, _sub(v, _ONE))), du)
-    log_term = _mul(_mul(node, Call("log", u)), dv)
+        return mul(mul(v, power(u, sub(v, _ONE))), du)
+    log_term = mul(mul(node, Call("log", u)), dv)
     if u_free:
         return log_term
-    return _add(_mul(_mul(v, _power(u, _sub(v, _ONE))), du), log_term)
+    return add(mul(mul(v, power(u, sub(v, _ONE))), du), log_term)
 
 
 def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expression:
     """Replace variables by expressions (exact rebuild, no folding)."""
     repl = {name: _as_node(r) for name, r in replacements.items()}
-    return Expression(_substituted(e.root, repl, {}))
+    return _substituted(e, repl, {})
 
 
-def _substituted(node: Node, repl: dict, done: dict) -> Node:
+def _substituted(node: Expression, repl: dict, done: dict) -> Expression:
     """``node`` with ``repl`` put in, each distinct subtree rebuilt once.
 
     A module function, not a closure: a nested function that calls

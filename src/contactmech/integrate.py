@@ -333,7 +333,10 @@ def integrate_adaptive(
 
     The mixed absolute/relative control keeps the test meaningful both
     near zero and when the action variable grows large.  Step factor is
-    0.9*(budget/err)^(1/5) clamped to [0.2, 5.0].
+    0.9*(budget/err)^(1/5) clamped to [0.2, 5.0].  A trial step that
+    raises DivergenceError is rejected with factor 0.2; the error
+    propagates, naming the last accepted state, only once the step
+    falls below the resolvable size.
     """
     span = _validate_window(t0, tf)
     tol = _require_positive("tol", tol)
@@ -350,7 +353,15 @@ def integrate_adaptive(
     dt_floor = 1e-12 * span
     while t < tf:
         h = min(dt, tf - t)
-        out, err = step(sys, y, t, h)
+        try:
+            out, err = step(sys, y, t, h)
+        except DivergenceError:
+            # a trial step that leaves the domain is rejected and shrunk
+            rejected += 1
+            dt = 0.2 * h
+            if dt < dt_floor:
+                raise
+            continue
         budget = tol * (1.0 + max(map(abs, y)))
         if err <= budget:
             t = tf if h >= tf - t else t + h
@@ -391,7 +402,9 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a file produced by write_trajectory_csv (H column is dropped)."""
+    """Read a file produced by write_trajectory_csv (H column is dropped).
+
+    A non-finite t or chart cell is a ValueError naming its line."""
     text = Path(path).read_text()
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -417,11 +430,16 @@ def read_trajectory_csv(path) -> Trajectory:
             raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
         times.append(row[0])
         states.append(row[1:-1])
+    times, states = np.array(times), np.array(states)
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(times)
+    if not finite.all():
+        lineno = int(np.argmin(finite)) + 2
+        raise ValueError(f"{path}: line {lineno}: non-finite cell")
     try:
         return Trajectory(
             names=names,
-            times=np.array(times),
-            states=np.array(states),
+            times=times,
+            states=states,
             method="file",
             accepted=0,
             rejected=0,

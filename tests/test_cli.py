@@ -220,6 +220,27 @@ def test_verify_can_reuse_a_trajectory(gravity_spec, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_a_trajectory_with_non_finite_cells(gravity_spec, tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    assert main(["simulate", str(gravity_spec), "--dt", "1e-1", "--out", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    for k, bad in ((2, "nan"), (3, "inf")):
+        t, _, rest = rows[k].split(",", 2)
+        rows[k] = ",".join((t, bad, rest))
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    report = tmp_path / "r.json"
+    capsys.readouterr()
+    rc = main(
+        ["verify", str(gravity_spec), "--trajectory", str(csv), "--report", str(report)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: {csv}: line 4: non-finite cell"
+    assert not report.exists()
+
+
 def test_verify_rejects_a_foreign_trajectory(gravity_spec, tmp_path, capsys):
     other = tmp_path / "fp.yaml"
     assert main(["export-model", "damped_free_particle", "--out", str(other)]) == 0

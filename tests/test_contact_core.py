@@ -294,7 +294,7 @@ def test_kernel_matches_the_per_component_path(name):
         expected = _per_component(sys, flat)
         assert _bits(sys.flow(flat)) == _bits(expected)
         env = _env(sys, flat)
-        assert _bits(expected) == _bits(walk(c.root, env) for c in sys._field)
+        assert _bits(expected) == _bits(walk(c, env) for c in sys._field)
         point = ChartPoint.from_flat(flat)
         assert _bits([sys.hamiltonian_value(point)]) == _bits(
             [sys.hamiltonian._run(env)]
@@ -352,13 +352,13 @@ def test_per_state_functions_match_a_tree_walk(name):
         point = ChartPoint.from_flat(flat)
         env = _env(sys, flat)
         for label, call, trees in _probes(sys):
-            expected = [walk(tree.root, env) for tree in trees]
+            expected = [walk(tree, env) for tree in trees]
             assert _bits(_as_list(call(point))) == _bits(expected), label
         # hamilton_equation_residuals: H and its gradient from the kernel,
         # combined with the flow by the formulas of its docstring
         field = Tangent.from_flat(sys.flow(flat))
-        value = walk(sys.hamiltonian.root, env)
-        grad = [walk(sys.hamiltonian.derivative(v).root, env) for v in sys.chart_names]
+        value = walk(sys.hamiltonian, env)
+        grad = [walk(sys.hamiltonian.derivative(v), env) for v in sys.chart_names]
         r_eta, r_deta = hamilton_equation_residuals(sys, point)
         expected = (
             contact_form_apply(point, field) + value,
@@ -489,8 +489,8 @@ def test_kernel_cache_keeps_signed_zero_trees_apart():
     assert _bits([negative_zero.expression.evaluate({})]) == _bits([-0.0])
     # at q = -0.0, q + 0.0 is 0.0 but q + -0.0 is -0.0
     q = ex.Var("q")
-    plus_zero = ex.Expression(ex.Bin("+", q, ex.Num(0.0)))
-    plus_negative_zero = ex.Expression(ex.Bin("+", q, ex.Num(-0.0)))
+    plus_zero = ex.Bin("+", q, ex.Num(0.0))
+    plus_negative_zero = ex.Bin("+", q, ex.Num(-0.0))
     assert _bits([ScalarField("c", plus_zero).value(sys, point)]) == _bits([0.0])
     assert _bits([ScalarField("d", plus_negative_zero).value(sys, point)]) == (
         _bits([-0.0])

@@ -167,15 +167,27 @@ def test_adaptive_domain_error_reports_the_last_accepted_state(sqrt_well):
         integrate_adaptive, sqrt_well, ChartPoint((1.0,), (0.0,), 0.0), 0.0, 3.0, 1e-9
     )
     state = ChartPoint(
-        (1.1048935905471452e-09,), (-1.1786883232355827,), -0.7195332512092489
+        (8.849057730566228e-12,), (-1.1787139993658506,), -0.7195332502287782
     )
     assert str(err) == _UNDEFINED + (
-        "t=2.1877280736520177: q=1.1048935905471452e-09, "
-        "p_q=-1.1786883232355827, s=-0.7195332512092489)"
+        "t=2.1877280745818948: q=8.849057730566228e-12, "
+        "p_q=-1.1787139993658506, s=-0.7195332502287782)"
     )
-    assert err.time == 2.1877280736520177
+    assert err.time == 2.1877280745818948
     assert err.state == state
     sqrt_well.flow(state.flat())
+
+
+def test_adaptive_rejects_a_trial_step_that_leaves_the_domain(sqrt_well):
+    # the first trial step spans the window and a stage reaches q < 0;
+    # shrinking it lets the integrator follow q down to the wall
+    err = _divergence(
+        integrate_adaptive, sqrt_well, ChartPoint((0.05,), (-1.0,), 0.0), 0.0, 0.1, 1e-9
+    )
+    assert err.time == 0.04728932275892085
+    assert err.state == ChartPoint(
+        (1.2847893306187424e-13,), (-1.1807896922117374,), 0.019130851460745137
+    )
 
 
 @pytest.mark.parametrize("step", [rk4_step, rkf45_step])
@@ -374,6 +386,9 @@ def test_csv_write_requires_matching_chart(tmp_path, gravity):
         ("t,q,p_q,s,H\n0.0,1.0,2.0,3.0,oops\n", "non-numeric"),
         ("t,q,p_q,s,H\n", "bad.csv: no data rows"),
         ("t,q,p_q,s,H\n1.0,0,0,0,0\n0.0,0,0,0,0\n", "bad.csv: times must be"),
+        ("t,q,p_q,s,H\n0.0,0,0,0,0\n1.0,nan,0,0,0\n", "bad.csv: line 3: non-finite"),
+        ("t,q,p_q,s,H\n0.0,0,0,0,0\ninf,0,0,0,0\n", "bad.csv: line 3: non-finite"),
+        ("t,q,p_q,s,H\n0.0,0,-inf,0,0\n1.0,0,0,0,0\n", "bad.csv: line 2: non-finite"),
     ],
 )
 def test_csv_read_errors(tmp_path, content, message):
