@@ -29,9 +29,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
 from .calculus import (
@@ -51,6 +49,9 @@ from .calculus import (
 from .contact_core import ChartPoint, ContactSystem, _chart_n, _given, contact_form_apply
 from .expr import Expression
 from .integrate import Trajectory
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CheckReport",
@@ -128,6 +129,8 @@ def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
     max and the mean, summed left to right, are taken over the Python
     floats of the other rows, so they match a per-row loop bit for bit.
     """
+    import numpy as np
+
     residual = np.max(np.abs(outputs), axis=0)
     residuals = residual[~(failed | np.isnan(residual))].tolist()
     if residuals:
@@ -186,6 +189,8 @@ def sample_states(
         raise ValueError(
             f"min_abs_momentum={min_abs_momentum!r} must be below box={box!r}"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = rng.uniform(-box, box, size=(count, sys.dim))
     if min_abs_momentum > 0.0:
@@ -202,6 +207,8 @@ def sample_states(
 def _sample_columns(sys: ContactSystem, samples: Sequence[ChartPoint]) -> np.ndarray:
     """The 2n+1 chart columns of the sample states, each state checked
     against the system's n up front."""
+    import numpy as np
+
     if not samples:
         raise ValueError("need at least one sample state")
     for point in samples:

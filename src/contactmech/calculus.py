@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
 from .contact_core import (
@@ -31,6 +29,9 @@ from .contact_core import (
     _given,
 )
 from .expr import Expression, MissingBindingError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ScalarField",
@@ -134,6 +135,8 @@ def vf_jacobian(
     sys: ContactSystem, field: VectorField, point: ChartPoint
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
+    import numpy as np
+
     _check_field(sys, field)
     values = sys._at(point, _jacobian_trees, field.components)
     return np.array(values).reshape(sys.dim, sys.dim)

@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
     final = ", ".join(
         f"{name}={value!r}" for name, value in zip(traj.names, last.flat())
     )
-    print(f"final state (t={float(traj.times[-1])!r}): {final}")
+    print(f"final state (t={traj._times[-1]!r}): {final}")
     decay = repr(hf / h0) if h0 != 0.0 else "n/a (H(t0) = 0)"
     print(f"H(t0)={h0!r}  H(tf)={hf!r}  decay factor: {decay}")
     print(f"wrote {args.out}")

@@ -44,6 +44,10 @@ kernel would raise DomainError.  numpy's arithmetic, ``abs`` and
 ``power`` differ from ``math`` in the last bit on some inputs, so sin,
 cos, exp, log and both powers call the ``math`` functions element by
 element: every unmasked row is bit-identical to the scalar kernel.
+
+Only the column kernels need numpy, and they import it when they run:
+importing this module, parsing, differentiating and the scalar kernels
+never load it.
 """
 
 from __future__ import annotations
@@ -54,8 +58,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "Bindings",
@@ -396,6 +398,8 @@ def _rowwise(fn: Callable) -> Callable:
     rows where it raises marked and given NaN."""
 
     def column(*args):
+        import numpy as np
+
         *args, mask = args
         rows = [np.broadcast_to(a, mask.shape).tolist() for a in args]
         try:
@@ -415,17 +419,23 @@ def _rowwise(fn: Callable) -> Callable:
 
 
 def _column_div(a, b, mask):
+    import numpy as np
+
     mask |= b == 0.0  # Python raises for every x/0.0, x = 0, inf or NaN too
     return np.true_divide(a, b)
 
 
 def _column_sqrt(x, mask):
+    import numpy as np
+
     mask |= x < 0.0
     return np.sqrt(x)
 
 
 def _column(x, shape):
     """An output as a column: a tree without variables gives a scalar."""
+    import numpy as np
+
     return x if getattr(x, "shape", None) == shape else np.full(shape, x)
 
 
@@ -440,7 +450,7 @@ _COLUMN_OPS = {
     "_pw": _rowwise(_pow),
     "_mpow": _rowwise(math.pow),
     "_sqrt": _column_sqrt,
-    "_abs": lambda x, mask: np.abs(x),
+    "_abs": lambda x, mask: abs(x),  # np.absolute on an array
     # as _sign: sign(0) = sign(NaN) = 0.0
     "_sign": lambda x, mask: 1.0 * (x > 0.0) - 1.0 * (x < 0.0),
     **{f"_{name}": _rowwise(_FUNC_IMPL[name]) for name in ("sin", "cos", "exp", "log")},
@@ -613,6 +623,8 @@ def _column_kernel(width: int, cells: list, steps: list, outputs: list,
     """
 
     def kernel(*columns):
+        import numpy as np
+
         if len(columns) != width:
             raise TypeError(f"kernel takes {width} columns, got {len(columns)}")
         mask = np.zeros(len(columns[0]), bool)

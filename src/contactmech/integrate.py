@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .contact_core import ChartPoint, ContactSystem, _given
 from .expr import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DivergenceError",
@@ -86,9 +89,17 @@ class StepUnderflowError(IntegrationError):
         self.state = state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
-    """Time-ordered chart samples plus integrator metadata."""
+    """Time-ordered chart samples plus integrator metadata.
+
+    `times` (N,) and `states` (N, 2n+1) are float64 arrays.  A trajectory
+    that an integrator or the CSV reader builds keeps its times and row
+    tuples, Python floats, and makes the arrays on first access, once;
+    one built by the constructor keeps its arrays and makes the rows on
+    first use.  `len`, the points and the CSV writer read the rows, so a
+    trajectory that is only written never needs numpy.
+    """
 
     names: tuple
     times: np.ndarray
@@ -97,9 +108,12 @@ class Trajectory:
     accepted: int = 0
     rejected: int = 0
 
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+    def __init__(self, names, times, states, method, accepted=0, rejected=0):
+        import numpy as np
+
+        names = tuple(names)
+        times = np.asarray(times, dtype=float)
+        states = np.asarray(states, dtype=float)
         if times.ndim != 1 or states.ndim != 2:
             raise ValueError("times must be 1-d and states 2-d")
         if len(times) != len(states):
@@ -108,34 +122,81 @@ class Trajectory:
             )
         if len(times) == 0:
             raise ValueError("empty trajectory")
-        if states.shape[1] != len(self.names):
+        if states.shape[1] != len(names):
             raise ValueError(
                 f"states have {states.shape[1]} columns, expected "
-                f"{len(self.names)}"
+                f"{len(names)}"
             )
         if len(times) > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        self._fill(
+            names=names, times=times, states=states,
+            method=method, accepted=accepted, rejected=rejected,
+        )
+
+    @classmethod
+    def _of_rows(cls, names, times: list, rows: list, method, accepted, rejected):
+        """A trajectory kept as `times` and `rows`, the Python floats that
+        an integrator or the CSV reader made: at least one row, each a
+        tuple of len(names) floats.  Only the time order is checked."""
+        if not all(map(operator.lt, times, times[1:])):
+            raise ValueError("times must be strictly increasing")
+        traj = cls.__new__(cls)
+        traj._fill(
+            names=tuple(names), _times=times, _rows=rows,
+            method=method, accepted=accepted, rejected=rejected,
+        )
+        return traj
+
+    def _fill(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    # The fields `times` and `states` and the rows `_times` and `_rows`
+    # are cached properties, each side made from the other on first
+    # access; a trajectory's instance holds the side it was built from,
+    # which shadows the class's property for it.
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._times, dtype=float)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        import numpy as np
+
+        # about twice as fast as np.array over the row tuples
+        shape = (len(self._rows), len(self.names))
+        flat = np.fromiter(chain.from_iterable(self._rows), float, shape[0] * shape[1])
+        return flat.reshape(shape)
+
+    @functools.cached_property
+    def _times(self) -> list:
+        return self.times.tolist()
+
+    @functools.cached_property
+    def _rows(self) -> list:
+        return self.states.tolist()
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self._times)
 
     @property
     def n(self) -> int:
         return (len(self.names) - 1) // 2
 
     def point(self, i: int) -> ChartPoint:
-        return ChartPoint.from_flat(self.states[i].tolist())
+        return ChartPoint.from_flat(self._rows[i])
 
     def points(self):
-        for row in self.states:
-            yield ChartPoint.from_flat(row.tolist())
+        for row in self._rows:
+            yield ChartPoint.from_flat(row)
 
     @property
     def final_point(self) -> ChartPoint:
-        return self.point(len(self) - 1)
+        return self.point(-1)
 
     def column(self, name: str) -> np.ndarray:
         if name == "t":
@@ -312,14 +373,7 @@ def integrate_fixed(
         states.append(y)
         k += 1
 
-    return Trajectory(
-        names=sys.chart_names,
-        times=np.array(times),
-        states=np.array(states),
-        method="rk4",
-        accepted=len(times) - 1,
-        rejected=0,
-    )
+    return Trajectory._of_rows(sys.chart_names, times, states, "rk4", len(times) - 1, 0)
 
 
 def integrate_adaptive(
@@ -378,13 +432,8 @@ def integrate_adaptive(
                 t, dt, ChartPoint.from_flat(y), sys.chart_names
             )
 
-    return Trajectory(
-        names=sys.chart_names,
-        times=np.array(times),
-        states=np.array(states),
-        method="rkf45",
-        accepted=accepted,
-        rejected=rejected,
+    return Trajectory._of_rows(
+        sys.chart_names, times, states, "rkf45", accepted, rejected
     )
 
 
@@ -394,22 +443,25 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
         raise ValueError("trajectory chart names do not match the system")
     energy = sys._kernel(_given, sys.hamiltonian)
     lines = ["t," + ",".join(traj.names) + ",H"]
-    # one row at a time: converting the whole array at once costs memory
-    for t, row in zip(traj.times, traj.states):
-        values = row.tolist()
-        lines.append(",".join(map(repr, [float(t), *values, energy(*values)])))
+    for t, values in zip(traj._times, traj._rows):
+        lines.append(",".join(map(repr, (t, *values, energy(*values)))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Read a file produced by write_trajectory_csv (H column is dropped).
 
-    A non-finite t or chart cell is a ValueError naming its line."""
+    Blank lines are skipped.  A non-finite t or chart cell is a
+    ValueError too, and every error names the line's number in the file."""
     text = Path(path).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
     if not lines:
         raise ValueError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if len(header) < 5 or header[0] != "t" or header[-1] != "H":
         raise ValueError(f"{path}: expected header t,<chart names>,H")
     if len(lines) == 1:
@@ -417,7 +469,8 @@ def read_trajectory_csv(path) -> Trajectory:
     names = tuple(header[1:-1])
     times = []
     states = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    nonfinite = None  # the first line with a non-finite t or chart cell
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(
@@ -425,24 +478,16 @@ def read_trajectory_csv(path) -> Trajectory:
                 f"got {len(cells)}"
             )
         try:
-            row = [float(c) for c in cells]
+            row = tuple(map(float, cells))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
+        if nonfinite is None and not all(map(math.isfinite, row[:-1])):
+            nonfinite = lineno
         times.append(row[0])
         states.append(row[1:-1])
-    times, states = np.array(times), np.array(states)
-    finite = np.isfinite(states).all(axis=1) & np.isfinite(times)
-    if not finite.all():
-        lineno = int(np.argmin(finite)) + 2
-        raise ValueError(f"{path}: line {lineno}: non-finite cell")
+    if nonfinite is not None:
+        raise ValueError(f"{path}: line {nonfinite}: non-finite cell")
     try:
-        return Trajectory(
-            names=names,
-            times=times,
-            states=states,
-            method="file",
-            accepted=0,
-            rejected=0,
-        )
+        return Trajectory._of_rows(names, times, states, "file", 0, 0)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 """Fixed and adaptive steppers, trajectories, and CSV round trips."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from contactmech import (
     builtin,
     integrate_adaptive,
     integrate_fixed,
+    load_document,
     read_trajectory_csv,
     rk4_step,
     rkf45_step,
     write_trajectory_csv,
 )
 from contactmech.models import analytic_reference
+
+SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "gravity_friction.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +346,53 @@ def test_trajectory_validation():
         Trajectory(("q", "s"), np.array([0.0]), np.zeros((1, 3)), "rk4")
 
 
+@pytest.mark.parametrize(
+    "names, times, states, message",
+    [
+        ("q p_q s", [0.0, 0.0, 1.0], [[0.0] * 3] * 3, "times must be strictly"),
+        ("q p_q s", [0.0, 1.0], [[0.0] * 3] * 3, "2 times but 3 states"),
+        # numpy reads states=[] as 1-d, so an empty list fails on the shape
+        ("q p_q s", [], [], "times must be 1-d and states 2-d"),
+        ("q s", [0.0], [[0.0] * 3], "states have 3 columns, expected 2"),
+    ],
+)
+def test_trajectory_validation_of_lists(names, times, states, message):
+    with pytest.raises(ValueError) as err:
+        Trajectory(tuple(names.split()), times, states, "rk4")
+    assert str(err.value).startswith(message)
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    return load_document(SHIPPED_SPEC)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_integrated_trajectory_makes_its_arrays_once_from_its_rows(
+    method, shipped, tmp_path
+):
+    sys, s0 = shipped.system, shipped.initial_state
+    if method == "rk4":
+        traj = integrate_fixed(sys, s0, 0.0, 2.0, 1e-2)
+    else:
+        traj = integrate_adaptive(sys, s0, 0.0, 2.0, 1e-9)
+    lazy = tmp_path / "lazy.csv"
+    write_trajectory_csv(sys, traj, lazy)
+    assert "times" not in vars(traj) and "states" not in vars(traj)
+    times, rows = np.array(traj._times), np.array(traj._rows)
+    assert traj.times.dtype == traj.states.dtype == np.float64
+    assert traj.times.shape == (len(traj),) and traj.states.shape == (len(traj), 5)
+    assert np.array_equal(traj.times, times) and np.array_equal(traj.states, rows)
+    assert traj.times is traj.times and traj.states is traj.states
+    eager = Trajectory(
+        traj.names, times, rows, traj.method, traj.accepted, traj.rejected
+    )
+    write_trajectory_csv(sys, eager, tmp_path / "eager.csv")
+    assert lazy.read_bytes() == (tmp_path / "eager.csv").read_bytes()
+    assert [p.flat() for p in traj.points()] == [p.flat() for p in eager.points()]
+    assert traj.final_point == eager.final_point == eager.point(len(eager) - 1)
+
+
 def test_trajectory_columns(gravity, base_point):
     traj = integrate_fixed(gravity, base_point, 0.0, 1.0, 0.5)
     assert np.array_equal(traj.column("t"), traj.times)
@@ -389,6 +440,11 @@ def test_csv_write_requires_matching_chart(tmp_path, gravity):
         ("t,q,p_q,s,H\n0.0,0,0,0,0\n1.0,nan,0,0,0\n", "bad.csv: line 3: non-finite"),
         ("t,q,p_q,s,H\n0.0,0,0,0,0\ninf,0,0,0,0\n", "bad.csv: line 3: non-finite"),
         ("t,q,p_q,s,H\n0.0,0,-inf,0,0\n1.0,0,0,0,0\n", "bad.csv: line 2: non-finite"),
+        # lines are numbered as in the file, blank ones included
+        ("t,q,p_q,s,H\n0,0,0,0,0\n\n1,0,0,0,0\n2,0,0,0,0\n3,0,0,x,0\n",
+         "bad.csv: line 6: non-numeric cell"),
+        ("\nt,q,p_q,s,H\n\n0,0,0,0,0\n1,0,0,0\n", "bad.csv: line 5: expected 5"),
+        ("t,q,p_q,s,H\n\n\n0,0,0,0,0\n\n1,0,nan,0,0\n", "bad.csv: line 6: non-finite"),
     ],
 )
 def test_csv_read_errors(tmp_path, content, message):
