@@ -28,22 +28,26 @@ Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
 the tree into another expression, so differentiating a derivative again
 gives exact second derivatives without finite differencing.
 
-A scalar kernel is one straight-line function of named values as
-positional arguments, with constants folded in, generated as Python
-source and compiled by ``_compile_kernel``.  An expression compiles
-itself over its sorted names for ``evaluate``; a contact system
-compiles its flow, H and the operator trees of ``calculus`` over its
-chart, with its parameters folded in, for single states.  Compilation
-is lazy and cached, a benign race.
+``_compile_kernel`` makes a kernel of a batch of trees in two forms
+from one list of steps: one walk of the trees lists each distinct
+operation once, in the order of evaluating each tree alone, with
+constants folded in, and one table, ``_OPS``, gives each operation's
+scalar and column function.  A scalar kernel is one straight-line
+function of named values as positional arguments, generated as Python
+source from the steps and compiled.  An expression compiles itself over
+its sorted names for ``evaluate``; a contact system compiles its flow,
+H and the operator trees of ``calculus`` over its chart, with its
+parameters folded in, for single states.  Compilation is lazy and
+cached, a benign race.
 
-A column kernel (``columns``) compiles nothing: it evaluates the same
-operations, each distinct one once, over numpy arrays, one row per
-state, and returns with its values a mask of the rows where the scalar
-kernel would raise DomainError.  numpy's arithmetic, ``abs`` and
-``sqrt`` round exactly as Python's do, but its ``exp``, ``log`` and
-``power`` differ from ``math`` in the last bit on some inputs, so sin,
-cos, exp, log and both powers call the ``math`` functions element by
-element: every unmasked row is bit-identical to the scalar kernel.
+A column kernel (``columns``) compiles nothing: it runs the same steps
+over numpy arrays, one row per state, and returns with its values a
+mask of the rows where the scalar kernel would raise DomainError.
+numpy's arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do,
+but its ``exp``, ``log`` and ``power`` differ from ``math`` in the last
+bit on some inputs, so sin, cos, exp, log and both powers call the
+``math`` functions element by element: every unmasked row is
+bit-identical to the scalar kernel.
 
 Only the column kernels need numpy, and they import it when they run:
 importing this module, parsing, differentiating and the scalar kernels
@@ -56,7 +60,9 @@ import math
 import operator
 import threading
 import weakref
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -147,18 +153,6 @@ def _pow(base, exponent):
 def _sign(x):
     """Derivative of abs; sign(0) = 0."""
     return 1.0 if x > 0.0 else (-1.0 if x < 0.0 else 0.0)
-
-
-_FUNC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    # private: produced by differentiating abs, never parsed
-    "sign": _sign,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -349,47 +343,13 @@ def _to_source(node: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
-
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": _pow,
-}
-
-# Generated code sees only these names, the arguments ``v<k>`` and the
-# temporaries ``t<k>``; chart and parameter names never become Python
-# identifiers.
-_HELPERS = {
-    "_pw": _pow,
-    "_mpow": math.pow,
-    "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
-    "_domain_error": _domain_error,
-    **{f"_{name}": impl for name, impl in _FUNC_IMPL.items()},
-}
-
-# A kernel raises DomainError itself, so callers see no raw arithmetic
-# error; it is compiled once per expression or system, so the larger
-# code costs little.
-_KERNEL_SOURCE = """\
-def _fn({args}):
-    try:
-        return {result}
-    except _ARITHMETIC_ERRORS as _e:
-        raise _domain_error(_e) from None
-"""
-
-
-# ---------------------------------------------------------------------------
-# Column kernels
-# ---------------------------------------------------------------------------
 #
-# The column form of each guarded helper takes the row mask last and
-# marks in it the rows where the scalar helper raises (see the module
+# The column form of each guarded operation takes the row mask last and
+# marks in it the rows where the scalar form raises (see the module
 # docstring for which of them run element by element).
 
-#: What a guarded helper raises on a row the column kernel marks.
+#: What a guarded operation raises: a column kernel marks the row, and
+#: folding leaves the operation in the code.
 _ROW_ERRORS = (ArithmeticError, ValueError, DomainError)
 
 
@@ -439,51 +399,78 @@ def _column(x, shape):
     return x if getattr(x, "shape", None) == shape else np.full(shape, x)
 
 
-#: The column operation of each helper name (see `_Emitter.helper`),
-#: taking the mask last.
-_COLUMN_OPS = {
-    "neg": lambda x, mask: -x,
-    "+": lambda a, b, mask: a + b,
-    "-": lambda a, b, mask: a - b,
-    "*": lambda a, b, mask: a * b,
-    "/": _column_div,
-    "_pw": _rowwise(_pow),
-    "_mpow": _rowwise(math.pow),
-    "_sqrt": _column_sqrt,
-    "_abs": lambda x, mask: abs(x),  # np.absolute on an array
-    # as _sign: sign(0) = sign(NaN) = 0.0
-    "_sign": lambda x, mask: 1.0 * (x > 0.0) - 1.0 * (x < 0.0),
-    **{f"_{name}": _rowwise(_FUNC_IMPL[name]) for name in ("sin", "cos", "exp", "log")},
+#: Each operation by its helper name (see `_Emitter.helper`): its scalar
+#: function, which folding runs and a scalar kernel calls, and its column
+#: function.  A scalar kernel writes ``neg`` and the operators inline.
+_OPS = {
+    "neg": (operator.neg, lambda x, mask: -x),
+    "+": (operator.add, lambda a, b, mask: a + b),
+    "-": (operator.sub, lambda a, b, mask: a - b),
+    "*": (operator.mul, lambda a, b, mask: a * b),
+    "/": (operator.truediv, _column_div),
+    "_pw": (_pow, _rowwise(_pow)),
+    "_mpow": (math.pow, _rowwise(math.pow)),
+    "_sqrt": (math.sqrt, _column_sqrt),
+    "_abs": (abs, lambda x, mask: abs(x)),  # np.absolute on an array
+    # private: produced by differentiating abs, never parsed; its column
+    # gives sign(0) = sign(NaN) = 0.0, as _sign does
+    "_sign": (_sign, lambda x, mask: 1.0 * (x > 0.0) - 1.0 * (x < 0.0)),
+    **{f"_{fn.__name__}": (fn, _rowwise(fn))
+       for fn in (math.sin, math.cos, math.exp, math.log)},
 }
+
+# Generated code sees only these names, the arguments ``v<k>`` and the
+# temporaries ``t<k>``; chart and parameter names never become Python
+# identifiers.
+_HELPERS = {
+    "_ARITHMETIC_ERRORS": _ARITHMETIC_ERRORS,
+    "_domain_error": _domain_error,
+    **{name: scalar for name, (scalar, _) in _OPS.items() if name[0] == "_"},
+}
+
+# A kernel raises DomainError itself, so callers see no raw arithmetic
+# error; it is compiled once per expression or system, so the larger
+# code costs little.
+_KERNEL_SOURCE = """\
+def _fn({args}):
+    try:
+        return {result}
+    except _ARITHMETIC_ERRORS as _e:
+        raise _domain_error(_e) from None
+"""
 
 
 class _Emitter:
-    """A batch of trees as kernel operations, each distinct subtree once.
+    """A batch of trees as one list of steps, each distinct subtree once.
 
     A subtree whose leaves are all literals or ``constants`` is evaluated
-    here by the same IEEE operations and used as its value, but only
-    when that raises nothing and is finite; otherwise it stays an
+    here by the scalar functions of `_OPS` and used as its value, but
+    only when that raises nothing and is finite; otherwise it stays an
     operation and fails at call time.  No other rewrite is made, so
     results are bit-identical.  Nodes are interned, so a repeated
-    subtree is one node, and every table here is keyed by the node.
+    subtree is one node, and `place` gives it one slot.
 
-    ``source`` writes Python code: the first occurrence of a repeated
-    subtree binds a temporary with ``:=`` and later occurrences read it,
-    so the operations run in the same depth-first, left-to-right order
-    as evaluating each tree alone, and the first one to fail is the
-    same.  ``columns`` lists the same operations, in the same order, for
-    a column kernel to run over (N,) arrays.
+    `place` is the one walk of the trees: it lists a step for each
+    distinct operation, depth first and left to right, the order of
+    evaluating each tree alone.  Both kernel forms are made from that
+    list.  ``columns`` gives it to a column kernel, which runs each step
+    once over (N,) arrays.  ``source`` writes it as Python code: a step
+    used once is inlined where it is used, and one used more than once
+    binds a temporary with ``:=`` where it first runs, and later uses
+    read it, so the operations run in the same order and the first one
+    to fail is the same.
     """
 
     def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
         self.index = {name: k for k, name in enumerate(variables)}
         self.constants = constants
         self.values: dict = {}  # node -> compile-time value, or None
-        self.uses: dict = {}  # node -> occurrences left in the code
-        self.temps: dict = {}  # node -> temporary bound at first occurrence
-        self.slots: dict = {}  # node -> its slot in a column kernel
+        self.slots: dict = {}  # node -> its slot in a kernel
         self.cells: list = []  # its slots after the variables' columns
-        self.steps: list = []  # its operations, see `columns`
+        self.steps: dict = {}  # its operations, see `columns`
+        self.uses: Counter = Counter()  # slot -> its occurrences, see `source`
+        self.texts: list = []  # slot -> its code where it next occurs
+        self.temps = 0  # temporaries bound so far
 
     def value(self, node: Expression):
         """Value known at compile time, possibly infinite; None if unknown."""
@@ -497,15 +484,9 @@ class _Emitter:
             args = [self.value(c) for c in _children(node)]
             out = None
             if all(a is not None for a in args):
-                if isinstance(node, Neg):
-                    impl = operator.neg
-                elif isinstance(node, Bin):
-                    impl = _BINARY[node.op]
-                else:
-                    impl = _FUNC_IMPL[node.fn]
                 try:
-                    out = impl(*args)
-                except (ArithmeticError, ValueError, DomainError):
+                    out = _OPS[self.helper(node)][0](*args)
+                except _ROW_ERRORS:
                     pass  # left in the code, so the call raises as before
         self.values[node] = out
         return out
@@ -534,51 +515,15 @@ class _Emitter:
         exponent = self.folded(node.rhs)
         return "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
 
-    def source(self, roots) -> list:
-        """One Python expression per root, to be evaluated in order."""
-        for root in roots:
-            self.count(root)
-        return [self.emit(root) for root in roots]
-
-    def count(self, node: Expression) -> None:
-        if isinstance(node, Var) or self.folded(node) is not None:
-            return
-        seen = self.uses.get(node, 0)
-        self.uses[node] = seen + 1
-        if not seen:
-            for child in _children(node):
-                self.count(child)
-
-    def emit(self, node: Expression) -> str:
-        value = self.folded(node)
-        if value is not None:
-            return repr(value)
-        if isinstance(node, Var):
-            return f"v{self.argument(node)}"
-        temp = self.temps.get(node)
-        if temp is not None:
-            return temp
-        helper = self.helper(node)
-        args = [self.emit(child) for child in _children(node)]
-        if helper == "neg":
-            src = f"(-{args[0]})"
-        elif helper in _BINARY:
-            src = f"({args[0]} {helper} {args[1]})"
-        else:
-            src = f"{helper}({', '.join(args)})"
-        if self.uses[node] > 1:
-            temp = self.temps[node] = f"t{len(self.temps)}"
-            return f"({temp} := {src})"
-        return src
-
     def columns(self, roots) -> tuple:
         """``(cells, steps, outputs)`` for `_column_kernel`.
 
         Slots 0..V-1 hold the V variable columns and the slots after
         them start as ``cells``: the folded values, and None where a
-        step ``(slot, operation, argument slots)`` puts its result.  The
-        steps run each distinct operation once, depth first and left to
-        right; ``outputs`` are the slots of the roots.
+        step puts its result.  ``steps`` maps each of those slots to
+        ``(helper, argument slots)``, in the order they run: each
+        distinct operation once, depth first and left to right.
+        ``outputs`` are the slots of the roots.
         """
         outputs = [self.place(root) for root in roots]
         return self.cells, self.steps, outputs
@@ -595,13 +540,44 @@ class _Emitter:
         elif isinstance(node, Var):
             slot = self.argument(node)
         else:
-            op = _COLUMN_OPS[self.helper(node)]
+            helper = self.helper(node)
             args = tuple(map(self.place, _children(node)))
             slot = len(self.index) + len(self.cells)
             self.cells.append(None)
-            self.steps.append((slot, op, args))
+            self.steps[slot] = helper, args
         self.slots[node] = slot
         return slot
+
+    def source(self, roots) -> list:
+        """One Python expression per root, to be evaluated in order,
+        written from the steps of `columns`."""
+        cells, steps, outputs = self.columns(roots)
+        self.uses.update(chain(outputs, *(args for _, args in steps.values())))
+        self.texts = [f"v{k}" for k in range(len(self.index))]
+        self.texts += [None if v is None else repr(v) for v in cells]
+        return [self.write(slot) for slot in outputs]
+
+    def write(self, slot: int) -> str:
+        """The code of ``slot``'s value where it next occurs.  A variable,
+        a folded value and a bound temporary are their text; a step used
+        once is inlined, and one used more often binds the next temporary,
+        which its later occurrences read."""
+        text = self.texts[slot]
+        if text is not None:
+            return text
+        helper, args = self.steps[slot]
+        args = [self.write(k) for k in args]
+        if helper == "neg":
+            text = f"(-{args[0]})"
+        elif helper[0] == "_":
+            text = f"{helper}({', '.join(args)})"
+        else:
+            text = f"({args[0]} {helper} {args[1]})"
+        if self.uses[slot] == 1:
+            return text
+        temp = self.texts[slot] = f"t{self.temps}"
+        self.temps += 1
+        return f"({temp} := {text})"
 
 
 def _children(node: Expression) -> tuple:
@@ -612,15 +588,16 @@ def _children(node: Expression) -> tuple:
     return ()
 
 
-def _column_kernel(width: int, cells: list, steps: list, outputs: list,
+def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
                    as_tuple: bool) -> Callable:
     """Run the `_Emitter.columns` steps over ``width`` (N,) columns, each
-    step once.
+    step once with its column function from `_OPS`.
 
     The steps run under ``np.errstate(all="ignore")``: the rows that
     the mask fails may overflow or divide by zero, silently.  Every
     output is broadcast to N rows, so a folded one is a column too.
     """
+    ops = [(slot, _OPS[helper][1], args) for slot, (helper, args) in steps.items()]
 
     def kernel(*columns):
         import numpy as np
@@ -630,7 +607,7 @@ def _column_kernel(width: int, cells: list, steps: list, outputs: list,
         mask = np.zeros(len(columns[0]), bool)
         regs = [*columns, *cells]
         with np.errstate(all="ignore"):
-            for slot, op, args in steps:
+            for slot, op, args in ops:
                 regs[slot] = op(*[regs[k] for k in args], mask)
         values = tuple(_column(regs[k], mask.shape) for k in outputs)
         return (values if as_tuple else values[0]), mask
@@ -654,15 +631,15 @@ def _compile_kernel(
     the same names bound; a name bound by neither raises
     MissingBindingError here.
 
-    Without ``columns`` the kernel is generated Python source, compiled:
-    it runs once per state.  With ``columns`` (and at least one
-    variable) nothing is compiled: the function takes one (N,) array
-    per variable, evaluates each distinct operation once over the
-    arrays with the helpers of `_COLUMN_OPS`, and returns
-    ``(values, mask)``.  The
-    values are (N,) arrays, bit-identical row by row to the scalar
-    kernel's wherever the boolean ``mask`` is False, and ``mask`` is
-    True on exactly the rows where the scalar kernel raises DomainError.
+    Both forms run the steps of one `_Emitter` walk.  Without
+    ``columns`` the kernel is generated Python source, compiled: it runs
+    once per state.  With ``columns`` (and at least one variable)
+    nothing is compiled: the function takes one (N,) array per
+    variable, runs each step once over the arrays with the column
+    functions of `_OPS`, and returns ``(values, mask)``.  The values are
+    (N,) arrays, bit-identical row by row to the scalar kernel's
+    wherever the boolean ``mask`` is False, and ``mask`` is True on
+    exactly the rows where the scalar kernel raises DomainError.
     """
     as_tuple = isinstance(result, tuple)
     roots = list(result) if as_tuple else [result]

@@ -89,16 +89,16 @@ class StepUnderflowError(IntegrationError):
         self.state = state
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Trajectory:
     """Time-ordered chart samples plus integrator metadata.
 
-    `times` (N,) and `states` (N, 2n+1) are float64 arrays.  A trajectory
-    that an integrator or the CSV reader builds keeps its times and row
-    tuples, Python floats, and makes the arrays on first access, once;
-    one built by the constructor keeps its arrays and makes the rows on
-    first use.  `len`, the points and the CSV writer read the rows, so a
-    trajectory that is only written never needs numpy.
+    A trajectory keeps its times and its rows, tuples of Python floats,
+    in lists of its own: the constructor copies what it is given.
+    `times` (N,) and `states` (N, 2n+1) are read-only float64 arrays
+    made from them on first access, once; `len`, the points and the CSV
+    writer read the rows, so a trajectory that is only written never
+    needs numpy.  Two trajectories are equal only if they are one object.
     """
 
     names: tuple
@@ -130,7 +130,8 @@ class Trajectory:
         if len(times) > 1 and not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be strictly increasing")
         self._fill(
-            names=names, times=times, states=states,
+            names=names, _times=times.tolist(),
+            _rows=list(map(tuple, states.tolist())),
             method=method, accepted=accepted, rejected=rejected,
         )
 
@@ -152,16 +153,20 @@ class Trajectory:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    # The fields `times` and `states` and the rows `_times` and `_rows`
-    # are cached properties, each side made from the other on first
-    # access; a trajectory's instance holds the side it was built from,
-    # which shadows the class's property for it.
+    def __repr__(self) -> str:
+        return (
+            f"Trajectory(names={self.names!r}, method={self.method!r}, "
+            f"rows={len(self)}, accepted={self.accepted}, "
+            f"rejected={self.rejected})"
+        )
 
     @functools.cached_property
     def times(self) -> np.ndarray:
         import numpy as np
 
-        return np.array(self._times, dtype=float)
+        times = np.array(self._times, dtype=float)
+        times.flags.writeable = False
+        return times
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -170,15 +175,9 @@ class Trajectory:
         # about twice as fast as np.array over the row tuples
         shape = (len(self._rows), len(self.names))
         flat = np.fromiter(chain.from_iterable(self._rows), float, shape[0] * shape[1])
-        return flat.reshape(shape)
-
-    @functools.cached_property
-    def _times(self) -> list:
-        return self.times.tolist()
-
-    @functools.cached_property
-    def _rows(self) -> list:
-        return self.states.tolist()
+        states = flat.reshape(shape)
+        states.flags.writeable = False
+        return states
 
     def __len__(self) -> int:
         return len(self._times)

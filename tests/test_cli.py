@@ -279,6 +279,77 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
             "quantities: [{name: z, expression: zeta, expect: neither}]\n",
             "quantities[0] (z): unknown identifier 'zeta'",
         ),
+        ("n: 1\ncoordinates: [q]\x07\n", "unacceptable character"),  # reader error
+        ("- n: 1\n", "document root must be a mapping"),
+        ("n: true\ncoordinates: [q]\nhamiltonian: p_q\n", "n: expected a positive integer"),
+        ("n: 0\ncoordinates: []\nhamiltonian: s\n", "n: expected a positive integer"),
+        ("n: 1\ncoordinates: q\nhamiltonian: p_q\n", "coordinates: must be a list of names"),
+        ("n: 2\ncoordinates: [q]\nhamiltonian: p_q\n", "n: declared n=2 but coordinates lists 1"),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: [1]\n",
+            "parameters: must be a mapping",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {1: 2}\n",
+            "parameters: name must be a non-empty string",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {g: fast}\n",
+            "parameters.g: expected a number, got 'fast'",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {g: .inf}\n",
+            "parameters.g: value must be finite",
+        ),
+        ("n: 1\ncoordinates: [q]\nhamiltonian: 3\n", "hamiltonian: must be expression source"),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\ninitial_state: [0, 1, 0]\n",
+            "initial_state: must be a mapping",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\ninitial_state: {q: 0}\n",
+            "initial_state: missing entries for ['p_q', 's']",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "initial_state: {q: 0, p_q: 1, s: 0, w: 2}\n",
+            "initial_state: unknown variables ['w']",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{expression: q, expect: neither}]\n",
+            "quantities[0]: name must be a non-empty string",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{name: z, expression: [q], expect: neither}]\n",
+            "quantities[0] (z): expression: expected expression source text",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "symmetries: [{name: y, components: [q], expect: contact}]\n",
+            "symmetries[0] (y): components must be a mapping",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "maps: [{name: f, components: {w: q}, expect: contact}]\n",
+            "maps[0] (f): components.w: not a chart variable (chart is q, p_q, s)",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{name: z, expression: q, expect: constant}]\n",
+            "quantities[0] (z): expect must be one of conserved, dissipated, neither",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{name: z, expression: q, expect: neither},"
+            " {name: z, expression: p_q, expect: neither}]\n",
+            "quantities: candidate names must be unique",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nsymmetries: [q]\n",
+            "symmetries: must be a list of mappings",
+        ),
     ],
 )
 def test_verify_spec_errors(tmp_path, capsys, content, fragment):
@@ -460,6 +531,53 @@ def test_verify_candidates_with_non_constant_components(tmp_path, capsys):
         "noether[rotation]": "dissipated",
         "rotation_map": "contact",
     }
+
+
+# Y = X_H written out: [X_H, X_H] = 0, but L_{X_H}eta = -gamma*eta, so it
+# is a dynamical symmetry and not a contact one; the quantity 0 is both
+# conserved and dissipated.
+HAMILTONIAN_FIELD_SPEC = """\
+n: 2
+coordinates: [x, y]
+parameters: {m: 1.0, g: 9.8, gamma: 0.5}
+hamiltonian: (p_x^2 + p_y^2)/(2*m) + m*g*y + gamma*s
+initial_state: {x: 0.0, y: 0.0, p_x: 1.0, p_y: 1.0, s: 0.0}
+symmetries:
+- name: flow
+  components:
+    x: p_x/m
+    y: p_y/m
+    p_x: -gamma*p_x
+    p_y: -(m*g + gamma*p_y)
+    s: (p_x^2 + p_y^2)/(2*m) - m*g*y - gamma*s
+  expect: dynamical
+quantities:
+- name: zero
+  expression: '0'
+  expect: conserved
+"""
+
+
+def test_verify_and_analyze_a_dynamical_symmetry(tmp_path, capsys):
+    spec = tmp_path / "flow.yaml"
+    spec.write_text(HAMILTONIAN_FIELD_SPEC)
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    for report in reports:
+        assert main(["verify", str(spec), "--report", str(report)]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    capsys.readouterr()
+    data = json.loads(reports[0].read_text())
+    assert data["all_expectations_met"] is True
+    observed = {entry["name"]: entry["observed"] for entry in data["checks"]}
+    assert observed == {
+        "flow": "dynamical",
+        "noether[flow]": "dissipated",
+        "zero": "both",
+    }
+    assert main(["analyze", str(spec), "flow"]) == 0
+    text = capsys.readouterr().out
+    assert "classification: dynamical symmetry, not contact" in text
+    assert "no dissipation guarantee" not in text
 
 
 def test_runtime_imports_no_test_only_oracles(tmp_path):

@@ -520,3 +520,69 @@ def test_verify_of_the_chain_applies_each_rule_once(tmp_path, monkeypatch):
     assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
     assert len(applied) > 500
     assert len(set(applied)) == len(applied)
+
+
+def _count_calls(monkeypatch, helper: str) -> dict:
+    """Calls of ``helper`` in the kernels compiled from now on, by form."""
+    calls = {"scalar": 0, "column": 0}
+    scalar, column = ex._OPS[helper]
+
+    def counted_scalar(*args):
+        calls["scalar"] += 1
+        return scalar(*args)
+
+    def counted_column(*args):
+        calls["column"] += 1
+        return column(*args)
+
+    monkeypatch.setitem(ex._OPS, helper, (counted_scalar, counted_column))
+    monkeypatch.setitem(ex._HELPERS, helper, counted_scalar)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        ("sin(x)*y", "sin(x) + 1"),
+        ("sin(x)*sin(x)",),
+        ("exp(sin(x)) + y*sin(x)", "sin(x)"),
+    ],
+)
+def test_a_shared_subtree_runs_once_in_both_kernel_forms(monkeypatch, sources):
+    calls = _count_calls(monkeypatch, "_sin")
+    trees = tuple(parse(source, ("x", "y")) for source in sources)
+    scalar = ex._compile_kernel(trees, ("x", "y"), {})
+    column = ex._compile_kernel(trees, ("x", "y"), {}, columns=True)
+    states = [(0.5, 2.0), (1.5, -1.0), (-3.0, 0.25)]
+    expected = [scalar(*state) for state in states]
+    assert calls == {"scalar": len(states), "column": 0}
+    values, failed = column(*np.array(states).T)
+    assert calls == {"scalar": len(states), "column": 1}
+    assert not failed.any()
+    assert [tuple(row) for row in np.array(values).T.tolist()] == expected
+
+
+@pytest.mark.parametrize(
+    "sources, code",
+    [
+        # used once: inlined, nothing bound
+        (("sin(x)*y + x*y",), ["((_sin(v0) * v1) + (v0 * v1))"]),
+        (("sin(x)*y", "sin(x) + 1"), ["((t0 := _sin(v0)) * v1)", "(t0 + 1.0)"]),
+        (("sin(x)", "sin(x)"), ["(t0 := _sin(v0))", "t0"]),
+        # bound where it first runs, left of the later use inside sin
+        (("exp(x)*sin(exp(x))",), ["((t0 := _exp(v0)) * _sin(t0))"]),
+        (
+            ("sin(x*y)^2 + cos(x*y)",),
+            ["(_mpow(_sin((t0 := (v0 * v1))), 2.0) + _cos(t0))"],
+        ),
+        (
+            ("exp(x)*exp(y) + exp(y)/exp(x)",),
+            ["(((t0 := _exp(v0)) * (t1 := _exp(v1))) + (t1 / t0))"],
+        ),
+        # a folded subtree is a literal wherever it occurs
+        (("x*2^3 + y*2^3",), ["((v0 * 8.0) + (v1 * 8.0))"]),
+    ],
+)
+def test_the_scalar_source_binds_a_temporary_only_for_a_shared_subtree(sources, code):
+    trees = [parse(source, ("x", "y")) for source in sources]
+    assert ex._Emitter(("x", "y"), {}).source(trees) == code

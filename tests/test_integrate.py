@@ -1,5 +1,6 @@
 """Fixed and adaptive steppers, trajectories, and CSV round trips."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -391,6 +392,47 @@ def test_integrated_trajectory_makes_its_arrays_once_from_its_rows(
     assert lazy.read_bytes() == (tmp_path / "eager.csv").read_bytes()
     assert [p.flat() for p in traj.points()] == [p.flat() for p in eager.points()]
     assert traj.final_point == eager.final_point == eager.point(len(eager) - 1)
+
+
+def test_trajectories_are_equal_only_to_themselves(shipped):
+    sys, s0 = shipped.system, shipped.initial_state
+    a = integrate_fixed(sys, s0, 0.0, 1.0, 0.25)
+    b = integrate_fixed(sys, s0, 0.0, 1.0, 0.25)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+    assert dataclasses.replace(a) != a
+
+
+def test_trajectory_repr_shows_its_metadata_not_its_samples(shipped):
+    sys, s0 = shipped.system, shipped.initial_state
+    traj = integrate_adaptive(sys, s0, 0.0, 1.0, 1e-6)
+    assert repr(traj) == (
+        "Trajectory(names=('x', 'y', 'p_x', 'p_y', 's'), method='rkf45', "
+        f"rows={len(traj)}, accepted={traj.accepted}, rejected={traj.rejected})"
+    )
+    assert len(traj) == traj.accepted + 1
+
+
+def test_a_constructed_trajectory_keeps_its_own_copy_of_the_arrays():
+    times, states = np.array([0.0, 1.0]), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    traj = Trajectory(("q", "p_q", "s"), times, states, "rk4")
+    times[1], states[1, 0] = 9.0, 9.0
+    assert traj.point(1).flat() == (4.0, 5.0, 6.0)
+    assert traj.times.tolist() == [0.0, 1.0]
+    assert traj.states.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+@pytest.mark.parametrize("built", ["integrated", "constructed"])
+def test_trajectory_arrays_are_read_only(built, gravity, base_point):
+    traj = integrate_fixed(gravity, base_point, 0.0, 1.0, 0.5)
+    if built == "constructed":
+        traj = Trajectory(traj.names, traj.times, traj.states, "rk4")
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+    with pytest.raises(ValueError):
+        traj.states[0, 0] = 1.0
+    assert traj.point(0) == base_point
 
 
 def test_trajectory_columns(gravity, base_point):

@@ -2,8 +2,8 @@
 
 Only the column kernels, the sampler, `vf_jacobian` and the `Trajectory`
 arrays need numpy, so `verify` loads it; importing the package, loading
-a spec, `simulate`, `list-models`, `export-model`, `--help` and usage
-errors must not.
+a spec, `simulate`, `list-models`, `export-model`, `--help`, usage
+errors and a trajectory's `repr` must not.
 """
 
 import subprocess
@@ -76,3 +76,17 @@ def test_verify_imports_numpy(tmp_path):
     argv = ["verify", SHIPPED_SPEC, "--report", str(report)]
     assert _run(_main(argv)) == ("0", True)
     assert report.exists()
+
+
+def test_the_repr_of_an_integrated_trajectory_leaves_numpy_out():
+    body = (
+        "from contactmech import integrate_fixed, load_document\n"
+        f"doc = load_document({SHIPPED_SPEC!r})\n"
+        "traj = integrate_fixed(doc.system, doc.initial_state, 0.0, 1.0, 0.25)\n"
+        "print(repr(traj))"
+    )
+    assert _run(body) == (
+        "Trajectory(names=('x', 'y', 'p_x', 'p_y', 's'), method='rk4', "
+        "rows=5, accepted=4, rejected=0)",
+        False,
+    )
