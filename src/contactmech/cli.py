@@ -6,6 +6,7 @@ export-model (write a built-in model as a spec document).
 
 Exit codes: 0 success, 2 spec/usage error, 3 integration failure,
 4 verification expectation mismatch (the report is still written).
+Argument checks are the library's own; see `_checked`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .expr import DomainError
 from .integrate import (
     IntegrationError,
     _require_positive,
-    _validate_window,
     integrate_adaptive,
     integrate_fixed,
     read_trajectory_csv,
@@ -58,46 +58,40 @@ class _UsageError(Exception):
 
 
 def _checked(call, *args, **kwargs):
-    """Run a library call or argument check that raises ValueError on a
-    bad argument, reporting the rejection as a usage error."""
+    """Run a library call that raises ValueError on a bad argument, or
+    OSError on a file it cannot read, reporting either as a usage error."""
     try:
         return call(*args, **kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _require_initial_state(doc: SpecDocument, spec_path) -> None:
+def _integrate(doc: SpecDocument, args, integrate, step: float):
+    """The trajectory from the document's initial state over the window of
+    `args`, by `integrate` (integrate_fixed or integrate_adaptive) with
+    `step`, its dt or tol."""
     if doc.initial_state is None:
         raise _UsageError(
-            f"{spec_path}: spec declares no initial_state; one is required "
+            f"{args.spec}: spec declares no initial_state; one is required "
             f"to integrate"
         )
-
-
-def _fresh_trajectory(doc: SpecDocument, args):
-    _checked(_validate_window, args.t0, args.tf)
-    _require_initial_state(doc, args.spec)
-    _checked(_require_positive, "dt", args.dt)
-    return integrate_fixed(doc.system, doc.initial_state, args.t0, args.tf, args.dt)
+    return _checked(
+        integrate, doc.system, doc.initial_state, args.t0, args.tf, step
+    )
 
 
 def cmd_simulate(args) -> int:
     doc = load_document(args.spec)
-    _checked(_validate_window, args.t0, args.tf)
-    _require_initial_state(doc, args.spec)
-
     if args.method == "rk4":
         if args.tol is not None:
             raise _UsageError("--tol applies only to --method rkf45")
         dt = 1e-3 if args.dt is None else args.dt
-        _checked(_require_positive, "dt", dt)
-        traj = integrate_fixed(doc.system, doc.initial_state, args.t0, args.tf, dt)
+        traj = _integrate(doc, args, integrate_fixed, dt)
     else:
         if args.dt is not None:
             raise _UsageError("--dt applies only to --method rk4")
         tol = 1e-9 if args.tol is None else args.tol
-        _checked(_require_positive, "tol", tol)
-        traj = integrate_adaptive(doc.system, doc.initial_state, args.t0, args.tf, tol)
+        traj = _integrate(doc, args, integrate_adaptive, tol)
 
     write_trajectory_csv(doc.system, traj, args.out)
 
@@ -118,11 +112,21 @@ def cmd_simulate(args) -> int:
 
 
 def _observed_symmetry(contact, dynamical) -> str:
+    """The label of a field's two reports; "inconsistent", a contact pass
+    with a dynamical failure, which exact arithmetic rules out, matches
+    no expectation."""
     if contact.passed:
-        return "contact"
-    if dynamical.passed:
-        return "dynamical"
-    return "neither"
+        return "contact" if dynamical.passed else "inconsistent"
+    return "dynamical" if dynamical.passed else "neither"
+
+
+#: how `analyze` states each label of `_observed_symmetry`
+_CLASSIFICATIONS = {
+    "contact": "contact symmetry",
+    "dynamical": "dynamical symmetry, not contact",
+    "neither": "not a symmetry",
+    "inconsistent": "inconsistent, contact but not dynamical",
+}
 
 
 def _quantity_matches(expect: str, classification: str) -> bool:
@@ -143,14 +147,11 @@ def cmd_verify(args) -> int:
     states = _checked(sample_states, system, count=args.samples, seed=args.seed)
 
     if args.trajectory is not None:
-        try:
-            traj = read_trajectory_csv(args.trajectory)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(str(exc)) from None
+        traj = _checked(read_trajectory_csv, args.trajectory)
         _checked(_check_trajectory_chart, system, traj)
         traj_meta = {"source": str(args.trajectory), "samples": len(traj)}
     else:
-        traj = _fresh_trajectory(doc, args)
+        traj = _integrate(doc, args, integrate_fixed, args.dt)
         traj_meta = {
             "source": "fresh-run",
             "method": traj.method,
@@ -175,6 +176,21 @@ def cmd_verify(args) -> int:
         status = "ok" if matched else "MISMATCH"
         print(f"{category} {name}: observed {observed}, expected {expected} [{status}]")
 
+    def add_quantity(category, quantity, expected, **extra) -> bool:
+        report = check_quantity(system, quantity, traj, args.tol)
+        matched = _quantity_matches(expected, report.classification)
+        add(
+            category,
+            quantity.name,
+            expected,
+            report.classification,
+            matched,
+            expression=str(quantity.expression),
+            report=report.as_dict(),
+            **extra,
+        )
+        return matched
+
     dynamical_passers = []
     for cand in doc.symmetries:
         contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
@@ -193,51 +209,18 @@ def cmd_verify(args) -> int:
 
     for cand in dynamical_passers:
         quantity = noether_quantity(system, cand.field)
-        report = check_quantity(system, quantity, traj, args.tol)
-        matched = report.classification in ("dissipated", "both")
-        add(
-            "noether",
-            quantity.name,
-            "dissipated",
-            report.classification,
-            matched,
-            source_symmetry=cand.name,
-            expression=str(quantity.expression),
-            report=report.as_dict(),
-        )
+        add_quantity("noether", quantity, "dissipated", source_symmetry=cand.name)
 
     dissipated_verified = []
     for cand in doc.quantities:
-        report = check_quantity(system, cand.quantity, traj, args.tol)
-        add(
-            "quantity",
-            cand.name,
-            cand.expect,
-            report.classification,
-            _quantity_matches(cand.expect, report.classification),
-            expression=str(cand.quantity.expression),
-            report=report.as_dict(),
-        )
-        if cand.expect == "dissipated" and report.classification in (
-            "dissipated",
-            "both",
-        ):
+        matched = add_quantity("quantity", cand.quantity, cand.expect)
+        if matched and cand.expect == "dissipated":
             dissipated_verified.append(cand)
 
     for i, first in enumerate(dissipated_verified):
         for second in dissipated_verified[i + 1 :]:
             quotient = quotient_quantity(first.quantity, second.quantity)
-            report = check_quantity(system, quotient, traj, args.tol)
-            matched = report.classification in ("conserved", "both")
-            add(
-                "quotient",
-                quotient.name,
-                "conserved",
-                report.classification,
-                matched,
-                expression=str(quotient.expression),
-                report=report.as_dict(),
-            )
+            add_quantity("quotient", quotient, "conserved")
 
     for cand in doc.maps:
         report = check_contact_symmetry_map(system, cand.point_map, states, args.tol)
@@ -251,7 +234,7 @@ def cmd_verify(args) -> int:
             report=report.as_dict(),
         )
 
-    all_ok = all(entry["matched"] for entry in checks)
+    mismatches = sum(not entry["matched"] for entry in checks)
     report_doc = {
         "seed": int(args.seed),
         "tolerance": float(args.tol),
@@ -263,15 +246,14 @@ def cmd_verify(args) -> int:
             "hamiltonian": str(system.hamiltonian),
         },
         "checks": checks,
-        "all_expectations_met": all_ok,
+        "all_expectations_met": mismatches == 0,
     }
     Path(args.report).write_text(
         json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
     )
 
-    mismatches = sum(1 for entry in checks if not entry["matched"])
     print(f"wrote {args.report}")
-    if all_ok:
+    if mismatches == 0:
         print(f"all {len(checks)} expectations met")
         return EXIT_OK
     print(f"{mismatches} of {len(checks)} expectations MISMATCHED")
@@ -292,27 +274,24 @@ def cmd_analyze(args) -> int:
     _checked(_require_positive, "tol", args.tol)
     states = _checked(sample_states, system, count=args.samples, seed=args.seed)
     # integrate first, so that a bad window or dt stops before any output
-    traj = None if doc.initial_state is None else _fresh_trajectory(doc, args)
+    traj = None
+    if doc.initial_state is not None:
+        traj = _integrate(doc, args, integrate_fixed, args.dt)
 
     contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
-    print(f"field: {cand.name}")
-    if contact.passed:
-        print(
-            f"classification: contact symmetry "
-            f"(max residual {contact.max_residual:.3e}, tol {args.tol:g})"
-        )
-    elif dynamical.passed:
-        print(
-            f"classification: dynamical symmetry, not contact "
-            f"(contact residual {contact.max_residual:.3e}, "
-            f"bracket residual {dynamical.max_residual:.3e}, tol {args.tol:g})"
-        )
+    observed = _observed_symmetry(contact, dynamical)
+    if observed == "contact":
+        residuals = f"max residual {contact.max_residual:.3e}"
     else:
-        print(
-            f"classification: not a symmetry "
-            f"(contact residual {contact.max_residual:.3e}, "
-            f"bracket residual {dynamical.max_residual:.3e}, tol {args.tol:g})"
+        residuals = (
+            f"contact residual {contact.max_residual:.3e}, "
+            f"bracket residual {dynamical.max_residual:.3e}"
         )
+    print(f"field: {cand.name}")
+    print(
+        f"classification: {_CLASSIFICATIONS[observed]} "
+        f"({residuals}, tol {args.tol:g})"
+    )
 
     quantity = noether_quantity(system, cand.field)
     print(f"generated quantity: {quantity.expression}")
@@ -385,10 +364,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="integrate a spec and write a CSV")
-    sim.add_argument("spec", help="spec document (YAML)")
-    sim.add_argument("--t0", type=float, default=0.0)
-    sim.add_argument("--tf", type=float, default=10.0)
+    # every command that integrates a spec takes these; verify and analyze
+    # add the options of a fresh RK4 run and of the sampled checks
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("spec", help="spec document (YAML)")
+    window.add_argument("--t0", type=float, default=0.0)
+    window.add_argument("--tf", type=float, default=10.0)
+    checks = argparse.ArgumentParser(add_help=False, parents=[window])
+    checks.add_argument("--dt", type=float, default=1e-2)
+    checks.add_argument("--tol", type=float, default=1e-8)
+    checks.add_argument("--seed", type=int, default=42)
+    checks.add_argument("--samples", type=int, default=100)
+
+    sim = sub.add_parser(
+        "simulate", parents=[window], help="integrate a spec and write a CSV"
+    )
     sim.add_argument("--dt", type=float, default=None, help="rk4 step (default 1e-3)")
     sim.add_argument(
         "--tol", type=float, default=None, help="rkf45 tolerance (default 1e-9)"
@@ -397,27 +387,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="trajectory.csv")
     sim.set_defaults(func=cmd_simulate)
 
-    ver = sub.add_parser("verify", help="check every declared expectation")
-    ver.add_argument("spec", help="spec document (YAML)")
+    ver = sub.add_parser(
+        "verify", parents=[checks], help="check every declared expectation"
+    )
     ver.add_argument("--trajectory", default=None, help="reuse a simulate CSV")
-    ver.add_argument("--t0", type=float, default=0.0)
-    ver.add_argument("--tf", type=float, default=10.0)
-    ver.add_argument("--dt", type=float, default=1e-2)
-    ver.add_argument("--tol", type=float, default=1e-8)
-    ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--report", default="report.json")
     ver.set_defaults(func=cmd_verify)
 
-    ana = sub.add_parser("analyze", help="inspect one symmetry candidate")
-    ana.add_argument("spec", help="spec document (YAML)")
+    ana = sub.add_parser(
+        "analyze", parents=[checks], help="inspect one symmetry candidate"
+    )
     ana.add_argument("field", help="symmetry candidate name")
-    ana.add_argument("--t0", type=float, default=0.0)
-    ana.add_argument("--tf", type=float, default=10.0)
-    ana.add_argument("--dt", type=float, default=1e-2)
-    ana.add_argument("--tol", type=float, default=1e-8)
-    ana.add_argument("--seed", type=int, default=42)
-    ana.add_argument("--samples", type=int, default=100)
     ana.set_defaults(func=cmd_analyze)
 
     lst = sub.add_parser("list-models", help="show built-in models")
@@ -441,9 +421,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, SpecError, ModelError) as exc:
+    except (_UsageError, SpecError, ModelError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
+        return EXIT_INTEGRATION if isinstance(exc, IntegrationError) else EXIT_USAGE

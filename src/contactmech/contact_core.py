@@ -44,6 +44,14 @@ def _as_floats(values: Sequence[float], label: str) -> tuple:
         raise ValueError(f"{label} must be a sequence of reals") from None
 
 
+class _BadName(ValueError):
+    """A name ContactSystem rejects; `field` is the argument that holds it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 def _chart_n(count: int, what: str) -> int:
     """The n of a chart layout with `count` = 2n+1 entries, n >= 1."""
     if count < 3 or count % 2 == 0:
@@ -159,18 +167,24 @@ class ContactSystem:
 
         momenta = tuple(f"p_{c}" for c in coordinates)
         chart_names = coordinates + momenta + (ACTION_NAME,)
-        for name in chart_names + tuple(parameters):
-            if not _NAME_RE.match(name):
-                raise ValueError(f"invalid name {name!r}")
-            if name in FUNCTIONS:
-                raise ValueError(f"name {name!r} shadows a built-in function")
-        if ACTION_NAME in coordinates or ACTION_NAME in parameters:
-            raise ValueError(f"{ACTION_NAME!r} is reserved for the action variable")
+        fields = (("coordinates", chart_names), ("parameters", tuple(parameters)))
+        for field, names in fields:
+            for name in names:
+                if not _NAME_RE.match(name):
+                    raise _BadName(field, f"invalid name {name!r}")
+                if name in FUNCTIONS:
+                    raise _BadName(field, f"name {name!r} shadows a built-in function")
+        for field, names in (("coordinates", coordinates), ("parameters", parameters)):
+            if ACTION_NAME in names:
+                raise _BadName(
+                    field, f"{ACTION_NAME!r} is reserved for the action variable"
+                )
         if len(set(chart_names)) != len(chart_names):
-            raise ValueError(f"chart names collide: {sorted(chart_names)}")
+            raise _BadName("coordinates", f"chart names collide: {sorted(chart_names)}")
         clashes = set(parameters).intersection(chart_names)
         if clashes:
-            raise ValueError(f"parameters shadow chart names: {sorted(clashes)}")
+            message = f"parameters shadow chart names: {sorted(clashes)}"
+            raise _BadName("parameters", message)
         for name, value in parameters.items():
             value = float(value)
             if not math.isfinite(value):
@@ -243,14 +257,14 @@ class ContactSystem:
         `expr._compile_kernel`)."""
         return ex._compile_kernel(result, self.chart_names, self.parameters, columns)
 
-    def _kernel(self, build, *args):
+    def _kernel(self, build, *args, columns: bool = False):
         """The kernel of the trees `build(self, *args)`, kept on the system
-        and keyed by `args`; equal trees share interned nodes (-0.0 apart
-        from 0.0), so each structure compiles once."""
-        key = (build, args)
+        and keyed by `args` and `columns`; equal trees share interned nodes
+        (-0.0 apart from 0.0), so each structure compiles once."""
+        key = (build, args, columns)
         fn = self._kernels.get(key)
         if fn is None:  # benign race: compilation is deterministic
-            fn = self._kernels[key] = self._compile_chart(build(self, *args))
+            fn = self._kernels[key] = self._compile_chart(build(self, *args), columns)
         return fn
 
     def _at(self, point: ChartPoint, build, *args):

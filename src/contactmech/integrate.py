@@ -348,7 +348,8 @@ def integrate_fixed(
     tf: float,
     dt: float,
 ) -> Trajectory:
-    """RK4 on a uniform grid; a shortened final step lands exactly on tf."""
+    """RK4 on a uniform grid; a shortened final step lands exactly on tf.
+    A step too small to move t is a ValueError naming t and dt."""
     span = _validate_window(t0, tf)
     dt = _require_positive("dt", dt)
     sys._check_point(s0)
@@ -367,6 +368,8 @@ def integrate_fixed(
             times.append(float(tf))
             states.append(y)
             break
+        if t_next == t_k:
+            raise ValueError(f"dt={dt!r} does not advance t={t_k!r}")
         y = step(sys, y, t_k, dt)
         times.append(t_next)
         states.append(y)
@@ -389,7 +392,8 @@ def integrate_adaptive(
     0.9*(budget/err)^(1/5) clamped to [0.2, 5.0].  A trial step that
     raises DivergenceError is rejected with factor 0.2; the error
     propagates, naming the last accepted state, only once the step
-    falls below the resolvable size.
+    falls below the resolvable size.  An accepted step too small to move
+    t raises StepUnderflowError.
     """
     span = _validate_window(t0, tf)
     tol = _require_positive("tol", tol)
@@ -417,7 +421,10 @@ def integrate_adaptive(
             continue
         budget = tol * (1.0 + max(map(abs, y)))
         if err <= budget:
-            t = tf if h >= tf - t else t + h
+            t_next = tf if h >= tf - t else t + h
+            if t_next == t:
+                raise StepUnderflowError(t, h, ChartPoint.from_flat(y), sys.chart_names)
+            t = t_next
             y = out
             times.append(t)
             states.append(y)

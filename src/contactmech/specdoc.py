@@ -29,7 +29,7 @@ import yaml
 
 from .analysis import PointMap
 from .calculus import ScalarField, VectorField
-from .contact_core import ChartPoint, ContactSystem
+from .contact_core import ChartPoint, ContactSystem, _BadName
 from .expr import ExpressionError, _coerce_component
 from .models import ModelInfo, _info, _merge_params
 
@@ -199,6 +199,8 @@ def parse_document(data) -> SpecDocument:
 
     try:
         system = ContactSystem(coordinates, hamiltonian, parameters)
+    except _BadName as exc:
+        raise SpecError(f"{exc.field}: {exc}") from None
     except (ValueError, ExpressionError) as exc:
         raise SpecError(f"hamiltonian: {exc}") from None
 

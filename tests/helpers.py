@@ -353,13 +353,15 @@ def reference_sampled_reports(subject, kinds, residual, rows, tolerance) -> tupl
     return tuple(reports)
 
 
-def reference_max_abs(sys, trees):
+def reference_max_abs(sys, trees, guards=()):
     """Per-row 1-tuple: the largest |value| of the trees, from one scalar
-    kernel, or NaN if one of them is NaN, which `max` alone would drop."""
-    kernel = sys._compile_chart(trees)
+    kernel, or NaN if one of them is NaN, which `max` alone would drop.
+    The kernel also runs the `guards`, so a row fails where one of them
+    raises, but their values are dropped."""
+    kernel = sys._compile_chart(tuple(trees) + tuple(guards))
 
     def residual(row):
-        values = tuple(map(abs, kernel(*row)))
+        values = tuple(map(abs, kernel(*row)))[: len(trees)]
         total = sum(values)  # NaN exactly when some value is NaN
         return (total if math.isnan(total) else max(values),)
 
@@ -367,15 +369,17 @@ def reference_max_abs(sys, trees):
 
 
 def reference_classify(sys, field, rows, tol) -> tuple:
-    """The contact and dynamical reports of `classify_symmetry`."""
+    """The contact and dynamical reports of `classify_symmetry`: a row
+    where H is undefined fails in both."""
     y = field.components
-    eta_and_h = _lie_eta_trees(sys, y) + _rate_trees(sys, y, (sys.hamiltonian,))
+    h = (sys.hamiltonian,)
+    eta_and_h = _lie_eta_trees(sys, y) + _rate_trees(sys, y, h)
     (contact,) = reference_sampled_reports(
-        field.name, (KIND_CONTACT,), reference_max_abs(sys, eta_and_h), rows, tol
+        field.name, (KIND_CONTACT,), reference_max_abs(sys, eta_and_h, h), rows, tol
     )
     bracket = _bracket_trees(sys, y, sys._field)
     (dynamical,) = reference_sampled_reports(
-        field.name, (KIND_DYNAMICAL,), reference_max_abs(sys, bracket), rows, tol
+        field.name, (KIND_DYNAMICAL,), reference_max_abs(sys, bracket, h), rows, tol
     )
     return contact, dynamical
 

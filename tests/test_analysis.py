@@ -142,10 +142,14 @@ def test_parameter_exponent_drops_no_bracket_samples():
 
 
 def test_failed_samples_are_counted_per_check():
-    # dH/dq = 1/(2 sqrt(q)) fails for q < 0 (24 of the 50 samples), but
-    # neither field's contact residual needs it.
-    sys = ContactSystem(("q",), "p_q^2/2 + sqrt(q) + gamma*s", {"gamma": 0.5})
-    samples = sample_states(sys, count=50, seed=42)
+    # H = sqrt(q^2) is defined everywhere, but dH/dq = 2q/(2 sqrt(q^2))
+    # fails at q = 0 (24 of the 50 samples here), and neither field's
+    # contact residual needs it.
+    sys = ContactSystem(("q",), "p_q^2/2 + sqrt(q^2) + gamma*s", {"gamma": 0.5})
+    samples = [
+        ChartPoint((max(point.q[0], 0.0),), point.p, point.s)
+        for point in sample_states(sys, count=50, seed=42)
+    ]
     for components, dynamical_counts in [
         # [d/dp_q, X_H] = dX_H/dp_q never reaches dH/dq
         ({"p_q": "1"}, (50, 0)),
@@ -156,6 +160,35 @@ def test_failed_samples_are_counted_per_check():
         contact, dynamical = classify_symmetry(sys, field, samples, tol=1e300)
         assert (contact.samples, contact.failed_samples) == (50, 0)
         assert (dynamical.samples, dynamical.failed_samples) == dynamical_counts
+
+
+def test_a_sample_where_h_is_undefined_fails_in_both_reports():
+    # no residual of d/dx reaches sqrt(y), but H itself is undefined at
+    # the samples with y < 0
+    sys = ContactSystem(
+        ("x", "y"), "p_x^2/2 + p_y^2/2 + sqrt(y) + gamma*s", {"gamma": 0.5}
+    )
+    field = VectorField.from_mapping(sys, "d/dx", {"x": "1"})
+    samples = sample_states(sys, count=50, seed=1)
+    undefined = sum(point.q[1] < 0.0 for point in samples)
+    assert undefined == 28
+    for report in classify_symmetry(sys, field, samples):
+        assert (report.samples, report.failed_samples) == (50 - undefined, undefined)
+        assert report.passed and report.max_residual == 0.0
+
+
+def test_classification_returns_a_contact_pass_with_a_bracket_failure():
+    # the 5e-12*sin(1000 q) ripple gives L_Y H = 5e-9 cos(1000 q), inside
+    # tol, while its second derivative puts 5e-6 sin(1000 q) in [Y, X_H]:
+    # exact arithmetic rules this pair out, and both reports come back
+    sys = ContactSystem(
+        ("q",), "p_q^2/2 + gamma*s + 5e-12*sin(1000*q)", {"gamma": 0.5}
+    )
+    field = VectorField.from_mapping(sys, "q_shift", {"q": "1"})
+    contact, dynamical = classify_symmetry(sys, field, sample_states(sys))
+    assert contact.passed and not dynamical.passed
+    assert 4.9e-9 < contact.max_residual <= 5e-9
+    assert 4.9e-6 < dynamical.max_residual <= 5e-6
 
 
 def _no_kernel(*args):

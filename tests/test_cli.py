@@ -154,6 +154,28 @@ def test_sampling_and_window_errors_are_usage_errors(
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command, code, message",
+    [
+        (["simulate", "--dt", "1"], 2, "dt=1.0 does not advance t=1e+16"),
+        (["simulate", "--method", "rkf45"], 3, "step size underflow at t="),
+        (["verify"], 2, "dt=0.01 does not advance t=1e+16"),
+    ],
+)
+def test_a_step_that_cannot_advance_t_is_an_error(
+    gravity_spec, tmp_path, monkeypatch, command, code, message, capsys
+):
+    # floats are 2 apart at 1e16, so neither dt moves t off t0
+    monkeypatch.chdir(tmp_path)
+    name, *rest = command
+    window = ["--t0", "1e16", "--tf", "1.0000000000001e16"]
+    assert main([name, str(gravity_spec), *window, *rest]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {message}")
+
+
 def test_simulate_requires_an_initial_state(bare_spec, tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     assert main(["simulate", str(bare_spec), "--out", out]) == 2
@@ -349,6 +371,19 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
         (
             "n: 1\ncoordinates: [q]\nhamiltonian: p_q\nsymmetries: [q]\n",
             "symmetries: must be a list of mappings",
+        ),
+        ("n: 1\ncoordinates: ['1x']\nhamiltonian: s\n", "coordinates: invalid name '1x'"),
+        (
+            "n: 1\ncoordinates: [q]\nparameters: {sin: 1.0}\nhamiltonian: s\n",
+            "parameters: name 'sin' shadows a built-in function",
+        ),
+        (
+            "n: 1\ncoordinates: [s]\nhamiltonian: p_s\n",
+            "coordinates: 's' is reserved for the action variable",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nparameters: {q: 1.0}\nhamiltonian: s\n",
+            "parameters: parameters shadow chart names: ['q']",
         ),
     ],
 )
@@ -578,6 +613,60 @@ def test_verify_and_analyze_a_dynamical_symmetry(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "classification: dynamical symmetry, not contact" in text
     assert "no dissipation guarantee" not in text
+
+
+# L_Y H = 5e-9 cos(1000 q) passes at tol 1e-8, while [Y, X_H] carries
+# 5e-6 sin(1000 q) from the second derivative of the ripple, so the two
+# checks disagree, which exact arithmetic rules out.
+INCONSISTENT_SPEC = """\
+n: 1
+coordinates: [q]
+parameters: {gamma: 0.5}
+hamiltonian: p_q^2/2 + gamma*s + 5e-12*sin(1000*q)
+initial_state: {q: 0.1, p_q: 1.0, s: 0.0}
+symmetries:
+- name: q_shift
+  components: {q: "1"}
+  expect: contact
+"""
+
+
+def test_verify_and_analyze_report_an_inconsistent_symmetry(tmp_path, capsys):
+    spec = tmp_path / "ripple.yaml"
+    spec.write_text(INCONSISTENT_SPEC)
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    for report in reports:
+        assert main(["verify", str(spec), "--report", str(report)]) == 4
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    out = capsys.readouterr().out
+    assert (
+        "symmetry q_shift: observed inconsistent, expected contact [MISMATCH]"
+        in out.splitlines()
+    )
+    (entry,) = json.loads(reports[0].read_text())["checks"]
+    assert entry["observed"] == "inconsistent"
+    assert entry["contact"]["verdict"] == "pass"
+    assert entry["dynamical"]["verdict"] == "fail"
+
+    assert main(["analyze", str(spec), "q_shift"]) == 0
+    contact, dynamical = entry["contact"], entry["dynamical"]
+    assert (
+        f"classification: inconsistent, contact but not dynamical "
+        f"(contact residual {contact['max_residual']:.3e}, "
+        f"bracket residual {dynamical['max_residual']:.3e}, tol 1e-08)"
+    ) in capsys.readouterr().out.splitlines()
+
+
+def test_verify_and_analyze_share_the_check_option_defaults():
+    parser = cli._build_parser()
+    verify = vars(parser.parse_args(["verify", "spec.yaml"]))
+    analyze = vars(parser.parse_args(["analyze", "spec.yaml", "field"]))
+    shared = ("spec", "t0", "tf", "dt", "tol", "seed", "samples")
+    assert {k: verify[k] for k in shared} == {k: analyze[k] for k in shared}
+    assert {k: verify[k] for k in shared} == {
+        "spec": "spec.yaml", "t0": 0.0, "tf": 10.0, "dt": 1e-2, "tol": 1e-8,
+        "seed": 42, "samples": 100,
+    }
 
 
 def test_runtime_imports_no_test_only_oracles(tmp_path):

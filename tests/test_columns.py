@@ -245,10 +245,6 @@ def test_random_fields_match_the_row_loop():
         field = VectorField(f"Y{k}", _random_expressions(rng, sys, sys.dim, 2))
         rows = edge_rows(rng, sys.dim, 8)
         expected = reference_classify(sys, field, rows.tolist(), TOL)
-        if expected[0].passed and not expected[1].passed:
-            with pytest.raises(RuntimeError, match="inconsistent"):
-                classify_symmetry(sys, field, _samples(rows), TOL)
-            continue
         got = classify_symmetry(sys, field, _samples(rows), TOL)
         assert tuple(map(report_bits, got)) == tuple(map(report_bits, expected))
         failing += got[0].failed_samples > 0

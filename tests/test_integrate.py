@@ -96,6 +96,47 @@ def test_fixed_rejects_nonpositive_dt(gravity, base_point):
         integrate_fixed(gravity, base_point, 0.0, 1.0, 0.0)
 
 
+def _count_flow_calls(monkeypatch) -> list:
+    calls = []
+    flow = ContactSystem.flow
+
+    def counted(self, flat):
+        calls.append(flat)
+        return flow(self, flat)
+
+    monkeypatch.setattr(ContactSystem, "flow", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "t0, tf, steps, stuck",
+    [
+        # floats are 2 apart at 1e16, so t0 + 1 rounds back to t0
+        (1e16, 1.0000000000001e16, 0, 1e16),
+        # 1 apart below 2^53 and 2 apart above: four steps reach 2^53
+        (2.0**53 - 4.0, 2.0**53 + 64.0, 4, 2.0**53),
+    ],
+)
+def test_fixed_stops_at_the_first_step_that_cannot_advance_t(
+    gravity, base_point, monkeypatch, t0, tf, steps, stuck
+):
+    calls = _count_flow_calls(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        integrate_fixed(gravity, base_point, t0, tf, 1.0)
+    assert str(err.value) == f"dt=1.0 does not advance t={stuck!r}"
+    assert len(calls) == 4 * steps
+
+
+def test_adaptive_underflows_when_an_accepted_step_cannot_advance_t(
+    gravity, base_point
+):
+    tf = 1.0000000000001e16
+    with pytest.raises(StepUnderflowError) as err:
+        integrate_adaptive(gravity, base_point, 1e16, tf, 1e-9)
+    assert 1e16 <= err.value.time < tf
+    assert err.value.time + err.value.dt == err.value.time
+
+
 def test_halving_dt_reduces_error_at_fourth_order(gravity, base_point):
     errors = []
     for dt in (0.1, 0.05):
