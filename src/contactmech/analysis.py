@@ -20,7 +20,8 @@ row's outputs are bit-identical to the scalar kernel that the per-point
 `calculus` functions run on the same trees.
 
 Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
-residuals that only rounding limits.  TRAJECTORY_TOLERANCE = 1e-6 is the
+residuals that only rounding limits; a tol must be finite and positive,
+the integrators' rule for dt and tol.  TRAJECTORY_TOLERANCE = 1e-6 is the
 bound the oracles use for integrated values, which carry global
 integration error.
 """
@@ -38,6 +39,7 @@ from .calculus import (
     VectorField,
     _bracket_trees,
     _chart_components,
+    _chart_expressions,
     _check_bound,
     _check_field,
     _dissipation_trees,
@@ -47,9 +49,8 @@ from .calculus import (
     hamiltonian_field,
     lie_bracket,
 )
-from .contact_core import ChartPoint, ContactSystem, _chart_n, _given, contact_form_apply
-from .expr import Expression
-from .integrate import Trajectory
+from .contact_core import ChartPoint, ContactSystem, _given, contact_form_apply
+from .integrate import Trajectory, _check_trajectory_chart, _require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,7 +93,7 @@ class CheckReport:
     `samples` counts states where the residual evaluated; states that
     raised a domain error or gave a NaN residual are counted in
     `failed_samples` and excluded from the statistics (an all-failed
-    check reports infinite residual).
+    check reports infinite residual, which `as_dict` writes as None).
     """
 
     subject: str
@@ -113,12 +114,17 @@ class CheckReport:
             "subject": self.subject,
             "kind": self.kind,
             "samples": self.samples,
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
+            "max_residual": _finite_or_none(self.max_residual),
+            "mean_residual": _finite_or_none(self.mean_residual),
             "tolerance": float(self.tolerance),
             "verdict": self.verdict,
             "failed_samples": self.failed_samples,
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
@@ -169,39 +175,13 @@ class QuantityReport:
         }
 
 
-def sample_states(
-    sys: ContactSystem,
-    count: int = 100,
-    seed: int = 42,
-    box: float = 2.0,
-    min_abs_momentum: float = 0.0,
-) -> list:
-    """Deterministic uniform draws from [-box, box] per chart direction.
-
-    With min_abs_momentum > 0, momentum entries are redrawn until they
-    clear that magnitude, for checks that later divide by momenta.
-    """
+def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> list:
+    """Deterministic uniform draws from [-2, 2] per chart direction."""
     if count < 1:
         raise ValueError("need at least one sample")
-    if not (math.isfinite(box) and box > 0.0):
-        raise ValueError(f"box must be finite and positive, got {box!r}")
-    if min_abs_momentum >= box:
-        # no draw from [-box, box] could clear the bound
-        raise ValueError(
-            f"min_abs_momentum={min_abs_momentum!r} must be below box={box!r}"
-        )
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(-box, box, size=(count, sys.dim))
-    if min_abs_momentum > 0.0:
-        cols = slice(sys.n, 2 * sys.n)
-        block = values[:, cols]
-        mask = np.abs(block) < min_abs_momentum
-        while np.any(mask):
-            block[mask] = rng.uniform(-box, box, size=int(mask.sum()))
-            mask = np.abs(block) < min_abs_momentum
-        values[:, cols] = block
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
     return [ChartPoint.from_flat(row.tolist()) for row in values]
 
 
@@ -234,6 +214,7 @@ def classify_symmetry(
     where a kernel fails counts as failed for that check only, and one
     where H is undefined, from H's own column kernel, fails both.
     """
+    tol = _require_positive("tol", tol)
     columns = _sample_columns(sys, samples)
     _check_field(sys, field)
     y = field.components
@@ -260,14 +241,6 @@ def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
     return ScalarField(f"noether[{field.name}]", expression)
 
 
-def _check_trajectory_chart(sys: ContactSystem, traj: Trajectory) -> None:
-    if traj.names != sys.chart_names:
-        raise ValueError(
-            f"trajectory chart {traj.names} does not match the system "
-            f"chart {sys.chart_names}"
-        )
-
-
 def check_quantity(
     sys: ContactSystem,
     quantity: ScalarField,
@@ -284,8 +257,7 @@ def check_quantity(
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.
     """
-    if len(traj) == 0:
-        raise ValueError("empty trajectory")
+    tol = _require_positive("tol", tol)
     _check_trajectory_chart(sys, traj)
     _check_bound(sys, (quantity.expression,))
     kernel = sys._compile_chart(
@@ -366,13 +338,12 @@ class PointMap:
     def __post_init__(self):
         names = tuple(self.names)
         components = tuple(self.components)
-        object.__setattr__(self, "n", _chart_n(len(names), "a chart map"))
         if len(components) != len(names):
             raise ValueError(
                 f"{len(names)} chart variables but {len(components)} components"
             )
-        if not all(isinstance(c, Expression) for c in components):
-            raise TypeError("components must be Expressions")
+        n, components = _chart_expressions(components, "a chart map")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "components", components)
 
@@ -409,6 +380,7 @@ def check_contact_symmetry_map(
     compared to eta at the state, and H(image) to H(state); the residual
     is the largest deviation, from one column-kernel call over all states.
     """
+    tol = _require_positive("tol", tol)
     columns = _sample_columns(sys, samples)
     if point_map.names != sys.chart_names:
         raise ValueError(

@@ -68,6 +68,16 @@ def _chart_components(
     )
 
 
+def _chart_expressions(components, what: str) -> tuple:
+    """(n, the components as a tuple) for 2n+1 component Expressions;
+    `what` names the owner when the count is not 2n+1."""
+    components = tuple(components)
+    n = _chart_n(len(components), what)
+    if not all(isinstance(c, Expression) for c in components):
+        raise TypeError("components must be Expressions")
+    return n, components
+
+
 @dataclass(frozen=True)
 class VectorField:
     """Chart vector field: one expression per (d/dq^i, d/dp_i, d/ds) slot."""
@@ -77,10 +87,8 @@ class VectorField:
     n: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        components = tuple(self.components)
-        object.__setattr__(self, "n", _chart_n(len(components), "a chart field"))
-        if not all(isinstance(c, Expression) for c in components):
-            raise TypeError("components must be Expressions")
+        n, components = _chart_expressions(self.components, "a chart field")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", components)
 
     @classmethod

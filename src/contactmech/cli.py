@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    _check_trajectory_chart,
+    DEFAULT_TOLERANCE,
     check_contact_symmetry_map,
     check_quantity,
     classify_symmetry,
@@ -30,6 +30,7 @@ from .analysis import (
 from .expr import DomainError
 from .integrate import (
     IntegrationError,
+    _check_trajectory_chart,
     _require_positive,
     integrate_adaptive,
     integrate_fixed,
@@ -249,7 +250,7 @@ def cmd_verify(args) -> int:
         "all_expectations_met": mismatches == 0,
     }
     Path(args.report).write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
+        json.dumps(report_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
     print(f"wrote {args.report}")
@@ -372,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     window.add_argument("--tf", type=float, default=10.0)
     checks = argparse.ArgumentParser(add_help=False, parents=[window])
     checks.add_argument("--dt", type=float, default=1e-2)
-    checks.add_argument("--tol", type=float, default=1e-8)
+    checks.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     checks.add_argument("--seed", type=int, default=42)
     checks.add_argument("--samples", type=int, default=100)
 

@@ -786,32 +786,27 @@ class _Parser:
             return Bin("^", node, self.unary())
         return node
 
+    def group(self) -> Expression:
+        """The expression after an opening '(', up to its closing ')'."""
+        node = self.expr()
+        closing = self.advance()
+        if closing.kind != "rparen":
+            found = closing.text or "end of input"
+            self.fail(f"expected ')', found {found!r}", closing)
+        return node
+
     def atom(self) -> Expression:
         tok = self.advance()
         if tok.kind == "num":
             return Num(float(tok.text))
         if tok.kind == "lparen":
-            node = self.expr()
-            closing = self.advance()
-            if closing.kind != "rparen":
-                self.fail(
-                    f"expected ')', found {closing.text or 'end of input'!r}",
-                    closing,
-                )
-            return node
+            return self.group()
         if tok.kind == "name":
             if self.peek().kind == "lparen":
                 if tok.text not in FUNCTIONS:
                     self.fail(f"unknown function '{tok.text}'", tok)
                 self.advance()
-                arg = self.expr()
-                closing = self.advance()
-                if closing.kind != "rparen":
-                    self.fail(
-                        f"expected ')', found {closing.text or 'end of input'!r}",
-                        closing,
-                    )
-                return Call(tok.text, arg)
+                return Call(tok.text, self.group())
             if tok.text not in self.names:
                 raise UnknownNameError(tok.text, self.source, tok.pos)
             return Var(tok.text)

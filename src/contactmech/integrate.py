@@ -127,12 +127,9 @@ class Trajectory:
                 f"states have {states.shape[1]} columns, expected "
                 f"{len(names)}"
             )
-        if len(times) > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
         self._fill(
-            names=names, _times=times.tolist(),
-            _rows=list(map(tuple, states.tolist())),
-            method=method, accepted=accepted, rejected=rejected,
+            names, times.tolist(), list(map(tuple, states.tolist())),
+            method, accepted, rejected,
         )
 
     @classmethod
@@ -140,16 +137,18 @@ class Trajectory:
         """A trajectory kept as `times` and `rows`, the Python floats that
         an integrator or the CSV reader made: at least one row, each a
         tuple of len(names) floats.  Only the time order is checked."""
-        if not all(map(operator.lt, times, times[1:])):
-            raise ValueError("times must be strictly increasing")
         traj = cls.__new__(cls)
-        traj._fill(
-            names=tuple(names), _times=times, _rows=rows,
-            method=method, accepted=accepted, rejected=rejected,
-        )
+        traj._fill(names, times, rows, method, accepted, rejected)
         return traj
 
-    def _fill(self, **values) -> None:
+    def _fill(self, names, times: list, rows: list, method, accepted, rejected):
+        """Set every field, once `times` is checked to be strictly increasing."""
+        if not all(map(operator.lt, times, times[1:])):
+            raise ValueError("times must be strictly increasing")
+        values = {
+            "names": tuple(names), "_times": times, "_rows": rows,
+            "method": method, "accepted": accepted, "rejected": rejected,
+        }
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -201,6 +200,14 @@ class Trajectory:
         if name == "t":
             return self.times
         return self.states[:, self.names.index(name)]
+
+
+def _check_trajectory_chart(sys: ContactSystem, traj: Trajectory) -> None:
+    if traj.names != sys.chart_names:
+        raise ValueError(
+            f"trajectory chart {traj.names} does not match the system "
+            f"chart {sys.chart_names}"
+        )
 
 
 def _diverged(sys: ContactSystem, message: str, t: float, last_good):
@@ -326,9 +333,12 @@ def rkf45_step(sys: ContactSystem, state: ChartPoint, dt: float) -> tuple:
 
 
 def _require_positive(label: str, value: float) -> float:
+    """`value` as a float, which must be positive (so not NaN) and finite."""
     value = float(value)
     if not value > 0.0:
         raise ValueError(f"{label} must be positive, got {value!r}")
+    if value == math.inf:
+        raise ValueError(f"{label} must be finite, got {value!r}")
     return value
 
 
@@ -445,8 +455,7 @@ def integrate_adaptive(
 
 def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
     """Header t,<chart names>,H; shortest round-trip float formatting."""
-    if traj.names != sys.chart_names:
-        raise ValueError("trajectory chart names do not match the system")
+    _check_trajectory_chart(sys, traj)
     energy = sys._kernel(_given, sys.hamiltonian)
     lines = ["t," + ",".join(traj.names) + ",H"]
     for t, values in zip(traj._times, traj._rows):

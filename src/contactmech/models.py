@@ -127,9 +127,7 @@ def analytic_reference(
 
 
 def _h0(name: str, params: Mapping[str, float], s0: ChartPoint) -> float:
-    info = _info(name)
-    sys = ContactSystem(info.coordinates, info.hamiltonian, params)
-    return sys.hamiltonian_value(s0)
+    return builtin(name, **params).hamiltonian_value(s0)
 
 
 def _gravity_reference(params, s0: ChartPoint, t: float) -> ChartPoint:

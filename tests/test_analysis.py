@@ -74,32 +74,9 @@ def test_sampling_respects_the_box(gravity_states):
         assert all(abs(v) <= 2.0 for v in point.flat())
 
 
-def test_sampling_can_exclude_small_momenta(gravity):
-    states = sample_states(gravity, count=50, seed=3, min_abs_momentum=0.2)
-    for point in states:
-        assert all(abs(v) >= 0.2 for v in point.p)
-
-
 def test_sampling_rejects_empty_request(gravity):
     with pytest.raises(ValueError):
         sample_states(gravity, count=0)
-
-
-@pytest.mark.parametrize(
-    "box, min_abs_momentum",
-    [
-        (0.05, 0.1),
-        (1.0, 1.0),
-        (0.0, 0.0),
-        (-1.0, 0.0),
-        (math.inf, 0.0),
-        (math.nan, 0.0),
-    ],
-)
-def test_sampling_rejects_an_unsatisfiable_box(gravity, box, min_abs_momentum):
-    # no draw from [-box, box] clears the bound, so the redraw would not end
-    with pytest.raises(ValueError):
-        sample_states(gravity, count=5, box=box, min_abs_momentum=min_abs_momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +103,46 @@ def test_action_translation_is_no_symmetry_here(gravity, ds, gravity_states):
 def test_action_translation_passes_at_a_loose_tolerance(gravity, ds, gravity_states):
     contact, dynamical = classify_symmetry(gravity, ds, gravity_states, tol=1.0)
     assert contact.passed and dynamical.passed
+
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (math.inf, "tol must be finite, got inf"),
+        (0.0, "tol must be positive, got 0.0"),
+        (-1.0, "tol must be positive, got -1.0"),
+        (math.nan, "tol must be positive, got nan"),
+    ],
+    ids=["inf", "zero", "negative", "nan"],
+)
+@pytest.mark.parametrize("check", ["symmetry", "quantity", "map"])
+def test_every_check_requires_a_finite_positive_tolerance(
+    gravity, dx, gravity_states, coarse_traj, check, tol, message
+):
+    # tol = -1 would fail every report and tol = nan leave a quantity
+    # "inconclusive"; tol = inf would pass them all
+    run = {
+        "symmetry": lambda: classify_symmetry(gravity, dx, gravity_states, tol),
+        "quantity": lambda: check_quantity(
+            gravity, momentum_x(gravity), coarse_traj, tol
+        ),
+        "map": lambda: check_contact_symmetry_map(
+            gravity, PointMap.from_mapping(gravity, "id", {}), gravity_states, tol
+        ),
+    }[check]
+    with pytest.raises(ValueError) as err:
+        run()
+    assert str(err.value) == message
+
+
+def test_an_all_failed_report_has_null_statistics_in_its_dict(gravity, coarse_traj):
+    ratio = quotient_quantity(momentum_x(gravity), ScalarField("0", literal(0.0)))
+    data = check_quantity(gravity, ratio, coarse_traj).as_dict()
+    for kind in ("conserved", "dissipated"):
+        assert data[kind]["samples"] == 0
+        assert data[kind]["max_residual"] is None
+        assert data[kind]["mean_residual"] is None
+        assert data[kind]["verdict"] == "fail"
 
 
 def test_parameter_exponent_drops_no_bracket_samples():

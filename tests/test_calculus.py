@@ -57,6 +57,23 @@ def test_vector_field_validation(gravity):
         assert build((one,) * 5).n == 2
 
 
+@pytest.mark.parametrize(
+    "names, count, message",
+    [
+        (4, 5, "4 chart variables but 5 components"),
+        (5, 3, "5 chart variables but 3 components"),
+        (4, 4, "a chart map needs 2n+1 entries, got 4"),
+    ],
+)
+def test_point_map_matches_its_names_before_counting(
+    gravity, names, count, message
+):
+    one = parse("1", ())
+    with pytest.raises(ValueError) as err:
+        PointMap("bad", gravity.chart_names[:names], (one,) * count)
+    assert str(err.value) == message
+
+
 def test_field_components_may_use_parameters(gravity, base_point):
     field = VectorField.from_mapping(gravity, "drag", {"p_y": "-gamma*p_y"})
     v = vector_field_value(gravity, field, base_point)

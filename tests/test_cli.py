@@ -11,6 +11,7 @@ import yaml
 from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
 from contactmech import cli
 from contactmech.cli import main
+from contactmech.expr import literal, variable
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
 
@@ -129,6 +130,8 @@ def test_simulate_flags_are_method_specific(gravity_spec, tmp_path, capsys):
         ["--tf", "inf"],
         ["--t0", "nan"],
         ["--method", "rkf45", "--tol", "0.0"],
+        ["--dt", "inf"],
+        ["--method", "rkf45", "--tol", "inf"],
     ],
 )
 def test_simulate_window_errors(gravity_spec, tmp_path, extra, capsys):
@@ -143,6 +146,9 @@ def test_simulate_window_errors(gravity_spec, tmp_path, extra, capsys):
         ["verify", "--samples", "0", "--report", "r.json"],
         ["analyze", "x_translation", "--samples", "-3"],
         ["verify", "--tf", "inf", "--report", "r.json"],
+        ["verify", "--tol", "inf", "--report", "r.json"],
+        ["verify", "--dt", "inf", "--report", "r.json"],
+        ["analyze", "x_translation", "--tol", "inf"],
     ],
 )
 def test_sampling_and_window_errors_are_usage_errors(
@@ -775,3 +781,86 @@ def test_successive_calls_behave_as_with_a_fresh_parser(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     assert outcomes() == shared
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0]
+
+
+UNDEFINED_SPEC = """\
+n: 1
+coordinates: [q]
+parameters: {gamma: 0.5}
+hamiltonian: p_q^2/2 + sqrt(q - 10) + gamma*s
+initial_state: {q: 11, p_q: 1, s: 0}
+symmetries:
+- name: s_shift
+  components: {s: "1"}
+  expect: neither
+quantities:
+- name: p_q
+  expression: p_q
+  expect: neither
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_writes_null_statistics_when_every_sample_fails(tmp_path, capsys):
+    # H is undefined at every sampled state (all have q < 10), so both
+    # symmetry reports have no samples; the trajectory stays at q > 10
+    spec = tmp_path / "undefined.yaml"
+    spec.write_text(UNDEFINED_SPEC)
+    report = tmp_path / "r.json"
+    rc = main(["verify", str(spec), "--tf", "1", "--report", str(report)])
+    assert rc in (0, 4)
+    capsys.readouterr()
+    text = report.read_text()
+    symmetry, quantity = json.loads(text, parse_constant=_reject_constant)["checks"]
+    for entry in (symmetry["contact"], symmetry["dynamical"]):
+        assert (entry["samples"], entry["failed_samples"]) == (0, 100)
+        assert entry["max_residual"] is None and entry["mean_residual"] is None
+    assert text.count("null") == 4
+    assert quantity["report"]["conserved"]["max_residual"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "entry, check",
+    [
+        (
+            "symmetries: [{name: q_shift, components: {q: 1}, expect: contact}]\n",
+            lambda doc: doc.symmetries[0].field.components == (literal(1.0),)
+            + (literal(0.0),) * 2,
+        ),
+        (
+            "symmetries: [{name: none, components: null, expect: contact}]\n",
+            lambda doc: doc.symmetries[0].field.components == (literal(0.0),) * 3,
+        ),
+        (
+            "maps: [{name: identity, components: null, expect: contact}]\n",
+            lambda doc: doc.maps[0].point_map.components
+            == tuple(map(variable, doc.system.chart_names)),
+        ),
+        (
+            "quantities: null\nmaps: [{name: identity, expect: contact}]\n",
+            lambda doc: doc.quantities == () and len(doc.maps) == 1,
+        ),
+    ],
+    ids=["number-component", "null-components", "null-map-components", "null-quantities"],
+)
+def test_spec_forms_that_take_a_default(tmp_path, entry, check):
+    spec = tmp_path / "forms.yaml"
+    spec.write_text("n: 1\ncoordinates: [q]\nhamiltonian: p_q^2/2 + s\n" + entry)
+    assert check(load_document(spec))
+
+
+def test_analyze_skips_the_ratio_where_h_vanishes(tmp_path, capsys):
+    spec = tmp_path / "zero.yaml"
+    spec.write_text(
+        "n: 1\ncoordinates: [q]\nhamiltonian: '0'\n"
+        "symmetries: [{name: q_shift, components: {q: '1'}, expect: contact}]\n"
+    )
+    assert main(["analyze", str(spec), "q_shift"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == (
+        "H vanishes on sampled states; conserved ratio skipped"
+    )

@@ -33,6 +33,7 @@ from contactmech.cli import main
 from contactmech.specdoc import parse_document, write_document
 from contactmech.expr import (
     add,
+    call,
     div,
     literal,
     mul,
@@ -133,6 +134,23 @@ def test_implicit_multiplication_is_rejected():
 def test_malformed_sources(source):
     with pytest.raises(ParseError):
         parse(source, ("x", "p_x"))
+
+
+@pytest.mark.parametrize(
+    "source, message, position",
+    [
+        ("x $ 1", "unexpected character '$'", 2),
+        ("1e400", "numeric literal '1e400' overflows", 0),
+        ("(x", "expected ')', found 'end of input'", 2),
+        ("sin(x", "expected ')', found 'end of input'", 5),
+        ("sin(x y)", "expected ')', found 'y'", 6),
+    ],
+)
+def test_parse_errors_name_their_position(source, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(source, ("x", "y"))
+    assert str(err.value) == f"{message} (position {position})"
+    assert err.value.position == position
 
 
 def test_unknown_name_error_carries_the_name():
@@ -304,6 +322,12 @@ def test_substitute_variables():
     assert out.names == frozenset({"y"})
 
 
+def test_substitute_through_a_negation():
+    out = substitute(parse("-x", ("x",)), {"x": parse("y + 1", ("y",))})
+    assert out is neg(parse("y + 1", ("y",)))
+    assert out.evaluate({"y": 2.0}) == -3.0
+
+
 def test_substitute_under_partial_is_rejected():
     # A derivative is an ordinary expression, so substitution into it works.
     inner = parse("x^2", ("x",)).derivative("x")
@@ -322,6 +346,13 @@ def test_builder_folding():
     assert str(add(literal(2.0), literal(3.0))) == "5.0"
     assert str(div(x, literal(1.0))) == "x"
     assert str(power(literal(2.0), literal(3.0))) == "8.0"
+
+
+def test_call_builds_the_parsed_node():
+    assert call("sin", variable("x")) is parse("sin(x)", ("x",))
+    assert call("exp", 0).evaluate({}) == 1.0
+    with pytest.raises(ValueError, match="unknown function 'erf'"):
+        call("erf", variable("x"))
 
 
 def test_builder_keeps_division_by_zero_in_the_tree():

@@ -96,6 +96,34 @@ def test_fixed_rejects_nonpositive_dt(gravity, base_point):
         integrate_fixed(gravity, base_point, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.inf, "must be finite, got inf"),
+        (0.0, "must be positive, got 0.0"),
+        (-1.0, "must be positive, got -1.0"),
+        (math.nan, "must be positive, got nan"),
+    ],
+    ids=["inf", "zero", "negative", "nan"],
+)
+@pytest.mark.parametrize(
+    "label, run",
+    [
+        ("dt", lambda sys, s0, v: integrate_fixed(sys, s0, 0.0, 1.0, v)),
+        ("tol", lambda sys, s0, v: integrate_adaptive(sys, s0, 0.0, 1.0, v)),
+        ("dt", rk4_step),
+        ("dt", rkf45_step),
+    ],
+    ids=["integrate_fixed", "integrate_adaptive", "rk4_step", "rkf45_step"],
+)
+def test_a_step_or_tolerance_must_be_finite_and_positive(
+    gravity, base_point, label, run, value, message
+):
+    with pytest.raises(ValueError) as err:
+        run(gravity, base_point, value)
+    assert str(err.value) == f"{label} {message}"
+
+
 def _count_flow_calls(monkeypatch) -> list:
     calls = []
     flow = ContactSystem.flow
@@ -507,7 +535,7 @@ def test_csv_write_requires_matching_chart(tmp_path, gravity):
     traj = integrate_fixed(
         other, ChartPoint((0.0,), (1.0,), 0.0), 0.0, 1.0, 0.5
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match the system chart"):
         write_trajectory_csv(gravity, traj, tmp_path / "x.csv")
 
 

@@ -122,6 +122,22 @@ def test_oscillator_reference_rejects_heavy_damping():
         analytic_reference("damped_oscillator", {"gamma": 3.0}, s0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("gravity_friction", {"gamma": -0.1}, "requires gamma >= 0"),
+        ("damped_free_particle", {"gamma": -0.1}, "requires gamma >= 0"),
+        ("damped_oscillator", {"m": 0.0}, "requires m > 0 and k > 0"),
+        ("damped_oscillator", {"k": -1.0}, "requires m > 0 and k > 0"),
+    ],
+)
+def test_closed_forms_reject_parameters_outside_their_branch(name, params, message):
+    n = len(builtin(name).coordinates)
+    s0 = ChartPoint((0.5,) * n, (1.0,) * n, 0.0)
+    with pytest.raises(ModelError, match=message):
+        analytic_reference(name, params, s0, 1.0)
+
+
 def test_reference_validates_its_inputs(base_point):
     with pytest.raises(ModelError):
         analytic_reference("no_such_model", None, base_point, 1.0)
