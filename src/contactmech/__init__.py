@@ -13,7 +13,6 @@ from .expr import (
     MissingBindingError,
     ParseError,
     UnknownNameError,
-    finite_difference,
     parse,
 )
 from .contact_core import (
@@ -23,9 +22,6 @@ from .contact_core import (
     Tangent,
     contact_form_apply,
     hamilton_equation_residuals,
-    hamiltonian_vector_field,
-    interior_d_eta,
-    reeb_field,
 )
 from .calculus import (
     ScalarField,
@@ -34,7 +30,6 @@ from .calculus import (
     lie_bracket,
     lie_derivative_contact_form,
     lie_derivative_scalar,
-    vector_field_value,
     vf_jacobian,
 )
 from .integrate import (
@@ -45,8 +40,6 @@ from .integrate import (
     integrate_adaptive,
     integrate_fixed,
     read_trajectory_csv,
-    rk4_step,
-    rkf45_step,
     write_trajectory_csv,
 )
 from .analysis import (
@@ -59,8 +52,6 @@ from .analysis import (
     classify_symmetry,
     conserved_from_symmetry,
     noether_quantity,
-    product_quantity,
-    pullback_quantity,
     quotient_quantity,
     reeb_lift,
     sample_states,
@@ -101,13 +92,10 @@ __all__ = [
     "classify_symmetry",
     "conserved_from_symmetry",
     "contact_form_apply",
-    "finite_difference",
     "hamilton_equation_residuals",
     "hamiltonian_field",
-    "hamiltonian_vector_field",
     "integrate_adaptive",
     "integrate_fixed",
-    "interior_d_eta",
     "lie_bracket",
     "lie_derivative_contact_form",
     "lie_derivative_scalar",
@@ -115,16 +103,10 @@ __all__ = [
     "load_document",
     "noether_quantity",
     "parse",
-    "product_quantity",
-    "pullback_quantity",
     "quotient_quantity",
     "read_trajectory_csv",
-    "reeb_field",
     "reeb_lift",
-    "rk4_step",
-    "rkf45_step",
     "sample_states",
-    "vector_field_value",
     "vf_jacobian",
     "write_trajectory_csv",
 ]

@@ -65,8 +65,6 @@ __all__ = [
     "classify_symmetry",
     "conserved_from_symmetry",
     "noether_quantity",
-    "product_quantity",
-    "pullback_quantity",
     "quotient_quantity",
     "reeb_lift",
     "sample_states",
@@ -83,7 +81,6 @@ KIND_CONTACT = "contact-symmetry"
 KIND_DYNAMICAL = "dynamical-symmetry"
 KIND_CONSERVED = "conserved"
 KIND_DISSIPATED = "dissipated"
-KIND_BRACKET = "bracket-characterization"
 
 
 @dataclass(frozen=True)
@@ -291,14 +288,6 @@ def quotient_quantity(f1: ScalarField, f2: ScalarField) -> ScalarField:
     )
 
 
-def product_quantity(dissipated: ScalarField, conserved: ScalarField) -> ScalarField:
-    """F*G: dissipated when F is dissipated and G is conserved."""
-    return ScalarField(
-        f"{dissipated.name}*{conserved.name}",
-        ex.mul(dissipated.expression, conserved.expression),
-    )
-
-
 def conserved_from_symmetry(sys: ContactSystem, field: VectorField) -> ScalarField:
     """-i(Y)eta / H, conserved along trajectories that avoid H = 0."""
     return quotient_quantity(
@@ -357,15 +346,6 @@ class PointMap:
 
     def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
         return ChartPoint.from_flat(sys._at(point, _given, self.components))
-
-
-def pullback_quantity(point_map: PointMap, quantity: ScalarField) -> ScalarField:
-    """F composed with the map, built by substitution."""
-    replacements = dict(zip(point_map.names, point_map.components))
-    return ScalarField(
-        f"{point_map.name}*{quantity.name}",
-        ex.substitute(quantity.expression, replacements),
-    )
 
 
 def check_contact_symmetry_map(

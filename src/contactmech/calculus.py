@@ -8,8 +8,9 @@ evaluate these trees at one state through `ContactSystem._at`, which
 compiles them once per system; `analysis` evaluates the same trees
 over the columns of all its samples.  The Hamiltonian field is the
 tuple of component expressions each ContactSystem builds from the
-gradient of H; their derivatives are kept on the shared nodes, which is
-how second derivatives of H enter brackets exactly.
+gradient of H, whose values at a state `ContactSystem.flow` returns;
+their derivatives are kept on the shared nodes, which is how second
+derivatives of H enter brackets exactly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "lie_bracket",
     "lie_derivative_contact_form",
     "lie_derivative_scalar",
-    "vector_field_value",
     "vf_jacobian",
 ]
 
@@ -129,14 +129,6 @@ def _check_field(sys: ContactSystem, field: VectorField) -> None:
             f"field {field.name!r} has n={field.n}, system expects n={sys.n}"
         )
     _check_bound(sys, field.components)
-
-
-def vector_field_value(
-    sys: ContactSystem, field: VectorField, point: ChartPoint
-) -> Tangent:
-    """Evaluate all components at a state."""
-    _check_field(sys, field)
-    return Tangent.from_flat(sys._at(point, _given, field.components))
 
 
 def vf_jacobian(

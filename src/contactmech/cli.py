@@ -4,9 +4,10 @@ Subcommands: simulate (trajectory CSV), verify (expectation-checked
 report), analyze (one symmetry candidate in depth), list-models, and
 export-model (write a built-in model as a spec document).
 
-Exit codes: 0 success, 2 spec/usage error, 3 integration failure,
-4 verification expectation mismatch (the report is still written).
-Argument checks are the library's own; see `_checked`.
+Exit codes: 0 success, 2 spec/usage error or a file that cannot be read
+or written, 3 integration failure, 4 verification expectation mismatch
+(the report is still written).  Argument checks are the library's own;
+see `_checked`.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ class _UsageError(Exception):
 
 
 def _checked(call, *args, **kwargs):
-    """Run a library call that raises ValueError on a bad argument, or
-    OSError on a file it cannot read, reporting either as a usage error."""
+    """Run a library call that raises ValueError on a bad argument,
+    reporting it as a usage error."""
     try:
         return call(*args, **kwargs)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
@@ -422,6 +423,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, SpecError, ModelError, IntegrationError) as exc:
+    except (_UsageError, SpecError, ModelError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATION if isinstance(exc, IntegrationError) else EXIT_USAGE

@@ -5,6 +5,10 @@ contact form eta = ds - p_i dq^i.  General contact forms and chart
 transitions are out of scope; by the Darboux theorem this loses no local
 generality.  Coordinate `x` pairs with momentum `p_x`, and `s` is the
 reserved action variable, so the pairing is syntactic.
+
+`ContactSystem.flow` is the contact Hamiltonian field X_H at a state,
+`contact_form_apply` is eta(v), and `hamilton_equation_residuals`
+measures how far a field is from the two equations that define X_H.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ __all__ = [
     "Tangent",
     "contact_form_apply",
     "hamilton_equation_residuals",
-    "hamiltonian_vector_field",
-    "interior_d_eta",
-    "reeb_field",
 ]
 
 ACTION_NAME = "s"
@@ -313,41 +314,20 @@ def contact_form_apply(point: ChartPoint, v: Tangent) -> float:
     return v.ds - sum(pi * dqi for pi, dqi in zip(point.p, v.dq))
 
 
-def interior_d_eta(point: ChartPoint, v: Tangent) -> Covector:
-    """i(v) d eta, with d eta = dq^i wedge dp_i."""
-    _check_dims(point, v)
-    return Covector(
-        cq=tuple(-x for x in v.dp),
-        cp=v.dq,
-        cs=0.0,
-    )
-
-
-def reeb_field(point: ChartPoint) -> Tangent:
-    """The Reeb field: d/ds at every state (i(R)eta = 1, i(R)d eta = 0)."""
-    zeros = (0.0,) * point.n
-    return Tangent(zeros, zeros, 1.0)
-
-
-def hamiltonian_vector_field(sys: ContactSystem, point: ChartPoint) -> Tangent:
-    """The unique field with i(X)d eta = dH - (dH/ds) eta and i(X)eta = -H."""
-    sys._check_point(point)
-    return Tangent.from_flat(sys.flow(point.flat()))
-
-
 def hamilton_equation_residuals(
     sys: ContactSystem, point: ChartPoint, field: Tangent | None = None
 ) -> tuple:
     """Residuals of both defining equations of the Hamiltonian field.
 
     Returns (r_eta, r_deta) where r_eta = i(X)eta + H and r_deta is the
-    covector i(X)d eta - dH + (dH/ds) eta.  With the built-in field both
-    vanish to rounding; passing an explicit `field` lets callers measure
-    how far an arbitrary candidate is from satisfying the equations.
+    covector i(X)d eta - dH + (dH/ds) eta.  With the system's own field,
+    `ContactSystem.flow`, both vanish to rounding; passing an explicit
+    `field` lets callers measure how far an arbitrary candidate is from
+    satisfying the equations.
     """
     sys._check_point(point)
     if field is None:
-        field = hamiltonian_vector_field(sys, point)
+        field = Tangent.from_flat(sys.flow(point.flat()))
     else:
         _check_dims(point, field)
     h = sys.hamiltonian

@@ -77,7 +77,6 @@ __all__ = [
     "add",
     "call",
     "div",
-    "finite_difference",
     "literal",
     "mul",
     "neg",
@@ -653,22 +652,6 @@ def _compile_kernel(
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],
     ), "<chart-expression>", "exec"), env)
     return env["_fn"]
-
-
-def finite_difference(
-    expr: Expression, var: str, bindings: Bindings, h: float | None = None
-) -> float:
-    """Central-difference estimate of a partial; cross-check oracle only."""
-    if var not in bindings:
-        raise MissingBindingError(var)
-    x = float(bindings[var])
-    if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    lo = dict(bindings)
-    hi = dict(bindings)
-    lo[var] = x - h
-    hi[var] = x + h
-    return (expr.evaluate(hi) - expr.evaluate(lo)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ __all__ = [
     "integrate_adaptive",
     "integrate_fixed",
     "read_trajectory_csv",
-    "rk4_step",
-    "rkf45_step",
     "write_trajectory_csv",
 ]
 
@@ -315,21 +313,6 @@ def _step(method: str, dim: int):
     }
     exec(compile(_step_source(method, dim), f"<{method} step>", "exec"), env)
     return env["_fn"]
-
-
-def rk4_step(sys: ContactSystem, state: ChartPoint, dt: float) -> ChartPoint:
-    """One classical 4th-order Runge-Kutta step."""
-    _require_positive("dt", dt)
-    sys._check_point(state)
-    return ChartPoint.from_flat(_step("rk4", sys.dim)(sys, state.flat(), 0.0, dt))
-
-
-def rkf45_step(sys: ContactSystem, state: ChartPoint, dt: float) -> tuple:
-    """One embedded 4(5) step: (new state, max-norm local error estimate)."""
-    _require_positive("dt", dt)
-    sys._check_point(state)
-    out, err = _step("rkf45", sys.dim)(sys, state.flat(), 0.0, dt)
-    return ChartPoint.from_flat(out), err
 
 
 def _require_positive(label: str, value: float) -> float:

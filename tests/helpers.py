@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from contactmech import DomainError, Trajectory, finite_difference, parse
+from contactmech import DomainError, MissingBindingError, Trajectory, parse
 from contactmech.analysis import (
     KIND_CONSERVED,
     KIND_CONTACT,
@@ -101,6 +101,22 @@ FUNCTIONS_H = (
     "p_q^2/(2*m) + sin(q)*cos(p_q) + exp(-q^2/2) + log(1 + q^2)"
     " + c*sqrt(1 + p_q^2) + abs(q)*(1 + q^2)^n + gamma*s"
 )
+
+def finite_difference(
+    expr, var: str, bindings: dict, h: float | None = None
+) -> float:
+    """Central-difference estimate of a partial; cross-check oracle only."""
+    if var not in bindings:
+        raise MissingBindingError(var)
+    x = float(bindings[var])
+    if h is None:
+        h = 1e-5 * max(1.0, abs(x))
+    lo = dict(bindings)
+    hi = dict(bindings)
+    lo[var] = x - h
+    hi[var] = x + h
+    return (expr.evaluate(hi) - expr.evaluate(lo)) / (2.0 * h)
+
 
 _BINARY = ("+", "-", "*", "/")
 _UNARY = ("sin", "cos", "exp", "log", "sqrt")

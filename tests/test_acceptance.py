@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import finite_difference
 from contactmech import (
     ChartPoint,
     ScalarField,
@@ -20,7 +21,6 @@ from contactmech import (
     check_quantity,
     classify_symmetry,
     characterization_residual,
-    finite_difference,
     hamilton_equation_residuals,
     integrate_fixed,
     noether_quantity,

@@ -437,6 +437,25 @@ def test_verify_reports_an_unreadable_trajectory_as_a_usage_error(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", SHIPPED_SPEC, "--tf", "0.1", "--out", "{out}"],
+        ["verify", SHIPPED_SPEC, "--tf", "0.1", "--report", "{out}"],
+        ["export-model", "gravity_friction", "--out", "{out}"],
+    ],
+    ids=["simulate", "verify", "export-model"],
+)
+def test_an_output_file_that_cannot_be_written_is_a_usage_error(
+    tmp_path, capsys, command
+):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([arg.format(out=out) for arg in command]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert not out.parent.exists()
+
+
 def _without_libyaml(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 

@@ -21,20 +21,21 @@ from contactmech import (
     contact_form_apply,
     hamilton_equation_residuals,
     hamiltonian_field,
-    hamiltonian_vector_field,
-    interior_d_eta,
     lie_bracket,
     lie_derivative_contact_form,
     lie_derivative_scalar,
     parse,
-    reeb_field,
     sample_states,
-    vector_field_value,
     vf_jacobian,
 )
 from contactmech.calculus import _bracket_trees, _lie_eta_trees, _rate_trees
+from contactmech.contact_core import _given
 
 MODELS = ("gravity_friction", "damped_free_particle", "damped_oscillator")
+
+#: H = 0 on the (x, y) chart: its residuals of a field v are eta(v) and
+#: the interior product i(v) d eta
+FREE = ContactSystem(("x", "y"), "0")
 
 
 def test_chart_point_basics():
@@ -79,17 +80,19 @@ def test_contact_form_and_interior_product(base_point):
     v = Tangent(dq=(1.0, 1.0), dp=(-0.5, -10.3), ds=1.0)
     # eta(v) = ds - sum p_i dq^i with p = (1, 1)
     assert contact_form_apply(base_point, v) == -1.0
-    w = interior_d_eta(base_point, v)
+    r_eta, w = hamilton_equation_residuals(FREE, base_point, v)
+    assert r_eta == -1.0
     assert w.cq == (0.5, 10.3)
     assert w.cp == (1.0, 1.0)
     assert w.cs == 0.0
 
 
 def test_reeb_field_is_normalized(base_point):
-    r = reeb_field(base_point)
+    # the Reeb field d/ds is the Hamiltonian field of H = -1
+    r = Tangent.from_flat(ContactSystem(("x", "y"), "-1").flow(base_point.flat()))
     assert r.dq == (0.0, 0.0) and r.dp == (0.0, 0.0) and r.ds == 1.0
     assert contact_form_apply(base_point, r) == 1.0
-    assert interior_d_eta(base_point, r).max_norm() == 0.0
+    assert hamilton_equation_residuals(FREE, base_point, r)[1].max_norm() == 0.0
 
 
 def test_system_construction(gravity):
@@ -163,7 +166,7 @@ def test_partial_of_hamiltonian(gravity, base_point):
 
 
 def test_hamiltonian_field_at_base_state(gravity, base_point):
-    v = hamiltonian_vector_field(gravity, base_point)
+    v = Tangent.from_flat(gravity.flow(base_point.flat()))
     assert v.dq == (1.0, 1.0)
     assert v.dp == (-0.5, -10.3)
     assert v.ds == 1.0
@@ -173,14 +176,12 @@ def test_hamiltonian_field_at_base_state(gravity, base_point):
 
 def test_hamiltonian_field_for_pure_action_hamiltonian():
     sys = ContactSystem(("q",), "s")
-    v = hamiltonian_vector_field(sys, ChartPoint((0.0,), (1.0,), 2.0))
-    assert v.flat() == (0.0, -1.0, -2.0)
+    assert sys.flow((0.0, 1.0, 2.0)) == (0.0, -1.0, -2.0)
 
 
 def test_hamiltonian_field_vanishes_for_zero_hamiltonian():
     sys = ContactSystem(("q",), "0")
-    v = hamiltonian_vector_field(sys, ChartPoint((3.0,), (4.0,), 5.0))
-    assert v.max_norm() == 0.0
+    assert Tangent.from_flat(sys.flow((3.0, 4.0, 5.0))).max_norm() == 0.0
 
 
 def test_residuals_vanish_at_base_state(gravity, base_point):
@@ -201,7 +202,7 @@ def test_residuals_vanish_on_random_states(name):
 
 
 def test_residuals_flag_a_corrupted_field(gravity, base_point):
-    v = hamiltonian_vector_field(gravity, base_point)
+    v = Tangent.from_flat(gravity.flow(base_point.flat()))
     bad = Tangent(dq=(v.dq[0] + 1.0,) + v.dq[1:], dp=v.dp, ds=v.ds)
     r_eta, cov = hamilton_equation_residuals(gravity, base_point, field=bad)
     assert cov.cp[0] == 1.0
@@ -226,13 +227,6 @@ def test_dissipation_rate_identity(gravity, gravity_states):
     assert worst <= 1e-10
 
 
-def test_flow_matches_field(gravity, gravity_states):
-    for point in gravity_states[:10]:
-        assert gravity.flow(point.flat()) == hamiltonian_vector_field(
-            gravity, point
-        ).flat()
-
-
 def test_repr_mentions_the_hamiltonian(gravity):
     text = repr(gravity)
     assert "gamma * s" in text and "coordinates=('x', 'y')" in text
@@ -243,7 +237,7 @@ def test_dimension_mismatch_in_form_helpers(base_point):
     with pytest.raises(ValueError):
         contact_form_apply(base_point, v)
     with pytest.raises(ValueError):
-        interior_d_eta(base_point, v)
+        hamilton_equation_residuals(FREE, base_point, v)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +317,7 @@ def _probes(sys):
              (h.derivative(v),))
             for v in names
         ],
-        ("vector_field_value", lambda pt: vector_field_value(sys, mix, pt).flat(),
+        ("field components", lambda pt: sys._at(pt, _given, mix.components),
          mix.components),
         ("vf_jacobian", lambda pt: vf_jacobian(sys, mix, pt).ravel().tolist(),
          tuple(c.derivative(v) for c in mix.components for v in names)),

@@ -18,13 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import finite_difference
 from contactmech import (
     DomainError,
     MissingBindingError,
     ParseError,
     ScalarField,
     UnknownNameError,
-    finite_difference,
     load_document,
     parse,
 )

@@ -26,10 +26,10 @@ from contactmech import (
     noether_quantity,
     parse,
     sample_states,
-    vector_field_value,
     vf_jacobian,
 )
 from contactmech.calculus import _dissipation_trees, _map_deviation_trees
+from contactmech.contact_core import _given
 
 DIGITS = 50
 REL_TOL = 1e-12
@@ -244,8 +244,8 @@ def _matmul_bracket_residuals(sys, field, states):
     x_h = hamiltonian_field(sys)
     out = []
     for pt in states:
-        va = np.array(vector_field_value(sys, field, pt).flat())
-        vb = np.array(vector_field_value(sys, x_h, pt).flat())
+        va = np.array(sys._at(pt, _given, field.components))
+        vb = np.array(sys._at(pt, _given, x_h.components))
         ja, jb = vf_jacobian(sys, field, pt), vf_jacobian(sys, x_h, pt)
         out.append(float(np.max(np.abs(jb @ va - ja @ vb))))
     return out
