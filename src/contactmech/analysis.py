@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 from . import expr as ex
 from .calculus import (
@@ -172,35 +172,35 @@ class QuantityReport:
         }
 
 
-def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> list:
-    """Deterministic uniform draws from [-2, 2] per chart direction."""
+def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> np.ndarray:
+    """(count, 2n+1) array of seeded uniform draws from [-2, 2]: a row per state."""
     if count < 1:
         raise ValueError("need at least one sample")
     import numpy as np
 
-    values = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
-    return [ChartPoint.from_flat(row.tolist()) for row in values]
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
 
 
-def _sample_columns(sys: ContactSystem, samples: Sequence[ChartPoint]) -> np.ndarray:
-    """The 2n+1 chart columns of the sample states, each state checked
-    against the system's n up front."""
+def _state_columns(sys: ContactSystem, states) -> np.ndarray:
+    """The 2n+1 chart columns of `states`, an (N, 2n+1) array of chart rows."""
     import numpy as np
 
-    if not samples:
-        raise ValueError("need at least one sample state")
-    for point in samples:
-        sys._check_point(point)
-    return np.array([point.flat() for point in samples]).T
+    rows = np.asarray(states, dtype=float)
+    if rows.ndim != 2 or not len(rows) or rows.shape[1] != sys.dim:
+        what = f"an (N, {sys.dim}) array of chart rows with N >= 1 for n={sys.n}"
+        raise ValueError(f"states must be {what}, got shape {rows.shape}")
+    return rows.T
 
 
 def classify_symmetry(
     sys: ContactSystem,
     field: VectorField,
-    samples: Sequence[ChartPoint],
+    states,
     tol: float = DEFAULT_TOLERANCE,
 ) -> tuple:
-    """Contact-symmetry and dynamical-symmetry reports for a field.
+    """Contact-symmetry and dynamical-symmetry reports for a field at
+    `states`, any (N, 2n+1) array of chart rows: a `sample_states` draw,
+    `traj.states` or a list of row tuples.
 
     Contact residual per state: max of |L_Y eta| components and |L_Y H|.
     Dynamical residual: max component of [Y, X_H].  Both reports are
@@ -212,7 +212,7 @@ def classify_symmetry(
     where H is undefined, from H's own column kernel, fails both.
     """
     tol = _require_positive("tol", tol)
-    columns = _sample_columns(sys, samples)
+    columns = _state_columns(sys, states)
     _check_field(sys, field)
     y = field.components
     h = (sys.hamiltonian,)
@@ -351,17 +351,18 @@ class PointMap:
 def check_contact_symmetry_map(
     sys: ContactSystem,
     point_map: PointMap,
-    samples: Sequence[ChartPoint],
+    states,
     tol: float = DEFAULT_TOLERANCE,
 ) -> CheckReport:
-    """Finite contact-symmetry test: pullback of eta and of H match.
+    """Finite contact-symmetry test: pullback of eta and of H match at
+    `states`, any (N, 2n+1) array of chart rows, as for `classify_symmetry`.
 
     Componentwise, (pullback eta)_j = sum_k eta_k(image) * dPhi^k/dx_j is
     compared to eta at the state, and H(image) to H(state); the residual
     is the largest deviation, from one column-kernel call over all states.
     """
     tol = _require_positive("tol", tol)
-    columns = _sample_columns(sys, samples)
+    columns = _state_columns(sys, states)
     if point_map.names != sys.chart_names:
         raise ValueError(
             f"map {point_map.name!r} is over chart {point_map.names}, "

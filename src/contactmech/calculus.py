@@ -56,7 +56,8 @@ def _chart_components(
     unknown = set(components) - set(sys.chart_names)
     if unknown:
         raise ValueError(
-            f"{label} has components for unknown chart names: {sorted(unknown)}"
+            f"{label} has components for unknown chart names: "
+            f"{sorted(unknown, key=repr)} (chart is {', '.join(sys.chart_names)})"
         )
     return tuple(
         ex._coerce_component(

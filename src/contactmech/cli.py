@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
             "samples": len(traj),
         }
 
-    checks = []
+    checks, lines = [], []  # the lines print once the report is written
 
     def add(category, name, expected, observed, matched, **extra):
         entry = {
@@ -176,7 +176,9 @@ def cmd_verify(args) -> int:
         entry.update(extra)
         checks.append(entry)
         status = "ok" if matched else "MISMATCH"
-        print(f"{category} {name}: observed {observed}, expected {expected} [{status}]")
+        lines.append(
+            f"{category} {name}: observed {observed}, expected {expected} [{status}]"
+        )
 
     def add_quantity(category, quantity, expected, **extra) -> bool:
         report = check_quantity(system, quantity, traj, args.tol)
@@ -254,7 +256,7 @@ def cmd_verify(args) -> int:
         json.dumps(report_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
-    print(f"wrote {args.report}")
+    print(*lines, f"wrote {args.report}", sep="\n")
     if mismatches == 0:
         print(f"all {len(checks)} expectations met")
         return EXIT_OK
@@ -311,9 +313,9 @@ def cmd_analyze(args) -> int:
         )
 
     h_values = []
-    for pt in states:
+    for row in states.tolist():
         try:
-            h_values.append(abs(system.hamiltonian_value(pt)))
+            h_values.append(abs(system.hamiltonian_value(system.point(row))))
         except DomainError:
             pass
     undefined = len(states) - len(h_values)

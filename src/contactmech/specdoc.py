@@ -103,35 +103,30 @@ def _as_name(value, where: str) -> str:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SpecError(f"{where}: integer is outside the float range") from None
     if not math.isfinite(value):
         raise SpecError(f"{where}: value must be finite, got {value!r}")
     return value
 
 
-def _as_source(value, where: str) -> str:
+def _as_source(value, where: str) -> str | float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return repr(float(value))
+        return _as_number(value, where)
     if not isinstance(value, str) or not value.strip():
         raise SpecError(f"{where}: expected expression source text")
     return value
 
 
-def _component_sources(entry: dict, where: str, chart_names) -> dict:
+def _component_sources(entry: dict, where: str) -> dict:
     raw = entry.get("components", {})
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise SpecError(f"{where}: components must be a mapping")
-    out = {}
-    for key, value in raw.items():
-        if key not in chart_names:
-            raise SpecError(
-                f"{where}: components.{key}: not a chart variable "
-                f"(chart is {', '.join(chart_names)})"
-            )
-        out[key] = _as_source(value, f"{where}: components.{key}")
-    return out
+    return {k: _as_source(v, f"{where}: components.{k}") for k, v in raw.items()}
 
 
 def _candidates(data: dict, field: str, allowed, candidate, build) -> tuple:
@@ -224,7 +219,7 @@ def parse_document(data) -> SpecDocument:
         initial_state = ChartPoint.from_flat(flat)
 
     def field(name, entry, where):
-        sources = _component_sources(entry, where, system.chart_names)
+        sources = _component_sources(entry, where)
         return VectorField.from_mapping(system, name, sources)
 
     def quantity(name, entry, where):
@@ -234,7 +229,7 @@ def parse_document(data) -> SpecDocument:
         )
 
     def point_map(name, entry, where):
-        sources = _component_sources(entry, where, system.chart_names)
+        sources = _component_sources(entry, where)
         return PointMap.from_mapping(system, name, sources)
 
     return SpecDocument(
@@ -275,7 +270,7 @@ def load_document(path) -> SpecDocument:
         mark = exc.problem_mark
         line = f"line {mark.line + 1}: " if mark is not None else ""
         raise SpecError(f"{path}: {line}{exc.problem or exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int too long to read
         raise SpecError(f"{path}: {exc}") from None
     try:
         return parse_document(data)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import chart_points
 from contactmech import ChartPoint, builtin, sample_states
 
 _ACCEPTANCE_LINES: list = []
@@ -23,7 +24,15 @@ def base_point():
 
 @pytest.fixture(scope="session")
 def gravity_states(gravity):
-    return sample_states(gravity, count=100, seed=42)
+    # read-only, as `traj.states` is: shared by every test in the session
+    states = sample_states(gravity, count=100, seed=42)
+    states.setflags(write=False)
+    return states
+
+
+@pytest.fixture(scope="session")
+def gravity_points(gravity, gravity_states):
+    return chart_points(gravity, gravity_states)
 
 
 @pytest.fixture(scope="session")

@@ -54,6 +54,12 @@ CHAIN_H = (
 )
 
 
+def chart_points(sys, states) -> list:
+    """The ChartPoint of each chart row of a `sample_states` array, for
+    the per-point functions."""
+    return [sys.point(row) for row in states.tolist()]
+
+
 def chain_document() -> dict:
     """A spec of the CHAIN_H system with the candidates of the
     benchmark's wide workload, at fixed parameters and state."""

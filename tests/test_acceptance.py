@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import finite_difference
+from helpers import chart_points, finite_difference
 from contactmech import (
     ChartPoint,
     ScalarField,
@@ -56,7 +56,7 @@ def test_criterion_01_hamilton_residuals(record_criterion):
     worst = 0.0
     for name in MODELS:
         sys = builtin(name)
-        for point in sample_states(sys, count=100, seed=42):
+        for point in chart_points(sys, sample_states(sys, count=100, seed=42)):
             r_eta, cov = hamilton_equation_residuals(sys, point)
             worst = max(worst, abs(r_eta), cov.max_norm())
     elapsed = time.perf_counter() - start
@@ -146,16 +146,16 @@ def test_criterion_06_symmetry_pipeline(record_criterion, gravity,
 
 
 def test_criterion_07_bracket_characterization(record_criterion, gravity,
-                                               gravity_states):
+                                               gravity_points):
     momentum = ScalarField("p_x", parse("p_x", gravity.chart_names))
     position = ScalarField("x", parse("x", gravity.chart_names))
     good = max(
         abs(characterization_residual(gravity, reeb_lift(gravity, momentum), p))
-        for p in gravity_states
+        for p in gravity_points
     )
     bad = max(
         abs(characterization_residual(gravity, reeb_lift(gravity, position), p))
-        for p in gravity_states
+        for p in gravity_points
     )
     record_criterion(
         7,

@@ -1,13 +1,14 @@
 """Symmetry classification, dissipated quantities, and map checks."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import contactmech.expr
-from helpers import CHAIN_H
+from helpers import CHAIN_H, chart_points
 from contactmech import (
     ChartPoint,
     ContactSystem,
@@ -63,18 +64,90 @@ def momentum_x(gravity):
 def test_sampling_is_deterministic(gravity):
     first = sample_states(gravity, count=10, seed=4)
     second = sample_states(gravity, count=10, seed=4)
-    assert first == second
-    assert first != sample_states(gravity, count=10, seed=5)
+    assert first.tolist() == second.tolist()
+    assert first.tolist() != sample_states(gravity, count=10, seed=5).tolist()
 
 
 def test_sampling_respects_the_box(gravity_states):
-    for point in gravity_states:
-        assert all(abs(v) <= 2.0 for v in point.flat())
+    for row in gravity_states.tolist():
+        assert all(abs(v) <= 2.0 for v in row)
 
 
 def test_sampling_rejects_empty_request(gravity):
     with pytest.raises(ValueError):
         sample_states(gravity, count=0)
+
+
+@pytest.mark.parametrize(
+    "seed, first, last, digest",
+    [
+        (
+            42,
+            (1.0958241942238534, -0.24448624099179073, 1.4343916796455298,
+             0.7894721162374556, -1.6232906084494019),
+            0.05095697842703295,
+            "ffb407128eac8a7b60ab36c34a3eab6f3dd0869698903690c4e4852f34ef3f1b",
+        ),
+        (
+            7,
+            (0.5003818664186679, 1.588855203878302, 1.102742760980774,
+             -1.0991712400376326, -0.7993348603550983),
+            -1.207915672962172,
+            "06bced0643c65607c3c90b1c4dcc156f21c976217c2199998d3254991384211c",
+        ),
+    ],
+)
+def test_sampling_returns_the_drawn_rows(gravity, seed, first, last, digest):
+    # the values of the ChartPoint rows sample_states used to return
+    states = sample_states(gravity, count=100, seed=seed)
+    assert type(states) is np.ndarray
+    assert states.dtype == np.float64 and states.shape == (100, 5)
+    assert tuple(states[0].tolist()) == first and states[-1, -1] == last
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+
+def _state_forms(sys, count, seed):
+    """The same rows as a fresh array, as a read-only `traj.states` and
+    as a list of tuples."""
+    states = sample_states(sys, count=count, seed=seed)
+    traj = Trajectory(
+        sys.chart_names, np.arange(count, dtype=float), states, "samples"
+    )
+    assert not traj.states.flags.writeable
+    return states, traj.states, [tuple(row) for row in states.tolist()]
+
+
+def test_sampled_checks_take_any_array_of_chart_rows(gravity, dx, ds):
+    shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + p_x"})
+    forms = _state_forms(gravity, 40, 3)
+    for check in (
+        lambda states: classify_symmetry(gravity, dx, states),
+        lambda states: classify_symmetry(gravity, ds, states),
+        lambda states: check_contact_symmetry_map(gravity, shift, states),
+    ):
+        reports = [check(states) for states in forms]
+        assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize(
+    "states",
+    [np.zeros(5), np.zeros((0, 5)), np.zeros((4, 3)), np.zeros((4, 7))],
+    ids=["1-d", "no-rows", "narrow", "wide"],
+)
+def test_sampled_checks_reject_a_state_array_of_the_wrong_shape(gravity, dx, states):
+    identity = PointMap.from_mapping(gravity, "id", {})
+    with pytest.raises(ValueError, match=r"\(N, 5\) array .* n=2"):
+        classify_symmetry(gravity, dx, states)
+    with pytest.raises(ValueError, match=r"\(N, 5\) array .* n=2"):
+        check_contact_symmetry_map(gravity, identity, states)
+
+
+def test_sampled_checks_reject_chart_points(gravity, dx, gravity_points):
+    identity = PointMap.from_mapping(gravity, "id", {})
+    with pytest.raises(TypeError):
+        classify_symmetry(gravity, dx, gravity_points)
+    with pytest.raises(TypeError):
+        check_contact_symmetry_map(gravity, identity, gravity_points)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +234,8 @@ def test_failed_samples_are_counted_per_check():
     # fails at q = 0 (24 of the 50 samples here), and neither field's
     # contact residual needs it.
     sys = ContactSystem(("q",), "p_q^2/2 + sqrt(q^2) + gamma*s", {"gamma": 0.5})
-    samples = [
-        ChartPoint((max(point.q[0], 0.0),), point.p, point.s)
-        for point in sample_states(sys, count=50, seed=42)
-    ]
+    rows = sample_states(sys, count=50, seed=42).tolist()
+    samples = [(max(q, 0.0), p, s) for q, p, s in rows]
     for components, dynamical_counts in [
         # [d/dp_q, X_H] = dX_H/dp_q never reaches dH/dq
         ({"p_q": "1"}, (50, 0)),
@@ -185,7 +256,7 @@ def test_a_sample_where_h_is_undefined_fails_in_both_reports():
     )
     field = VectorField.from_mapping(sys, "d/dx", {"x": "1"})
     samples = sample_states(sys, count=50, seed=1)
-    undefined = sum(point.q[1] < 0.0 for point in samples)
+    undefined = sum(y < 0.0 for y in samples[:, 1].tolist())
     assert undefined == 28
     for report in classify_symmetry(sys, field, samples):
         assert (report.samples, report.failed_samples) == (50 - undefined, undefined)
@@ -218,11 +289,11 @@ def test_classification_checks_dimensions_before_sampling(
     narrow = VectorField.from_mapping(one_d, "d/dq", {"q": "1"})
     with pytest.raises(ValueError, match="n=1"):
         classify_symmetry(gravity, narrow, gravity_states)
-    stray = list(gravity_states[:3]) + [ChartPoint((0.0,), (1.0,), 0.0)]
-    with pytest.raises(ValueError, match="n=1"):
+    stray = gravity_states[:4, :3]  # rows of an n=1 chart
+    with pytest.raises(ValueError, match=r"n=2, got shape \(4, 3\)"):
         classify_symmetry(gravity, dx, stray)
     shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + 1"})
-    with pytest.raises(ValueError, match="n=1"):
+    with pytest.raises(ValueError, match=r"n=2, got shape \(4, 3\)"):
         check_contact_symmetry_map(gravity, shift, stray)
 
 
@@ -265,9 +336,9 @@ def test_noether_quantity_of_reeb_is_constant(gravity, ds):
     assert str(noether_quantity(gravity, ds).expression) == "-1.0"
 
 
-def test_noether_quantity_of_evolution_field_is_h(gravity, gravity_states):
+def test_noether_quantity_of_evolution_field_is_h(gravity, gravity_points):
     quantity = noether_quantity(gravity, hamiltonian_field(gravity))
-    for point in gravity_states:
+    for point in gravity_points:
         expected = gravity.hamiltonian_value(point)
         assert abs(quantity.value(gravity, point) - expected) <= 1e-12
 
@@ -370,8 +441,8 @@ def test_nan_after_the_first_component_fails_the_row(gravity, gravity_states):
     # H does not depend on x, so at y = inf the last deviation,
     # H(image) - H, is inf - inf while every eta component is finite
     shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + 1"})
-    states = list(gravity_states)
-    states[5] = ChartPoint((0.5, math.inf), (1.0, -1.0), 0.0)
+    states = gravity_states.copy()
+    states[5] = (0.5, math.inf, 1.0, -1.0, 0.0)
     report = check_contact_symmetry_map(gravity, shift, states)
     assert (report.samples, report.failed_samples) == (len(states) - 1, 1)
     assert report.passed and report.max_residual == 0.0
@@ -422,27 +493,27 @@ def test_reeb_lift_is_dynamical_but_not_contact(gravity, gravity_states):
     assert not contact.passed
 
 
-def test_characterization_of_momentum_lift(gravity, gravity_states):
+def test_characterization_of_momentum_lift(gravity, gravity_points):
     lifted = reeb_lift(gravity, momentum_x(gravity))
     worst = max(
         abs(characterization_residual(gravity, lifted, point))
-        for point in gravity_states
+        for point in gravity_points
     )
     assert worst <= 1e-10
 
 
-def test_characterization_of_position_lift(gravity, base_point, gravity_states):
+def test_characterization_of_position_lift(gravity, base_point, gravity_points):
     lifted = reeb_lift(gravity, ScalarField("x", parse("x", gravity.chart_names)))
     assert characterization_residual(gravity, lifted, base_point) == 1.0
     worst = max(
         abs(characterization_residual(gravity, lifted, point))
-        for point in gravity_states
+        for point in gravity_points
     )
     assert worst > 1e-1
 
 
 def test_characterization_agrees_with_trajectory_verdicts(
-    gravity, gravity_states, coarse_traj
+    gravity, gravity_points, coarse_traj
 ):
     ham = ScalarField("H", gravity.hamiltonian)
     pos = ScalarField("x", parse("x", gravity.chart_names))
@@ -453,7 +524,7 @@ def test_characterization_agrees_with_trajectory_verdicts(
     ]:
         worst = max(
             abs(characterization_residual(gravity, reeb_lift(gravity, quantity), p))
-            for p in gravity_states
+            for p in gravity_points
         )
         report = check_quantity(gravity, quantity, coarse_traj)
         dissipated = report.classification in ("dissipated", "both")
@@ -601,6 +672,7 @@ def _assert_stats(report, residuals):
 
 
 def _assert_classification_parity(sys, field, states):
+    points = chart_points(sys, states)
     ham = ScalarField("H", sys.hamiltonian)
     x_h = hamiltonian_field(sys)
     contact_res = [
@@ -608,9 +680,9 @@ def _assert_classification_parity(sys, field, states):
             lie_derivative_contact_form(sys, field, pt).max_norm(),
             abs(lie_derivative_scalar(sys, field, ham, pt)),
         )
-        for pt in states
+        for pt in points
     ]
-    bracket_res = [lie_bracket(sys, field, x_h, pt).max_norm() for pt in states]
+    bracket_res = [lie_bracket(sys, field, x_h, pt).max_norm() for pt in points]
     contact, dynamical = classify_symmetry(sys, field, states, tol=1e300)
     _assert_stats(contact, contact_res)
     _assert_stats(dynamical, bracket_res)
@@ -646,14 +718,17 @@ def test_classification_matches_calculus_on_the_chain():
 
 
 def _at_states(sys, trees, states):
-    return [[tree.evaluate(sys.bindings(pt)) for tree in trees] for pt in states]
+    return [
+        [tree.evaluate(sys.bindings(pt)) for tree in trees]
+        for pt in chart_points(sys, states)
+    ]
 
 
 def _assert_quantity_parity(sys, sources, states):
     traj = Trajectory(
         sys.chart_names,
         np.arange(len(states), dtype=float),
-        np.array([pt.flat() for pt in states]),
+        states,
         "samples",
     )
     for source in sources:

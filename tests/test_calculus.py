@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import chart_points
 from contactmech import (
     ChartPoint,
     PointMap,
@@ -97,23 +98,23 @@ def test_jacobian_of_evolution_field(gravity, base_point):
     assert np.array_equal(jac[3], np.array([0.0, 0.0, 0.0, -0.5, 0.0]))
 
 
-def test_symbolic_field_matches_flow(gravity, gravity_states):
+def test_symbolic_field_matches_flow(gravity, gravity_points):
     x_h = hamiltonian_field(gravity)
-    for point in gravity_states[:20]:
+    for point in gravity_points[:20]:
         v = gravity._at(point, _given, x_h.components)
         flow = gravity.flow(point.flat())
         assert max(abs(a - b) for a, b in zip(v, flow)) <= 1e-12
 
 
-def test_translation_commutes_with_evolution(gravity, dx, gravity_states):
+def test_translation_commutes_with_evolution(gravity, dx, gravity_points):
     x_h = hamiltonian_field(gravity)
-    for point in gravity_states:
+    for point in gravity_points:
         assert lie_bracket(gravity, dx, x_h, point).max_norm() == 0.0
 
 
-def test_bracket_of_field_with_itself_vanishes(gravity, gravity_states):
+def test_bracket_of_field_with_itself_vanishes(gravity, gravity_points):
     x_h = hamiltonian_field(gravity)
-    for point in gravity_states[:10]:
+    for point in gravity_points[:10]:
         assert lie_bracket(gravity, x_h, x_h, point).max_norm() == 0.0
 
 
@@ -141,7 +142,7 @@ def poly_fields(free_particle):
 
 def test_bracket_antisymmetry(free_particle, poly_fields):
     a, b = poly_fields
-    for point in sample_states(free_particle, count=20, seed=5):
+    for point in chart_points(free_particle, sample_states(free_particle, 20, 5)):
         ab = lie_bracket(free_particle, a, b, point).flat()
         ba = lie_bracket(free_particle, b, a, point).flat()
         assert all(x == -y for x, y in zip(ab, ba))
@@ -159,7 +160,7 @@ def test_bracket_bilinearity(free_particle, poly_fields):
         ),
     )
     x_h = hamiltonian_field(free_particle)
-    for point in sample_states(free_particle, count=20, seed=6):
+    for point in chart_points(free_particle, sample_states(free_particle, 20, 6)):
         lhs = lie_bracket(free_particle, combo, x_h, point).flat()
         ac = lie_bracket(free_particle, a, x_h, point).flat()
         bc = lie_bracket(free_particle, b, x_h, point).flat()
@@ -186,9 +187,9 @@ def test_scalar_rate_along_evolution(gravity, base_point):
     assert lie_derivative_scalar(gravity, x_h, const, base_point) == 0.0
 
 
-def test_translation_does_not_change_the_hamiltonian(gravity, dx, gravity_states):
+def test_translation_does_not_change_the_hamiltonian(gravity, dx, gravity_points):
     ham = ScalarField("H", gravity.hamiltonian)
-    for point in gravity_states:
+    for point in gravity_points:
         assert lie_derivative_scalar(gravity, dx, ham, point) == 0.0
 
 
@@ -208,9 +209,9 @@ def test_contact_form_derivative_of_dilation(free_particle):
     assert w.cs == 0.0
 
 
-def test_contact_symmetry_preserves_reeb(gravity, dx, gravity_states):
+def test_contact_symmetry_preserves_reeb(gravity, dx, gravity_points):
     reeb = VectorField.from_mapping(gravity, "R", {"s": "1"})
-    for point in gravity_states:
+    for point in gravity_points:
         assert lie_bracket(gravity, dx, reeb, point).max_norm() <= 1e-10
 
 

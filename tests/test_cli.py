@@ -14,6 +14,9 @@ from contactmech.cli import main
 from contactmech.expr import literal, variable
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
+# integers past the float range, and past the digits Python converts
+_BIG = "9" * 400
+_HUGE = "9" * 5000
 
 
 @pytest.fixture()
@@ -361,7 +364,47 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
         (
             "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
             "maps: [{name: f, components: {w: q}, expect: contact}]\n",
-            "maps[0] (f): components.w: not a chart variable (chart is q, p_q, s)",
+            "maps[0] (f): map 'f' has components for unknown chart names: ['w'] "
+            "(chart is q, p_q, s)",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "symmetries: [{name: y, components: {1: q, w: q}, expect: contact}]\n",
+            "symmetries[0] (y): field 'y' has components for unknown chart names: "
+            "['w', 1] (chart is q, p_q, s)",
+        ),
+        pytest.param(
+            f"n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {{g: {_BIG}}}\n",
+            "parameters.g: integer is outside the float range",
+            id="400-digit-parameter",
+        ),
+        pytest.param(
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            f"initial_state: {{q: {_BIG}, p_q: 1, s: 0}}\n",
+            "initial_state.q: integer is outside the float range",
+            id="400-digit-initial-state",
+        ),
+        pytest.param(
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            f"symmetries: [{{name: y, components: {{q: {_BIG}}}, expect: contact}}]\n",
+            "symmetries[0] (y): components.q: integer is outside the float range",
+            id="400-digit-component",
+        ),
+        pytest.param(
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            f"quantities: [{{name: z, expression: {_BIG}, expect: neither}}]\n",
+            "quantities[0] (z): expression: integer is outside the float range",
+            id="400-digit-expression",
+        ),
+        (
+            "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
+            "quantities: [{name: z, expression: 1.0e+400, expect: neither}]\n",
+            "quantities[0] (z): expression: value must be finite, got inf",
+        ),
+        pytest.param(
+            f"n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {{g: {_HUGE}}}\n",
+            "Exceeds the limit (4300 digits) for integer string conversion",
+            id="5000-digit-parameter",
         ),
         (
             "n: 1\ncoordinates: [q]\nhamiltonian: p_q\n"
@@ -451,7 +494,9 @@ def test_an_output_file_that_cannot_be_written_is_a_usage_error(
 ):
     out = tmp_path / "missing" / "out.txt"
     assert main([arg.format(out=out) for arg in command]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and str(out) in line
     assert not out.parent.exists()
 
@@ -764,7 +809,7 @@ def test_analyze_reports_states_where_h_is_undefined(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     system = load_document(spec).system
-    undefined = sum(pt.q[0] < 0.0 for pt in sample_states(system, 100, seed=42))
+    undefined = sum(q < 0.0 for q in sample_states(system, 100, seed=42)[:, 0].tolist())
     assert 0 < undefined < 100
     assert captured.out.splitlines()[-1] == (
         f"H is undefined on {undefined} of 100 sampled states; "

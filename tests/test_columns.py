@@ -24,7 +24,6 @@ from helpers import (
     report_bits,
 )
 from contactmech import (
-    ChartPoint,
     ContactSystem,
     DomainError,
     PointMap,
@@ -232,10 +231,6 @@ def test_random_quantities_match_the_row_loop():
     assert failing >= 100
 
 
-def _samples(rows) -> list:
-    return [ChartPoint.from_flat(row) for row in rows.tolist()]
-
-
 def test_random_fields_match_the_row_loop():
     rng = np.random.default_rng(2025)
     systems = _systems()
@@ -245,7 +240,7 @@ def test_random_fields_match_the_row_loop():
         field = VectorField(f"Y{k}", _random_expressions(rng, sys, sys.dim, 2))
         rows = edge_rows(rng, sys.dim, 8)
         expected = reference_classify(sys, field, rows.tolist(), TOL)
-        got = classify_symmetry(sys, field, _samples(rows), TOL)
+        got = classify_symmetry(sys, field, rows, TOL)
         assert tuple(map(report_bits, got)) == tuple(map(report_bits, expected))
         failing += got[0].failed_samples > 0
     assert failing >= 100
@@ -261,7 +256,7 @@ def test_random_maps_match_the_row_loop():
             f"Phi{k}", sys.chart_names, _random_expressions(rng, sys, sys.dim, 2)
         )
         rows = edge_rows(rng, sys.dim, 8)
-        got = check_contact_symmetry_map(sys, point_map, _samples(rows), TOL)
+        got = check_contact_symmetry_map(sys, point_map, rows, TOL)
         expected = reference_map(sys, point_map, rows.tolist(), TOL)
         assert report_bits(got) == report_bits(expected)
         failing += got.failed_samples > 0

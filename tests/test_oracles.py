@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import sympy
 
-from helpers import CHAIN_H
+from helpers import CHAIN_H, chart_points
 from contactmech import (
     ContactSystem,
     PointMap,
@@ -164,7 +164,7 @@ def test_contact_trees_match_the_formulas(case):
     oracle = Formulas(sys)
     y = oracle.field(field)
     ham = ScalarField("H", sys.hamiltonian)
-    states = sample_states(sys, count=15, seed=21)
+    states = chart_points(sys, sample_states(sys, count=15, seed=21))
     got = [
         lie_derivative_contact_form(sys, field, pt).flat()
         + (lie_derivative_scalar(sys, field, ham, pt),)
@@ -182,7 +182,7 @@ def test_bracket_trees_match_the_formula(case):
     dilation = VectorField.from_mapping(
         sys, "dilation", {c: c for c in sys.coordinates}
     )
-    states = sample_states(sys, count=15, seed=22)
+    states = chart_points(sys, sample_states(sys, count=15, seed=22))
     for other, formula in (
         (hamiltonian_field(sys), oracle.hamiltonian_field()),
         (dilation, oracle.field(dilation)),
@@ -207,7 +207,7 @@ def test_dissipation_trees_match_the_formula(make, sources):
         for case in FIELDS
         if case[0] is make
     ]
-    states = sample_states(sys, count=15, seed=23)
+    states = chart_points(sys, sample_states(sys, count=15, seed=23))
     for expression in expressions:
         trees = _dissipation_trees(sys, expression)
         got = [[t.evaluate(sys.bindings(pt)) for t in trees] for pt in states]
@@ -228,7 +228,7 @@ def test_map_trees_match_the_formula(make, mapping):
     point_map = PointMap.from_mapping(sys, "candidate", mapping)
     oracle = Formulas(sys)
     trees = _map_deviation_trees(sys, point_map.components)
-    states = sample_states(sys, count=15, seed=24)
+    states = chart_points(sys, sample_states(sys, count=15, seed=24))
     got = [[t.evaluate(sys.bindings(pt)) for t in trees] for pt in states]
     exact = oracle.at(oracle.map_deviation(oracle.field(point_map)), states)
     _assert_agrees(got, exact)
@@ -283,11 +283,12 @@ def test_chain_translation_bracket_is_no_less_accurate():
         sys, "common_translation", {c: "1" for c in sys.coordinates}
     )
     states = sample_states(sys, count=20, seed=11)
+    points = chart_points(sys, states)
     _, dynamical = classify_symmetry(sys, field, states)
-    before = _matmul_bracket_residuals(sys, field, states)
+    before = _matmul_bracket_residuals(sys, field, points)
     oracle = Formulas(sys)
     exact = oracle.at(
-        oracle.bracket(oracle.field(field), oracle.hamiltonian_field()), states
+        oracle.bracket(oracle.field(field), oracle.hamiltonian_field()), points
     )
     # the translation commutes with X_H, so only rounding is left
     assert all(v == 0 for row in exact for v in row)
@@ -302,10 +303,11 @@ def test_rotation_map_residual_is_no_less_accurate():
     sys = _oscillator()
     point_map = PointMap.from_mapping(sys, "rotation", ROTATION_MAP)
     states = sample_states(sys, count=60, seed=9)
+    points = chart_points(sys, states)
     report = check_contact_symmetry_map(sys, point_map, states)
-    before = _matmul_map_residuals(sys, point_map, states)
+    before = _matmul_map_residuals(sys, point_map, points)
     oracle = Formulas(sys)
-    exact = oracle.at(oracle.map_deviation(oracle.field(point_map)), states)
+    exact = oracle.at(oracle.map_deviation(oracle.field(point_map)), points)
     assert (sum(before) / 60, report.mean_residual) == (
         3.7816971776294395e-16,
         3.6567970873591096e-16,
