@@ -15,17 +15,11 @@ from .expr import (
     UnknownNameError,
     parse,
 )
-from .contact_core import (
-    ChartPoint,
-    ContactSystem,
-    Covector,
-    Tangent,
-    contact_form_apply,
-    hamilton_equation_residuals,
-)
+from .contact_core import ChartPoint, ContactSystem
 from .calculus import (
     ScalarField,
     VectorField,
+    hamilton_equation_residuals,
     hamiltonian_field,
     lie_bracket,
     lie_derivative_contact_form,
@@ -65,7 +59,6 @@ __all__ = [
     "ChartPoint",
     "CheckReport",
     "ContactSystem",
-    "Covector",
     "DivergenceError",
     "DomainError",
     "Expression",
@@ -80,7 +73,6 @@ __all__ = [
     "SpecDocument",
     "SpecError",
     "StepUnderflowError",
-    "Tangent",
     "Trajectory",
     "UnknownNameError",
     "VectorField",
@@ -91,7 +83,6 @@ __all__ = [
     "check_quantity",
     "classify_symmetry",
     "conserved_from_symmetry",
-    "contact_form_apply",
     "hamilton_equation_residuals",
     "hamiltonian_field",
     "integrate_adaptive",

@@ -38,6 +38,7 @@ from .calculus import (
     ScalarField,
     VectorField,
     _bracket_trees,
+    _characterization_trees,
     _chart_components,
     _chart_expressions,
     _check_bound,
@@ -46,10 +47,8 @@ from .calculus import (
     _lie_eta_trees,
     _map_deviation_trees,
     _rate_trees,
-    hamiltonian_field,
-    lie_bracket,
 )
-from .contact_core import ChartPoint, ContactSystem, _given, contact_form_apply
+from .contact_core import ChartPoint, ContactSystem, _given
 from .integrate import Trajectory, _check_trajectory_chart, _require_positive
 
 if TYPE_CHECKING:
@@ -185,9 +184,13 @@ def _state_columns(sys: ContactSystem, states) -> np.ndarray:
     """The 2n+1 chart columns of `states`, an (N, 2n+1) array of chart rows."""
     import numpy as np
 
-    rows = np.asarray(states, dtype=float)
+    what = f"an (N, {sys.dim}) array of chart rows with N >= 1 for n={sys.n}"
+    try:
+        rows = np.asarray(states, dtype=float)
+    except ValueError:
+        message = f"states must be {what}, got ragged or non-real rows"
+        raise ValueError(message) from None
     if rows.ndim != 2 or not len(rows) or rows.shape[1] != sys.dim:
-        what = f"an (N, {sys.dim}) array of chart rows with N >= 1 for n={sys.n}"
         raise ValueError(f"states must be {what}, got shape {rows.shape}")
     return rows.T
 
@@ -311,8 +314,8 @@ def characterization_residual(
     quantity, which turns the dissipated-quantity test into a bracket
     condition.
     """
-    bracket = lie_bracket(sys, field, hamiltonian_field(sys), point)
-    return contact_form_apply(point, bracket)
+    _check_field(sys, field)
+    return sys._at(point, _characterization_trees, field.components)
 
 
 @dataclass(frozen=True)

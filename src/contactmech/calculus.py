@@ -1,16 +1,20 @@
 """Vector fields, Lie brackets, and Lie derivatives on the chart.
 
 Each geometric operator is one builder of expression trees (L_Y eta,
-L_Y F, [A, B], a quantity's two rates, a map's deviations), made with
-the folding builders of `expr` and exact symbolic derivatives, so a term
-with a literal-0 factor drops out of the tree.  The functions here
-evaluate these trees at one state through `ContactSystem._at`, which
-compiles them once per system; `analysis` evaluates the same trees
-over the columns of all its samples.  The Hamiltonian field is the
-tuple of component expressions each ContactSystem builds from the
-gradient of H, whose values at a state `ContactSystem.flow` returns;
-their derivatives are kept on the shared nodes, which is how second
-derivatives of H enter brackets exactly.
+L_Y F, [A, B], a quantity's two rates, a map's deviations, the
+residuals of the two equations that define X_H, and the bracket
+characterization eta([Y, X_H])), made with the folding builders of
+`expr` and exact symbolic derivatives, so a term with a literal-0
+factor drops out of the tree.  The functions here evaluate these trees
+at one state through `ContactSystem._at`, which compiles them once per
+system, and do no arithmetic of their own; a vector or covector result
+is a flat tuple in chart order, as `ContactSystem.flow` returns.
+The `analysis` checks evaluate the same trees over the columns of all
+their samples.  The Hamiltonian field is the tuple of component
+expressions each ContactSystem builds from the gradient of H, whose
+values at a state `ContactSystem.flow` returns; their derivatives are
+kept on the shared nodes, which is how second derivatives of H enter
+brackets exactly.
 """
 
 from __future__ import annotations
@@ -20,15 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
-from .contact_core import (
-    ACTION_NAME,
-    ChartPoint,
-    ContactSystem,
-    Covector,
-    Tangent,
-    _chart_n,
-    _given,
-)
+from .contact_core import ACTION_NAME, ChartPoint, ContactSystem, _chart_n, _given
 from .expr import Expression, MissingBindingError
 
 if TYPE_CHECKING:
@@ -37,6 +33,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ScalarField",
     "VectorField",
+    "hamilton_equation_residuals",
     "hamiltonian_field",
     "lie_bracket",
     "lie_derivative_contact_form",
@@ -231,15 +228,42 @@ def _map_deviation_trees(sys: ContactSystem, image: Sequence[Expression]) -> tup
     return form + (ex.sub(moved, sys.hamiltonian),)
 
 
+def _eta_of(sys: ContactSystem, vector: Sequence[Expression]) -> Expression:
+    """eta(v) = sum_k eta_k v^k at the chart's state, for components `vector`."""
+    here = _eta(sys, tuple(map(ex.variable, sys.chart_names)))
+    return _chart_sum(map(ex.mul, here, vector))
+
+
+def _hamilton_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
+    """Residuals of the two equations that define X_H, for a field Y:
+    i(Y)eta + H, then i(Y)d eta - dH + (dH/ds) eta against (dq^i, dp_i,
+    ds), which is -Y^{p_i} - dH/dq^i - p_i dH/ds, then Y^{q_i} - dH/dp_i,
+    then 0 (the ds slot cancels identically)."""
+    n = sys.n
+    h = sys.hamiltonian
+    h_s = h.derivative(ACTION_NAME)
+    r_eta = ex.add(_eta_of(sys, field), h)
+    r_q = tuple(
+        ex.sub(ex.sub(ex.neg(y_p), h.derivative(c)), ex.mul(ex.variable(m), h_s))
+        for c, m, y_p in zip(sys.coordinates, sys.momenta, field[n : 2 * n])
+    )
+    r_p = tuple(ex.sub(y_q, h.derivative(m)) for m, y_q in zip(sys.momenta, field))
+    return (r_eta,) + r_q + r_p + (_ZERO,)
+
+
+def _characterization_trees(sys: ContactSystem, field: Sequence[Expression]):
+    """eta([Y, X_H]), zero everywhere iff -i(Y)eta is dissipated."""
+    return _eta_of(sys, _bracket_trees(sys, field, sys._field))
+
+
 def lie_bracket(
     sys: ContactSystem, a: VectorField, b: VectorField, point: ChartPoint
-) -> Tangent:
-    """[a, b]^k = sum_j (a^j d_j b^k - b^j d_j a^k) at the state."""
+) -> tuple:
+    """[a, b]^k = sum_j (a^j d_j b^k - b^j d_j a^k) at the state, in chart
+    order."""
     _check_field(sys, a)
     _check_field(sys, b)
-    return Tangent.from_flat(
-        sys._at(point, _bracket_trees, a.components, b.components)
-    )
+    return sys._at(point, _bracket_trees, a.components, b.components)
 
 
 def lie_derivative_scalar(
@@ -253,10 +277,11 @@ def lie_derivative_scalar(
 
 def lie_derivative_contact_form(
     sys: ContactSystem, field: VectorField, point: ChartPoint
-) -> Covector:
-    """L_Y eta at the state, by Cartan's formula (see `_lie_eta_trees`)."""
+) -> tuple:
+    """L_Y eta at the state against (dq^i, dp_i, ds), by Cartan's formula
+    (see `_lie_eta_trees`)."""
     _check_field(sys, field)
-    return Covector.from_flat(sys._at(point, _lie_eta_trees, field.components))
+    return sys._at(point, _lie_eta_trees, field.components)
 
 
 def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> VectorField:
@@ -267,3 +292,23 @@ def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> Ve
     exact second derivatives of H, kept on the shared nodes.
     """
     return VectorField(name, sys._field)
+
+
+def hamilton_equation_residuals(
+    sys: ContactSystem, point: ChartPoint, field: VectorField | None = None
+) -> tuple:
+    """Residuals of both defining equations of the Hamiltonian field.
+
+    Returns (r_eta, r_deta) where r_eta = i(Y)eta + H and r_deta holds
+    the 2n+1 components of the covector i(Y)d eta - dH + (dH/ds) eta in
+    chart order (see `_hamilton_trees`).  With the system's own field,
+    the default, both vanish to rounding; an explicit `field` measures
+    how far a candidate is from satisfying the equations.
+    """
+    if field is None:
+        components = sys._field
+    else:
+        _check_field(sys, field)
+        components = field.components
+    r_eta, *r_deta = sys._at(point, _hamilton_trees, components)
+    return r_eta, tuple(r_deta)

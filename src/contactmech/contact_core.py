@@ -6,16 +6,17 @@ transitions are out of scope; by the Darboux theorem this loses no local
 generality.  Coordinate `x` pairs with momentum `p_x`, and `s` is the
 reserved action variable, so the pairing is syntactic.
 
-`ContactSystem.flow` is the contact Hamiltonian field X_H at a state,
-`contact_form_apply` is eta(v), and `hamilton_equation_residuals`
-measures how far a field is from the two equations that define X_H.
+A state is a `ChartPoint`, or its values in chart order.  The system
+builds the component trees of the contact Hamiltonian field X_H once,
+and `ContactSystem.flow` returns their values at a state as a flat
+tuple in chart order.  `ContactSystem._at` evaluates any trees at a
+state; the geometric operators, the residuals of the two equations that
+define X_H among them, are tree builders in `calculus`.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -27,10 +28,6 @@ __all__ = [
     "ACTION_NAME",
     "ChartPoint",
     "ContactSystem",
-    "Covector",
-    "Tangent",
-    "contact_form_apply",
-    "hamilton_equation_residuals",
 ]
 
 ACTION_NAME = "s"
@@ -60,80 +57,38 @@ def _chart_n(count: int, what: str) -> int:
     return (count - 1) // 2
 
 
-class _ChartVector:
-    """The (n, n, 1) chart layout shared by points, tangents and covectors.
+@dataclass(frozen=True)
+class ChartPoint:
+    """A point (q, p, s) of the (2n+1)-dimensional chart, n >= 1."""
 
-    A subclass is a frozen dataclass that declares three fields in chart
-    order: the n components against q, the n against p, and the one
-    against s, with n >= 1.  Their names, read once per class, label the
-    validation errors.
-    """
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._layout = tuple(inspect.get_annotations(cls))
-        cls._head = operator.attrgetter(cls._layout[0])
-        cls._parts = operator.attrgetter(*cls._layout)
+    q: tuple
+    p: tuple
+    s: float
 
     def __post_init__(self):
-        head_name, tail_name, last_name = self._layout
-        head = _as_floats(getattr(self, head_name), head_name)
-        tail = _as_floats(getattr(self, tail_name), tail_name)
-        object.__setattr__(self, head_name, head)
-        object.__setattr__(self, tail_name, tail)
-        object.__setattr__(self, last_name, float(getattr(self, last_name)))
-        if len(head) < 1:
+        q = _as_floats(self.q, "q")
+        p = _as_floats(self.p, "p")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", float(self.s))
+        if len(q) < 1:
             raise ValueError("chart dimension must be at least 1")
-        if len(head) != len(tail):
-            raise ValueError(
-                f"{head_name} has dimension {len(head)} but {tail_name} has "
-                f"{len(tail)}"
-            )
+        if len(q) != len(p):
+            raise ValueError(f"q has dimension {len(q)} but p has {len(p)}")
 
     @property
     def n(self) -> int:
-        return len(self._head(self))
+        return len(self.q)
 
     def flat(self) -> tuple:
         """Values in chart order (q^1..q^n, p_1..p_n, s)."""
-        head, tail, last = self._parts(self)
-        return head + tail + (last,)
+        return self.q + self.p + (self.s,)
 
     @classmethod
     def from_flat(cls, values: Sequence[float]):
         values = tuple(values)
         n = _chart_n(len(values), "a flat state")
         return cls(values[:n], values[n : 2 * n], values[2 * n])
-
-    def max_norm(self) -> float:
-        return max(abs(v) for v in self.flat())
-
-
-@dataclass(frozen=True)
-class ChartPoint(_ChartVector):
-    """A point (q, p, s) of the (2n+1)-dimensional chart."""
-
-    q: tuple
-    p: tuple
-    s: float
-
-
-@dataclass(frozen=True)
-class Tangent(_ChartVector):
-    """A tangent vector: components against (d/dq^i, d/dp_i, d/ds)."""
-
-    dq: tuple
-    dp: tuple
-    ds: float
-
-
-@dataclass(frozen=True)
-class Covector(_ChartVector):
-    """A covector: components against the basis (dq^i, dp_i, ds)."""
-
-    cq: tuple
-    cp: tuple
-    cs: float
 
 
 class ContactSystem:
@@ -299,48 +254,3 @@ class ContactSystem:
 def _given(sys: ContactSystem, trees):
     """The build for `ContactSystem._at` of trees already built."""
     return trees
-
-
-def _check_dims(point: ChartPoint, v) -> None:
-    if point.n != v.n:
-        raise ValueError(
-            f"dimension mismatch: state has n={point.n}, argument has n={v.n}"
-        )
-
-
-def contact_form_apply(point: ChartPoint, v: Tangent) -> float:
-    """eta(v) = v.ds - sum_i p_i v.dq^i at the given state."""
-    _check_dims(point, v)
-    return v.ds - sum(pi * dqi for pi, dqi in zip(point.p, v.dq))
-
-
-def hamilton_equation_residuals(
-    sys: ContactSystem, point: ChartPoint, field: Tangent | None = None
-) -> tuple:
-    """Residuals of both defining equations of the Hamiltonian field.
-
-    Returns (r_eta, r_deta) where r_eta = i(X)eta + H and r_deta is the
-    covector i(X)d eta - dH + (dH/ds) eta.  With the system's own field,
-    `ContactSystem.flow`, both vanish to rounding; passing an explicit
-    `field` lets callers measure how far an arbitrary candidate is from
-    satisfying the equations.
-    """
-    sys._check_point(point)
-    if field is None:
-        field = Tangent.from_flat(sys.flow(point.flat()))
-    else:
-        _check_dims(point, field)
-    h = sys.hamiltonian
-    value, *grad = sys._at(point, _given, (h, *map(h.derivative, sys.chart_names)))
-    n = sys.n
-    h_q = grad[:n]
-    h_p = grad[n : 2 * n]
-    h_s = grad[2 * n]
-
-    r_eta = contact_form_apply(point, field) + value
-    cq = tuple(
-        -field.dp[i] - h_q[i] - point.p[i] * h_s for i in range(n)
-    )
-    cp = tuple(field.dq[i] - h_p[i] for i in range(n))
-    # the ds slot cancels identically: 0 - dH/ds + (dH/ds) * 1
-    return r_eta, Covector(cq, cp, 0.0)

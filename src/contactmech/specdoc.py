@@ -168,7 +168,8 @@ def parse_document(data) -> SpecDocument:
         raise SpecError("document root must be a mapping")
 
     n = _require(data, "n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    # an integer past the float range fails in _as_number, which does not echo it
+    if isinstance(n, bool) or not isinstance(n, int) or _as_number(n, "n") < 1:
         raise SpecError(f"n: expected a positive integer, got {n!r}")
     coordinates = _require(data, "coordinates")
     if not isinstance(coordinates, list) or not all(

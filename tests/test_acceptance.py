@@ -58,7 +58,7 @@ def test_criterion_01_hamilton_residuals(record_criterion):
         sys = builtin(name)
         for point in chart_points(sys, sample_states(sys, count=100, seed=42)):
             r_eta, cov = hamilton_equation_residuals(sys, point)
-            worst = max(worst, abs(r_eta), cov.max_norm())
+            worst = max(worst, abs(r_eta), *map(abs, cov))
     elapsed = time.perf_counter() - start
     record_criterion(
         1,

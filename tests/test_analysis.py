@@ -295,6 +295,9 @@ def test_classification_checks_dimensions_before_sampling(
     shift = PointMap.from_mapping(gravity, "x_shift", {"x": "x + 1"})
     with pytest.raises(ValueError, match=r"n=2, got shape \(4, 3\)"):
         check_contact_symmetry_map(gravity, shift, stray)
+    ragged = [(0.0, 1.0, 0.0), (1.0, 2.0)]
+    with pytest.raises(ValueError, match=r"\(N, 3\) array .* n=1, got ragged"):
+        classify_symmetry(one_d, narrow, ragged)
 
 
 def test_unbound_field_name_is_reported(gravity, gravity_states, coarse_traj):
@@ -677,12 +680,12 @@ def _assert_classification_parity(sys, field, states):
     x_h = hamiltonian_field(sys)
     contact_res = [
         max(
-            lie_derivative_contact_form(sys, field, pt).max_norm(),
+            *map(abs, lie_derivative_contact_form(sys, field, pt)),
             abs(lie_derivative_scalar(sys, field, ham, pt)),
         )
         for pt in points
     ]
-    bracket_res = [lie_bracket(sys, field, x_h, pt).max_norm() for pt in points]
+    bracket_res = [max(map(abs, lie_bracket(sys, field, x_h, pt))) for pt in points]
     contact, dynamical = classify_symmetry(sys, field, states, tol=1e300)
     _assert_stats(contact, contact_res)
     _assert_stats(dynamical, bracket_res)

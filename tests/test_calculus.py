@@ -109,20 +109,20 @@ def test_symbolic_field_matches_flow(gravity, gravity_points):
 def test_translation_commutes_with_evolution(gravity, dx, gravity_points):
     x_h = hamiltonian_field(gravity)
     for point in gravity_points:
-        assert lie_bracket(gravity, dx, x_h, point).max_norm() == 0.0
+        assert max(map(abs, lie_bracket(gravity, dx, x_h, point))) == 0.0
 
 
 def test_bracket_of_field_with_itself_vanishes(gravity, gravity_points):
     x_h = hamiltonian_field(gravity)
     for point in gravity_points[:10]:
-        assert lie_bracket(gravity, x_h, x_h, point).max_norm() == 0.0
+        assert max(map(abs, lie_bracket(gravity, x_h, x_h, point))) == 0.0
 
 
 def test_coordinate_fields_commute(free_particle):
     dq = VectorField.from_mapping(free_particle, "d/dq", {"q": "1"})
     dp = VectorField.from_mapping(free_particle, "d/dp", {"p_q": "1"})
     point = ChartPoint((0.3,), (-1.2,), 0.7)
-    assert lie_bracket(free_particle, dq, dp, point).max_norm() == 0.0
+    assert max(map(abs, lie_bracket(free_particle, dq, dp, point))) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +143,8 @@ def poly_fields(free_particle):
 def test_bracket_antisymmetry(free_particle, poly_fields):
     a, b = poly_fields
     for point in chart_points(free_particle, sample_states(free_particle, 20, 5)):
-        ab = lie_bracket(free_particle, a, b, point).flat()
-        ba = lie_bracket(free_particle, b, a, point).flat()
+        ab = lie_bracket(free_particle, a, b, point)
+        ba = lie_bracket(free_particle, b, a, point)
         assert all(x == -y for x, y in zip(ab, ba))
 
 
@@ -161,9 +161,9 @@ def test_bracket_bilinearity(free_particle, poly_fields):
     )
     x_h = hamiltonian_field(free_particle)
     for point in chart_points(free_particle, sample_states(free_particle, 20, 6)):
-        lhs = lie_bracket(free_particle, combo, x_h, point).flat()
-        ac = lie_bracket(free_particle, a, x_h, point).flat()
-        bc = lie_bracket(free_particle, b, x_h, point).flat()
+        lhs = lie_bracket(free_particle, combo, x_h, point)
+        ac = lie_bracket(free_particle, a, x_h, point)
+        bc = lie_bracket(free_particle, b, x_h, point)
         diff = max(
             abs(l - (2.0 * u + 3.0 * v)) for l, u, v in zip(lhs, ac, bc)
         )
@@ -194,25 +194,25 @@ def test_translation_does_not_change_the_hamiltonian(gravity, dx, gravity_points
 
 
 def test_contact_form_derivative_for_symmetries(gravity, dx, base_point):
-    assert lie_derivative_contact_form(gravity, dx, base_point).max_norm() == 0.0
+    assert max(map(abs, lie_derivative_contact_form(gravity, dx, base_point))) == 0.0
     reeb = VectorField.from_mapping(gravity, "R", {"s": "1"})
-    assert lie_derivative_contact_form(gravity, reeb, base_point).max_norm() == 0.0
+    assert max(map(abs, lie_derivative_contact_form(gravity, reeb, base_point))) == 0.0
 
 
 def test_contact_form_derivative_of_dilation(free_particle):
     # Y = q d/dq drags eta by -p dq.
     field = VectorField.from_mapping(free_particle, "dilate", {"q": "q"})
     point = ChartPoint((1.0,), (2.0,), 0.0)
-    w = lie_derivative_contact_form(free_particle, field, point)
-    assert w.cq == (-2.0,)
-    assert w.cp == (0.0,)
-    assert w.cs == 0.0
+    cq, cp, cs = lie_derivative_contact_form(free_particle, field, point)
+    assert cq == -2.0
+    assert cp == 0.0
+    assert cs == 0.0
 
 
 def test_contact_symmetry_preserves_reeb(gravity, dx, gravity_points):
     reeb = VectorField.from_mapping(gravity, "R", {"s": "1"})
     for point in gravity_points:
-        assert lie_bracket(gravity, dx, reeb, point).max_norm() <= 1e-10
+        assert max(map(abs, lie_bracket(gravity, dx, reeb, point))) <= 1e-10
 
 
 def test_scalar_field_value(gravity, base_point):

@@ -374,6 +374,16 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
             "['w', 1] (chart is q, p_q, s)",
         ),
         pytest.param(
+            f"n: {_BIG}\ncoordinates: [q]\nhamiltonian: p_q\n",
+            "n: integer is outside the float range",
+            id="400-digit-n",
+        ),
+        pytest.param(
+            f"n: -{_BIG}\ncoordinates: [q]\nhamiltonian: p_q\n",
+            "n: integer is outside the float range",
+            id="400-digit-negative-n",
+        ),
+        pytest.param(
             f"n: 1\ncoordinates: [q]\nhamiltonian: p_q\nparameters: {{g: {_BIG}}}\n",
             "parameters.g: integer is outside the float range",
             id="400-digit-parameter",

@@ -25,10 +25,16 @@ from contactmech import (
     lie_derivative_scalar,
     noether_quantity,
     parse,
+    reeb_lift,
     sample_states,
     vf_jacobian,
 )
-from contactmech.calculus import _dissipation_trees, _map_deviation_trees
+from contactmech.calculus import (
+    _characterization_trees,
+    _dissipation_trees,
+    _hamilton_trees,
+    _map_deviation_trees,
+)
 from contactmech.contact_core import _given
 
 DIGITS = 50
@@ -112,6 +118,26 @@ class Formulas:
             for k in range(dim)
         ]
 
+    def hamilton(self, y):
+        """i(Y)eta + H, then the components of i(Y)d eta - dH + (dH/ds) eta,
+        with (d eta)_jk = d_j eta_k - d_k eta_j."""
+        eta, H = self.eta(self.x), self.H
+        dim = len(self.x)
+        h_s = self.d(H, dim - 1)
+        interior = [
+            sum(y[j] * (self.d(eta[k], j) - self.d(eta[j], k)) for j in range(dim))
+            for k in range(dim)
+        ]
+        r_eta = sum(e * y_k for e, y_k in zip(eta, y)) + H
+        return [r_eta] + [
+            interior[k] - self.d(H, k) + h_s * eta[k] for k in range(dim)
+        ]
+
+    def characterization(self, y):
+        """eta([Y, X_H])."""
+        bracket = self.bracket(y, self.hamiltonian_field())
+        return sum(e * b for e, b in zip(self.eta(self.x), bracket))
+
     def dissipation(self, f):
         rate = self.lie_scalar(self.hamiltonian_field(), f)
         return [rate, rate + self.d(self.H, 2 * self.sys.n) * f]
@@ -166,7 +192,7 @@ def test_contact_trees_match_the_formulas(case):
     ham = ScalarField("H", sys.hamiltonian)
     states = chart_points(sys, sample_states(sys, count=15, seed=21))
     got = [
-        lie_derivative_contact_form(sys, field, pt).flat()
+        lie_derivative_contact_form(sys, field, pt)
         + (lie_derivative_scalar(sys, field, ham, pt),)
         for pt in states
     ]
@@ -187,8 +213,27 @@ def test_bracket_trees_match_the_formula(case):
         (hamiltonian_field(sys), oracle.hamiltonian_field()),
         (dilation, oracle.field(dilation)),
     ):
-        got = [lie_bracket(sys, field, other, pt).flat() for pt in states]
+        got = [lie_bracket(sys, field, other, pt) for pt in states]
         _assert_agrees(got, oracle.at(oracle.bracket(y, formula), states))
+
+
+@pytest.mark.parametrize("case", FIELDS, ids=lambda case: case[1])
+def test_hamilton_and_characterization_trees_match_the_formulas(case):
+    sys, field = _field_case(*case)
+    oracle = Formulas(sys)
+    lift = reeb_lift(sys, ScalarField("H", sys.hamiltonian))
+    states = chart_points(sys, sample_states(sys, count=15, seed=25))
+    for candidate, y in (
+        (field, oracle.field(field)),
+        (hamiltonian_field(sys), oracle.hamiltonian_field()),
+        (lift, [0] * (sys.dim - 1) + [-oracle.H]),
+    ):
+        trees = _hamilton_trees(sys, candidate.components) + (
+            _characterization_trees(sys, candidate.components),
+        )
+        got = [[t.evaluate(sys.bindings(pt)) for t in trees] for pt in states]
+        formulas = oracle.hamilton(y) + [oracle.characterization(y)]
+        _assert_agrees(got, oracle.at(formulas, states))
 
 
 @pytest.mark.parametrize(

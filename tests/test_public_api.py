@@ -24,7 +24,6 @@ PUBLIC = [
     "ChartPoint",
     "CheckReport",
     "ContactSystem",
-    "Covector",
     "DivergenceError",
     "DomainError",
     "Expression",
@@ -39,7 +38,6 @@ PUBLIC = [
     "SpecDocument",
     "SpecError",
     "StepUnderflowError",
-    "Tangent",
     "Trajectory",
     "UnknownNameError",
     "VectorField",
@@ -50,7 +48,6 @@ PUBLIC = [
     "check_quantity",
     "classify_symmetry",
     "conserved_from_symmetry",
-    "contact_form_apply",
     "hamilton_equation_residuals",
     "hamiltonian_field",
     "integrate_adaptive",
@@ -76,6 +73,9 @@ REMOVED = (
     ("analysis", "product_quantity"),
     ("analysis", "pullback_quantity"),
     ("calculus", "vector_field_value"),
+    ("contact_core", "Covector"),
+    ("contact_core", "Tangent"),
+    ("contact_core", "contact_form_apply"),
     ("contact_core", "hamiltonian_vector_field"),
     ("contact_core", "interior_d_eta"),
     ("contact_core", "reeb_field"),
@@ -86,7 +86,7 @@ REMOVED = (
 
 
 def test_the_package_exports_exactly_its_public_names():
-    assert len(PUBLIC) == 47 and PUBLIC == sorted(PUBLIC)
+    assert len(PUBLIC) == 44 and PUBLIC == sorted(PUBLIC)
     assert contactmech.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(contactmech, name) is not None
