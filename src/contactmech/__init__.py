@@ -17,8 +17,10 @@ from .expr import (
 )
 from .contact_core import ChartPoint, ContactSystem
 from .calculus import (
+    PointMap,
     ScalarField,
     VectorField,
+    characterization_residual,
     hamilton_equation_residuals,
     hamiltonian_field,
     lie_bracket,
@@ -38,9 +40,7 @@ from .integrate import (
 )
 from .analysis import (
     CheckReport,
-    PointMap,
     QuantityReport,
-    characterization_residual,
     check_contact_symmetry_map,
     check_quantity,
     classify_symmetry,

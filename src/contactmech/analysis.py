@@ -1,23 +1,26 @@
-"""Symmetry and conserved/dissipated-quantity verification.
+"""Sampled symmetry and quantity checks, and the quantity constructions.
 
-All residuals here are pointwise and use exact derivatives; nothing is
-estimated by differencing trajectory samples, so a check's resolution is
-independent of integrator accuracy.  Trajectories only supply the states
-at which quantity residuals are evaluated.
+`analysis` owns the sampled checks and the constructions of quantities
+from fields; the candidate types and every per-point function are
+`calculus`'s.  All residuals here are pointwise and use exact
+derivatives; nothing is estimated by differencing trajectory samples,
+so a check's resolution is independent of integrator accuracy.
 
-Each check compiles, when it starts, the operator trees that `calculus`
-builds into one uncached column kernel, through the system's
-`_compile_chart`, and calls it once on the chart columns of all its
-states: the sample array, or `traj.states`.  It returns every output as
-an (N,) array and a mask of the rows where the scalar kernel would raise
-DomainError.  A row's residual in a report is the largest |output| that
-report owns (a quantity keeps its two rates apart), NaN if one of them
-is NaN.  A masked row counts as failed in every report its kernel feeds,
-and a row with a NaN residual in that report only; symmetry
-classification runs two kernels, whose failure counts stay apart but
-for the rows where H is undefined, which fail both.  Each unmasked
-row's outputs are bit-identical to the scalar kernel that the per-point
-`calculus` functions run on the same trees.
+Each check fits its candidate to the system (`_check_field` or
+`_check_bound`), then `_measure`s its operator trees on its states, any
+(N, 2n+1) array of chart rows, then reduces them with
+`_sampled_report`.  `_measure` runs the column kernel of the trees,
+which the system builds once and keeps, once on the chart columns of
+all the states.  It returns every output as an (N,) array and a mask of
+the rows where the scalar kernel would raise DomainError.  A row's
+residual in a report is the largest |output| that report owns (a
+quantity keeps its two rates apart), NaN if one of them is NaN.  A
+masked row counts as failed in every report its kernel feeds, and a row
+with a NaN residual in that report only; symmetry classification runs
+two kernels, whose failure counts stay apart but for the rows where H
+is undefined, which fail both.  Each unmasked row's outputs are
+bit-identical to the scalar kernel that the per-point `calculus`
+functions run on the same trees.
 
 Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
 residuals that only rounding limits; a tol must be finite and positive,
@@ -28,37 +31,31 @@ integration error.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .calculus import (
+    PointMap,
     ScalarField,
     VectorField,
     _bracket_trees,
-    _characterization_trees,
-    _chart_components,
-    _chart_expressions,
     _check_bound,
     _check_field,
+    _contact_trees,
     _dissipation_trees,
-    _lie_eta_trees,
     _map_deviation_trees,
-    _rate_trees,
 )
-from .contact_core import ChartPoint, ContactSystem, _given
-from .integrate import Trajectory, _check_trajectory_chart, _require_positive
+from .contact_core import ContactSystem, _given
+from .integrate import _require_positive
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "CheckReport",
-    "PointMap",
     "QuantityReport",
-    "characterization_residual",
     "check_contact_symmetry_map",
     "check_quantity",
     "classify_symmetry",
@@ -134,6 +131,7 @@ def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
     """
     import numpy as np
 
+    tolerance = float(tolerance)
     residual = np.max(np.abs(outputs), axis=0)
     residuals = residual[~(failed | np.isnan(residual))].tolist()
     if residuals:
@@ -147,7 +145,7 @@ def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
         samples=len(residuals),
         max_residual=mx,
         mean_residual=mean,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         verdict="pass" if mx <= tolerance else "fail",
         failed_samples=len(failed) - len(residuals),
     )
@@ -180,10 +178,13 @@ def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> np.nd
     return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
 
 
-def _state_columns(sys: ContactSystem, states) -> np.ndarray:
-    """The 2n+1 chart columns of `states`, an (N, 2n+1) array of chart rows."""
+def _measure(sys: ContactSystem, states, tol: float, build, *args) -> tuple:
+    """(outputs, failed) of the column kernel of the trees
+    `build(sys, *args)`, kept on the system, over `states`, an (N, 2n+1)
+    array of chart rows, once `tol` is known to be finite and positive."""
     import numpy as np
 
+    _require_positive("tol", tol)
     what = f"an (N, {sys.dim}) array of chart rows with N >= 1 for n={sys.n}"
     try:
         rows = np.asarray(states, dtype=float)
@@ -192,7 +193,7 @@ def _state_columns(sys: ContactSystem, states) -> np.ndarray:
         raise ValueError(message) from None
     if rows.ndim != 2 or not len(rows) or rows.shape[1] != sys.dim:
         raise ValueError(f"states must be {what}, got shape {rows.shape}")
-    return rows.T
+    return sys._kernel(build, *args, columns=True)(*rows.T)
 
 
 def classify_symmetry(
@@ -214,19 +215,16 @@ def classify_symmetry(
     where a kernel fails counts as failed for that check only, and one
     where H is undefined, from H's own column kernel, fails both.
     """
-    tol = _require_positive("tol", tol)
-    columns = _state_columns(sys, states)
     _check_field(sys, field)
-    y = field.components
-    h = (sys.hamiltonian,)
-    _, undefined = sys._kernel(_given, sys.hamiltonian, columns=True)(*columns)
+    _, undefined = _measure(sys, states, tol, _given, sys.hamiltonian)
 
-    def report(kind, trees):
-        outputs, failed = sys._compile_chart(trees, columns=True)(*columns)
+    def report(kind, build, *args):
+        outputs, failed = _measure(sys, states, tol, build, *args)
         return _sampled_report(field.name, kind, outputs, failed | undefined, tol)
 
-    contact = report(KIND_CONTACT, _lie_eta_trees(sys, y) + _rate_trees(sys, y, h))
-    return contact, report(KIND_DYNAMICAL, _bracket_trees(sys, y, sys._field))
+    y = field.components
+    contact = report(KIND_CONTACT, _contact_trees, y)
+    return contact, report(KIND_DYNAMICAL, _bracket_trees, y, sys._field)
 
 
 def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
@@ -244,10 +242,11 @@ def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
 def check_quantity(
     sys: ContactSystem,
     quantity: ScalarField,
-    traj: Trajectory,
+    states,
     tol: float = DEFAULT_TOLERANCE,
 ) -> QuantityReport:
-    """Classify a quantity along a trajectory by pointwise rates.
+    """Classify a quantity by its pointwise rates at `states`, any
+    (N, 2n+1) array of chart rows, as for `classify_symmetry`.
 
     conserved:  L_{X_H}F = 0 at every sample;
     dissipated: L_{X_H}F + (dH/ds) F = 0 at every sample.
@@ -257,27 +256,22 @@ def check_quantity(
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.
     """
-    tol = _require_positive("tol", tol)
-    _check_trajectory_chart(sys, traj)
     _check_bound(sys, (quantity.expression,))
-    kernel = sys._compile_chart(
-        _dissipation_trees(sys, quantity.expression), columns=True
+    (rate, dissipation), failed = _measure(
+        sys, states, tol, _dissipation_trees, quantity.expression
     )
-    (rate, dissipation), failed = kernel(*traj.states.T)
     conserved = _sampled_report(quantity.name, KIND_CONSERVED, (rate,), failed, tol)
     dissipated = _sampled_report(
         quantity.name, KIND_DISSIPATED, (dissipation,), failed, tol
     )
+    margin = NEITHER_MARGIN * conserved.tolerance
     if conserved.passed and dissipated.passed:
         label = "both"
     elif conserved.passed:
         label = "conserved"
     elif dissipated.passed:
         label = "dissipated"
-    elif (
-        conserved.max_residual > NEITHER_MARGIN * tol
-        and dissipated.max_residual > NEITHER_MARGIN * tol
-    ):
+    elif conserved.max_residual > margin and dissipated.max_residual > margin:
         label = "neither"
     else:
         label = "inconclusive"
@@ -305,52 +299,6 @@ def reeb_lift(sys: ContactSystem, quantity: ScalarField) -> VectorField:
     return VectorField(f"reeb_lift[{quantity.name}]", components)
 
 
-def characterization_residual(
-    sys: ContactSystem, field: VectorField, point: ChartPoint
-) -> float:
-    """eta([X, X_H]) at a state.
-
-    Vanishing everywhere is equivalent to i(X)eta being a dissipated
-    quantity, which turns the dissipated-quantity test into a bracket
-    condition.
-    """
-    _check_field(sys, field)
-    return sys._at(point, _characterization_trees, field.components)
-
-
-@dataclass(frozen=True)
-class PointMap:
-    """A chart self-map: one target expression per chart variable."""
-
-    name: str
-    names: tuple
-    components: tuple
-    n: int = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        components = tuple(self.components)
-        if len(components) != len(names):
-            raise ValueError(
-                f"{len(names)} chart variables but {len(components)} components"
-            )
-        n, components = _chart_expressions(components, "a chart map")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "components", components)
-
-    @classmethod
-    def from_mapping(
-        cls, sys: ContactSystem, name: str, components: Mapping[str, object]
-    ) -> "PointMap":
-        """Missing entries default to the identity on that variable."""
-        built = _chart_components(sys, f"map {name!r}", components, ex.variable)
-        return cls(name, sys.chart_names, built)
-
-    def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
-        return ChartPoint.from_flat(sys._at(point, _given, self.components))
-
-
 def check_contact_symmetry_map(
     sys: ContactSystem,
     point_map: PointMap,
@@ -364,14 +312,8 @@ def check_contact_symmetry_map(
     compared to eta at the state, and H(image) to H(state); the residual
     is the largest deviation, from one column-kernel call over all states.
     """
-    tol = _require_positive("tol", tol)
-    columns = _state_columns(sys, states)
-    if point_map.names != sys.chart_names:
-        raise ValueError(
-            f"map {point_map.name!r} is over chart {point_map.names}, "
-            f"system chart is {sys.chart_names}"
-        )
-    _check_bound(sys, point_map.components)
-    deviations = _map_deviation_trees(sys, point_map.components)
-    outputs, failed = sys._compile_chart(deviations, columns=True)(*columns)
+    _check_field(sys, point_map)
+    outputs, failed = _measure(
+        sys, states, tol, _map_deviation_trees, point_map.components
+    )
     return _sampled_report(point_map.name, KIND_CONTACT, outputs, failed, tol)

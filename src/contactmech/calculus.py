@@ -1,4 +1,9 @@
-"""Vector fields, Lie brackets, and Lie derivatives on the chart.
+"""Candidate types, Lie brackets, and Lie derivatives on the chart.
+
+`calculus` owns the candidate types (`VectorField`, `ScalarField`,
+`PointMap`), the rule that fits one to a system (`_check_field`,
+`_check_bound`) and every per-point function; `analysis` owns the
+sampled checks and the quantity constructions.
 
 Each geometric operator is one builder of expression trees (L_Y eta,
 L_Y F, [A, B], a quantity's two rates, a map's deviations, the
@@ -10,11 +15,11 @@ at one state through `ContactSystem._at`, which compiles them once per
 system, and do no arithmetic of their own; a vector or covector result
 is a flat tuple in chart order, as `ContactSystem.flow` returns.
 The `analysis` checks evaluate the same trees over the columns of all
-their samples.  The Hamiltonian field is the tuple of component
-expressions each ContactSystem builds from the gradient of H, whose
-values at a state `ContactSystem.flow` returns; their derivatives are
-kept on the shared nodes, which is how second derivatives of H enter
-brackets exactly.
+their samples, through column kernels the system keeps too.  The
+Hamiltonian field is the tuple of component expressions each
+ContactSystem builds from the gradient of H, whose values at a state
+`ContactSystem.flow` returns; their derivatives are kept on the shared
+nodes, which is how second derivatives of H enter brackets exactly.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "PointMap",
     "ScalarField",
     "VectorField",
+    "characterization_residual",
     "hamilton_equation_residuals",
     "hamiltonian_field",
     "lie_bracket",
@@ -66,28 +73,28 @@ def _chart_components(
     )
 
 
-def _chart_expressions(components, what: str) -> tuple:
-    """(n, the components as a tuple) for 2n+1 component Expressions;
-    `what` names the owner when the count is not 2n+1."""
-    components = tuple(components)
-    n = _chart_n(len(components), what)
-    if not all(isinstance(c, Expression) for c in components):
-        raise TypeError("components must be Expressions")
-    return n, components
-
-
 @dataclass(frozen=True)
-class VectorField:
-    """Chart vector field: one expression per (d/dq^i, d/dp_i, d/ds) slot."""
+class _Candidate:
+    """A named field or map: 2n+1 component Expressions in chart order."""
 
     name: str
     components: tuple
     n: int = dataclasses.field(init=False, repr=False, compare=False)
+    _what = "a chart candidate"  # names the owner when the count is not 2n+1
 
     def __post_init__(self):
-        n, components = _chart_expressions(self.components, "a chart field")
+        components = tuple(self.components)
+        n = _chart_n(len(components), self._what)
+        if not all(isinstance(c, Expression) for c in components):
+            raise TypeError("components must be Expressions")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "components", components)
+
+
+class VectorField(_Candidate):
+    """Chart vector field: one expression per (d/dq^i, d/dp_i, d/ds) slot."""
+
+    _what = "a chart field"
 
     @classmethod
     def from_mapping(
@@ -100,6 +107,24 @@ class VectorField:
         return cls(
             name, _chart_components(sys, f"field {name!r}", components, lambda _: _ZERO)
         )
+
+
+class PointMap(_Candidate):
+    """A chart self-map: one target expression per chart variable."""
+
+    _what = "a chart map"
+
+    @classmethod
+    def from_mapping(
+        cls, sys: ContactSystem, name: str, components: Mapping[str, object]
+    ) -> "PointMap":
+        """Missing entries default to the identity on that variable."""
+        return cls(
+            name, _chart_components(sys, f"map {name!r}", components, ex.variable)
+        )
+
+    def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
+        return ChartPoint.from_flat(sys._at(point, _given, self.components))
 
 
 @dataclass(frozen=True)
@@ -121,11 +146,10 @@ def _check_bound(sys: ContactSystem, expressions) -> None:
         raise MissingBindingError(min(stray))
 
 
-def _check_field(sys: ContactSystem, field: VectorField) -> None:
+def _check_field(sys: ContactSystem, field: _Candidate) -> None:
+    """Fit a field or a map to `sys`: the same n, and declared names only."""
     if field.n != sys.n:
-        raise ValueError(
-            f"field {field.name!r} has n={field.n}, system expects n={sys.n}"
-        )
+        raise ValueError(f"{field.name!r} has n={field.n}, system expects n={sys.n}")
     _check_bound(sys, field.components)
 
 
@@ -193,6 +217,12 @@ def _lie_eta_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
     ) + tuple(slots[n:])
 
 
+def _contact_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
+    """The components of L_Y eta, then L_Y H: all zero for a contact
+    symmetry Y."""
+    return _lie_eta_trees(sys, field) + _rate_trees(sys, field, (sys.hamiltonian,))
+
+
 def _dissipation_trees(sys: ContactSystem, f: Expression) -> tuple:
     """(L_{X_H}F, L_{X_H}F + (dH/ds) F): zero for a conserved and for a
     dissipated quantity respectively."""
@@ -256,6 +286,19 @@ def _characterization_trees(sys: ContactSystem, field: Sequence[Expression]):
     return _eta_of(sys, _bracket_trees(sys, field, sys._field))
 
 
+def characterization_residual(
+    sys: ContactSystem, field: VectorField, point: ChartPoint
+) -> float:
+    """eta([X, X_H]) at a state.
+
+    Vanishing everywhere is equivalent to i(X)eta being a dissipated
+    quantity, which turns the dissipated-quantity test into a bracket
+    condition.
+    """
+    _check_field(sys, field)
+    return sys._at(point, _characterization_trees, field.components)
+
+
 def lie_bracket(
     sys: ContactSystem, a: VectorField, b: VectorField, point: ChartPoint
 ) -> tuple:
@@ -284,14 +327,14 @@ def lie_derivative_contact_form(
     return sys._at(point, _lie_eta_trees, field.components)
 
 
-def hamiltonian_field(sys: ContactSystem, name: str = "hamiltonian_field") -> VectorField:
+def hamiltonian_field(sys: ContactSystem) -> VectorField:
     """The contact Hamiltonian field as component expressions.
 
     These are the components `ContactSystem.flow` evaluates, built once
     per system; differentiating them again (Jacobians, brackets) gives
     exact second derivatives of H, kept on the shared nodes.
     """
-    return VectorField(name, sys._field)
+    return VectorField("hamiltonian_field", sys._field)
 
 
 def hamilton_equation_residuals(

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .analysis import (
     DEFAULT_TOLERANCE,
+    _measure,
     check_contact_symmetry_map,
     check_quantity,
     classify_symmetry,
@@ -28,7 +29,7 @@ from .analysis import (
     quotient_quantity,
     sample_states,
 )
-from .expr import DomainError
+from .contact_core import _given
 from .integrate import (
     IntegrationError,
     _check_trajectory_chart,
@@ -181,7 +182,7 @@ def cmd_verify(args) -> int:
         )
 
     def add_quantity(category, quantity, expected, **extra) -> bool:
-        report = check_quantity(system, quantity, traj, args.tol)
+        report = check_quantity(system, quantity, traj.states, args.tol)
         matched = _quantity_matches(expected, report.classification)
         add(
             category,
@@ -305,26 +306,21 @@ def cmd_analyze(args) -> int:
     if traj is None:
         print("no initial_state declared; trajectory check skipped")
     else:
-        report = check_quantity(system, quantity, traj, args.tol)
+        report = check_quantity(system, quantity, traj.states, args.tol)
         print(
             f"along trajectory [{args.t0:g}, {args.tf:g}] at dt={args.dt:g}: "
             f"{report.classification} "
             f"(dissipation residual {report.dissipated.max_residual:.3e})"
         )
 
-    h_values = []
-    for row in states.tolist():
-        try:
-            h_values.append(abs(system.hamiltonian_value(system.point(row))))
-        except DomainError:
-            pass
-    undefined = len(states) - len(h_values)
-    if undefined:
+    # H's column kernel, which classify_symmetry ran on the same states
+    h, undefined = _measure(system, states, args.tol, _given, system.hamiltonian)
+    if undefined.any():
         print(
-            f"H is undefined on {undefined} of {len(states)} sampled states; "
-            "conserved ratio skipped"
+            f"H is undefined on {undefined.sum()} of {len(states)} sampled "
+            "states; conserved ratio skipped"
         )
-    elif min(h_values) > 1e-3:
+    elif min(map(abs, h.tolist())) > 1e-3:
         ratio = conserved_from_symmetry(system, cand.field)
         print(f"conserved ratio (valid while H != 0): {ratio.expression}")
     else:

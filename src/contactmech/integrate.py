@@ -19,7 +19,8 @@ Error contract of a step: a DomainError in any stage raises
 DivergenceError("right-hand side undefined: ..."), and a stage or
 result holding a non-finite value raises DivergenceError("state left
 the finite domain"); both carry the time and state at the step's start.
-Finite values whose sum overflows are not an error.
+Finite values whose sum overflows are not an error.  No step evaluates
+the last state, so an H undefined there raises DivergenceError too.
 """
 
 from __future__ import annotations
@@ -179,10 +180,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self._times)
 
-    @property
-    def n(self) -> int:
-        return (len(self.names) - 1) // 2
-
     def point(self, i: int) -> ChartPoint:
         return ChartPoint.from_flat(self._rows[i])
 
@@ -212,6 +209,16 @@ def _diverged(sys: ContactSystem, message: str, t: float, last_good):
     return DivergenceError(
         message, t, ChartPoint.from_flat(last_good), sys.chart_names
     )
+
+
+def _check_final(sys: ContactSystem, times: list, states: list) -> None:
+    """DivergenceError, naming the state before it, where the H kernel of
+    `write_trajectory_csv` fails at the last state."""
+    try:
+        sys._kernel(_given, sys.hamiltonian)(*states[-1])
+    except DomainError as exc:
+        message = f"H undefined at the final state: {exc}"
+        raise _diverged(sys, message, times[-2], states[-2]) from None
 
 
 def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
@@ -368,6 +375,7 @@ def integrate_fixed(
         states.append(y)
         k += 1
 
+    _check_final(sys, times, states)
     return Trajectory._of_rows(sys.chart_names, times, states, "rk4", len(times) - 1, 0)
 
 
@@ -431,6 +439,7 @@ def integrate_adaptive(
                 t, dt, ChartPoint.from_flat(y), sys.chart_names
             )
 
+    _check_final(sys, times, states)
     return Trajectory._of_rows(
         sys.chart_names, times, states, "rkf45", accepted, rejected
     )

@@ -27,8 +27,7 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import PointMap
-from .calculus import ScalarField, VectorField
+from .calculus import PointMap, ScalarField, VectorField
 from .contact_core import ChartPoint, ContactSystem, _BadName
 from .expr import ExpressionError, _coerce_component
 from .models import ModelInfo, _info, _merge_params
@@ -181,7 +180,9 @@ def parse_document(data) -> SpecDocument:
             f"n: declared n={n} but coordinates lists {len(coordinates)} names"
         )
 
-    raw_params = data.get("parameters", {}) or {}
+    raw_params = data.get("parameters")
+    if raw_params is None:
+        raw_params = {}
     if not isinstance(raw_params, dict):
         raise SpecError("parameters: must be a mapping of name to number")
     parameters = {

@@ -128,7 +128,7 @@ def test_criterion_06_symmetry_pipeline(record_criterion, gravity,
         gravity, field, gravity_states, tol=1e-8
     )
     quantity = noether_quantity(gravity, field)
-    report = check_quantity(gravity, quantity, traj, tol=1e-8)
+    report = check_quantity(gravity, quantity, traj.states, tol=1e-8)
     ok = (
         contact.passed
         and dynamical.passed

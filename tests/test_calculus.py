@@ -41,13 +41,11 @@ def test_from_mapping_rejects_unknown_directions(gravity):
         VectorField.from_mapping(gravity, "bad", {"z": "1"})
 
 
-def test_vector_field_validation(gravity):
+def test_vector_field_validation():
     one = parse("1", ())
     for build in (
         lambda components: VectorField("bad", components),
-        lambda components: PointMap(
-            "bad", gravity.chart_names[: len(components)], components
-        ),
+        lambda components: PointMap("bad", components),
     ):
         for count in (0, 1, 2, 4):
             with pytest.raises(ValueError, match="2n\\+1"):
@@ -55,23 +53,6 @@ def test_vector_field_validation(gravity):
         with pytest.raises(TypeError):
             build((one, "1", one))
         assert build((one,) * 5).n == 2
-
-
-@pytest.mark.parametrize(
-    "names, count, message",
-    [
-        (4, 5, "4 chart variables but 5 components"),
-        (5, 3, "5 chart variables but 3 components"),
-        (4, 4, "a chart map needs 2n+1 entries, got 4"),
-    ],
-)
-def test_point_map_matches_its_names_before_counting(
-    gravity, names, count, message
-):
-    one = parse("1", ())
-    with pytest.raises(ValueError) as err:
-        PointMap("bad", gravity.chart_names[:names], (one,) * count)
-    assert str(err.value) == message
 
 
 def test_field_components_may_use_parameters(gravity, base_point):

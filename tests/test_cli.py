@@ -444,6 +444,14 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
             "n: 1\ncoordinates: [q]\nparameters: {q: 1.0}\nhamiltonian: s\n",
             "parameters: parameters shadow chart names: ['q']",
         ),
+        *[
+            pytest.param(
+                f"n: 1\ncoordinates: [q]\nparameters: {value}\nhamiltonian: p_q\n",
+                "parameters: must be a mapping of name to number",
+                id=f"parameters-{value}",
+            )
+            for value in ("[]", "0", "false", "''")
+        ],
     ],
 )
 def test_verify_spec_errors(tmp_path, capsys, content, fragment):

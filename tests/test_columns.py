@@ -40,7 +40,6 @@ from contactmech.analysis import _sampled_report
 from contactmech.calculus import _dissipation_trees
 from contactmech.expr import literal, variable
 from contactmech.cli import main
-from contactmech.integrate import Trajectory
 
 TOL = 1e-8
 
@@ -169,12 +168,8 @@ def test_signed_zero_inputs_keep_their_sign(line):
     _assert_report_matches(line, trees, rows)
 
 
-def _trajectory(sys, rows) -> Trajectory:
-    return Trajectory(sys.chart_names, np.arange(float(len(rows))), rows, "file")
-
-
 def _assert_quantity_matches(sys, quantity, rows):
-    got = check_quantity(sys, quantity, _trajectory(sys, rows), TOL)
+    got = check_quantity(sys, quantity, rows, TOL)
     expected = reference_quantity(sys, quantity, rows.tolist(), TOL)
     assert (report_bits(got.conserved), report_bits(got.dissipated)) == tuple(
         map(report_bits, expected)
@@ -252,9 +247,7 @@ def test_random_maps_match_the_row_loop():
     failing = 0
     for k in range(300):
         sys = systems[k % 2]
-        point_map = PointMap(
-            f"Phi{k}", sys.chart_names, _random_expressions(rng, sys, sys.dim, 2)
-        )
+        point_map = PointMap(f"Phi{k}", _random_expressions(rng, sys, sys.dim, 2))
         rows = edge_rows(rng, sys.dim, 8)
         got = check_contact_symmetry_map(sys, point_map, rows, TOL)
         expected = reference_map(sys, point_map, rows.tolist(), TOL)

@@ -17,6 +17,9 @@ from contactmech import (
     VectorField,
     builtin,
     characterization_residual,
+    check_contact_symmetry_map,
+    check_quantity,
+    classify_symmetry,
     hamilton_equation_residuals,
     hamiltonian_field,
     lie_bracket,
@@ -259,6 +262,10 @@ def test_dimension_mismatch_in_form_helpers(base_point):
         hamilton_equation_residuals(FREE, base_point, narrow)
     with pytest.raises(ValueError, match="has n=1, system expects n=2"):
         characterization_residual(FREE, narrow, base_point)
+    states = sample_states(FREE, 3, seed=1)
+    with pytest.raises(ValueError) as err:
+        check_contact_symmetry_map(FREE, PointMap("Phi", narrow.components), states)
+    assert str(err.value) == "'Phi' has n=1, system expects n=2"
     with pytest.raises(ValueError, match="state has dimension n=1"):
         hamilton_equation_residuals(FREE, ChartPoint((0.0,), (1.0,), 0.0))
 
@@ -390,17 +397,38 @@ def _no_compile(*args):
     raise AssertionError("compiled again at a new state")
 
 
+def _sampled_checks(sys):
+    """Each sampled check on a field, a quantity and a map built anew on
+    every call of this helper, as a function of the state array."""
+    q, p = sys.coordinates[0], sys.momenta[0]
+    mix = VectorField.from_mapping(sys, "mix", {q: f"{p}*{q}", "s": f"{p}^2 + s"})
+    energy = ScalarField("H", sys.hamiltonian)
+    moved = PointMap.from_mapping(sys, "moved", {q: f"{q} + 0.5", "s": f"s + {q}"})
+    return [
+        lambda states: classify_symmetry(sys, mix, states),
+        lambda states: check_quantity(sys, energy, states),
+        lambda states: check_contact_symmetry_map(sys, moved, states),
+    ]
+
+
 @pytest.mark.parametrize("name", list(_kernel_systems()))
 def test_second_call_at_a_new_state_compiles_nothing(name, monkeypatch):
     sys = _kernel_systems()[name]
     first, second = (ChartPoint.from_flat(f) for f in _states(sys, 2, seed=5))
     for _, call, _ in _probes(sys):
         call(first)
+    for check in _sampled_checks(sys):
+        check(sample_states(sys, 4, seed=5))
+    kept = len(sys._kernels)
     monkeypatch.setattr(ex, "_compile_kernel", _no_compile)
     # the probes rebuild their field, scalar and map, so each call finds
     # its kernel by comparing trees structurally
     for _, call, _ in _probes(sys):
         call(second)
+    # ... and so do the sampled checks, on another state array
+    for check in _sampled_checks(sys):
+        check(sample_states(sys, 6, seed=6))
+    assert len(sys._kernels) == kept
 
 
 def _raised(fn, *args):

@@ -273,6 +273,31 @@ def test_adaptive_rejects_a_trial_step_that_leaves_the_domain(sqrt_well):
     )
 
 
+@pytest.mark.parametrize(
+    "integrate, q0, p0, tf, step",
+    [
+        (integrate_fixed, 0.024412509485166194, -0.13171571760675124,
+         0.08600481672762073, 0.08600481672762073),
+        (integrate_adaptive, 0.3216163596339798, -0.23162499106286089,
+         0.647399290208085, 0.12166773794205021),
+    ],
+    ids=["rk4", "rkf45"],
+)
+def test_a_final_state_where_h_is_undefined_diverges(
+    sqrt_well, integrate, q0, p0, tf, step
+):
+    # one step reaches q < 0, where no step evaluates the flow; without
+    # the final check the CSV writer would be the first to raise
+    start = ChartPoint((q0,), (p0,), 0.0)
+    err = _divergence(integrate, sqrt_well, start, 0.0, tf, step)
+    assert str(err) == (
+        "H undefined at the final state: math domain error (last good state "
+        f"at t=0.0: q={q0!r}, p_q={p0!r}, s=0.0)"
+    )
+    assert err.time == 0.0
+    assert err.state == start
+
+
 @pytest.mark.parametrize("step", [rk4_step, rkf45_step])
 def test_non_finite_stage_stops_the_step(step):
     # dp_q = -a*10 = -inf; evaluating the next stage at p_q = -inf would
