@@ -123,8 +123,8 @@ class PointMap(_Candidate):
             name, _chart_components(sys, f"map {name!r}", components, ex.variable)
         )
 
-    def apply(self, sys: ContactSystem, point: ChartPoint) -> ChartPoint:
-        return ChartPoint.from_flat(sys._at(point, _given, self.components))
+    def apply(self, sys: ContactSystem, point: Sequence[float]) -> ChartPoint:
+        return ChartPoint(sys._at(point, _given, self.components))
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class ScalarField:
     name: str
     expression: Expression
 
-    def value(self, sys: ContactSystem, point: ChartPoint) -> float:
+    def value(self, sys: ContactSystem, point: Sequence[float]) -> float:
         return sys._at(point, _given, self.expression)
 
 
@@ -154,7 +154,7 @@ def _check_field(sys: ContactSystem, field: _Candidate) -> None:
 
 
 def vf_jacobian(
-    sys: ContactSystem, field: VectorField, point: ChartPoint
+    sys: ContactSystem, field: VectorField, point: Sequence[float]
 ) -> np.ndarray:
     """Matrix of exact partials: entry (k, j) = d(component k)/d(chart var j)."""
     import numpy as np
@@ -287,7 +287,7 @@ def _characterization_trees(sys: ContactSystem, field: Sequence[Expression]):
 
 
 def characterization_residual(
-    sys: ContactSystem, field: VectorField, point: ChartPoint
+    sys: ContactSystem, field: VectorField, point: Sequence[float]
 ) -> float:
     """eta([X, X_H]) at a state.
 
@@ -300,7 +300,7 @@ def characterization_residual(
 
 
 def lie_bracket(
-    sys: ContactSystem, a: VectorField, b: VectorField, point: ChartPoint
+    sys: ContactSystem, a: VectorField, b: VectorField, point: Sequence[float]
 ) -> tuple:
     """[a, b]^k = sum_j (a^j d_j b^k - b^j d_j a^k) at the state, in chart
     order."""
@@ -310,7 +310,7 @@ def lie_bracket(
 
 
 def lie_derivative_scalar(
-    sys: ContactSystem, field: VectorField, scalar: ScalarField, point: ChartPoint
+    sys: ContactSystem, field: VectorField, scalar: ScalarField, point: Sequence[float]
 ) -> float:
     """Directional derivative sum_k Y^k dF/dx^k at the state."""
     _check_field(sys, field)
@@ -319,7 +319,7 @@ def lie_derivative_scalar(
 
 
 def lie_derivative_contact_form(
-    sys: ContactSystem, field: VectorField, point: ChartPoint
+    sys: ContactSystem, field: VectorField, point: Sequence[float]
 ) -> tuple:
     """L_Y eta at the state against (dq^i, dp_i, ds), by Cartan's formula
     (see `_lie_eta_trees`)."""
@@ -338,7 +338,7 @@ def hamiltonian_field(sys: ContactSystem) -> VectorField:
 
 
 def hamilton_equation_residuals(
-    sys: ContactSystem, point: ChartPoint, field: VectorField | None = None
+    sys: ContactSystem, point: Sequence[float], field: VectorField | None = None
 ) -> tuple:
     """Residuals of both defining equations of the Hamiltonian field.
 

@@ -34,6 +34,7 @@ from .integrate import (
     IntegrationError,
     _check_trajectory_chart,
     _require_positive,
+    _state_text,
     integrate_adaptive,
     integrate_fixed,
     read_trajectory_csv,
@@ -99,15 +100,12 @@ def cmd_simulate(args) -> int:
     write_trajectory_csv(doc.system, traj, args.out)
 
     system = doc.system
-    last = traj.final_point
+    last = traj.point(-1)
     h0 = system.hamiltonian_value(traj.point(0))
     hf = system.hamiltonian_value(last)
     print(f"method: {traj.method}")
     print(f"steps: {traj.accepted} accepted, {traj.rejected} rejected")
-    final = ", ".join(
-        f"{name}={value!r}" for name, value in zip(traj.names, last.flat())
-    )
-    print(f"final state (t={traj._times[-1]!r}): {final}")
+    print(f"final state (t={traj._times[-1]!r}): {_state_text(traj.names, last)}")
     decay = repr(hf / h0) if h0 != 0.0 else "n/a (H(t0) = 0)"
     print(f"H(t0)={h0!r}  H(tf)={hf!r}  decay factor: {decay}")
     print(f"wrote {args.out}")

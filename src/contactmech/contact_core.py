@@ -6,7 +6,8 @@ transitions are out of scope; by the Darboux theorem this loses no local
 generality.  Coordinate `x` pairs with momentum `p_x`, and `s` is the
 reserved action variable, so the pairing is syntactic.
 
-A state is a `ChartPoint`, or its values in chart order.  The system
+A state is its row: the 2n+1 values in chart order, as a `ChartPoint`
+or any sequence of reals, which `ContactSystem.point` checks.  The system
 builds the component trees of the contact Hamiltonian field X_H once,
 and `ContactSystem.flow` returns their values at a state as a flat
 tuple in chart order.  `ContactSystem._at` evaluates any trees at a
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import expr as ex
@@ -57,38 +57,35 @@ def _chart_n(count: int, what: str) -> int:
     return (count - 1) // 2
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point (q, p, s) of the (2n+1)-dimensional chart, n >= 1."""
+class ChartPoint(tuple):
+    """A point of the (2n+1)-dimensional chart, n >= 1: its values in
+    chart order (q^1..q^n, p_1..p_n, s), with `q`, `p` and `s` as views."""
 
-    q: tuple
-    p: tuple
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = _as_floats(self.q, "q")
-        p = _as_floats(self.p, "p")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", float(self.s))
-        if len(q) < 1:
-            raise ValueError("chart dimension must be at least 1")
-        if len(q) != len(p):
-            raise ValueError(f"q has dimension {len(q)} but p has {len(p)}")
+    def __new__(cls, values: Sequence[float]):
+        values = _as_floats(values, "a state")
+        _chart_n(len(values), "a state")
+        return super().__new__(cls, values)
+
+    def __repr__(self) -> str:
+        return f"ChartPoint({tuple.__repr__(self)})"
 
     @property
     def n(self) -> int:
-        return len(self.q)
+        return len(self) // 2
 
-    def flat(self) -> tuple:
-        """Values in chart order (q^1..q^n, p_1..p_n, s)."""
-        return self.q + self.p + (self.s,)
+    @property
+    def q(self) -> tuple:
+        return self[: self.n]
 
-    @classmethod
-    def from_flat(cls, values: Sequence[float]):
-        values = tuple(values)
-        n = _chart_n(len(values), "a flat state")
-        return cls(values[:n], values[n : 2 * n], values[2 * n])
+    @property
+    def p(self) -> tuple:
+        return self[self.n : -1]
+
+    @property
+    def s(self) -> float:
+        return self[-1]
 
 
 class ContactSystem:
@@ -188,22 +185,19 @@ class ContactSystem:
             f"parameters={self.parameters!r})"
         )
 
-    def _check_point(self, point: ChartPoint) -> None:
+    def point(self, values: Sequence[float]) -> ChartPoint:
+        """`values`, any 2n+1 reals in chart order, as a state of this system."""
+        point = ChartPoint(values)
         if point.n != self.n:
             raise ValueError(
                 f"state has dimension n={point.n}, system expects n={self.n}"
             )
-
-    def point(self, values: Sequence[float]) -> ChartPoint:
-        point = ChartPoint.from_flat(values)
-        self._check_point(point)
         return point
 
-    def bindings(self, point: ChartPoint) -> dict:
+    def bindings(self, point: Sequence[float]) -> dict:
         """Complete evaluation environment at a state."""
-        self._check_point(point)
         env = dict(self.parameters)
-        env.update(zip(self.chart_names, point.flat()))
+        env.update(zip(self.chart_names, self.point(point)))
         return env
 
     def _compile_chart(self, result, columns: bool = False):
@@ -223,15 +217,14 @@ class ContactSystem:
             fn = self._kernels[key] = self._compile_chart(build(self, *args), columns)
         return fn
 
-    def _at(self, point: ChartPoint, build, *args):
+    def _at(self, point: Sequence[float], build, *args):
         """The value at a state of the trees `build(self, *args)`."""
-        self._check_point(point)
-        return self._kernel(build, *args)(*point.flat())
+        return self._kernel(build, *args)(*self.point(point))
 
-    def hamiltonian_value(self, point: ChartPoint) -> float:
+    def hamiltonian_value(self, point: Sequence[float]) -> float:
         return self._at(point, _given, self.hamiltonian)
 
-    def d_hamiltonian(self, var: str, point: ChartPoint) -> float:
+    def d_hamiltonian(self, var: str, point: Sequence[float]) -> float:
         """Exact partial of H with respect to a chart variable."""
         if var not in self.chart_names:
             raise ValueError(f"{var!r} is not a chart variable")

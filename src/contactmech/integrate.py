@@ -20,7 +20,10 @@ DivergenceError("right-hand side undefined: ..."), and a stage or
 result holding a non-finite value raises DivergenceError("state left
 the finite domain"); both carry the time and state at the step's start.
 Finite values whose sum overflows are not an error.  No step evaluates
-the last state, so an H undefined there raises DivergenceError too.
+H at the state it lands on, so each integrator runs H there on the step
+that reaches tf: RK4 raises DivergenceError where H is undefined, and
+RKF45 rejects that trial step and shrinks it like any other that leaves
+the domain.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class IntegrationError(Exception):
     """Base class for integration failures."""
 
 
-def _state_text(names: Sequence[str], state: ChartPoint) -> str:
-    return ", ".join(f"{name}={value!r}" for name, value in zip(names, state.flat()))
+def _state_text(names: Sequence[str], state: Sequence[float]) -> str:
+    return ", ".join(f"{name}={value!r}" for name, value in zip(names, state))
 
 
 class DivergenceError(IntegrationError):
@@ -181,15 +184,8 @@ class Trajectory:
         return len(self._times)
 
     def point(self, i: int) -> ChartPoint:
-        return ChartPoint.from_flat(self._rows[i])
-
-    def points(self):
-        for row in self._rows:
-            yield ChartPoint.from_flat(row)
-
-    @property
-    def final_point(self) -> ChartPoint:
-        return self.point(-1)
+        """The state of row `i`; -1 is the final state."""
+        return ChartPoint(self._rows[i])
 
     def column(self, name: str) -> np.ndarray:
         if name == "t":
@@ -206,19 +202,17 @@ def _check_trajectory_chart(sys: ContactSystem, traj: Trajectory) -> None:
 
 
 def _diverged(sys: ContactSystem, message: str, t: float, last_good):
-    return DivergenceError(
-        message, t, ChartPoint.from_flat(last_good), sys.chart_names
-    )
+    return DivergenceError(message, t, ChartPoint(last_good), sys.chart_names)
 
 
-def _check_final(sys: ContactSystem, times: list, states: list) -> None:
-    """DivergenceError, naming the state before it, where the H kernel of
-    `write_trajectory_csv` fails at the last state."""
+def _check_final(sys: ContactSystem, row: tuple, t: float, last_good: tuple) -> None:
+    """DivergenceError, naming the state `last_good` at `t` before it,
+    where the H kernel of `write_trajectory_csv` fails at the final `row`."""
     try:
-        sys._kernel(_given, sys.hamiltonian)(*states[-1])
+        sys._kernel(_given, sys.hamiltonian)(*row)
     except DomainError as exc:
         message = f"H undefined at the final state: {exc}"
-        raise _diverged(sys, message, times[-2], states[-2]) from None
+        raise _diverged(sys, message, t, last_good) from None
 
 
 def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
@@ -343,7 +337,7 @@ def _validate_window(t0: float, tf: float) -> float:
 
 def integrate_fixed(
     sys: ContactSystem,
-    s0: ChartPoint,
+    s0: Sequence[float],
     t0: float,
     tf: float,
     dt: float,
@@ -352,10 +346,9 @@ def integrate_fixed(
     A step too small to move t is a ValueError naming t and dt."""
     span = _validate_window(t0, tf)
     dt = _require_positive("dt", dt)
-    sys._check_point(s0)
+    y = sys.point(s0)
 
     step = _step("rk4", sys.dim)
-    y = s0.flat()
     times = [float(t0)]
     states = [y]
     tiny = 1e-9 * min(dt, span)
@@ -375,13 +368,13 @@ def integrate_fixed(
         states.append(y)
         k += 1
 
-    _check_final(sys, times, states)
+    _check_final(sys, states[-1], times[-2], states[-2])
     return Trajectory._of_rows(sys.chart_names, times, states, "rk4", len(times) - 1, 0)
 
 
 def integrate_adaptive(
     sys: ContactSystem,
-    s0: ChartPoint,
+    s0: Sequence[float],
     t0: float,
     tf: float,
     tol: float,
@@ -391,17 +384,17 @@ def integrate_adaptive(
     The mixed absolute/relative control keeps the test meaningful both
     near zero and when the action variable grows large.  Step factor is
     0.9*(budget/err)^(1/5) clamped to [0.2, 5.0].  A trial step that
-    raises DivergenceError is rejected with factor 0.2; the error
-    propagates, naming the last accepted state, only once the step
-    falls below the resolvable size.  An accepted step too small to move
-    t raises StepUnderflowError.
+    raises DivergenceError, or that reaches tf at a state where H is
+    undefined, is rejected with factor 0.2; the error propagates, naming
+    the last accepted state, only once the step falls below the
+    resolvable size.  An accepted step too small to move t raises
+    StepUnderflowError.
     """
     span = _validate_window(t0, tf)
     tol = _require_positive("tol", tol)
-    sys._check_point(s0)
+    y = sys.point(s0)
 
     step = _step("rkf45", sys.dim)
-    y = s0.flat()
     t = float(t0)
     times = [t]
     states = [y]
@@ -413,8 +406,11 @@ def integrate_adaptive(
         h = min(dt, tf - t)
         try:
             out, err = step(sys, y, t, h)
+            if h >= tf - t:
+                _check_final(sys, out, t, y)
         except DivergenceError:
-            # a trial step that leaves the domain is rejected and shrunk
+            # a trial step that leaves the domain, or lands on tf where H
+            # is undefined, is rejected and shrunk
             rejected += 1
             dt = 0.2 * h
             if dt < dt_floor:
@@ -424,7 +420,7 @@ def integrate_adaptive(
         if err <= budget:
             t_next = tf if h >= tf - t else t + h
             if t_next == t:
-                raise StepUnderflowError(t, h, ChartPoint.from_flat(y), sys.chart_names)
+                raise StepUnderflowError(t, h, ChartPoint(y), sys.chart_names)
             t = t_next
             y = out
             times.append(t)
@@ -435,11 +431,8 @@ def integrate_adaptive(
         factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
         dt = h * min(5.0, max(0.2, factor))
         if t < tf and dt < dt_floor:
-            raise StepUnderflowError(
-                t, dt, ChartPoint.from_flat(y), sys.chart_names
-            )
+            raise StepUnderflowError(t, dt, ChartPoint(y), sys.chart_names)
 
-    _check_final(sys, times, states)
     return Trajectory._of_rows(
         sys.chart_names, times, states, "rkf45", accepted, rejected
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .contact_core import ChartPoint, ContactSystem
 
@@ -101,40 +101,35 @@ def builtin(name: str, **overrides) -> ContactSystem:
 def analytic_reference(
     name: str,
     params: Mapping[str, float] | None,
-    s0: ChartPoint,
+    s0: Sequence[float],
     t: float,
 ) -> ChartPoint:
-    """Exact solution state at time t for the given initial state.
+    """Exact solution state at time t for the initial state `s0`, any row
+    of the model's chart.
 
     Exists for every catalog model except the critically damped and
-    overdamped oscillator branches.  t = 0 returns s0 unchanged.
+    overdamped oscillator branches.  t = 0 returns the state of s0.
     """
-    info = _info(name)
-    params = _merge_params(info, params or {})
-    if s0.n != len(info.coordinates):
-        raise ModelError(
-            f"model {name!r} has n={len(info.coordinates)}, "
-            f"initial state has n={s0.n}"
-        )
+    sys = builtin(name, **(params or {}))
+    try:
+        s0 = sys.point(s0)
+    except ValueError as exc:
+        raise ModelError(f"model {name!r}: {exc}") from None
     t = float(t)
     if t == 0.0:
         return s0
     if name == "gravity_friction":
-        return _gravity_reference(params, s0, t)
+        return _gravity_reference(sys, s0, t)
     if name == "damped_free_particle":
-        return _free_particle_reference(params, s0, t)
-    return _oscillator_reference(params, s0, t)
+        return _free_particle_reference(sys, s0, t)
+    return _oscillator_reference(sys, s0, t)
 
 
-def _h0(name: str, params: Mapping[str, float], s0: ChartPoint) -> float:
-    return builtin(name, **params).hamiltonian_value(s0)
-
-
-def _gravity_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
-    m, g, gamma = params["m"], params["g"], params["gamma"]
+def _gravity_reference(sys: ContactSystem, s0: ChartPoint, t: float) -> ChartPoint:
+    m, g, gamma = map(sys.parameters.get, ("m", "g", "gamma"))
     x0, y0 = s0.q
     px0, py0 = s0.p
-    h0 = _h0("gravity_friction", params, s0)
+    h0 = sys.hamiltonian_value(s0)
     if gamma > 0.0:
         decay = math.exp(-gamma * t)
         ramp = 1.0 - decay
@@ -144,7 +139,7 @@ def _gravity_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
         y = y0 + (py0 / (m * gamma) + g / gamma**2) * ramp - (g / gamma) * t
         kinetic = (px**2 + py**2) / (2.0 * m)
         s = (h0 * decay - kinetic - m * g * y) / gamma
-        return ChartPoint((x, y), (px, py), s)
+        return ChartPoint((x, y, px, py, s))
     if gamma == 0.0:
         px = px0
         py = py0 - m * g * t
@@ -155,37 +150,37 @@ def _gravity_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
             px0**2 * t + py0**2 * t - py0 * m * g * t**2 + (m * g) ** 2 * t**3 / 3.0
         )
         s = s0.s + sq_integral / m - h0 * t
-        return ChartPoint((x, y), (px, py), s)
+        return ChartPoint((x, y, px, py, s))
     raise ModelError("gravity_friction closed form requires gamma >= 0")
 
 
-def _free_particle_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
-    m, gamma = params["m"], params["gamma"]
+def _free_particle_reference(
+    sys: ContactSystem, s0: ChartPoint, t: float
+) -> ChartPoint:
+    m, gamma = map(sys.parameters.get, ("m", "gamma"))
     (q0,) = s0.q
     (p0,) = s0.p
-    h0 = _h0("damped_free_particle", params, s0)
+    h0 = sys.hamiltonian_value(s0)
     if gamma > 0.0:
         decay = math.exp(-gamma * t)
         p = p0 * decay
         q = q0 + p0 / (m * gamma) * (1.0 - decay)
         s = (h0 * decay - p**2 / (2.0 * m)) / gamma
-        return ChartPoint((q,), (p,), s)
+        return ChartPoint((q, p, s))
     if gamma == 0.0:
         # s' = p^2/m - H = p0^2/(2m), constant
-        return ChartPoint(
-            (q0 + p0 * t / m,), (p0,), s0.s + p0**2 * t / (2.0 * m)
-        )
+        return ChartPoint((q0 + p0 * t / m, p0, s0.s + p0**2 * t / (2.0 * m)))
     raise ModelError("damped_free_particle closed form requires gamma >= 0")
 
 
-def _oscillator_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
-    m, k, gamma = params["m"], params["k"], params["gamma"]
+def _oscillator_reference(sys: ContactSystem, s0: ChartPoint, t: float) -> ChartPoint:
+    m, k, gamma = map(sys.parameters.get, ("m", "k", "gamma"))
     if m <= 0.0 or k <= 0.0:
         raise ModelError("damped_oscillator closed form requires m > 0 and k > 0")
     (q0,) = s0.q
     (p0,) = s0.p
     omega0 = math.sqrt(k / m)
-    h0 = _h0("damped_oscillator", params, s0)
+    h0 = sys.hamiltonian_value(s0)
     if gamma == 0.0:
         c = math.cos(omega0 * t)
         sn = math.sin(omega0 * t)
@@ -199,7 +194,7 @@ def _oscillator_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
             (b**2 - a**2) * math.sin(2.0 * omega0 * t)
             + 2.0 * a * b * (math.cos(2.0 * omega0 * t) - 1.0)
         )
-        return ChartPoint((q,), (p,), s)
+        return ChartPoint((q, p, s))
     if 0.0 < gamma < 2.0 * omega0:
         omega_d = math.sqrt(omega0**2 - 0.25 * gamma**2)
         envelope = math.exp(-0.5 * gamma * t)
@@ -214,7 +209,7 @@ def _oscillator_reference(params, s0: ChartPoint, t: float) -> ChartPoint:
         )
         p = m * qdot
         s = (h0 * math.exp(-gamma * t) - p**2 / (2.0 * m) - 0.5 * k * q**2) / gamma
-        return ChartPoint((q,), (p,), s)
+        return ChartPoint((q, p, s))
     raise ModelError(
         "damped_oscillator closed form covers only the underdamped branch "
         f"(needs 0 <= gamma < 2*sqrt(k/m) = {2.0 * omega0!r})"

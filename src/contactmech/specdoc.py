@@ -218,7 +218,7 @@ def parse_document(data) -> SpecDocument:
             _as_number(raw_state[name], f"initial_state.{name}")
             for name in system.chart_names
         ]
-        initial_state = ChartPoint.from_flat(flat)
+        initial_state = ChartPoint(flat)
 
     def field(name, entry, where):
         sources = _component_sources(entry, where)

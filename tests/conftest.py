@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import chart_points
 from contactmech import ChartPoint, builtin, sample_states
 
 _ACCEPTANCE_LINES: list = []
@@ -19,7 +18,7 @@ def gravity():
 @pytest.fixture(scope="session")
 def base_point():
     # Initial state used throughout: origin, unit momenta, zero action.
-    return ChartPoint(q=(0.0, 0.0), p=(1.0, 1.0), s=0.0)
+    return ChartPoint((0.0, 0.0, 1.0, 1.0, 0.0))
 
 
 @pytest.fixture(scope="session")
@@ -31,8 +30,9 @@ def gravity_states(gravity):
 
 
 @pytest.fixture(scope="session")
-def gravity_points(gravity, gravity_states):
-    return chart_points(gravity, gravity_states)
+def gravity_points(gravity_states):
+    # the same states as rows of Python floats, for the per-point functions
+    return tuple(map(tuple, gravity_states.tolist()))
 
 
 @pytest.fixture(scope="session")

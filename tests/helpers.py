@@ -54,12 +54,6 @@ CHAIN_H = (
 )
 
 
-def chart_points(sys, states) -> list:
-    """The ChartPoint of each chart row of a `sample_states` array, for
-    the per-point functions."""
-    return [sys.point(row) for row in states.tolist()]
-
-
 def chain_document() -> dict:
     """A spec of the CHAIN_H system with the candidates of the
     benchmark's wide workload, at fixed parameters and state."""
@@ -284,7 +278,7 @@ def reference_rkf45(sys, y: tuple, t: float, h: float) -> tuple:
 
 def reference_fixed(sys, s0, t0: float, tf: float, dt: float) -> Trajectory:
     """`integrate_fixed` stepping with `reference_rk4`."""
-    y = s0.flat()
+    y = tuple(s0)
     times = [float(t0)]
     states = [y]
     tiny = 1e-9 * min(dt, tf - t0)
@@ -307,7 +301,7 @@ def reference_fixed(sys, s0, t0: float, tf: float, dt: float) -> Trajectory:
 def reference_adaptive(sys, s0, t0: float, tf: float, tol: float) -> Trajectory:
     """`integrate_adaptive` stepping with `reference_rkf45`, without its
     step-underflow check."""
-    y = s0.flat()
+    y = tuple(s0)
     t = float(t0)
     times = [t]
     states = [y]

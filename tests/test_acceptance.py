@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import chart_points, finite_difference
+from helpers import finite_difference
 from contactmech import (
-    ChartPoint,
     ScalarField,
     builtin,
     check_quantity,
@@ -48,7 +47,7 @@ def reference_run(gravity, base_point):
 @pytest.fixture(scope="module")
 def reference_h(gravity, reference_run):
     traj, _ = reference_run
-    return np.array([gravity.hamiltonian_value(pt) for pt in traj.points()])
+    return np.array([gravity.hamiltonian_value(row) for row in traj.states.tolist()])
 
 
 def test_criterion_01_hamilton_residuals(record_criterion):
@@ -56,7 +55,7 @@ def test_criterion_01_hamilton_residuals(record_criterion):
     worst = 0.0
     for name in MODELS:
         sys = builtin(name)
-        for point in chart_points(sys, sample_states(sys, count=100, seed=42)):
+        for point in sample_states(sys, count=100, seed=42).tolist():
             r_eta, cov = hamilton_equation_residuals(sys, point)
             worst = max(worst, abs(r_eta), *map(abs, cov))
     elapsed = time.perf_counter() - start
@@ -70,7 +69,7 @@ def test_criterion_01_hamilton_residuals(record_criterion):
 
 def test_criterion_02_reference_trajectory(record_criterion, reference_run):
     traj, elapsed = reference_run
-    final = traj.final_point
+    final = traj.point(-1)
     x_err = abs(final.q[0] - 1.986524106)
     p_y_err = abs(final.p[1] - (20.6 * math.exp(-5.0) - 19.6))
     record_criterion(
@@ -168,11 +167,13 @@ def test_criterion_07_bracket_characterization(record_criterion, gravity,
 
 def test_criterion_08_conservative_limit(record_criterion):
     sys = builtin("damped_oscillator", gamma=0.0)
-    s0 = ChartPoint((1.0,), (0.0,), 0.0)
+    s0 = (1.0, 0.0, 0.0)
     start = time.perf_counter()
     traj = integrate_fixed(sys, s0, 0.0, 100.0, 1e-3)
     h0 = sys.hamiltonian_value(s0)
-    worst = max(abs(sys.hamiltonian_value(pt) - h0) for pt in traj.points())
+    worst = max(
+        abs(sys.hamiltonian_value(row) - h0) for row in traj.states.tolist()
+    )
     elapsed = time.perf_counter() - start
     record_criterion(
         8,

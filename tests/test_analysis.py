@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import contactmech.expr
-from helpers import CHAIN_H, chart_points
+from helpers import CHAIN_H
 from contactmech import (
     ChartPoint,
     ContactSystem,
@@ -144,14 +144,18 @@ def test_sampled_checks_reject_a_state_array_of_the_wrong_shape(gravity, dx, sta
         check_quantity(gravity, momentum_x(gravity), states)
 
 
-def test_sampled_checks_reject_chart_points(gravity, dx, gravity_points, coarse_traj):
+def test_sampled_checks_take_chart_points_as_rows(
+    gravity, dx, gravity_states, coarse_traj
+):
+    # a state is its row, so a list of ChartPoints is a list of rows
     identity = PointMap.from_mapping(gravity, "id", {})
-    with pytest.raises(TypeError):
-        classify_symmetry(gravity, dx, gravity_points)
-    with pytest.raises(TypeError):
-        check_contact_symmetry_map(gravity, identity, gravity_points)
-    with pytest.raises(TypeError):
-        check_quantity(gravity, momentum_x(gravity), gravity_points)
+    points = [ChartPoint(row) for row in gravity_states.tolist()]
+    for check in (
+        lambda states: classify_symmetry(gravity, dx, states),
+        lambda states: check_contact_symmetry_map(gravity, identity, states),
+        lambda states: check_quantity(gravity, momentum_x(gravity), states),
+    ):
+        assert check(points) == check(gravity_states)
     with pytest.raises(TypeError):  # a trajectory, not its rows
         check_quantity(gravity, momentum_x(gravity), coarse_traj)
 
@@ -408,7 +412,7 @@ def test_quotient_values_stay_constant(gravity, coarse_traj):
     ham = ScalarField("H", gravity.hamiltonian)
     ratio = quotient_quantity(ham, momentum_x(gravity))
     first = ratio.value(gravity, coarse_traj.point(0))
-    for point in coarse_traj.points():
+    for point in coarse_traj.states.tolist():
         assert abs(ratio.value(gravity, point) / first - 1.0) <= 1e-8
 
 
@@ -620,7 +624,7 @@ def test_pullback_composes_expressions(gravity):
     stretch = PointMap.from_mapping(gravity, "stretch", {"x": "2*x"})
     pos = ScalarField("x", parse("x", gravity.chart_names))
     pulled = _pullback(gravity, stretch, pos)
-    moved = ChartPoint((3.0, 0.0), (1.0, 1.0), 0.0)
+    moved = (3.0, 0.0, 1.0, 1.0, 0.0)
     assert pulled.value(gravity, moved) == 6.0
 
 
@@ -671,7 +675,7 @@ def _assert_stats(report, residuals):
 
 
 def _assert_classification_parity(sys, field, states):
-    points = chart_points(sys, states)
+    points = states.tolist()
     ham = ScalarField("H", sys.hamiltonian)
     x_h = hamiltonian_field(sys)
     contact_res = [
@@ -719,7 +723,7 @@ def test_classification_matches_calculus_on_the_chain():
 def _at_states(sys, trees, states):
     return [
         [tree.evaluate(sys.bindings(pt)) for tree in trees]
-        for pt in chart_points(sys, states)
+        for pt in states.tolist()
     ]
 
 

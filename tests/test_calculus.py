@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import chart_points
 from contactmech import (
-    ChartPoint,
     PointMap,
     ScalarField,
     VectorField,
@@ -83,7 +81,7 @@ def test_symbolic_field_matches_flow(gravity, gravity_points):
     x_h = hamiltonian_field(gravity)
     for point in gravity_points[:20]:
         v = gravity._at(point, _given, x_h.components)
-        flow = gravity.flow(point.flat())
+        flow = gravity.flow(point)
         assert max(abs(a - b) for a, b in zip(v, flow)) <= 1e-12
 
 
@@ -102,7 +100,7 @@ def test_bracket_of_field_with_itself_vanishes(gravity, gravity_points):
 def test_coordinate_fields_commute(free_particle):
     dq = VectorField.from_mapping(free_particle, "d/dq", {"q": "1"})
     dp = VectorField.from_mapping(free_particle, "d/dp", {"p_q": "1"})
-    point = ChartPoint((0.3,), (-1.2,), 0.7)
+    point = (0.3, -1.2, 0.7)
     assert max(map(abs, lie_bracket(free_particle, dq, dp, point))) == 0.0
 
 
@@ -123,7 +121,7 @@ def poly_fields(free_particle):
 
 def test_bracket_antisymmetry(free_particle, poly_fields):
     a, b = poly_fields
-    for point in chart_points(free_particle, sample_states(free_particle, 20, 5)):
+    for point in sample_states(free_particle, 20, 5).tolist():
         ab = lie_bracket(free_particle, a, b, point)
         ba = lie_bracket(free_particle, b, a, point)
         assert all(x == -y for x, y in zip(ab, ba))
@@ -141,7 +139,7 @@ def test_bracket_bilinearity(free_particle, poly_fields):
         ),
     )
     x_h = hamiltonian_field(free_particle)
-    for point in chart_points(free_particle, sample_states(free_particle, 20, 6)):
+    for point in sample_states(free_particle, 20, 6).tolist():
         lhs = lie_bracket(free_particle, combo, x_h, point)
         ac = lie_bracket(free_particle, a, x_h, point)
         bc = lie_bracket(free_particle, b, x_h, point)
@@ -183,7 +181,7 @@ def test_contact_form_derivative_for_symmetries(gravity, dx, base_point):
 def test_contact_form_derivative_of_dilation(free_particle):
     # Y = q d/dq drags eta by -p dq.
     field = VectorField.from_mapping(free_particle, "dilate", {"q": "q"})
-    point = ChartPoint((1.0,), (2.0,), 0.0)
+    point = (1.0, 2.0, 0.0)
     cq, cp, cs = lie_derivative_contact_form(free_particle, field, point)
     assert cq == -2.0
     assert cp == 0.0

@@ -1,12 +1,15 @@
 """Chart containers, the contact form, and the evolution equations."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from helpers import CHAIN_H, FUNCTIONS_H, chart_points, walk
+from helpers import CHAIN_H, FUNCTIONS_H, walk
 from contactmech import expr as ex
 from contactmech import (
     ChartPoint,
@@ -47,27 +50,37 @@ FREE = ContactSystem(("x", "y"), "0")
 
 
 def test_chart_point_basics():
-    pt = ChartPoint(q=(1.0, 2.0), p=(3.0, 4.0), s=5.0)
+    pt = ChartPoint([1, 2, 3, 4, 5])
     assert pt.n == 2
-    assert pt.flat() == (1.0, 2.0, 3.0, 4.0, 5.0)
-    assert ChartPoint.from_flat([1, 2, 3, 4, 5]) == pt
+    assert (pt.q, pt.p, pt.s) == ((1.0, 2.0), (3.0, 4.0), 5.0)
+    # a state is its row: a ChartPoint equals its row tuple
+    assert pt == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert all(type(v) is float for v in pt)
+    assert ChartPoint(np.array([1.0, 2.0, 3.0, 4.0, 5.0])) == pt
+    assert ChartPoint(pt) == pt
+    copies = [copy.copy(pt), copy.deepcopy(pt)]
+    copies += [
+        pickle.loads(pickle.dumps(pt, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is ChartPoint and twin == pt
 
 
 def test_chart_point_validation():
-    with pytest.raises(ValueError, match="q has dimension 1 but p has 2"):
-        ChartPoint((1.0,), (1.0, 2.0), 0.0)
-    with pytest.raises(ValueError, match="at least 1"):
-        ChartPoint((), (), 1.0)
-    with pytest.raises(ValueError, match="q must be a sequence of reals"):
-        ChartPoint(("a",), (1.0,), 0.0)
-    # from_flat takes exactly 2n+1 values, n >= 1, and drops none
+    # exactly 2n+1 values, n >= 1, none dropped
     for values in ([], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
-        with pytest.raises(ValueError, match="2n\\+1"):
-            ChartPoint.from_flat(values)
-    vec = ChartPoint.from_flat([1, 2, 3, 4, 5])
+        with pytest.raises(ValueError) as err:
+            ChartPoint(values)
+        assert str(err.value) == f"a state needs 2n+1 entries, got {len(values)}"
+    for values in (["a", 1.0, 0.0], [None, 1.0, 0.0], 5.0):
+        with pytest.raises(ValueError) as err:
+            ChartPoint(values)
+        assert str(err.value) == "a state must be a sequence of reals"
+    vec = ChartPoint([1, 2, 3, 4, 5])
     assert vec.n == 2
-    assert vec.flat() == (1.0, 2.0, 3.0, 4.0, 5.0)
-    assert max(map(abs, vec.flat())) == 5.0
+    assert vec == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert max(map(abs, vec)) == 5.0
 
 
 def _constant_field(sys, values):
@@ -85,7 +98,7 @@ def test_contact_form_and_interior_product(base_point):
 
 def test_reeb_field_is_normalized(base_point):
     # the Reeb field d/ds is the Hamiltonian field of H = -1
-    r = ContactSystem(("x", "y"), "-1").flow(base_point.flat())
+    r = ContactSystem(("x", "y"), "-1").flow(base_point)
     assert r == (0.0, 0.0, 0.0, 0.0, 1.0)
     r_eta, w = hamilton_equation_residuals(FREE, base_point, _constant_field(FREE, r))
     assert r_eta == 1.0  # eta(R) = 1
@@ -128,7 +141,7 @@ def test_system_reports_undeclared_hamiltonian_names():
 def test_system_accepts_parsed_hamiltonian():
     expr = parse("p_q^2/(2*m)", ("p_q", "m"))
     sys = ContactSystem(("q",), expr, {"m": 2.0})
-    assert sys.hamiltonian_value(ChartPoint((0.0,), (2.0,), 0.0)) == 1.0
+    assert sys.hamiltonian_value((0.0, 2.0, 0.0)) == 1.0
 
 
 def test_system_rejects_expression_with_stray_names():
@@ -152,7 +165,7 @@ def test_point_dimension_checks(gravity):
     with pytest.raises(ValueError):
         gravity.point((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        gravity.hamiltonian_value(ChartPoint((0.0,), (1.0,), 0.0))
+        gravity.hamiltonian_value(ChartPoint((0.0, 1.0, 0.0)))
 
 
 def test_partial_of_hamiltonian(gravity, base_point):
@@ -163,7 +176,7 @@ def test_partial_of_hamiltonian(gravity, base_point):
 
 
 def test_hamiltonian_field_at_base_state(gravity, base_point):
-    v = gravity.flow(base_point.flat())
+    v = gravity.flow(base_point)
     assert v == (1.0, 1.0, -0.5, -10.3, 1.0)
     # eta(X_H) = -H: r_eta, which is eta(X_H) + H, is 0
     h = gravity.hamiltonian_value(base_point)
@@ -194,14 +207,14 @@ def test_residuals_vanish_at_base_state(gravity, base_point):
 def test_residuals_vanish_on_random_states(name):
     sys = builtin(name)
     worst = 0.0
-    for point in chart_points(sys, sample_states(sys, count=100, seed=42)):
+    for point in sample_states(sys, count=100, seed=42).tolist():
         r_eta, cov = hamilton_equation_residuals(sys, point)
         worst = max(worst, abs(r_eta), *map(abs, cov))
     assert worst <= 1e-12
 
 
 def test_residuals_flag_a_corrupted_field(gravity, base_point):
-    v = gravity.flow(base_point.flat())
+    v = gravity.flow(base_point)
     bad = _constant_field(gravity, (v[0] + 1.0,) + v[1:])
     r_eta, cov = hamilton_equation_residuals(gravity, base_point, field=bad)
     assert cov[2] == 1.0  # the dp_x slot
@@ -224,7 +237,7 @@ def test_residual_values_are_pinned(name, expected):
     # r_eta, the r_deta slots, then eta([lift of F, X_H]) for F = q^1 and
     # F = H, at the first seed-7 sample; -8.9e-16 is rounding in dq^2
     sys = builtin(name)
-    point = ChartPoint.from_flat(sample_states(sys, 1, seed=7)[0].tolist())
+    point = sample_states(sys, 1, seed=7)[0].tolist()
     r_eta, r_deta = hamilton_equation_residuals(sys, point)
     names = sys.chart_names
     lifts = [
@@ -239,7 +252,7 @@ def test_dissipation_rate_identity(gravity, gravity_points):
     # d/dt H along the flow equals -(dH/ds) H.
     worst = 0.0
     for point in gravity_points:
-        flow = gravity.flow(point.flat())
+        flow = gravity.flow(point)
         rate = sum(
             flow[k] * gravity.d_hamiltonian(var, point)
             for k, var in enumerate(gravity.chart_names)
@@ -267,7 +280,7 @@ def test_dimension_mismatch_in_form_helpers(base_point):
         check_contact_symmetry_map(FREE, PointMap("Phi", narrow.components), states)
     assert str(err.value) == "'Phi' has n=1, system expects n=2"
     with pytest.raises(ValueError, match="state has dimension n=1"):
-        hamilton_equation_residuals(FREE, ChartPoint((0.0,), (1.0,), 0.0))
+        hamilton_equation_residuals(FREE, (0.0, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +332,7 @@ def test_kernel_matches_the_per_component_path(name):
         assert _bits(sys.flow(flat)) == _bits(expected)
         env = _env(sys, flat)
         assert _bits(expected) == _bits(walk(c, env) for c in sys._field)
-        point = ChartPoint.from_flat(flat)
-        assert _bits([sys.hamiltonian_value(point)]) == _bits(
+        assert _bits([sys.hamiltonian_value(flat)]) == _bits(
             [sys.hamiltonian._run(env)]
         )
 
@@ -352,7 +364,7 @@ def _probes(sys):
         ("vf_jacobian", lambda pt: vf_jacobian(sys, mix, pt).ravel().tolist(),
          tuple(c.derivative(v) for c in mix.components for v in names)),
         ("ScalarField.value", lambda pt: energy.value(sys, pt), (h,)),
-        ("PointMap.apply", lambda pt: moved.apply(sys, pt).flat(), moved.components),
+        ("PointMap.apply", lambda pt: moved.apply(sys, pt), moved.components),
         ("lie_bracket", lambda pt: lie_bracket(sys, mix, xh, pt),
          _bracket_trees(sys, mix.components, xh.components)),
         ("lie_derivative_scalar",
@@ -386,11 +398,13 @@ def _as_list(values):
 def test_per_state_functions_match_a_tree_walk(name):
     sys = _kernel_systems()[name]
     for flat in _states(sys, 50, seed=23):
-        point = ChartPoint.from_flat(flat)
         env = _env(sys, flat)
+        # a state is any row: a tuple, a list, a numpy row or a ChartPoint
+        rows = (flat, list(flat), np.array(flat), ChartPoint(flat))
         for label, call, trees in _probes(sys):
             expected = [walk(tree, env) for tree in trees]
-            assert _bits(_as_list(call(point))) == _bits(expected), label
+            for row in rows:
+                assert _bits(_as_list(call(row))) == _bits(expected), label
 
 
 def _no_compile(*args):
@@ -414,7 +428,7 @@ def _sampled_checks(sys):
 @pytest.mark.parametrize("name", list(_kernel_systems()))
 def test_second_call_at_a_new_state_compiles_nothing(name, monkeypatch):
     sys = _kernel_systems()[name]
-    first, second = (ChartPoint.from_flat(f) for f in _states(sys, 2, seed=5))
+    first, second = _states(sys, 2, seed=5)
     for _, call, _ in _probes(sys):
         call(first)
     for check in _sampled_checks(sys):
@@ -468,13 +482,12 @@ def test_kernel_raises_the_per_component_error(
 ):
     sys = ContactSystem(("q",), hamiltonian, {"gamma": 0.5, **parameters})
     assert _raised(sys.flow, flat) == _raised(_per_component, sys, flat) == message
-    point = ChartPoint.from_flat(flat)
     try:
         expected = sys.hamiltonian._run(_env(sys, flat))
     except DomainError as exc:
-        assert _raised(sys.hamiltonian_value, point) == str(exc)
+        assert _raised(sys.hamiltonian_value, flat) == str(exc)
     else:
-        assert _bits([sys.hamiltonian_value(point)]) == _bits([expected])
+        assert _bits([sys.hamiltonian_value(flat)]) == _bits([expected])
 
 
 def test_parameter_only_division_by_zero_raises_at_call_time():
@@ -494,7 +507,7 @@ def test_overflowing_parameter_subtree_stays_infinite():
     out = sys.flow(flat)
     assert out[1:] == (-math.inf, -math.inf)
     assert _bits(out) == _bits(_per_component(sys, flat))
-    assert sys.hamiltonian_value(ChartPoint.from_flat(flat)) == math.inf
+    assert sys.hamiltonian_value(flat) == math.inf
 
 
 def test_kernel_survives_names_that_look_like_its_own():
@@ -507,7 +520,7 @@ def test_kernel_survives_names_that_look_like_its_own():
     sys = ContactSystem(coordinates, hamiltonian, parameters)
     for flat in _states(sys, 50, seed=3):
         assert _bits(sys.flow(flat)) == _bits(_per_component(sys, flat))
-        assert sys.hamiltonian_value(ChartPoint.from_flat(flat)) == (
+        assert sys.hamiltonian_value(flat) == (
             sys.hamiltonian._run(_env(sys, flat))
         )
 
@@ -524,7 +537,7 @@ def test_kernel_cache_keeps_signed_zero_trees_apart():
     # the cache keys trees by equality, and 0.0 == -0.0: a tree must not
     # find the kernel of the tree with the other zero
     sys = ContactSystem(["q"], "p_q^2/2 + gamma*s", {"gamma": 0.5})
-    point = ChartPoint((-0.0,), (1.0,), 0.0)
+    point = (-0.0, 1.0, 0.0)
     zero = ScalarField("a", ex.literal(0.0))
     negative_zero = ScalarField("b", ex.literal(-0.0))
     assert _bits([zero.value(sys, point)]) == _bits([0.0])
