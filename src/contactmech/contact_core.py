@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import expr as ex
 from .expr import FUNCTIONS
@@ -37,6 +37,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 def _as_floats(values: Sequence[float], label: str) -> tuple:
     try:
+        if isinstance(values, (str, bytes, Mapping)):
+            raise TypeError  # they iterate over characters, bytes or keys
         return tuple(map(float, values))
     except (TypeError, ValueError):
         raise ValueError(f"{label} must be a sequence of reals") from None

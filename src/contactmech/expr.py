@@ -28,16 +28,24 @@ Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
 the tree into another expression, so differentiating a derivative again
 gives exact second derivatives without finite differencing.
 
+`_walk` is the one traversal of trees: depth first and left to right
+with an explicit stack, each distinct node once, after the nodes below
+it.  Collecting names, printing, differentiating, substituting, folding
+and placing are rules on it, so a tree of any depth can be handled; only
+the parser recurses, and it rejects nesting deeper than
+`_MAX_PARSE_DEPTH` as a ParseError.
+
 ``_compile_kernel`` makes a kernel of a batch of trees in two forms
-from one list of steps: one walk of the trees lists each distinct
-operation once, in the order of evaluating each tree alone, with
-constants folded in, and one table, ``_OPS``, gives each operation's
-scalar and column function.  A scalar kernel is one straight-line
-function of named values as positional arguments, generated as Python
-source from the steps and compiled.  An expression compiles itself over
-its sorted names for ``evaluate``; a contact system compiles its flow,
-H and the operator trees of ``calculus`` over its chart, with its
-parameters folded in, for single states.  Compilation is lazy and
+from one list of steps: placing lists each distinct operation once, in
+the order of evaluating each tree alone, with constants folded in, and
+one table, ``_OPS``, gives each operation's scalar and column function.
+A scalar kernel is one straight-line function of named values as
+positional arguments, generated as Python source from the steps and
+compiled; code that would nest deeper than `_MAX_NESTING` parentheses
+is bound to statements before its ``return``.  An expression compiles
+itself over its sorted names for ``evaluate``; a contact system compiles
+its flow, H and the operator trees of ``calculus`` over its chart, with
+its parameters folded in, for single states.  Compilation is lazy and
 cached, a benign race.
 
 A column kernel (``columns``) compiles nothing: it runs the same steps
@@ -62,7 +70,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -197,13 +205,12 @@ class Expression:
     def names(self) -> frozenset:
         """Every variable name in the tree, collected on first read."""
         if self._names is None:  # benign race: the walk is deterministic
-            names, stack = set(), [self]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Var):
-                    names.add(node.name)
-                stack.extend(_children(node))
-            _set(self, "_names", frozenset(names))
+            seen = set()
+            for node, _ in _walk((self,), seen):
+                seen.add(node)
+            _set(self, "_names", frozenset(
+                node.name for node in seen if isinstance(node, Var)
+            ))
         return self._names
 
     def _run(self, env: Mapping[str, float]):
@@ -292,51 +299,103 @@ class Call(Expression):
         return _interned(cls, (cls, fn, id(arg)), (fn, arg))
 
 
+def _children(node: Expression) -> tuple:
+    # by exact kind: a failed isinstance costs more, and walks call this
+    # for every node
+    kind = type(node)
+    if kind is Bin:
+        return (node.lhs, node.rhs)
+    if kind is Neg or kind is Call:
+        return (node.arg,)
+    return ()
+
+
+def _operands(node: Expression, results) -> tuple:
+    """The results of ``node``'s children, in order."""
+    if type(node) is Bin:
+        return results[node.lhs], results[node.rhs]
+    return (results[node.arg],)
+
+
+def _walk(roots: Iterable[Expression], done, below: Callable = _children):
+    """``(node, parent)`` for each node under ``roots`` that is not in
+    ``done``: depth first and left to right, after the nodes below it,
+    with ``parent`` the node that first reached it (None for a root).
+
+    This is the one traversal of trees.  Every rule on them (names,
+    printing, folding, placing, differentiating, substituting) is a loop
+    over it that keeps its result for each node in ``done`` before it
+    asks for the next, so each node comes once, and reads the results
+    of the nodes ``below`` it: its children, unless the rule stops
+    there.  The stack is explicit, so no tree is too deep to walk.
+    """
+    for root in roots:
+        if root in done:
+            continue
+        node, parent, rest = root, None, iter(below(root))
+        stack = []  # the frames above the current node
+        while True:
+            for child in rest:
+                if child not in done:
+                    grandchildren = below(child)
+                    if grandchildren:
+                        stack.append((node, parent, rest))
+                        node, parent, rest = child, node, iter(grandchildren)
+                        break
+                    yield child, node
+            else:
+                yield node, parent
+                if not stack:
+                    break
+                node, parent, rest = stack.pop()
+
+
 # Printer precedence levels; a negative literal prints like a unary minus.
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
 
 
-def _node_prec(node: Expression) -> int:
-    if isinstance(node, Bin):
-        if node.op in "+-":
-            return _PREC_ADD
-        if node.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Num) and node.value < 0.0:
-        return _PREC_NEG
-    return _PREC_ATOM
+def _to_source(root: Expression) -> str:
+    """The text of ``root``, which parses back to the same tree.
 
+    A text is dropped at its last read, so a deep tree needs memory for
+    its own text, not for the sum of its subtrees' texts.
+    """
+    unread = {}  # each node once, in the order of the walk: its reads left
+    for node, _ in _walk((root,), unread):
+        unread[node] = 0
+        for child in _children(node):
+            unread[child] += 1
+    texts = {}  # node -> (its text, its precedence), until its last read
 
-def _to_source(node: Expression) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _to_source(node.arg)
-        if _node_prec(node.arg) <= _PREC_MUL:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Call):
-        return f"{node.fn}({_to_source(node.arg)})"
-    prec = _node_prec(node)
-    lhs = _to_source(node.lhs)
-    rhs = _to_source(node.rhs)
-    if node.op == "^":
-        # right-associative: parenthesize any non-atomic left operand
-        if _node_prec(node.lhs) <= _PREC_POW:
-            lhs = f"({lhs})"
-        if _node_prec(node.rhs) < _PREC_NEG:
-            rhs = f"({rhs})"
-        return f"{lhs}{node.op}{rhs}"
-    if _node_prec(node.lhs) < prec:
-        lhs = f"({lhs})"
-    if _node_prec(node.rhs) <= prec:
-        rhs = f"({rhs})"
-    return f"{lhs} {node.op} {rhs}"
+    def operand(child, limit):
+        """``child``'s text, in parentheses if its precedence is below
+        ``limit``."""
+        text, prec = texts[child]
+        unread[child] -= 1
+        if not unread[child]:
+            del texts[child]
+        return f"({text})" if prec < limit else text
+
+    for node in unread:
+        kind = type(node)
+        if kind is Num:
+            prec = _PREC_NEG if node.value < 0.0 else _PREC_ATOM
+            texts[node] = repr(node.value), prec
+        elif kind is Var:
+            texts[node] = node.name, _PREC_ATOM
+        elif kind is Neg:
+            texts[node] = "-" + operand(node.arg, _PREC_MUL + 1), _PREC_NEG
+        elif kind is Call:
+            texts[node] = f"{node.fn}({operand(node.arg, 0)})", _PREC_ATOM
+        elif node.op == "^":
+            # right-associative: parenthesize any non-atomic left operand
+            lhs = operand(node.lhs, _PREC_POW + 1)
+            texts[node] = f"{lhs}^{operand(node.rhs, _PREC_NEG)}", _PREC_POW
+        else:
+            prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
+            lhs = operand(node.lhs, prec)
+            texts[node] = f"{lhs} {node.op} {operand(node.rhs, prec + 1)}", prec
+    return texts[root][0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +486,18 @@ _HELPERS = {
     **{name: scalar for name, (scalar, _) in _OPS.items() if name[0] == "_"},
 }
 
+#: How deeply `_Emitter.source` nests the parentheses of one Python
+#: expression before it binds the code written so far to statements;
+#: CPython's parser stops at 200.
+_MAX_NESTING = 64
+
 # A kernel raises DomainError itself, so callers see no raw arithmetic
 # error; it is compiled once per expression or system, so the larger
 # code costs little.
 _KERNEL_SOURCE = """\
 def _fn({args}):
     try:
-        return {result}
+{lines}        return {result}
     except _ARITHMETIC_ERRORS as _e:
         raise _domain_error(_e) from None
 """
@@ -442,22 +506,26 @@ def _fn({args}):
 class _Emitter:
     """A batch of trees as one list of steps, each distinct subtree once.
 
-    A subtree whose leaves are all literals or ``constants`` is evaluated
-    here by the scalar functions of `_OPS` and used as its value, but
-    only when that raises nothing and is finite; otherwise it stays an
-    operation and fails at call time.  No other rewrite is made, so
-    results are bit-identical.  Nodes are interned, so a repeated
-    subtree is one node, and `place` gives it one slot.
+    `fold` evaluates a subtree whose leaves are all literals or
+    ``constants`` by the scalar functions of `_OPS`, and its value is
+    used in its place, but only when that raises nothing and is finite;
+    otherwise it stays an operation and fails at call time.  No other
+    rewrite is made, so results are bit-identical.  Nodes are interned,
+    so a repeated subtree is one node, and `place` gives it one slot.
 
-    `place` is the one walk of the trees: it lists a step for each
-    distinct operation, depth first and left to right, the order of
-    evaluating each tree alone.  Both kernel forms are made from that
-    list.  ``columns`` gives it to a column kernel, which runs each step
-    once over (N,) arrays.  ``source`` writes it as Python code: a step
-    used once is inlined where it is used, and one used more than once
-    binds a temporary with ``:=`` where it first runs, and later uses
-    read it, so the operations run in the same order and the first one
-    to fail is the same.
+    Folding and placing are rules on `_walk`.  Placing stops at folded
+    subtrees and lists a step for each distinct operation, depth first
+    and left to right, the order of evaluating each tree alone.  Both
+    kernel forms are made from that list.  ``columns`` gives it to a
+    column kernel, which runs each step once over (N,) arrays.
+    ``source`` writes it as Python code in one pass over the steps: a
+    step used once is inlined where it is used, and one used more than
+    once binds a temporary with ``:=`` at the read by the node that
+    first reached it, and later uses read it, so the operations run in
+    the same order and the first one to fail is the same.  Where a
+    step's code would nest deeper than `_MAX_NESTING`, every piece of
+    code written and not yet read becomes a statement before the
+    ``return``, in the order it runs, which keeps that order too.
     """
 
     def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
@@ -467,32 +535,36 @@ class _Emitter:
         self.slots: dict = {}  # node -> its slot in a kernel
         self.cells: list = []  # its slots after the variables' columns
         self.steps: dict = {}  # its operations, see `columns`
-        self.uses: Counter = Counter()  # slot -> its occurrences, see `source`
-        self.texts: list = []  # slot -> its code where it next occurs
-        self.temps = 0  # temporaries bound so far
+        self.reached: dict = {}  # step slot -> the node that first reached it
+        self.lines: list = []  # statements that `source` puts before the return
 
-    def value(self, node: Expression):
-        """Value known at compile time, possibly infinite; None if unknown."""
-        if node in self.values:
-            return self.values[node]
-        if isinstance(node, Num):
-            out = node.value
-        elif isinstance(node, Var):
-            out = self.constants.get(node.name)
-        else:
-            args = [self.value(c) for c in _children(node)]
-            out = None
-            if all(a is not None for a in args):
-                try:
-                    out = _OPS[self.helper(node)][0](*args)
-                except _ROW_ERRORS:
-                    pass  # left in the code, so the call raises as before
-        self.values[node] = out
-        return out
+    def fold(self, roots) -> None:
+        """Fill ``values`` with each node's value known at compile time,
+        possibly infinite, or None if unknown."""
+        values = self.values
+        for node, _ in _walk(roots, values):
+            kind = type(node)
+            if kind is Num:
+                out = node.value
+            elif kind is Var:
+                out = self.constants.get(node.name)
+            else:
+                args = _operands(node, values)
+                out = None
+                if None not in args:
+                    try:
+                        out = _OPS[self.helper(node)][0](*args)
+                    except _ROW_ERRORS:
+                        pass  # left in the code, so the call raises as before
+            values[node] = out
 
     def folded(self, node: Expression):
-        value = self.value(node)
+        value = self.values[node]
         return value if value is not None and math.isfinite(value) else None
+
+    def unfolded(self, node: Expression) -> tuple:
+        """What placing walks below ``node``: nothing under a folded value."""
+        return () if self.folded(node) is not None else _children(node)
 
     def argument(self, node: Expression) -> int:
         """The position of a variable the kernel takes."""
@@ -524,67 +596,75 @@ class _Emitter:
         distinct operation once, depth first and left to right.
         ``outputs`` are the slots of the roots.
         """
-        outputs = [self.place(root) for root in roots]
-        return self.cells, self.steps, outputs
+        self.fold(roots)
+        slots = self.slots
+        for node, parent in _walk(roots, slots, self.unfolded):
+            slots[node] = self.place(node, parent)
+        return self.cells, self.steps, [slots[root] for root in roots]
 
-    def place(self, node: Expression) -> int:
-        """The slot of ``node``'s value, after the steps that compute it."""
-        slot = self.slots.get(node)
-        if slot is not None:
-            return slot
+    def place(self, node: Expression, parent) -> int:
+        """The slot of ``node``'s value, after the steps that compute it;
+        ``parent`` is the node that first reached it, None for a root."""
         value = self.folded(node)
-        if value is not None:
-            slot = len(self.index) + len(self.cells)
-            self.cells.append(value)
-        elif isinstance(node, Var):
-            slot = self.argument(node)
-        else:
-            helper = self.helper(node)
-            args = tuple(map(self.place, _children(node)))
-            slot = len(self.index) + len(self.cells)
-            self.cells.append(None)
-            self.steps[slot] = helper, args
-        self.slots[node] = slot
+        if value is None and isinstance(node, Var):
+            return self.argument(node)
+        slot = len(self.index) + len(self.cells)
+        self.cells.append(value)
+        if value is None:
+            self.steps[slot] = self.helper(node), _operands(node, self.slots)
+            self.reached[slot] = parent
         return slot
 
     def source(self, roots) -> list:
-        """One Python expression per root, to be evaluated in order,
-        written from the steps of `columns`."""
+        """One Python expression per root, to be evaluated in order after
+        the statements that it puts in ``lines``, written from the steps
+        of `columns` in one pass."""
         cells, steps, outputs = self.columns(roots)
-        self.uses.update(chain(outputs, *(args for _, args in steps.values())))
-        self.texts = [f"v{k}" for k in range(len(self.index))]
-        self.texts += [None if v is None else repr(v) for v in cells]
-        return [self.write(slot) for slot in outputs]
+        reads = Counter(chain(outputs, *(args for _, args in steps.values())))
+        # the reader that binds a shared step: the slot of the node that
+        # first reached it, or None for an output
+        binder = {k: self.slots.get(node) for k, node in self.reached.items()}
+        code = [f"v{k}" for k in range(len(self.index))]
+        code += [None if v is None else repr(v) for v in cells]
+        depth = [0] * len(code)  # nesting of the parentheses in code[k]
+        fresh = map("t{}".format, count())  # the temporaries' names
+        temps = {}  # shared step -> its temporary, until it is bound
+        unread = {}  # steps written and not yet read, in the order written
 
-    def write(self, slot: int) -> str:
-        """The code of ``slot``'s value where it next occurs.  A variable,
-        a folded value and a bound temporary are their text; a step used
-        once is inlined, and one used more often binds the next temporary,
-        which its later occurrences read."""
-        text = self.texts[slot]
-        if text is not None:
-            return text
-        helper, args = self.steps[slot]
-        args = [self.write(k) for k in args]
-        if helper == "neg":
-            text = f"(-{args[0]})"
-        elif helper[0] == "_":
-            text = f"{helper}({', '.join(args)})"
-        else:
-            text = f"({args[0]} {helper} {args[1]})"
-        if self.uses[slot] == 1:
-            return text
-        temp = self.texts[slot] = f"t{self.temps}"
-        self.temps += 1
-        return f"({temp} := {text})"
+        def read(k, reader):
+            """The code of slot ``k`` where ``reader`` reads it, and its depth."""
+            if k in temps:
+                if binder[k] != reader:
+                    return temps[k], 0  # bound before this read runs
+                text, code[k] = code[k], temps.pop(k)
+                nesting, depth[k] = depth[k] + 1, 0
+                del unread[k]
+                return f"({code[k]} := {text})", nesting
+            text = code[k]
+            if k in unread:  # used once: inlined here
+                del unread[k]
+                code[k] = None
+            return text, depth[k]
 
-
-def _children(node: Expression) -> tuple:
-    if isinstance(node, Bin):
-        return (node.lhs, node.rhs)
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    return ()
+        for slot, (helper, args) in steps.items():
+            texts, depths = zip(*[read(k, slot) for k in args])
+            if helper == "neg":
+                code[slot] = f"(-{texts[0]})"
+            elif helper[0] == "_":
+                code[slot] = f"{helper}({', '.join(texts)})"
+            else:
+                code[slot] = f"({texts[0]} {helper} {texts[1]})"
+            depth[slot] = 1 + max(depths)
+            unread[slot] = None
+            if reads[slot] > 1:
+                temps[slot] = next(fresh)
+            if depth[slot] > _MAX_NESTING:
+                for k in unread:
+                    temp = temps.pop(k, None) or next(fresh)
+                    self.lines.append(f"{temp} = {code[k]}")
+                    code[k], depth[k] = temp, 0
+                unread.clear()
+        return [read(k, None)[0] for k in outputs]
 
 
 def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
@@ -649,6 +729,7 @@ def _compile_kernel(
     env = dict(_HELPERS)
     exec(compile(_KERNEL_SOURCE.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
+        lines="".join(f"        {line}\n" for line in emitter.lines),
         result=f"({', '.join(parts)},)" if as_tuple else parts[0],
     ), "<chart-expression>", "exec"), env)
     return env["_fn"]
@@ -715,12 +796,20 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+#: How deeply the parser lets unary operands nest: every recursive path
+#: of the grammar (a parenthesis, a call, a minus, an exponent) passes
+#: through `_Parser.unary`, and deeper input is a ParseError, not a
+#: RecursionError.
+_MAX_PARSE_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, source: str, names: frozenset):
         self.source = source
         self.names = names
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # unary operands open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -756,10 +845,16 @@ class _Parser:
 
     def unary(self) -> Expression:
         tok = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_PARSE_DEPTH:
+            self.fail("expression nests too deeply", tok)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expression:
         node = self.atom()
@@ -936,37 +1031,53 @@ def call(fn: str, e) -> Expression:
 _ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
 
 
-def _diff(node: Expression, var: str) -> Expression:
-    """First partial of ``node`` with respect to ``var``, folded as the
+def _diff(root: Expression, var: str) -> Expression:
+    """First partial of ``root`` with respect to ``var``, folded as the
     builders fold.
 
     The rule of an operation node runs once per live node and variable:
-    its result is kept on the node, and a structurally equal subtree
-    anywhere, in this tree or another, is the same node.
+    its result is kept on the node, where later walks stop, and a
+    structurally equal subtree anywhere, in this tree or another, is the
+    same node.
     """
-    if isinstance(node, Num):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE if node.name == var else _ZERO
-    memo = node._diffs
-    if memo is None:  # benign race: the rule is deterministic
-        memo = {}
-        _set(node, "_diffs", memo)
-    out = memo.get(var)
-    if out is None:
-        out = memo[var] = _diff_rule(node, var)
-    return out
+    memo = root._diffs
+    if memo is not None and var in memo:
+        return memo[var]
+
+    def below(node):
+        memo = node._diffs
+        return () if memo is not None and var in memo else _children(node)
+
+    done = {}  # node -> its derivative
+    for node, _ in _walk((root,), done, below):
+        kind = type(node)
+        if kind is Num:
+            done[node] = _ZERO
+        elif kind is Var:
+            done[node] = _ONE if node.name == var else _ZERO
+        else:
+            memo = node._diffs
+            if memo is None:  # benign race: the rule is deterministic
+                memo = {}
+                _set(node, "_diffs", memo)
+            out = memo.get(var)
+            if out is None:
+                out = memo[var] = _diff_rule(node, *_operands(node, done))
+            done[node] = out
+    return done[root]
 
 
-def _diff_rule(node: Expression, var: str) -> Expression:
-    """The differentiation rule of ``node``'s kind.
+def _diff_rule(
+    node: Expression, du: Expression, dv: Expression | None = None
+) -> Expression:
+    """The differentiation rule of ``node``'s kind, given the derivatives
+    ``du`` and ``dv`` of its operands (``du`` alone for one operand).
 
-    A subtree free of ``var`` differentiates to the literal 0, and every
-    rule below skips the terms that multiply such a zero, so no factor is
-    evaluated that the derivative does not need.
+    A subtree free of the variable differentiates to the literal 0, and
+    every rule below skips the terms that multiply such a zero, so no
+    factor is evaluated that the derivative does not need.
     """
     if isinstance(node, (Neg, Call)):
-        du = _diff(node.arg, var)
         if _is_const(du, 0.0):
             return du
         if isinstance(node, Neg):
@@ -988,7 +1099,6 @@ def _diff_rule(node: Expression, var: str) -> Expression:
             return _ZERO
         return mul(outer, du)
     u, v = node.lhs, node.rhs
-    du, dv = _diff(u, var), _diff(v, var)
     u_free, v_free = _is_const(du, 0.0), _is_const(dv, 0.0)
     if u_free and v_free:
         return _ZERO
@@ -1015,28 +1125,16 @@ def _diff_rule(node: Expression, var: str) -> Expression:
 def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expression:
     """Replace variables by expressions (exact rebuild, no folding)."""
     repl = {name: _as_node(r) for name, r in replacements.items()}
-    return _substituted(e, repl, {})
-
-
-def _substituted(node: Expression, repl: dict, done: dict) -> Expression:
-    """``node`` with ``repl`` put in, each distinct subtree rebuilt once.
-
-    A module function, not a closure: a nested function that calls
-    itself is a reference cycle, which would keep the nodes it saw alive
-    until the cyclic collector runs.
-    """
-    out = done.get(node)
-    if out is None:
+    done = {}  # node -> its rebuilt node
+    for node, _ in _walk((e,), done):
         if isinstance(node, Var):
-            out = repl.get(node.name, node)
+            done[node] = repl.get(node.name, node)
         elif isinstance(node, Neg):
-            out = Neg(_substituted(node.arg, repl, done))
+            done[node] = Neg(done[node.arg])
         elif isinstance(node, Bin):
-            lhs = _substituted(node.lhs, repl, done)
-            out = Bin(node.op, lhs, _substituted(node.rhs, repl, done))
+            done[node] = Bin(node.op, done[node.lhs], done[node.rhs])
         elif isinstance(node, Call):
-            out = Call(node.fn, _substituted(node.arg, repl, done))
+            done[node] = Call(node.fn, done[node.arg])
         else:
-            out = node
-        done[node] = out
-    return out
+            done[node] = node
+    return done[e]

@@ -46,27 +46,32 @@ from contactmech.integrate import _check_finite, _diverged
 
 NAMES = ("a", "b", "c")
 
+def chain_h(length: int) -> str:
+    """The Hamiltonian of `length` coupled damped oscillators, written as
+    the benchmark's wide workload writes it."""
+    kinetic = " + ".join(f"p_q{i}^2" for i in range(1, length + 1))
+    springs = " + ".join(f"(q{i + 1} - q{i})^2" for i in range(1, length))
+    return f"({kinetic})/(2*m) + k/2*({springs}) + gamma*s"
+
+
 #: six coupled damped oscillators, as in the benchmark's wide workload
-CHAIN_H = (
-    "(p_q1^2 + p_q2^2 + p_q3^2 + p_q4^2 + p_q5^2 + p_q6^2)/(2*m)"
-    " + k/2*((q2 - q1)^2 + (q3 - q2)^2 + (q4 - q3)^2 + (q5 - q4)^2"
-    " + (q6 - q5)^2) + gamma*s"
-)
+CHAIN_H = chain_h(6)
 
 
-def chain_document() -> dict:
-    """A spec of the CHAIN_H system with the candidates of the
+def chain_document(length: int = 6) -> dict:
+    """A spec of the chain_h(length) system with the candidates of the
     benchmark's wide workload, at fixed parameters and state."""
-    coords = [f"q{i}" for i in range(1, 7)]
+    hamiltonian = chain_h(length)
+    coords = [f"q{i}" for i in range(1, length + 1)]
     momenta = [f"p_{c}" for c in coords]
     state = {c: 0.1 * k for k, c in enumerate(coords)}
     state.update({p: 0.3 + 0.1 * k for k, p in enumerate(momenta)})
     state["s"] = 0.2
     return {
-        "n": 6,
+        "n": length,
         "coordinates": coords,
         "parameters": {"m": 1.3, "k": 2.1, "gamma": 0.4},
-        "hamiltonian": CHAIN_H,
+        "hamiltonian": hamiltonian,
         "initial_state": state,
         "symmetries": [
             {
@@ -82,7 +87,7 @@ def chain_document() -> dict:
                 "expression": " + ".join(momenta),
                 "expect": "dissipated",
             },
-            {"name": "energy", "expression": CHAIN_H, "expect": "dissipated"},
+            {"name": "energy", "expression": hamiltonian, "expect": "dissipated"},
             {"name": "q1", "expression": "q1", "expect": "neither"},
         ],
         "maps": [

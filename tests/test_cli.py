@@ -432,6 +432,11 @@ def test_verify_requires_candidates(bare_spec, tmp_path, capsys):
             "symmetries: must be a list of mappings",
         ),
         ("n: 1\ncoordinates: ['1x']\nhamiltonian: s\n", "coordinates: invalid name '1x'"),
+        pytest.param(
+            "n: 1\ncoordinates: [q]\nhamiltonian: " + "(" * 5000 + "p_q" + ")" * 5000 + "\n",
+            "hamiltonian: expression nests too deeply (position 100)",
+            id="5000-parentheses",
+        ),
         (
             "n: 1\ncoordinates: [q]\nparameters: {sin: 1.0}\nhamiltonian: s\n",
             "parameters: name 'sin' shadows a built-in function",

@@ -73,7 +73,9 @@ def test_chart_point_validation():
         with pytest.raises(ValueError) as err:
             ChartPoint(values)
         assert str(err.value) == f"a state needs 2n+1 entries, got {len(values)}"
-    for values in (["a", 1.0, 0.0], [None, 1.0, 0.0], 5.0):
+    # text and mappings iterate, but not over a state's entries
+    for values in (["a", 1.0, 0.0], [None, 1.0, 0.0], 5.0, "123", b"123",
+                   {"q": 1.0, "p_q": 2.0, "s": 3.0}):
         with pytest.raises(ValueError) as err:
             ChartPoint(values)
         assert str(err.value) == "a state must be a sequence of reals"
@@ -166,6 +168,10 @@ def test_point_dimension_checks(gravity):
         gravity.point((0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         gravity.hamiltonian_value(ChartPoint((0.0, 1.0, 0.0)))
+    free = ContactSystem(("q",), "p_q^2/2 + s")
+    for text in ("123", b"123", {"q": 1.0, "p_q": 2.0, "s": 3.0}):
+        with pytest.raises(ValueError, match="a state must be a sequence of reals"):
+            free.hamiltonian_value(text)
 
 
 def test_partial_of_hamiltonian(gravity, base_point):

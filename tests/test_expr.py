@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import json
 import math
 import pickle
 import sys
@@ -14,19 +15,23 @@ import weakref
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import finite_difference
 from contactmech import (
+    ContactSystem,
     DomainError,
     MissingBindingError,
     ParseError,
     ScalarField,
     UnknownNameError,
+    VectorField,
+    classify_symmetry,
     load_document,
     parse,
+    sample_states,
 )
 from contactmech import expr as ex
 from contactmech.cli import main
@@ -144,6 +149,12 @@ def test_malformed_sources(source):
         ("(x", "expected ')', found 'end of input'", 2),
         ("sin(x", "expected ')', found 'end of input'", 5),
         ("sin(x y)", "expected ')', found 'y'", 6),
+        # every nested operand passes through unary: parentheses, calls,
+        # minus signs and exponents all count
+        ("(" * 100 + "x" + ")" * 100, "expression nests too deeply", 100),
+        ("sin(" * 100 + "x" + ")" * 100, "expression nests too deeply", 400),
+        ("-" * 100 + "x", "expression nests too deeply", 100),
+        ("x" + "^x" * 100, "expression nests too deeply", 200),
     ],
 )
 def test_parse_errors_name_their_position(source, message, position):
@@ -151,6 +162,12 @@ def test_parse_errors_name_their_position(source, message, position):
         parse(source, ("x", "y"))
     assert str(err.value) == f"{message} (position {position})"
     assert err.value.position == position
+
+
+def test_nesting_up_to_the_bound_parses():
+    depth = ex._MAX_PARSE_DEPTH - 1  # the whole expression is one level
+    assert parse("(" * depth + "x" + ")" * depth, ("x",)) is variable("x")
+    assert parse("-" * depth + "x", ("x",)).evaluate({"x": 2.0}) == -2.0
 
 
 def test_unknown_name_error_carries_the_name():
@@ -540,12 +557,18 @@ def test_verify_of_the_chain_applies_each_rule_once(tmp_path, monkeypatch):
     spec = tmp_path / "chain.yaml"
     write_document(helpers.chain_document(), spec)
     applied = []  # holds the nodes, so equal subtrees stay one node
-    rule = ex._diff_rule
+    rule, diff = ex._diff_rule, ex._diff
+    var = [None]  # the variable of the walk in progress
 
-    def recording(node, var):
-        applied.append((node, var))
-        return rule(node, var)
+    def differentiating(node, name):
+        var[0] = name
+        return diff(node, name)
 
+    def recording(node, *derivatives):
+        applied.append((node, var[0]))
+        return rule(node, *derivatives)
+
+    monkeypatch.setattr(ex, "_diff", differentiating)
     monkeypatch.setattr(ex, "_diff_rule", recording)
     report = tmp_path / "report.json"
     assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
@@ -617,3 +640,123 @@ def test_a_shared_subtree_runs_once_in_both_kernel_forms(monkeypatch, sources):
 def test_the_scalar_source_binds_a_temporary_only_for_a_shared_subtree(sources, code):
     trees = [parse(source, ("x", "y")) for source in sources]
     assert ex._Emitter(("x", "y"), {}).source(trees) == code
+
+
+# ---------------------------------------------------------------------------
+# Deep trees: every walk is iterative, and deep kernels bind statements
+# ---------------------------------------------------------------------------
+
+
+def _bits(value: float) -> str:
+    return float.hex(value)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(op=st.sampled_from("+*"), count=st.integers(1, 2000), seed=st.integers(0, 2**32))
+@example(op="+", count=2000, seed=0)
+@example(op="*", count=2000, seed=0)
+def test_long_sums_and_products_evaluate_like_a_loop(op, count, seed):
+    rng = np.random.default_rng(seed)
+    # products stay in range: 1.1^2000 and 0.9^2000 are finite and normal
+    values = (rng.uniform(0.9, 1.1, count) if op == "*" else rng.uniform(-1e3, 1e3, count)).tolist()
+    names = [f"x{k}" for k in range(count)]
+    build = add if op == "+" else mul
+    tree = variable(names[0])
+    expected = values[0]
+    for name, value in zip(names[1:], values[1:]):
+        tree = build(tree, variable(name))
+        expected = expected + value if op == "+" else expected * value
+    scalar = ex._compile_kernel(tree, names, {})(*values)
+    (column,), failed = ex._compile_kernel((tree,), names, {}, columns=True)(
+        *np.array([values]).T
+    )
+    assert not failed.any()
+    assert _bits(scalar) == _bits(column[0]) == _bits(expected)
+    assert _bits(tree.evaluate(dict(zip(names, values)))) == _bits(expected)
+
+
+def test_a_5000_term_sum_prints_differentiates_and_substitutes():
+    names = ["q"] + [f"c{k}" for k in range(5000)]
+    source = " + ".join(f"c{k}*q^2" for k in range(5000))
+    tree = parse(source, names)
+    assert str(tree) == " + ".join(f"c{k} * q^2.0" for k in range(5000))
+    assert parse(str(tree), names) is tree
+    assert tree.names == frozenset(names)
+    bindings = {name: 1.0 for name in names}
+    assert tree.derivative("q").evaluate(bindings) == 10000.0
+    assert tree.derivative("c4999").evaluate(bindings) == 1.0
+    shifted = substitute(tree, {"q": parse("q + 1", names)})
+    assert shifted.names == frozenset(names)
+    assert shifted.evaluate({**bindings, "q": 0.0}) == 5000.0
+
+
+def test_evaluate_on_a_600_term_sum():
+    tree = parse(" + ".join(f"{k}*x" for k in range(600)), ("x",))
+    assert tree.evaluate({"x": 2.0}) == 2.0 * sum(range(600))
+
+
+def _deep_sum_source(count: int) -> str:
+    return " + ".join(f"{k}*x" for k in range(1, count + 1))
+
+
+def test_a_deep_scalar_kernel_binds_statements_before_the_return():
+    # n terms nest n deep: (((1.0 * v0) + (2.0 * v0)) + ...)
+    shallow = ex._Emitter(("x",), {})
+    shallow.source([parse(_deep_sum_source(ex._MAX_NESTING), ("x",))])
+    assert shallow.lines == []
+    deep = ex._Emitter(("x",), {})
+    (code,) = deep.source([parse(_deep_sum_source(3 * ex._MAX_NESTING + 1), ("x",))])
+    assert [line.split(" = ")[0] for line in deep.lines] == ["t0", "t1", "t2"]
+    assert code == "t2"
+
+
+def test_a_deep_kernel_raises_the_first_error_of_the_tree():
+    # 1/x fails first at x = 0, before log(x - 5) would
+    tree = parse(f"1/x + {_deep_sum_source(300)} + log(x - 5)", ("x",))
+    with pytest.raises(DomainError, match="^division by zero: float division by zero$"):
+        tree.evaluate({"x": 0.0})
+    with pytest.raises(DomainError, match="^math domain error$"):
+        tree.evaluate({"x": 1.0})
+    _, failed = ex._compile_kernel(tree, ("x",), {}, columns=True)(np.array([0.0, 1.0, 6.0]))
+    assert failed.tolist() == [True, True, False]
+
+
+def test_statements_keep_the_order_of_the_outputs():
+    # the first output binds sin(x), which the deep second one reads: its
+    # statement must come before theirs
+    names = ("x", "y")
+    trees = (parse("sin(x)", names), parse(f"sin(x)*y + {_deep_sum_source(200)}", names))
+    emitter = ex._Emitter(names, {})
+    emitter.source(list(trees))
+    assert emitter.lines
+    kernel = ex._compile_kernel(trees, names, {})
+    for x, y in ((0.5, 2.0), (-1.25, 3.0)):
+        alone = tuple(tree.evaluate({"x": x, "y": y}) for tree in trees)
+        assert kernel(x, y) == alone
+
+
+@pytest.mark.parametrize("count", [196, 491, 600, 2000])
+def test_a_hamiltonian_of_many_terms_runs(count):
+    coefficients = {f"c{k}": 0.5 + k / count for k in range(count)}
+    source = " + ".join(f"c{k}*q^2" for k in range(count)) + " + p_q^2/2 + s"
+    sys = ContactSystem(("q",), source, coefficients)
+    row = (0.5, 1.0, 0.25)
+    expected = 0.0
+    for c in coefficients.values():
+        expected = expected + c * 0.25
+    assert sys.hamiltonian_value(row) == expected + 0.5 + 0.25
+    columns = sys._compile_chart(sys._field, columns=True)
+    values, failed = columns(*np.array([row]).T)
+    assert not failed.any()
+    assert sys.flow(row) == tuple(column[0] for column in values)
+    states = sample_states(sys, 20, 1)
+    for report in classify_symmetry(sys, VectorField.from_mapping(sys, "s", {"s": "1"}), states):
+        assert (report.samples, report.failed_samples) == (20, 0)
+
+
+def test_a_200_oscillator_chain_verifies(tmp_path):
+    spec = tmp_path / "chain.yaml"
+    write_document(helpers.chain_document(200), spec)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["all_expectations_met"] is True
