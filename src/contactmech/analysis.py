@@ -24,9 +24,7 @@ functions run on the same trees.
 
 Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
 residuals that only rounding limits; a tol must be finite and positive,
-the integrators' rule for dt and tol.  TRAJECTORY_TOLERANCE = 1e-6 is the
-bound the oracles use for integrated values, which carry global
-integration error.
+the integrators' rule for dt and tol.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-8
-TRAJECTORY_TOLERANCE = 1e-6
 
 #: classification needs both residuals above this multiple of tol to
 #: report "neither"; the band in between is inconclusive

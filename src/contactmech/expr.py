@@ -3,11 +3,11 @@
 Grammar (infix, ``^`` binds tightest, then unary minus, then ``* /``,
 then ``+ -``; ``+ - * /`` associate left, ``^`` associates right)::
 
-    expr   := term (('+' | '-') term)*
-    term   := unary (('*' | '/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+    expr   = term (('+' | '-') term)*
+    term   = unary (('*' | '/') unary)*
+    unary  = '-' unary | power
+    power  = atom ('^' unary)?
+    atom   = NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 Known functions: sin, cos, exp, log, sqrt, abs.  Implicit multiplication
 is rejected ("2x" is a syntax error), and every identifier must resolve
@@ -30,10 +30,10 @@ gives exact second derivatives without finite differencing.
 
 `_walk` is the one traversal of trees: depth first and left to right
 with an explicit stack, each distinct node once, after the nodes below
-it.  Collecting names, printing, differentiating, substituting, folding
-and placing are rules on it, so a tree of any depth can be handled; only
-the parser recurses, and it rejects nesting deeper than
-`_MAX_PARSE_DEPTH` as a ParseError.
+it.  Collecting names, printing, pickling, differentiating,
+substituting, folding and placing are rules on it, so a tree of any
+depth can be handled; only the parser recurses, and it rejects nesting
+deeper than `_MAX_PARSE_DEPTH` as a ParseError.
 
 ``_compile_kernel`` makes a kernel of a batch of trees in two forms
 from one list of steps: placing lists each distinct operation once, in
@@ -41,12 +41,13 @@ the order of evaluating each tree alone, with constants folded in, and
 one table, ``_OPS``, gives each operation's scalar and column function.
 A scalar kernel is one straight-line function of named values as
 positional arguments, generated as Python source from the steps and
-compiled; code that would nest deeper than `_MAX_NESTING` parentheses
-is bound to statements before its ``return``.  An expression compiles
-itself over its sorted names for ``evaluate``; a contact system compiles
-its flow, H and the operator trees of ``calculus`` over its chart, with
-its parameters folded in, for single states.  Compilation is lazy and
-cached, a benign race.
+compiled: a step read once is inlined where it is read, and a shared
+step or one nesting deeper than `_MAX_NESTING` parentheses binds the
+code not yet read to statements before the ``return``.  An expression
+compiles itself over its sorted names for ``evaluate``; a contact system
+compiles its flow, H and the operator trees of ``calculus`` over its
+chart, with its parameters folded in, for single states.  Compilation
+is lazy and cached, a benign race.
 
 A column kernel (``columns``) compiles nothing: it runs the same steps
 over numpy arrays, one row per state, and returns with its values a
@@ -70,7 +71,7 @@ import threading
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
@@ -197,16 +198,28 @@ class Expression:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
     def __reduce__(self):
-        # rebuilding through the constructor interns the copy
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        index = {}  # node -> its place in the post-order program
+        program = []  # (kind, own fields, children's places) per node
+        for node in _walk((self,), index):
+            index[node] = len(program)
+            kids = _children(node)
+            own = node._fields[:len(node._fields) - len(kids)]
+            program.append((type(node), [getattr(node, f) for f in own],
+                            [index[kid] for kid in kids]))
+        return _rebuild, (program,)
 
     @property
     def names(self) -> frozenset:
         """Every variable name in the tree, collected on first read."""
         if self._names is None:  # benign race: the walk is deterministic
             seen = set()
-            for node, _ in _walk((self,), seen):
+            for node in _walk((self,), seen):
                 seen.add(node)
             _set(self, "_names", frozenset(
                 node.name for node in seen if isinstance(node, Var)
@@ -234,12 +247,6 @@ class Expression:
         """Exact first partial with respect to ``var``, as an expression;
         equal trees share one, kept on their node (see `_diff`)."""
         return _diff(self, var) if var in self.names else _ZERO
-
-    def differentiate(self, var: str, bindings: Bindings) -> float:
-        """Exact first partial with respect to ``var`` at ``bindings``."""
-        if var not in bindings:
-            raise MissingBindingError(var)
-        return self.derivative(var).evaluate(bindings)
 
     def __str__(self) -> str:
         return _to_source(self)
@@ -299,6 +306,14 @@ class Call(Expression):
         return _interned(cls, (cls, fn, id(arg)), (fn, arg))
 
 
+def _rebuild(program: list) -> Expression:
+    """The interned root of an `Expression.__reduce__` program."""
+    nodes = []
+    for cls, values, kids in program:
+        nodes.append(cls(*values, *[nodes[k] for k in kids]))
+    return nodes[-1]
+
+
 def _children(node: Expression) -> tuple:
     # by exact kind: a failed isinstance costs more, and walks call this
     # for every node
@@ -318,36 +333,36 @@ def _operands(node: Expression, results) -> tuple:
 
 
 def _walk(roots: Iterable[Expression], done, below: Callable = _children):
-    """``(node, parent)`` for each node under ``roots`` that is not in
-    ``done``: depth first and left to right, after the nodes below it,
-    with ``parent`` the node that first reached it (None for a root).
+    """Each node under ``roots`` that is not in ``done``: depth first and
+    left to right, after the nodes below it.
 
     This is the one traversal of trees.  Every rule on them (names,
-    printing, folding, placing, differentiating, substituting) is a loop
-    over it that keeps its result for each node in ``done`` before it
-    asks for the next, so each node comes once, and reads the results
-    of the nodes ``below`` it: its children, unless the rule stops
-    there.  The stack is explicit, so no tree is too deep to walk.
+    printing, pickling, folding, placing, differentiating, substituting)
+    is a loop ``for node in _walk(...)`` that keeps its result for each
+    node in ``done`` before it asks for the next, so each node comes
+    once, and reads the results of the nodes ``below`` it: its children,
+    unless the rule stops there.  The stack is explicit, so no tree is
+    too deep to walk.
     """
     for root in roots:
         if root in done:
             continue
-        node, parent, rest = root, None, iter(below(root))
+        node, rest = root, iter(below(root))
         stack = []  # the frames above the current node
         while True:
             for child in rest:
                 if child not in done:
                     grandchildren = below(child)
                     if grandchildren:
-                        stack.append((node, parent, rest))
-                        node, parent, rest = child, node, iter(grandchildren)
+                        stack.append((node, rest))
+                        node, rest = child, iter(grandchildren)
                         break
-                    yield child, node
+                    yield child
             else:
-                yield node, parent
+                yield node
                 if not stack:
                     break
-                node, parent, rest = stack.pop()
+                node, rest = stack.pop()
 
 
 # Printer precedence levels; a negative literal prints like a unary minus.
@@ -361,7 +376,7 @@ def _to_source(root: Expression) -> str:
     its own text, not for the sum of its subtrees' texts.
     """
     unread = {}  # each node once, in the order of the walk: its reads left
-    for node, _ in _walk((root,), unread):
+    for node in _walk((root,), unread):
         unread[node] = 0
         for child in _children(node):
             unread[child] += 1
@@ -518,14 +533,14 @@ class _Emitter:
     and left to right, the order of evaluating each tree alone.  Both
     kernel forms are made from that list.  ``columns`` gives it to a
     column kernel, which runs each step once over (N,) arrays.
-    ``source`` writes it as Python code in one pass over the steps: a
-    step used once is inlined where it is used, and one used more than
-    once binds a temporary with ``:=`` at the read by the node that
-    first reached it, and later uses read it, so the operations run in
-    the same order and the first one to fail is the same.  Where a
-    step's code would nest deeper than `_MAX_NESTING`, every piece of
-    code written and not yet read becomes a statement before the
-    ``return``, in the order it runs, which keeps that order too.
+    ``source`` writes it as Python code in one pass over the steps, with
+    one binding rule: when it writes a step that is read more than once,
+    or whose code nests deeper than `_MAX_NESTING`, every step written
+    and not yet read becomes a statement ``t<k> = ...`` before the
+    ``return``, in the order written, and is read by its name.  Every
+    other step is inlined where it is read.  Python evaluates inlined
+    code left to right, so the operations run in the order of the steps
+    and the first one to fail is the same.
     """
 
     def __init__(self, variables: Sequence[str], constants: Mapping[str, float]):
@@ -535,14 +550,13 @@ class _Emitter:
         self.slots: dict = {}  # node -> its slot in a kernel
         self.cells: list = []  # its slots after the variables' columns
         self.steps: dict = {}  # its operations, see `columns`
-        self.reached: dict = {}  # step slot -> the node that first reached it
         self.lines: list = []  # statements that `source` puts before the return
 
     def fold(self, roots) -> None:
         """Fill ``values`` with each node's value known at compile time,
         possibly infinite, or None if unknown."""
         values = self.values
-        for node, _ in _walk(roots, values):
+        for node in _walk(roots, values):
             kind = type(node)
             if kind is Num:
                 out = node.value
@@ -598,13 +612,12 @@ class _Emitter:
         """
         self.fold(roots)
         slots = self.slots
-        for node, parent in _walk(roots, slots, self.unfolded):
-            slots[node] = self.place(node, parent)
+        for node in _walk(roots, slots, self.unfolded):
+            slots[node] = self.place(node)
         return self.cells, self.steps, [slots[root] for root in roots]
 
-    def place(self, node: Expression, parent) -> int:
-        """The slot of ``node``'s value, after the steps that compute it;
-        ``parent`` is the node that first reached it, None for a root."""
+    def place(self, node: Expression) -> int:
+        """The slot of ``node``'s value, after the steps that compute it."""
         value = self.folded(node)
         if value is None and isinstance(node, Var):
             return self.argument(node)
@@ -612,7 +625,6 @@ class _Emitter:
         self.cells.append(value)
         if value is None:
             self.steps[slot] = self.helper(node), _operands(node, self.slots)
-            self.reached[slot] = parent
         return slot
 
     def source(self, roots) -> list:
@@ -621,33 +633,21 @@ class _Emitter:
         of `columns` in one pass."""
         cells, steps, outputs = self.columns(roots)
         reads = Counter(chain(outputs, *(args for _, args in steps.values())))
-        # the reader that binds a shared step: the slot of the node that
-        # first reached it, or None for an output
-        binder = {k: self.slots.get(node) for k, node in self.reached.items()}
         code = [f"v{k}" for k in range(len(self.index))]
         code += [None if v is None else repr(v) for v in cells]
         depth = [0] * len(code)  # nesting of the parentheses in code[k]
-        fresh = map("t{}".format, count())  # the temporaries' names
-        temps = {}  # shared step -> its temporary, until it is bound
         unread = {}  # steps written and not yet read, in the order written
 
-        def read(k, reader):
-            """The code of slot ``k`` where ``reader`` reads it, and its depth."""
-            if k in temps:
-                if binder[k] != reader:
-                    return temps[k], 0  # bound before this read runs
-                text, code[k] = code[k], temps.pop(k)
-                nesting, depth[k] = depth[k] + 1, 0
-                del unread[k]
-                return f"({code[k]} := {text})", nesting
+        def read(k):
+            """The code of slot ``k`` where it is read, and its depth."""
             text = code[k]
-            if k in unread:  # used once: inlined here
+            if k in unread:  # read once: inlined here
                 del unread[k]
                 code[k] = None
             return text, depth[k]
 
         for slot, (helper, args) in steps.items():
-            texts, depths = zip(*[read(k, slot) for k in args])
+            texts, depths = zip(*map(read, args))
             if helper == "neg":
                 code[slot] = f"(-{texts[0]})"
             elif helper[0] == "_":
@@ -656,15 +656,13 @@ class _Emitter:
                 code[slot] = f"({texts[0]} {helper} {texts[1]})"
             depth[slot] = 1 + max(depths)
             unread[slot] = None
-            if reads[slot] > 1:
-                temps[slot] = next(fresh)
-            if depth[slot] > _MAX_NESTING:
+            if reads[slot] > 1 or depth[slot] > _MAX_NESTING:
                 for k in unread:
-                    temp = temps.pop(k, None) or next(fresh)
+                    temp = f"t{len(self.lines)}"
                     self.lines.append(f"{temp} = {code[k]}")
                     code[k], depth[k] = temp, 0
                 unread.clear()
-        return [read(k, None)[0] for k in outputs]
+        return [read(k)[0] for k in outputs]
 
 
 def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
@@ -1049,7 +1047,7 @@ def _diff(root: Expression, var: str) -> Expression:
         return () if memo is not None and var in memo else _children(node)
 
     done = {}  # node -> its derivative
-    for node, _ in _walk((root,), done, below):
+    for node in _walk((root,), done, below):
         kind = type(node)
         if kind is Num:
             done[node] = _ZERO
@@ -1126,7 +1124,7 @@ def substitute(e: Expression, replacements: Mapping[str, "Expression"]) -> Expre
     """Replace variables by expressions (exact rebuild, no folding)."""
     repl = {name: _as_node(r) for name, r in replacements.items()}
     done = {}  # node -> its rebuilt node
-    for node, _ in _walk((e,), done):
+    for node in _walk((e,), done):
         if isinstance(node, Var):
             done[node] = repl.get(node.name, node)
         elif isinstance(node, Neg):

@@ -175,12 +175,20 @@ def derivative_cases(count: int, seed: int) -> list:
 # Reference tree walk
 # ---------------------------------------------------------------------------
 
+def _real_pow(base, exponent):
+    """``^`` as the grammar defines it: a negative base takes an integer
+    exponent only, so (-2)^inf is an error where math.pow gives inf."""
+    if base < 0.0 and not float(exponent).is_integer():
+        raise ValueError("negative base with a non-integer exponent")
+    return math.pow(base, exponent)
+
+
 _WALK_BINARY = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
     "/": operator.truediv,
-    "^": math.pow,
+    "^": _real_pow,
 }
 
 _WALK_CALLS = {

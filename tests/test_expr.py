@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import functools
 import gc
 import json
 import math
@@ -79,13 +78,13 @@ def test_names_are_collected_from_the_source():
 )
 def test_differentiate_hamiltonian(var, expected):
     expr = parse(GRAVITY_H, GRAVITY_NAMES)
-    assert expr.differentiate(var, BASE) == expected
+    assert expr.derivative(var).evaluate(BASE) == expected
 
 
 def test_differentiate_product():
     expr = parse("q1*p_1", ("q1", "p_1"))
-    assert expr.differentiate("p_1", {"q1": 3.0, "p_1": 7.0}) == 3.0
-    assert expr.differentiate("q1", {"q1": 3.0, "p_1": 7.0}) == 7.0
+    assert expr.derivative("p_1").evaluate({"q1": 3.0, "p_1": 7.0}) == 3.0
+    assert expr.derivative("q1").evaluate({"q1": 3.0, "p_1": 7.0}) == 7.0
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def test_function_values():
 def test_power_with_variable_exponent():
     expr = parse("2^x", ("x",))
     assert expr.evaluate({"x": 3.0}) == pytest.approx(8.0, rel=1e-14)
-    assert expr.differentiate("x", {"x": 3.0}) == pytest.approx(
+    assert expr.derivative("x").evaluate({"x": 3.0}) == pytest.approx(
         8.0 * math.log(2.0), rel=1e-12
     )
 
@@ -193,10 +192,9 @@ def test_unbound_name_is_reported_before_evaluation():
     # log(-1) would raise first if evaluation started; of the unbound
     # z and y, the first in sorted order is reported
     expr = parse("log(x)*z*y", ("x", "y", "z"))
-    for run in (expr.evaluate, functools.partial(expr.differentiate, "x")):
-        with pytest.raises(MissingBindingError) as err:
-            run({"x": -1.0})
-        assert err.value.name == "y"
+    with pytest.raises(MissingBindingError) as err:
+        expr.evaluate({"x": -1.0})
+    assert err.value.name == "y"
 
 
 @pytest.mark.parametrize(
@@ -217,20 +215,20 @@ def test_domain_errors(source, bindings):
 
 def test_abs_derivative_uses_the_sign():
     expr = parse("abs(x)", ("x",))
-    assert expr.differentiate("x", {"x": -3.0}) == -1.0
-    assert expr.differentiate("x", {"x": 3.0}) == 1.0
-    assert expr.differentiate("x", {"x": 0.0}) == 0.0
+    assert expr.derivative("x").evaluate({"x": -3.0}) == -1.0
+    assert expr.derivative("x").evaluate({"x": 3.0}) == 1.0
+    assert expr.derivative("x").evaluate({"x": 0.0}) == 0.0
 
 
 def test_derivative_with_respect_to_absent_variable_is_zero():
     expr = parse("a + 1", ("a", "b"))
-    assert expr.differentiate("b", {"a": 1.0, "b": 2.0}) == 0.0
+    assert expr.derivative("b").evaluate({"a": 1.0, "b": 2.0}) == 0.0
 
 
 def test_dual_derivatives_match_central_differences():
     for expr, bindings in helpers.derivative_cases(100, seed=2):
         for name in sorted(expr.names):
-            exact = expr.differentiate(name, bindings)
+            exact = expr.derivative(name).evaluate(bindings)
             approx = finite_difference(expr, name, bindings)
             assert abs(exact - approx) <= 1e-6 * max(1.0, abs(approx)), (
                 f"{expr} d/d{name} at {bindings}: symbolic={exact} fd={approx}"
@@ -243,7 +241,7 @@ def test_second_derivative_through_nested_duals():
     cubed = parse("x^3", ("x",))
     first = cubed.derivative("x")
     assert first.evaluate({"x": 2.0}) == 12.0
-    assert first.differentiate("x", {"x": 2.0}) == 12.0
+    assert first.derivative("x").evaluate({"x": 2.0}) == 12.0
     assert first.derivative("x").evaluate({"x": 2.0}) == 12.0
 
 
@@ -270,7 +268,7 @@ def test_derivative_is_cached_per_expression():
 def test_parameter_exponent_does_not_take_a_logarithm():
     # n does not depend on q, so d(q^n)/dq = n*q^(n-1) holds for q < 0.
     expr = parse("q^n", ("q", "n"))
-    assert expr.differentiate("q", {"q": -2.0, "n": 2.0}) == -4.0
+    assert expr.derivative("q").evaluate({"q": -2.0, "n": 2.0}) == -4.0
     assert "log" not in str(expr.derivative("q"))
     assert "log" in str(expr.derivative("n"))
 
@@ -284,7 +282,7 @@ def test_derivatives_match_sympy():
         )
         subs = {symbols[k]: v for k, v in bindings.items()}
         for name in sorted(expr.names):
-            exact = expr.differentiate(name, bindings)
+            exact = expr.derivative(name).evaluate(bindings)
             expected = float(sympy.diff(reference, symbols[name]).evalf(subs=subs))
             assert abs(exact - expected) <= 1e-12 * max(1.0, abs(expected)), (
                 f"{expr} d/d{name} at {bindings}: symbolic={exact} sympy={expected}"
@@ -415,14 +413,14 @@ finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 @given(x=finite_floats, y=finite_floats)
 def test_dual_product_rule_is_exact(x, y):
     expr = parse("x*y + y^2", ("x", "y"))
-    assert expr.differentiate("y", {"x": x, "y": y}) == x + 2.0 * y
+    assert expr.derivative("y").evaluate({"x": x, "y": y}) == x + 2.0 * y
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(x=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
 def test_dual_chain_rule_matches_closed_form(x):
     expr = parse("sin(x^2)", ("x",))
-    assert expr.differentiate("x", {"x": x}) == pytest.approx(
+    assert expr.derivative("x").evaluate({"x": x}) == pytest.approx(
         2.0 * x * math.cos(x * x), rel=1e-12, abs=1e-12
     )
 
@@ -497,6 +495,9 @@ def test_a_copied_expression_is_the_same_node(clone):
     assert clone(tree) is tree
     assert clone(tree.derivative("x")) is tree.derivative("x")
     assert clone(literal(-0.0)) is literal(-0.0)
+    # a tree deeper than the recursion limit
+    deep = parse(" + ".join(f"{k}*x" for k in range(2000)), ("x",))
+    assert clone(deep) is deep
 
 
 def test_documents_and_fields_with_expressions_copy():
@@ -620,26 +621,84 @@ def test_a_shared_subtree_runs_once_in_both_kernel_forms(monkeypatch, sources):
     "sources, code",
     [
         # used once: inlined, nothing bound
-        (("sin(x)*y + x*y",), ["((_sin(v0) * v1) + (v0 * v1))"]),
-        (("sin(x)*y", "sin(x) + 1"), ["((t0 := _sin(v0)) * v1)", "(t0 + 1.0)"]),
-        (("sin(x)", "sin(x)"), ["(t0 := _sin(v0))", "t0"]),
-        # bound where it first runs, left of the later use inside sin
-        (("exp(x)*sin(exp(x))",), ["((t0 := _exp(v0)) * _sin(t0))"]),
+        (("sin(x)*y + x*y",), ([], ["((_sin(v0) * v1) + (v0 * v1))"])),
+        (
+            ("sin(x)*y", "sin(x) + 1"),
+            (["t0 = _sin(v0)"], ["(t0 * v1)", "(t0 + 1.0)"]),
+        ),
+        (("sin(x)", "sin(x)"), (["t0 = _sin(v0)"], ["t0", "t0"])),
+        # bound where it first runs, before the later use inside sin
+        (("exp(x)*sin(exp(x))",), (["t0 = _exp(v0)"], ["(t0 * _sin(t0))"])),
         (
             ("sin(x*y)^2 + cos(x*y)",),
-            ["(_mpow(_sin((t0 := (v0 * v1))), 2.0) + _cos(t0))"],
+            (["t0 = (v0 * v1)"], ["(_mpow(_sin(t0), 2.0) + _cos(t0))"]),
         ),
         (
             ("exp(x)*exp(y) + exp(y)/exp(x)",),
-            ["(((t0 := _exp(v0)) * (t1 := _exp(v1))) + (t1 / t0))"],
+            (["t0 = _exp(v0)", "t1 = _exp(v1)"], ["((t0 * t1) + (t1 / t0))"]),
         ),
         # a folded subtree is a literal wherever it occurs
-        (("x*2^3 + y*2^3",), ["((v0 * 8.0) + (v1 * 8.0))"]),
+        (("x*2^3 + y*2^3",), ([], ["((v0 * 8.0) + (v1 * 8.0))"])),
     ],
 )
 def test_the_scalar_source_binds_a_temporary_only_for_a_shared_subtree(sources, code):
     trees = [parse(source, ("x", "y")) for source in sources]
-    assert ex._Emitter(("x", "y"), {}).source(trees) == code
+    emitter = ex._Emitter(("x", "y"), {})
+    assert (emitter.lines, emitter.source(trees)) == code
+
+
+def _outcome(run) -> tuple:
+    """``run()``'s value as its bits, or the kind of error it raised."""
+    try:
+        return "value", float.hex(run())
+    except ZeroDivisionError:
+        return "error", "division by zero"
+    except OverflowError:
+        return "error", "overflow"
+    except (ArithmeticError, ValueError, DomainError) as exc:
+        kinds = ("division by zero", "overflow")
+        return "error", next((k for k in kinds if str(exc).startswith(k)), "other")
+
+
+def _shared_subtree_trees(rng, count: int) -> list:
+    """Seeded ``f(S) + g(S)``: one random subtree S read in two random
+    contexts, each guarded by the edges of `helpers.edge_source`."""
+    names = ("x", "y")
+    trees = []
+    while len(trees) < count:
+        shared = parse(helpers.edge_source(rng, names, 3), names)
+        contexts = []
+        while len(contexts) < 2:
+            context = parse(helpers.edge_source(rng, names + ("u",), 3), names + ("u",))
+            if "u" in context.names:
+                contexts.append(substitute(context, {"u": shared}))
+        trees.append(add(*contexts))
+    return trees
+
+
+def test_a_shared_subtree_keeps_the_first_error_of_the_tree_walk():
+    # the single-use 1/x runs before the shared sqrt(y), which would
+    # raise a math domain error
+    tree = parse("1/x + sqrt(y)*sqrt(y)", ("x", "y"))
+    with pytest.raises(DomainError, match="^division by zero"):
+        tree.evaluate({"x": 0.0, "y": -1.0})
+    with pytest.raises(DomainError, match="^math domain error$"):
+        tree.evaluate({"x": 1.0, "y": -1.0})
+    rng = np.random.default_rng(2028)
+    bound, failing = 0, 0
+    for tree in _shared_subtree_trees(rng, 200):
+        emitter = ex._Emitter(("x", "y"), {})
+        emitter.source([tree])
+        bound += bool(emitter.lines)
+        kernel = ex._compile_kernel(tree, ("x", "y"), {})
+        for x, y in helpers.edge_rows(rng, 2, 6).tolist():
+            got = _outcome(lambda: kernel(x, y))
+            assert got == _outcome(lambda: helpers.walk(tree, {"x": x, "y": y})), (
+                f"{tree} at x={x!r}, y={y!r}"
+            )
+            failing += got[0] == "error"
+    # the trees must bind statements and the rows reach the failure paths
+    assert bound >= 100 and failing >= 300
 
 
 # ---------------------------------------------------------------------------
