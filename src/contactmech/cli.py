@@ -84,8 +84,17 @@ def _integrate(doc: SpecDocument, args, integrate, step: float):
     )
 
 
+def _require_directory(path) -> None:
+    """Fail before any work when ``path`` cannot be written because its
+    directory does not exist."""
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise _UsageError(f"cannot write {path}: {directory} is not a directory")
+
+
 def cmd_simulate(args) -> int:
     doc = load_document(args.spec)
+    _require_directory(args.out)
     if args.method == "rk4":
         if args.tol is not None:
             raise _UsageError("--tol applies only to --method rkf45")
@@ -143,6 +152,7 @@ def cmd_verify(args) -> int:
             f"{args.spec}: spec declares no symmetry, quantity, or map "
             f"candidates; nothing to verify"
         )
+    _require_directory(args.report)
     _checked(_require_positive, "tol", args.tol)
     system = doc.system
     states = _checked(sample_states, system, count=args.samples, seed=args.seed)

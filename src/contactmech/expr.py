@@ -54,9 +54,10 @@ over numpy arrays, one row per state, and returns with its values a
 mask of the rows where the scalar kernel would raise DomainError.
 numpy's arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do,
 but its ``exp``, ``log`` and ``power`` differ from ``math`` in the last
-bit on some inputs, so sin, cos, exp, log and both powers call the
-``math`` functions element by element: every unmasked row is
-bit-identical to the scalar kernel.
+bit on some inputs.  Squares are one multiply, ``b * b`` in every form
+(correctly rounded, as every IEEE product is), and sin, cos, exp, log
+and the other powers call the ``math`` functions element by element:
+every unmasked row is bit-identical to the scalar kernel.
 
 Only the column kernels need numpy, and they import it when they run:
 importing this module, parsing, differentiating and the scalar kernels
@@ -134,8 +135,11 @@ class MissingBindingError(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Arithmetic left the real domain (log of non-positive, division by
-    zero, negative base with fractional power, overflow)."""
+    """Arithmetic left the real domain: log of a non-positive number,
+    division by zero, overflow of a call or of a power other than a
+    square, or a negative base whose exponent is not an integer (a
+    fraction, an infinity or NaN).  A square is a product, ``b * b``, so
+    it overflows to inf as every product does, without raising."""
 
 
 #: Arithmetic failures that evaluation reports as DomainError.
@@ -151,9 +155,16 @@ def _domain_error(exc: Exception) -> DomainError:
 
 
 def _pow(base, exponent):
+    """``base ^ exponent``: a square is one correctly rounded multiply
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, §2.2),
+    any other power is ``math.pow``, and a negative base takes an
+    integer exponent only."""
+    if exponent == 2.0:
+        return base * base
     if base < 0.0 and not float(exponent).is_integer():
+        kind = "fractional" if math.isfinite(exponent) else "non-finite"
         raise DomainError(
-            f"negative base {base!r} with fractional exponent {exponent!r}"
+            f"negative base {base!r} with {kind} exponent {exponent!r}"
         )
     return math.pow(base, exponent)
 
@@ -472,9 +483,11 @@ def _column(x, shape):
     return x if getattr(x, "shape", None) == shape else np.full(shape, x)
 
 
-#: Each operation by its helper name (see `_Emitter.helper`): its scalar
-#: function, which folding runs and a scalar kernel calls, and its column
-#: function.  A scalar kernel writes ``neg`` and the operators inline.
+#: Each operation by its helper name (see `_Emitter.operation`): its
+#: scalar function, which folding runs and a scalar kernel calls, and its
+#: column function.  A scalar kernel writes ``neg`` and the operators
+#: inline.  A square is no entry of its own: it is ``*`` of its base by
+#: itself, so ``_pw`` and ``_mpow`` take every other power.
 _OPS = {
     "neg": (operator.neg, lambda x, mask: -x),
     "+": (operator.add, lambda a, b, mask: a + b),
@@ -524,9 +537,11 @@ class _Emitter:
     `fold` evaluates a subtree whose leaves are all literals or
     ``constants`` by the scalar functions of `_OPS`, and its value is
     used in its place, but only when that raises nothing and is finite;
-    otherwise it stays an operation and fails at call time.  No other
-    rewrite is made, so results are bit-identical.  Nodes are interned,
-    so a repeated subtree is one node, and `place` gives it one slot.
+    otherwise it stays an operation and fails at call time.  A power
+    whose exponent folds to 2 is the product of its base by itself, as
+    `_pow` computes it; no other rewrite is made, so results are
+    bit-identical.  Nodes are interned, so a repeated subtree is one
+    node, and `place` gives it one slot.
 
     Folding and placing are rules on `_walk`.  Placing stops at folded
     subtrees and lists a step for each distinct operation, depth first
@@ -563,11 +578,12 @@ class _Emitter:
             elif kind is Var:
                 out = self.constants.get(node.name)
             else:
-                args = _operands(node, values)
+                helper, operands = self.operation(node)
+                args = [values[operand] for operand in operands]
                 out = None
                 if None not in args:
                     try:
-                        out = _OPS[self.helper(node)][0](*args)
+                        out = _OPS[helper][0](*args)
                     except _ROW_ERRORS:
                         pass  # left in the code, so the call raises as before
             values[node] = out
@@ -587,18 +603,25 @@ class _Emitter:
             raise MissingBindingError(node.name)
         return k
 
-    def helper(self, node: Expression) -> str:
-        """The name of an operation node's helper: ``neg``, an operator,
-        ``_<fn>`` for a call, and for a power ``_mpow`` (``_pow`` with an
-        integer exponent is math.pow) or ``_pw``."""
-        if isinstance(node, Neg):
-            return "neg"
-        if isinstance(node, Call):
-            return f"_{node.fn}"
+    def operation(self, node: Expression) -> tuple:
+        """``(helper, operand nodes)`` of an operation node: ``neg``, an
+        operator, ``_<fn>`` for a call, and for a power whose exponent
+        folds to 2 ``*`` of the base by itself, as `_pow` computes it;
+        any other power is ``_mpow`` (``_pow`` with an integer exponent
+        is math.pow) or ``_pw``."""
+        kind = type(node)
+        if kind is Neg:
+            return "neg", (node.arg,)
+        if kind is Call:
+            return f"_{node.fn}", (node.arg,)
         if node.op != "^":
-            return node.op
+            return node.op, (node.lhs, node.rhs)
         exponent = self.folded(node.rhs)
-        return "_mpow" if exponent is not None and exponent.is_integer() else "_pw"
+        if exponent == 2.0:
+            return "*", (node.lhs, node.lhs)
+        if exponent is not None and exponent.is_integer():
+            return "_mpow", (node.lhs, node.rhs)
+        return "_pw", (node.lhs, node.rhs)
 
     def columns(self, roots) -> tuple:
         """``(cells, steps, outputs)`` for `_column_kernel`.
@@ -624,7 +647,8 @@ class _Emitter:
         slot = len(self.index) + len(self.cells)
         self.cells.append(value)
         if value is None:
-            self.steps[slot] = self.helper(node), _operands(node, self.slots)
+            helper, operands = self.operation(node)
+            self.steps[slot] = helper, tuple(self.slots[k] for k in operands)
         return slot
 
     def source(self, roots) -> list:

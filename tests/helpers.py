@@ -176,8 +176,11 @@ def derivative_cases(count: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _real_pow(base, exponent):
-    """``^`` as the grammar defines it: a negative base takes an integer
-    exponent only, so (-2)^inf is an error where math.pow gives inf."""
+    """``^`` as the grammar defines it: a square is the product ``x*x``,
+    and a negative base takes an integer exponent only, so (-2)^inf is an
+    error where math.pow gives inf."""
+    if exponent == 2.0:
+        return base * base
     if base < 0.0 and not float(exponent).is_integer():
         raise ValueError("negative base with a non-integer exponent")
     return math.pow(base, exponent)

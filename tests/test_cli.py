@@ -524,6 +524,32 @@ def test_an_output_file_that_cannot_be_written_is_a_usage_error(
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", SHIPPED_SPEC, "--out", "{out}"],
+        ["simulate", SHIPPED_SPEC, "--method", "rkf45", "--out", "{out}"],
+        ["verify", SHIPPED_SPEC, "--report", "{out}"],
+    ],
+    ids=["simulate", "simulate-rkf45", "verify"],
+)
+def test_a_missing_output_directory_fails_before_integrating(
+    tmp_path, capsys, monkeypatch, command
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integrated before checking the output")
+
+    monkeypatch.setattr(cli, "integrate_fixed", unreachable)
+    monkeypatch.setattr(cli, "integrate_adaptive", unreachable)
+    out = tmp_path / "missing" / "out.txt"
+    assert main([arg.format(out=out) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: cannot write {out}: {out.parent} is not a directory"
+    assert not out.parent.exists()
+
+
 def _without_libyaml(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 

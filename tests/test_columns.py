@@ -9,6 +9,7 @@ raise, give NaN or infinity, or hold signed zeros.
 
 import builtins
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def _assert_report_matches(sys, trees, rows):
         "q^0.5",  # (-2)^0.5
         "q^p_q",  # a variable exponent, p_q = 0.5
         "q^-1",  # 0^-1
-        "q^2",  # (1e200)^2
+        "q^3",  # (1e200)^3: math.pow overflows
         "sin(q)",
         "cos(q)",
         # constant subtrees that fail are left in the code with float
@@ -129,6 +130,34 @@ def test_each_guarded_operation_fails_the_rows_the_scalar_kernel_does(line, sour
         assert _assert_rows_match(line, trees, rows) > 0
         report = _assert_report_matches(line, trees, rows)
         assert report.failed_samples > 0
+
+
+def test_an_overflowing_square_is_inf_on_an_unmasked_row(line):
+    # a square is one multiply in both forms, so (1e200)^2 overflows to
+    # inf as 1e200*1e200 does, on a row that stays unmasked
+    square = parse("q^2", line.chart_names)
+    assert square.evaluate({"q": 1e200}) == math.inf
+    rows = _q_rows()
+    assert _assert_rows_match(line, (square,), rows) == 0
+    (column,), failed = line._compile_chart((square,), columns=True)(*rows.T)
+    assert column[_Q_EDGES.index(1e200)] == math.inf
+    assert not failed.any()
+
+
+@pytest.mark.parametrize("exponent", [math.inf, -math.inf, math.nan])
+def test_a_negative_base_with_a_non_finite_exponent_fails_in_every_form(
+    line, exponent
+):
+    # a negative base takes an integer exponent only; math.pow would give
+    # inf, 0.0 or NaN
+    power = parse("q^p_q", line.chart_names)
+    message = f"^negative base -1.5 with non-finite exponent {re.escape(repr(exponent))}$"
+    with pytest.raises(DomainError, match=message):
+        power.evaluate({"q": -1.5, "p_q": exponent})
+    with pytest.raises(DomainError, match=message):
+        line._compile_chart((power,))(-1.5, exponent, 0.0)
+    rows = np.array([(q, exponent, 0.25) for q in (-1.5, 1.5, 0.5, -2.0)])
+    assert _assert_rows_match(line, (power,), rows) == 2
 
 
 def test_a_nan_after_the_first_output_fails_its_row(line):

@@ -369,6 +369,20 @@ def test_non_finite_output_reports_the_step_start():
     assert err.state == start
 
 
+def test_an_overflowing_square_leaves_the_finite_domain():
+    # a square is a product, so p_q^2 at 1e200 is inf, not an overflow
+    # error, and the first stage's action component is inf - inf
+    sys = ContactSystem(("q",), "p_q^2/2 + gamma*s", {"gamma": 0.5})
+    start = (0.0, 1e200, 0.0)
+    assert sys.hamiltonian_value(start) == math.inf
+    err = _divergence(integrate_fixed, sys, start, 0.0, 0.1, 0.01)
+    assert str(err) == (
+        "state left the finite domain (last good state at t=0.0: "
+        "q=0.0, p_q=1e+200, s=0.0)"
+    )
+    assert err.state == start
+
+
 def test_each_stage_calls_flow_through_the_method(gravity, base_point, monkeypatch):
     # a wrapper on the class sees one call per stage
     calls = []

@@ -6,12 +6,14 @@ as the exact value of its float, and evaluated by mpmath at 50 digits.
 The trees come from `calculus`.  sympy and mpmath are test-only tools.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 import sympy
 
-from helpers import CHAIN_H
+from helpers import _EDGE_VALUES, CHAIN_H
 from contactmech import (
     ContactSystem,
     PointMap,
@@ -35,6 +37,7 @@ from contactmech.calculus import (
     _hamilton_trees,
     _map_deviation_trees,
 )
+from contactmech import expr as ex
 from contactmech.contact_core import _given
 
 DIGITS = 50
@@ -358,3 +361,37 @@ def test_rotation_map_residual_is_no_less_accurate():
         3.6567970873591096e-16,
     )
     _assert_no_further(report, before, exact)
+
+
+def _correctly_rounded_square(x: float) -> float:
+    """x times x rounded once to the nearest double, by mpmath at 53 bits;
+    a square past the float range is inf."""
+    with mpmath.workprec(53):
+        return float(mpmath.mpf(x) * mpmath.mpf(x))
+
+
+def test_every_form_of_a_square_is_correctly_rounded():
+    rng = np.random.default_rng(23)
+    # normal squares only: mpmath has no subnormals
+    wide = np.sign(rng.uniform(-1.0, 1.0, 500)) * 2.0 ** rng.uniform(-500, 500, 500)
+    xs = [*rng.uniform(-4.0, 4.0, 2000).tolist(), *wide.tolist(), *_EDGE_VALUES]
+    square = parse("x^2", ("x",))
+    by_parameter = parse("x^k", ("x", "k"))  # k = 2 folded in
+    trees = (square, by_parameter)
+    scalar = ex._compile_kernel(trees, ("x",), {"k": 2.0})
+    (columns, powered), failed = ex._compile_kernel(
+        trees, ("x",), {"k": 2.0}, columns=True
+    )(np.array(xs))
+    assert not failed.any()
+    for k, x in enumerate(xs):
+        expected = _correctly_rounded_square(x).hex()
+        got = [
+            square.evaluate({"x": x}),
+            by_parameter.evaluate({"x": x, "k": 2.0}),
+            *scalar(x),
+            float(columns[k]),
+            float(powered[k]),
+        ]
+        if math.isfinite(x * x):  # folding keeps finite values only
+            got.append(ex._compile_kernel(square, (), {"x": x})())
+        assert [v.hex() for v in got] == [expected] * len(got), x
