@@ -695,10 +695,21 @@ def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
     step once with its column function from `_OPS`.
 
     The steps run under ``np.errstate(all="ignore")``: the rows that
-    the mask fails may overflow or divide by zero, silently.  Every
-    output is broadcast to N rows, so a folded one is a column too.
+    the mask fails may overflow or divide by zero, silently.  A step's
+    column is dropped after the last step that reads it, unless it is
+    an output, so a kernel holds only the columns still to be read.
+    Every output is broadcast to N rows, so a folded one is a column too.
     """
-    ops = [(slot, _OPS[helper][1], args) for slot, (helper, args) in steps.items()]
+    last = {k: slot for slot, (_, args) in steps.items() for k in args}
+    kept = set(outputs)
+    dead = {slot: [] for slot in steps}
+    for k, slot in last.items():
+        if k in steps and k not in kept:
+            dead[slot].append(k)
+    ops = [
+        (slot, _OPS[helper][1], args, dead[slot])
+        for slot, (helper, args) in steps.items()
+    ]
 
     def kernel(*columns):
         import numpy as np
@@ -708,8 +719,10 @@ def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
         mask = np.zeros(len(columns[0]), bool)
         regs = [*columns, *cells]
         with np.errstate(all="ignore"):
-            for slot, op, args in ops:
+            for slot, op, args, free in ops:
                 regs[slot] = op(*[regs[k] for k in args], mask)
+                for k in free:
+                    regs[k] = None
         values = tuple(_column(regs[k], mask.shape) for k in outputs)
         return (values if as_tuple else values[0]), mask
 

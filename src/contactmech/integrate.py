@@ -5,16 +5,22 @@ Fehlberg 4(5) embedded pair with proportional step control.  No
 structure-preserving integrator is attempted; verification tests check
 results against closed-form oracles instead.
 
-Each method has one step implementation, a straight-line function
-generated on first use for each chart dimension.  It unpacks the state
-into locals and unrolls every component's stage arithmetic with the
-IEEE operations, in the order, of the textbook formulas written over
-lists: ``0.5*h`` and ``h/6`` bound once, and each Fehlberg weighted sum
-added from the integer 0 in tableau order with its zero weights, as
-``sum`` adds floats before Python 3.12 (which made it compensated), so
-that its additions do not depend on the Python version.  It calls
-``sys.flow`` once per stage through the system, not its compiled
-kernel, so a wrapper on ``ContactSystem.flow`` sees every stage.
+The per-row loops are straight-line functions generated on first use
+for each chart dimension (`_generated`): the whole RK4 grid of
+`integrate_fixed`, which keeps the state in locals from step to step;
+one Fehlberg trial step, whose acceptance and step control stay in
+`integrate_adaptive`; and the CSV rows of `write_trajectory_csv`, each
+one f-string.  Both integrators write their steps with one stage writer
+(`_step_lines`), which unrolls every component's stage arithmetic with
+the IEEE operations, in the order, of the textbook formulas written
+over lists: ``0.5*h`` and ``h/6`` bound once per step, and each
+Fehlberg weighted sum added from the integer 0 in tableau order with
+its zero weights, as ``sum`` adds floats before Python 3.12 (which made
+it compensated), so that its additions do not depend on the Python
+version.  A step calls ``sys.flow`` once per stage through the system,
+not its compiled kernel, so a wrapper on ``ContactSystem.flow`` sees
+every stage.  Its finite checks add the values as a balanced tree, so
+the generated code nests log2(2n+1) deep and compiles for any n.
 Error contract of a step: a DomainError in any stage raises
 DivergenceError("right-hand side undefined: ..."), and a stage or
 result holding a non-finite value raises DivergenceError("state left
@@ -252,37 +258,32 @@ def _weighted(weights, i: int) -> str:
     return "(0" + "".join(f" + {w!r} * k{j}_{i}" for j, w in enumerate(weights)) + ")"
 
 
+def _balanced_sum(parts: list) -> str:
+    """Source of the sum of `parts` as a balanced tree of additions, so
+    that its code nests log2(len(parts)) deep, not len(parts)."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = (len(parts) + 1) // 2
+    return f"({_balanced_sum(parts[:mid])} + {_balanced_sum(parts[mid:])})"
+
+
 def _finite(name: str, parts: list) -> list:
     # the values' sum is finite unless one of them is not or it overflows
     return [
-        f"if not _isfinite({' + '.join(parts)}):",
+        f"if not _isfinite({_balanced_sum(parts)}):",
         f"    _check_finite(_sys, {name}, t, y)",
     ]
 
 
-def _step_source(method: str, dim: int) -> str:
-    comps = range(dim)
-    if method == "rk4":
-        prologue = ["half = 0.5 * h", "sixth = h / 6.0"]
-        inputs = [
-            [f"y{i} + {scale} * k{j}_{i}" for i in comps]
-            for j, scale in enumerate(("half", "half", "h"))
-        ]
-        outputs = [
-            f"y{i} + sixth * (k0_{i} + 2.0 * (k1_{i} + k2_{i}) + k3_{i})"
-            for i in comps
-        ]
-        result = "out"
-    else:
-        prologue = []
-        inputs = [[f"y{i} + h * {_weighted(row, i)}" for i in comps] for row in _RKF_A]
-        outputs = [f"y{i} + h * {_weighted(_RKF_B4, i)}" for i in comps]
-        errors = ", ".join(f"abs(h * {_weighted(_RKF_ERR, i)})" for i in comps)
-        result = f"out, max([{errors}])"
-
-    ys = [f"y{i}" for i in comps]
-    lines = [f"{', '.join(ys)}, = y", "flow = _sys.flow", *prologue, "try:"]
+def _step_lines(inputs: list, outputs: list) -> list:
+    """The statements of one step from the state `y`, unpacked in
+    ``y0, y1, ...``, at time `t`: a ``flow`` call on `y` and then on each
+    stage of `inputs` (component sources), whose values are ``k<j>_<i>``;
+    then each ``y<i>`` becomes its `outputs` source, and `out` the new
+    state, while `y` stays the step's start."""
+    comps = range(len(outputs))
     args = ["y"] + [f"({', '.join(stage)},)" for stage in inputs]
+    lines = ["try:"]
     for j, arg in enumerate(args):
         ks = [f"k{j}_{i}" for i in comps]
         stage = [f"k = flow({arg})", f"{', '.join(ks)}, = k", *_finite("k", ks)]
@@ -292,19 +293,94 @@ def _step_source(method: str, dim: int) -> str:
         '    message = f"right-hand side undefined: {exc}"',
         "    raise _diverged(_sys, message, t, y) from None",
     ]
-    lines += [f"o{i} = {value}" for i, value in enumerate(outputs)]
-    outs = [f"o{i}" for i in comps]
-    lines += [f"out = ({', '.join(outs)},)", *_finite("out", outs), f"return {result}"]
+    lines += [f"y{i} = {value}" for i, value in enumerate(outputs)]
+    ys = [f"y{i}" for i in comps]
+    return [*lines, f"out = ({', '.join(ys)},)", *_finite("out", ys)]
+
+
+def _rk4_source(dim: int) -> str:
+    """``fn(sys, y, t0, tf, dt, tiny) -> (times, rows)``: the whole RK4
+    grid of `integrate_fixed`, the state kept in locals across steps."""
+    comps = range(dim)
+    inputs = [
+        [f"y{i} + {scale} * k{j}_{i}" for i in comps]
+        for j, scale in enumerate(("half", "half", "h"))
+    ]
+    outputs = [
+        f"y{i} + sixth * (k0_{i} + 2.0 * (k1_{i} + k2_{i}) + k3_{i})"
+        for i in comps
+    ]
+    step = "".join(f"        {line}\n" for line in _step_lines(inputs, outputs))
+    return f"""\
+def _fn(_sys, y, t0, tf, dt, tiny):
+    flow = _sys.flow
+    {', '.join(f"y{i}" for i in comps)}, = y
+    times = [float(t0)]
+    states = [y]
+    end = tf - tiny
+    grid = 0
+    t = t0 + grid * dt
+    while True:
+        grid += 1
+        t_next = t0 + grid * dt
+        last = t_next >= end
+        if last:
+            h = tf - t
+        elif t_next == t:
+            raise ValueError(f"dt={{dt!r}} does not advance t={{t!r}}")
+        else:
+            h = dt
+        half = 0.5 * h
+        sixth = h / 6.0
+{step}\
+        if last:
+            times.append(float(tf))
+            states.append(out)
+            return times, states
+        times.append(t_next)
+        states.append(out)
+        y = out
+        t = t_next
+"""
+
+
+def _rkf45_source(dim: int) -> str:
+    """``fn(sys, y, t, h) -> (out, err)``: one Fehlberg trial step."""
+    comps = range(dim)
+    inputs = [[f"y{i} + h * {_weighted(row, i)}" for i in comps] for row in _RKF_A]
+    outputs = [f"y{i} + h * {_weighted(_RKF_B4, i)}" for i in comps]
+    errors = ", ".join(f"abs(h * {_weighted(_RKF_ERR, i)})" for i in comps)
+    lines = [
+        "flow = _sys.flow",
+        f"{', '.join(f'y{i}' for i in comps)}, = y",
+        *_step_lines(inputs, outputs),
+        f"return out, max([{errors}])",
+    ]
     return "def _fn(_sys, y, t, h):\n" + "".join(f"    {line}\n" for line in lines)
 
 
-@functools.cache
-def _step(method: str, dim: int):
-    """The generated step ``fn(sys, y, t, h)`` of `method` for `dim` values.
+def _csv_source(dim: int) -> str:
+    """``fn(energy, times, rows) -> lines``: each CSV row as one f-string."""
+    vs = ", ".join(f"v{i}" for i in range(dim))
+    cells = "".join(f",{{v{i}!r}}" for i in range(dim))
+    return (
+        "def _fn(_h, times, rows):\n"
+        f'    return [f"{{t!r}}{cells},{{_h({vs})!r}}\\n" '
+        f"for t, ({vs},) in zip(times, rows)]\n"
+    )
 
-    Its code depends only on the method and the chart dimension, because
-    it calls ``sys.flow`` on the system it is given; so it is compiled
-    once per pair and shared by every system of that dimension.
+
+_SOURCES = {"rk4": _rk4_source, "rkf45": _rkf45_source, "csv": _csv_source}
+
+
+@functools.cache
+def _generated(kind: str, dim: int):
+    """The generated function `kind` of `_SOURCES` for `dim` chart values.
+
+    Its code depends only on the kind and the chart dimension, because
+    it calls ``sys.flow`` on the system it is given (or the H kernel it
+    is given); so it is compiled once per pair and shared by every
+    system of that dimension.
     """
     env = {
         "_DomainError": DomainError,
@@ -312,7 +388,7 @@ def _step(method: str, dim: int):
         "_check_finite": _check_finite,
         "_isfinite": math.isfinite,
     }
-    exec(compile(_step_source(method, dim), f"<{method} step>", "exec"), env)
+    exec(compile(_SOURCES[kind](dim), f"<{kind} {dim}>", "exec"), env)
     return env["_fn"]
 
 
@@ -347,27 +423,8 @@ def integrate_fixed(
     span = _validate_window(t0, tf)
     dt = _require_positive("dt", dt)
     y = sys.point(s0)
-
-    step = _step("rk4", sys.dim)
-    times = [float(t0)]
-    states = [y]
     tiny = 1e-9 * min(dt, span)
-    k = 0
-    while True:
-        t_k = t0 + k * dt
-        t_next = t0 + (k + 1) * dt
-        if t_next >= tf - tiny:
-            y = step(sys, y, t_k, tf - t_k)
-            times.append(float(tf))
-            states.append(y)
-            break
-        if t_next == t_k:
-            raise ValueError(f"dt={dt!r} does not advance t={t_k!r}")
-        y = step(sys, y, t_k, dt)
-        times.append(t_next)
-        states.append(y)
-        k += 1
-
+    times, states = _generated("rk4", sys.dim)(sys, y, t0, tf, dt, tiny)
     _check_final(sys, states[-1], times[-2], states[-2])
     return Trajectory._of_rows(sys.chart_names, times, states, "rk4", len(times) - 1, 0)
 
@@ -394,7 +451,7 @@ def integrate_adaptive(
     tol = _require_positive("tol", tol)
     y = sys.point(s0)
 
-    step = _step("rkf45", sys.dim)
+    step = _generated("rkf45", sys.dim)
     t = float(t0)
     times = [t]
     states = [y]
@@ -439,13 +496,18 @@ def integrate_adaptive(
 
 
 def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
-    """Header t,<chart names>,H; shortest round-trip float formatting."""
+    """Header t,<chart names>,H; shortest round-trip float formatting.
+
+    Each row is one generated f-string of the row's `repr`s, with the H
+    cell from the system's scalar H kernel, so writing needs no numpy.
+    Every row is made before the file is opened: the first row where H
+    is undefined raises its DomainError, and nothing is written."""
     _check_trajectory_chart(sys, traj)
     energy = sys._kernel(_given, sys.hamiltonian)
-    lines = ["t," + ",".join(traj.names) + ",H"]
-    for t, values in zip(traj._times, traj._rows):
-        lines.append(",".join(map(repr, (t, *values, energy(*values)))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = _generated("csv", sys.dim)(energy, traj._times, traj._rows)
+    with open(path, "w") as f:  # no copy of the whole text, joined or encoded
+        f.write("t," + ",".join(traj.names) + ",H\n")
+        f.writelines(rows)
 
 
 def read_trajectory_csv(path) -> Trajectory:

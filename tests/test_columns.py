@@ -10,6 +10,7 @@ raise, give NaN or infinity, or hold signed zeros.
 import builtins
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,3 +312,34 @@ def test_column_kernels_compile_nothing(tmp_path, monkeypatch):
     # every check ran a column kernel
     assert 1 <= len(compiled) <= 2
     assert all(src.startswith("def _fn(v0, v1, v2, v3, v4):") for src in compiled)
+
+
+def test_a_column_kernel_drops_each_column_after_its_last_read():
+    # every product and partial sum of a 1,000-term sum is read once, so
+    # the kernel holds a few columns at a time, not one per step
+    tree = parse(" + ".join(f"{k}*x" for k in range(1, 1001)), ("x",))
+    kernel = ex._compile_kernel(tree, ("x",), {}, columns=True)
+    x = np.linspace(-1.0, 1.0, 10_000)
+    tracemalloc.start()
+    try:
+        values, mask = kernel(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.nbytes
+    assert not mask.any()
+    scalar = ex._compile_kernel(tree, ("x",), {})
+    assert values.tolist() == list(map(scalar, x.tolist()))
+
+
+def test_an_output_read_by_a_later_step_is_kept():
+    x, y = ex.variable("x"), ex.variable("y")
+    product = ex.mul(x, y)
+    roots = (product, ex.add(product, x), ex.mul(ex.add(x, y), y))
+    kernel = ex._compile_kernel(roots, ("x", "y"), {}, columns=True)
+    scalar = ex._compile_kernel(roots, ("x", "y"), {})
+    cols = np.array([1.5, -2.0, 0.25]), np.array([3.0, 0.5, -4.0])
+    values, mask = kernel(*cols)
+    assert not mask.any()
+    rows = list(map(scalar, *(c.tolist() for c in cols)))
+    assert [v.tolist() for v in values] == [list(col) for col in zip(*rows)]

@@ -12,6 +12,7 @@ from contactmech import (
     ChartPoint,
     ContactSystem,
     DivergenceError,
+    DomainError,
     StepUnderflowError,
     Trajectory,
     builtin,
@@ -21,7 +22,7 @@ from contactmech import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from contactmech.integrate import _step
+from contactmech.integrate import _generated
 from contactmech.models import analytic_reference
 
 SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "gravity_friction.yaml"
@@ -34,14 +35,14 @@ def pure_action():
 
 
 def rk4_step(sys, state, dt):
-    """One RK4 step from t = 0: a one-step grid makes exactly that call
-    of the generated step."""
+    """One RK4 step from t = 0: on a one-step grid the generated loop
+    runs exactly that step."""
     return integrate_fixed(sys, state, 0.0, dt, dt).point(-1)
 
 
 def rkf45_step(sys, state, dt):
     """One Fehlberg step from t = 0: (new state, its error estimate)."""
-    out, err = _step("rkf45", sys.dim)(sys, state, 0.0, dt)
+    out, err = _generated("rkf45", sys.dim)(sys, state, 0.0, dt)
     return ChartPoint(out), err
 
 
@@ -742,3 +743,81 @@ def test_stage_states_are_bit_identical_to_the_reference(name, monkeypatch):
         runs.append(list(seen))
     assert len(runs[0]) > 4 * 200
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", ["gravity_friction", "damped_free_particle",
+                                  "damped_oscillator", "chain"])
+@pytest.mark.parametrize("t0, tf, dt", [(0.0, 1.0, 0.3), (0.25, 2.0, 0.15)])
+def test_a_shortened_last_step_is_bit_identical_to_the_reference(name, t0, tf, dt):
+    sys, flat = _parity_systems()[name]
+    s0 = sys.point(flat)
+    traj = integrate_fixed(sys, s0, t0, tf, dt)
+    assert traj.times[-1] == tf
+    assert traj.times[-1] - traj.times[-2] < dt
+    assert _same_bits(traj, reference_fixed(sys, s0, t0, tf, dt))
+
+
+# ---------------------------------------------------------------------------
+# The generated CSV rows against a plain writer
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = (
+    -1.7976931348623157e308, -0.0, 5e-324, 1e-05, 0.1 + 0.2, 1e16,
+    1.7976931348623157e308,
+)
+
+
+def _reference_csv(sys, traj) -> str:
+    lines = ["t," + ",".join(traj.names) + ",H"]
+    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+        lines.append(",".join(map(repr, (t, *row, sys.hamiltonian_value(row)))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_csv_rows_are_the_reprs_of_their_cells(tmp_path, n):
+    coordinates = [f"q{i}" for i in range(1, n + 1)]
+    hamiltonian = " + ".join(f"p_{q}^2/2" for q in coordinates) + " + gamma*s"
+    sys = ContactSystem(coordinates, hamiltonian, {"gamma": 0.5})
+    # each row a rotation of the edge floats, so every cell meets each one
+    rows = [
+        [_EDGE_FLOATS[(i + j) % len(_EDGE_FLOATS)] for j in range(sys.dim)]
+        for i in range(len(_EDGE_FLOATS))
+    ]
+    traj = Trajectory(sys.chart_names, _EDGE_FLOATS, rows, "test")
+    path = tmp_path / "edge.csv"
+    write_trajectory_csv(sys, traj, path)
+    text = path.read_text()
+    assert text == _reference_csv(sys, traj)
+    assert "-0.0" in text and "5e-324" in text and "0.30000000000000004" in text
+
+
+def test_a_row_where_h_is_undefined_raises_its_domain_error(tmp_path, sqrt_well):
+    rows = [(1.0, 0.0, 0.0), (0.25, -1.0, 0.0), (-0.5, -1.0, 0.0), (-1.0, 0.0, 0.0)]
+    traj = Trajectory(sqrt_well.chart_names, [0.0, 1.0, 2.0, 3.0], rows, "test")
+    with pytest.raises(DomainError) as expected:
+        sqrt_well.hamiltonian_value(rows[2])
+    path = tmp_path / "undefined.csv"
+    with pytest.raises(DomainError) as err:
+        write_trajectory_csv(sqrt_well, traj, path)
+    assert str(err.value) == str(expected.value) == "math domain error"
+    assert not path.exists()
+
+
+def test_two_thousand_coordinates_step_and_write(tmp_path):
+    # the generated code checks 4001 stage values per stage: its sums
+    # nest log2(4001) deep, so Python compiles them
+    n = 2000
+    sys = ContactSystem([f"q{i}" for i in range(n)], "s")  # dp = -p, ds = -s
+    start = (0.0,) * n + (1.0,) * n + (2.0,)
+    h = 0.1
+    decay = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
+    traj = integrate_fixed(sys, start, 0.0, h, h)
+    assert traj.point(-1) == pytest.approx((0.0,) * n + (decay,) * n + (2 * decay,))
+    out, err = rkf45_step(sys, start, h)
+    assert out == pytest.approx(traj.point(-1), rel=1e-6)
+    path = tmp_path / "wide.csv"
+    write_trajectory_csv(sys, traj, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[2] == ",".join(map(repr, (h, *traj.point(-1), traj.point(-1)[-1])))
