@@ -9,18 +9,25 @@ so a check's resolution is independent of integrator accuracy.
 Each check fits its candidate to the system (`_check_field` or
 `_check_bound`), then `_measure`s its operator trees on its states, any
 (N, 2n+1) array of chart rows, then reduces them with
-`_sampled_report`.  `_measure` runs the column kernel of the trees,
-which the system builds once and keeps, once on the chart columns of
-all the states.  It returns every output as an (N,) array and a mask of
-the rows where the scalar kernel would raise DomainError.  A row's
-residual in a report is the largest |output| that report owns (a
-quantity keeps its two rates apart), NaN if one of them is NaN.  A
-masked row counts as failed in every report its kernel feeds, and a row
-with a NaN residual in that report only; symmetry classification runs
-two kernels, whose failure counts stay apart but for the rows where H
-is undefined, which fail both.  Each unmasked row's outputs are
-bit-identical to the scalar kernel that the per-point `calculus`
-functions run on the same trees.
+`_sampled_report`.  `_run_checks` is that one path for any number of
+candidates: the three public checks call it with one candidate each,
+and `verify` once per stage with all of them.  `_measure` takes a list
+of requests, each the build of one check's trees, and runs them as the
+groups of one column kernel, which the system builds once and keeps,
+once on the chart columns of all the states, each shared subtree (the
+derivatives of H above all) once.  It returns, per request, every
+output as an (N,) array and a mask of the rows where the scalar kernel
+of that request's trees alone would raise DomainError: each guarded
+operation keeps a mask of its own, and a request's mask is the OR of
+those its trees reach, so no failure leaks from one check into another.
+A row's residual in a report is the largest |output| that report owns
+(a quantity keeps its two rates apart), NaN if one of them is NaN.  A
+masked row counts as failed in every report its request feeds, and a
+row with a NaN residual in that report only; symmetry classification
+runs two requests, whose failure counts stay apart but for the rows
+where H is undefined, by H's own request, which fail both.  Each
+unmasked row's outputs are bit-identical to the scalar kernel that the
+per-point `calculus` functions run on the same trees.
 
 Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
 residuals that only rounding limits; a tol must be finite and positive,
@@ -123,28 +130,32 @@ def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
 
     A row's residual is the largest |output|, NaN if one is NaN; a row
     that `failed` marks or whose residual is NaN counts as failed.  The
-    max and the mean, summed left to right, are taken over the Python
-    floats of the other rows, so they match a per-row loop bit for bit.
+    max and the mean are taken over the other rows, the sum of the mean
+    added left to right, so they match a per-row loop bit for bit.
     """
     import numpy as np
 
     tolerance = float(tolerance)
     residual = np.max(np.abs(outputs), axis=0)
-    residuals = residual[~(failed | np.isnan(residual))].tolist()
-    if residuals:
-        mx = max(residuals)
-        mean = sum(residuals) / len(residuals)
+    kept = residual[~(failed | np.isnan(residual))]
+    if kept.size:
+        mx = float(kept.max())
+        # accumulate adds in order, where np.sum adds pairwise; a sum
+        # that overflows is inf, as Python's is, without a warning
+        with np.errstate(over="ignore"):
+            total = float(np.add.accumulate(kept)[-1])
+        mean = total / kept.size
     else:
         mx = mean = math.inf
     return CheckReport(
         subject=subject,
         kind=kind,
-        samples=len(residuals),
+        samples=kept.size,
         max_residual=mx,
         mean_residual=mean,
         tolerance=tolerance,
         verdict="pass" if mx <= tolerance else "fail",
-        failed_samples=len(failed) - len(residuals),
+        failed_samples=len(failed) - kept.size,
     )
 
 
@@ -175,10 +186,18 @@ def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> np.nd
     return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
 
 
-def _measure(sys: ContactSystem, states, tol: float, build, *args) -> tuple:
-    """(outputs, failed) of the column kernel of the trees
-    `build(sys, *args)`, kept on the system, over `states`, an (N, 2n+1)
-    array of chart rows, once `tol` is known to be finite and positive."""
+def _requested(sys: ContactSystem, requests) -> list:
+    """The build of `_measure`'s kernel: the trees of each request."""
+    return [build(sys, *args) for build, args in requests]
+
+
+def _measure(sys: ContactSystem, states, tol: float, requests) -> list:
+    """`(outputs, failed)` per request `(build, args)` over `states`, an
+    (N, 2n+1) array of chart rows, once `tol` is known to be finite and
+    positive: each request's trees `build(sys, *args)` are a group of one
+    column kernel, which the system builds once and keeps, so subtrees
+    the requests share run once, and `failed` masks the rows where the
+    scalar kernel of that request's trees alone would raise."""
     import numpy as np
 
     _require_positive("tol", tol)
@@ -190,7 +209,76 @@ def _measure(sys: ContactSystem, states, tol: float, build, *args) -> tuple:
         raise ValueError(message) from None
     if rows.ndim != 2 or not len(rows) or rows.shape[1] != sys.dim:
         raise ValueError(f"states must be {what}, got shape {rows.shape}")
-    return sys._kernel(build, *args, columns=True)(*rows.T)
+    return sys._kernel(_requested, tuple(requests), columns=True)(*rows.T)
+
+
+def _quantity_label(conserved: CheckReport, dissipated: CheckReport) -> str:
+    """Conserved, dissipated, both, neither or inconclusive, as
+    `check_quantity` states the rule."""
+    margin = NEITHER_MARGIN * conserved.tolerance
+    if conserved.passed and dissipated.passed:
+        return "both"
+    if conserved.passed:
+        return "conserved"
+    if dissipated.passed:
+        return "dissipated"
+    if conserved.max_residual > margin and dissipated.max_residual > margin:
+        return "neither"
+    return "inconclusive"
+
+
+def _run_checks(
+    sys: ContactSystem, states, tol: float, fields=(), quantities=(), maps=()
+) -> tuple:
+    """The reports of every check of `fields`, `quantities` and `maps` at
+    `states`, from one `_measure` call: a list of (contact, dynamical)
+    pairs as `classify_symmetry` gives them, one of QuantityReports as
+    `check_quantity` gives them and one of CheckReports as
+    `check_contact_symmetry_map` gives them.
+
+    Every candidate is fitted to the system before anything is measured.
+    Each check is its own group of the kernel, after H's when there are
+    fields, so its mask holds only the failures of its own trees.
+    """
+    for field in (*fields, *maps):
+        _check_field(sys, field)
+    for quantity in quantities:
+        _check_bound(sys, (quantity.expression,))
+    requests = [(_given, (sys.hamiltonian,))] if fields else []
+    for field in fields:
+        y = field.components
+        requests += [(_contact_trees, (y,)), (_bracket_trees, (y, sys._field))]
+    requests += [(_dissipation_trees, (q.expression,)) for q in quantities]
+    requests += [(_map_deviation_trees, (m.components,)) for m in maps]
+    measured = iter(_measure(sys, states, tol, requests))
+    undefined = next(measured)[1] if fields else None
+
+    def symmetry(name):
+        (contact, c_failed), (bracket, b_failed) = next(measured), next(measured)
+        # a state where H is undefined fails both reports
+        return (
+            _sampled_report(name, KIND_CONTACT, contact, c_failed | undefined, tol),
+            _sampled_report(name, KIND_DYNAMICAL, bracket, b_failed | undefined, tol),
+        )
+
+    def quantity(name):
+        (rate, dissipation), failed = next(measured)
+        conserved = _sampled_report(name, KIND_CONSERVED, (rate,), failed, tol)
+        dissipated = _sampled_report(
+            name, KIND_DISSIPATED, (dissipation,), failed, tol
+        )
+        label = _quantity_label(conserved, dissipated)
+        return QuantityReport(name, label, conserved, dissipated)
+
+    def deviation(name):
+        outputs, failed = next(measured)
+        return _sampled_report(name, KIND_CONTACT, outputs, failed, tol)
+
+    return (
+        [symmetry(field.name) for field in fields],
+        [quantity(q.name) for q in quantities],
+        [deviation(m.name) for m in maps],
+    )
 
 
 def classify_symmetry(
@@ -208,20 +296,13 @@ def classify_symmetry(
     returned as measured, even a contact pass with a dynamical failure,
     which exact arithmetic rules out.
 
-    Each residual is one column-kernel call over all states; a state
-    where a kernel fails counts as failed for that check only, and one
-    where H is undefined, from H's own column kernel, fails both.
+    H, the contact residuals and the bracket run in one column kernel
+    over all states, with a mask each; a state where the contact or the
+    bracket trees fail counts as failed for that check only, and one
+    where H is undefined fails both.
     """
-    _check_field(sys, field)
-    _, undefined = _measure(sys, states, tol, _given, sys.hamiltonian)
-
-    def report(kind, build, *args):
-        outputs, failed = _measure(sys, states, tol, build, *args)
-        return _sampled_report(field.name, kind, outputs, failed | undefined, tol)
-
-    y = field.components
-    contact = report(KIND_CONTACT, _contact_trees, y)
-    return contact, report(KIND_DYNAMICAL, _bracket_trees, y, sys._field)
+    ((contact, dynamical),), _, _ = _run_checks(sys, states, tol, fields=(field,))
+    return contact, dynamical
 
 
 def noether_quantity(sys: ContactSystem, field: VectorField) -> ScalarField:
@@ -253,26 +334,8 @@ def check_quantity(
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.
     """
-    _check_bound(sys, (quantity.expression,))
-    (rate, dissipation), failed = _measure(
-        sys, states, tol, _dissipation_trees, quantity.expression
-    )
-    conserved = _sampled_report(quantity.name, KIND_CONSERVED, (rate,), failed, tol)
-    dissipated = _sampled_report(
-        quantity.name, KIND_DISSIPATED, (dissipation,), failed, tol
-    )
-    margin = NEITHER_MARGIN * conserved.tolerance
-    if conserved.passed and dissipated.passed:
-        label = "both"
-    elif conserved.passed:
-        label = "conserved"
-    elif dissipated.passed:
-        label = "dissipated"
-    elif conserved.max_residual > margin and dissipated.max_residual > margin:
-        label = "neither"
-    else:
-        label = "inconclusive"
-    return QuantityReport(quantity.name, label, conserved, dissipated)
+    _, (report,), _ = _run_checks(sys, states, tol, quantities=(quantity,))
+    return report
 
 
 def quotient_quantity(f1: ScalarField, f2: ScalarField) -> ScalarField:
@@ -309,8 +372,5 @@ def check_contact_symmetry_map(
     compared to eta at the state, and H(image) to H(state); the residual
     is the largest deviation, from one column-kernel call over all states.
     """
-    _check_field(sys, point_map)
-    outputs, failed = _measure(
-        sys, states, tol, _map_deviation_trees, point_map.components
-    )
-    return _sampled_report(point_map.name, KIND_CONTACT, outputs, failed, tol)
+    _, _, (report,) = _run_checks(sys, states, tol, maps=(point_map,))
+    return report

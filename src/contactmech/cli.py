@@ -21,7 +21,7 @@ from pathlib import Path
 from .analysis import (
     DEFAULT_TOLERANCE,
     _measure,
-    check_contact_symmetry_map,
+    _run_checks,
     check_quantity,
     classify_symmetry,
     conserved_from_symmetry,
@@ -189,8 +189,7 @@ def cmd_verify(args) -> int:
             f"{category} {name}: observed {observed}, expected {expected} [{status}]"
         )
 
-    def add_quantity(category, quantity, expected, **extra) -> bool:
-        report = check_quantity(system, quantity, traj.states, args.tol)
+    def add_quantity(category, quantity, report, expected, **extra) -> bool:
         matched = _quantity_matches(expected, report.classification)
         add(
             category,
@@ -204,9 +203,18 @@ def cmd_verify(args) -> int:
         )
         return matched
 
+    # one column kernel per stage: every check on the samples, then every
+    # quantity along the trajectory, then the quotients of the quantities
+    # verified dissipated
+    symmetry_reports, _, map_reports = _run_checks(
+        system,
+        states,
+        args.tol,
+        fields=[cand.field for cand in doc.symmetries],
+        maps=[cand.point_map for cand in doc.maps],
+    )
     dynamical_passers = []
-    for cand in doc.symmetries:
-        contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
+    for cand, (contact, dynamical) in zip(doc.symmetries, symmetry_reports):
         observed = _observed_symmetry(contact, dynamical)
         add(
             "symmetry",
@@ -220,23 +228,32 @@ def cmd_verify(args) -> int:
         if dynamical.passed:
             dynamical_passers.append(cand)
 
-    for cand in dynamical_passers:
-        quantity = noether_quantity(system, cand.field)
-        add_quantity("noether", quantity, "dissipated", source_symmetry=cand.name)
+    noether = [noether_quantity(system, cand.field) for cand in dynamical_passers]
+    declared = [cand.quantity for cand in doc.quantities]
+    _, reports, _ = _run_checks(
+        system, traj.states, args.tol, quantities=noether + declared
+    )
+    for cand, quantity, report in zip(dynamical_passers, noether, reports):
+        add_quantity(
+            "noether", quantity, report, "dissipated", source_symmetry=cand.name
+        )
 
     dissipated_verified = []
-    for cand in doc.quantities:
-        matched = add_quantity("quantity", cand.quantity, cand.expect)
+    for cand, report in zip(doc.quantities, reports[len(noether) :]):
+        matched = add_quantity("quantity", cand.quantity, report, cand.expect)
         if matched and cand.expect == "dissipated":
             dissipated_verified.append(cand)
 
-    for i, first in enumerate(dissipated_verified):
-        for second in dissipated_verified[i + 1 :]:
-            quotient = quotient_quantity(first.quantity, second.quantity)
-            add_quantity("quotient", quotient, "conserved")
+    quotients = [
+        quotient_quantity(first.quantity, second.quantity)
+        for i, first in enumerate(dissipated_verified)
+        for second in dissipated_verified[i + 1 :]
+    ]
+    _, reports, _ = _run_checks(system, traj.states, args.tol, quantities=quotients)
+    for quotient, report in zip(quotients, reports):
+        add_quantity("quotient", quotient, report, "conserved")
 
-    for cand in doc.maps:
-        report = check_contact_symmetry_map(system, cand.point_map, states, args.tol)
+    for cand, report in zip(doc.maps, map_reports):
         observed = "contact" if report.passed else "neither"
         add(
             "map",
@@ -321,8 +338,10 @@ def cmd_analyze(args) -> int:
             f"(dissipation residual {report.dissipated.max_residual:.3e})"
         )
 
-    # H's column kernel, which classify_symmetry ran on the same states
-    h, undefined = _measure(system, states, args.tol, _given, system.hamiltonian)
+    # H's column kernel on the states classify_symmetry ran
+    [(h, undefined)] = _measure(
+        system, states, args.tol, [(_given, (system.hamiltonian,))]
+    )
     if undefined.any():
         print(
             f"H is undefined on {undefined.sum()} of {len(states)} sampled "

@@ -205,7 +205,8 @@ class ContactSystem:
     def _compile_chart(self, result, columns: bool = False):
         """One kernel of an expression or a tuple of them, taking the
         2n+1 chart values in chart order, with the parameters folded in;
-        with `columns`, the 2n+1 chart columns of all rows (see
+        with `columns`, the 2n+1 chart columns of all rows, and `result`
+        may be a list of groups, each with its own mask (see
         `expr._compile_kernel`)."""
         return ex._compile_kernel(result, self.chart_names, self.parameters, columns)
 

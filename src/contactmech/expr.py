@@ -51,7 +51,11 @@ is lazy and cached, a benign race.
 
 A column kernel (``columns``) compiles nothing: it runs the same steps
 over numpy arrays, one row per state, and returns with its values a
-mask of the rows where the scalar kernel would raise DomainError.
+mask of the rows where the scalar kernel would raise DomainError.  Its
+trees may come in groups, one per check: each operation that can raise
+marks its own mask column, and each group gets the OR of those its
+trees reach, so it fails the rows that a kernel of its trees alone
+would.
 numpy's arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do,
 but its ``exp``, ``log`` and ``power`` differ from ``math`` in the last
 bit on some inputs.  Squares are one multiply, ``b * b`` in every form
@@ -188,9 +192,18 @@ def _sign(x):
 # node is then a cycle the collector can free.  The lock makes finding
 # or adding a node atomic across threads.  A node is immutable apart
 # from its caches: that memo, its names and its kernel.
+#
+# Each node also keeps ``_vars``, an int with the bit of every variable
+# below it, the OR of its children's: `_VAR_BITS` gives each variable
+# name its bit when a `Var` of it is first made, under the lock, and
+# never takes it back.  An OR of ints costs one machine word per 64
+# names, so a long sum costs linear time, which a set of names per node
+# would not; differentiating skips each subtree free of the variable
+# without walking it.
 
 _NODES = weakref.WeakValueDictionary()  # structure key -> live node
 _NODES_LOCK = threading.Lock()
+_VAR_BITS: dict = {}  # variable name -> its bit in ``_vars``
 _set = object.__setattr__
 
 
@@ -203,7 +216,7 @@ class Expression:
     one node, so ``==`` is ``is``.
     """
 
-    __slots__ = ("_diffs", "_names", "_fn", "__weakref__")
+    __slots__ = ("_diffs", "_names", "_fn", "_vars", "__weakref__")
     _fields: tuple = ()
 
     def __setattr__(self, name, value):
@@ -257,7 +270,7 @@ class Expression:
     def derivative(self, var: str) -> "Expression":
         """Exact first partial with respect to ``var``, as an expression;
         equal trees share one, kept on their node (see `_diff`)."""
-        return _diff(self, var) if var in self.names else _ZERO
+        return _diff(self, var)
 
     def __str__(self) -> str:
         return _to_source(self)
@@ -277,6 +290,13 @@ def _interned(cls, key: tuple, values: tuple):
                     _set(node, name, value)
                 for name in ("_diffs", "_names", "_fn"):
                     _set(node, name, None)
+                if cls is Var:
+                    bits = _VAR_BITS.setdefault(values[0], 1 << len(_VAR_BITS))
+                else:
+                    bits = 0
+                    for child in _children(node):
+                        bits |= child._vars
+                _set(node, "_vars", bits)
                 _NODES[key] = node
     return node
 
@@ -465,7 +485,8 @@ def _rowwise(fn: Callable) -> Callable:
 def _column_div(a, b, mask):
     import numpy as np
 
-    mask |= b == 0.0  # Python raises for every x/0.0, x = 0, inf or NaN too
+    if mask is not None:  # None: the divisor is a nonzero constant
+        mask |= b == 0.0  # Python raises for every x/0.0, x = 0, inf or NaN too
     return np.true_divide(a, b)
 
 
@@ -485,9 +506,10 @@ def _column(x, shape):
 
 #: Each operation by its helper name (see `_Emitter.operation`): its
 #: scalar function, which folding runs and a scalar kernel calls, and its
-#: column function.  A scalar kernel writes ``neg`` and the operators
-#: inline.  A square is no entry of its own: it is ``*`` of its base by
-#: itself, so ``_pw`` and ``_mpow`` take every other power.
+#: column function, which takes the step's mask column last (None for a
+#: step that cannot raise, see `_column_kernel`).  A scalar kernel writes
+#: ``neg`` and the operators inline.  A square is no entry of its own: it is ``*`` of its
+#: base by itself, so ``_pw`` and ``_mpow`` take every other power.
 _OPS = {
     "neg": (operator.neg, lambda x, mask: -x),
     "+": (operator.add, lambda a, b, mask: a + b),
@@ -504,6 +526,11 @@ _OPS = {
     **{f"_{fn.__name__}": (fn, _rowwise(fn))
        for fn in (math.sin, math.cos, math.exp, math.log)},
 }
+
+#: The operations whose scalar function never raises on floats: a
+#: column kernel gives their steps no mask.  Every other step is guarded,
+#: but for a division by a nonzero constant (see `_column_kernel`).
+_NEVER_RAISE = frozenset(("neg", "+", "-", "*", "_abs", "_sign"))
 
 # Generated code sees only these names, the arguments ``v<k>`` and the
 # temporaries ``t<k>``; chart and parameter names never become Python
@@ -689,42 +716,75 @@ class _Emitter:
         return [read(k)[0] for k in outputs]
 
 
-def _column_kernel(width: int, cells: list, steps: dict, outputs: list,
-                   as_tuple: bool) -> Callable:
+def _column_kernel(width: int, cells: list, steps: dict, groups: list) -> Callable:
     """Run the `_Emitter.columns` steps over ``width`` (N,) columns, each
-    step once with its column function from `_OPS`.
+    step once with its column function from `_OPS`, and return one
+    ``(values, mask)`` for each group ``(outputs, as_tuple)``.
+
+    Each guarded step marks the rows where its scalar form raises in a
+    mask column of its own: every step but those of `_NEVER_RAISE` and
+    the divisions by a nonzero constant, which cannot raise.  A group's
+    mask is the OR of the mask columns of the guarded steps its outputs
+    read, directly or through other steps.  Those are the guarded steps
+    of a kernel of the group's trees alone, so a group fails the rows
+    that kernel would, whatever else the kernel computes.
 
     The steps run under ``np.errstate(all="ignore")``: the rows that
-    the mask fails may overflow or divide by zero, silently.  A step's
+    the masks fail may overflow or divide by zero, silently.  A step's
     column is dropped after the last step that reads it, unless it is
     an output, so a kernel holds only the columns still to be read.
     Every output is broadcast to N rows, so a folded one is a column too.
     """
-    last = {k: slot for slot, (_, args) in steps.items() for k in args}
-    kept = set(outputs)
+    guards = {}  # guarded step -> its row in the masks
+    reads = {}  # step -> the bits of the guarded steps it reads, its own too
+    last = {}  # slot -> the last step that reads it
+    for slot, (helper, args) in steps.items():
+        bits = 0
+        for k in args:
+            bits |= reads.get(k, 0)
+            last[k] = slot
+        divisor = args[-1] - width  # its cell, if it is no variable
+        nonzero = divisor >= 0 and cells[divisor] not in (None, 0.0)
+        if helper not in _NEVER_RAISE and not (helper == "/" and nonzero):
+            bits |= 1 << len(guards)
+            guards[slot] = len(guards)
+        reads[slot] = bits
+    kept = {k for outputs, _ in groups for k in outputs}
     dead = {slot: [] for slot in steps}
     for k, slot in last.items():
         if k in steps and k not in kept:
             dead[slot].append(k)
     ops = [
-        (slot, _OPS[helper][1], args, dead[slot])
+        (slot, _OPS[helper][1], args, guards.get(slot), dead[slot])
         for slot, (helper, args) in steps.items()
     ]
+    plan = []  # (outputs, as_tuple, the rows of its guarded steps) per group
+    for outputs, as_tuple in groups:
+        bits = 0
+        for k in outputs:
+            bits |= reads.get(k, 0)
+        rows = [m for m in guards.values() if bits >> m & 1]
+        plan.append((outputs, as_tuple, rows))
 
     def kernel(*columns):
         import numpy as np
 
         if len(columns) != width:
             raise TypeError(f"kernel takes {width} columns, got {len(columns)}")
-        mask = np.zeros(len(columns[0]), bool)
+        shape = (len(columns[0]),)
+        masks = np.zeros((len(guards), *shape), bool)
         regs = [*columns, *cells]
         with np.errstate(all="ignore"):
-            for slot, op, args, free in ops:
+            for slot, op, args, guard, free in ops:
+                mask = None if guard is None else masks[guard]
                 regs[slot] = op(*[regs[k] for k in args], mask)
                 for k in free:
                     regs[k] = None
-        values = tuple(_column(regs[k], mask.shape) for k in outputs)
-        return (values if as_tuple else values[0]), mask
+        results = []
+        for outputs, as_tuple, rows in plan:
+            values = tuple(_column(regs[k], shape) for k in outputs)
+            results.append((values if as_tuple else values[0], masks[rows].any(0)))
+        return results
 
     return kernel
 
@@ -754,13 +814,27 @@ def _compile_kernel(
     (N,) arrays, bit-identical row by row to the scalar kernel's
     wherever the boolean ``mask`` is False, and ``mask`` is True on
     exactly the rows where the scalar kernel raises DomainError.
+
+    A column kernel also takes a list of such results, groups: it runs
+    the steps of all their trees once, each shared subtree once, and
+    returns a list with one ``(values, mask)`` per group, each as a
+    kernel of that group alone would return it (see `_column_kernel`).
     """
-    as_tuple = isinstance(result, tuple)
-    roots = list(result) if as_tuple else [result]
     emitter = _Emitter(variables, constants)
     if columns:
-        return _column_kernel(len(variables), *emitter.columns(roots), as_tuple)
-    parts = emitter.source(roots)
+        grouped = isinstance(result, list)
+        spans, roots = [], []  # per group: its roots' positions, as_tuple
+        for group in result if grouped else [result]:
+            as_tuple = isinstance(group, tuple)
+            start = len(roots)
+            roots += group if as_tuple else [group]
+            spans.append((slice(start, len(roots)), as_tuple))
+        cells, steps, outputs = emitter.columns(roots)
+        groups = [(outputs[span], as_tuple) for span, as_tuple in spans]
+        kernel = _column_kernel(len(variables), cells, steps, groups)
+        return kernel if grouped else lambda *columns: kernel(*columns)[0]
+    as_tuple = isinstance(result, tuple)
+    parts = emitter.source(list(result) if as_tuple else [result])
     env = dict(_HELPERS)
     exec(compile(_KERNEL_SOURCE.format(
         args=", ".join(f"v{k}" for k in range(len(variables))),
@@ -1070,26 +1144,32 @@ def _diff(root: Expression, var: str) -> Expression:
     """First partial of ``root`` with respect to ``var``, folded as the
     builders fold.
 
-    The rule of an operation node runs once per live node and variable:
-    its result is kept on the node, where later walks stop, and a
-    structurally equal subtree anywhere, in this tree or another, is the
-    same node.
+    A subtree free of ``var`` (no bit of it in ``_vars``) differentiates
+    to the literal 0 without being walked, which is what the rules would
+    fold it to.  The rule of any other operation node runs once per live
+    node and variable: its result is kept on the node, where later walks
+    stop, and a structurally equal subtree anywhere, in this tree or
+    another, is the same node.
     """
+    bit = _VAR_BITS.get(var, 0)
+    if not root._vars & bit:
+        return _ZERO
     memo = root._diffs
     if memo is not None and var in memo:
         return memo[var]
 
     def below(node):
+        if not node._vars & bit:
+            return ()
         memo = node._diffs
         return () if memo is not None and var in memo else _children(node)
 
     done = {}  # node -> its derivative
     for node in _walk((root,), done, below):
-        kind = type(node)
-        if kind is Num:
+        if not node._vars & bit:
             done[node] = _ZERO
-        elif kind is Var:
-            done[node] = _ONE if node.name == var else _ZERO
+        elif type(node) is Var:  # the one variable whose bit this is
+            done[node] = _ONE
         else:
             memo = node._diffs
             if memo is None:  # benign race: the rule is deterministic

@@ -19,12 +19,14 @@ its zero weights, as ``sum`` adds floats before Python 3.12 (which made
 it compensated), so that its additions do not depend on the Python
 version.  A step calls ``sys.flow`` once per stage through the system,
 not its compiled kernel, so a wrapper on ``ContactSystem.flow`` sees
-every stage.  Its finite checks add the values as a balanced tree, so
-the generated code nests log2(2n+1) deep and compiles for any n.
+every stage.  A step checks only its result to be finite, which every
+non-finite stage value reaches, and adds the values as a balanced tree,
+so the generated code nests log2(2n+1) deep and compiles for any n.
 Error contract of a step: a DomainError in any stage raises
 DivergenceError("right-hand side undefined: ..."), and a stage or
 result holding a non-finite value raises DivergenceError("state left
-the finite domain"); both carry the time and state at the step's start.
+the finite domain"), also when a later stage raises; both carry the
+time and state at the step's start.
 Finite values whose sum overflows are not an error.  No step evaluates
 H at the state it lands on, so each integrator runs H there on the step
 that reaches tf: RK4 raises DivergenceError where H is undefined, and
@@ -275,24 +277,41 @@ def _finite(name: str, parts: list) -> list:
     ]
 
 
+def _undefined(sys: ContactSystem, exc: DomainError, t: float, y, *stages):
+    """The DivergenceError of a step whose flow raised `exc` after the
+    value tuples `stages`: that of a non-finite stage value, which the
+    step's one finite check would name had the flow not raised, else
+    that of the flow."""
+    if not all(map(math.isfinite, chain.from_iterable(stages))):
+        return _diverged(sys, "state left the finite domain", t, y)
+    return _diverged(sys, f"right-hand side undefined: {exc}", t, y)
+
+
 def _step_lines(inputs: list, outputs: list) -> list:
     """The statements of one step from the state `y`, unpacked in
     ``y0, y1, ...``, at time `t`: a ``flow`` call on `y` and then on each
     stage of `inputs` (component sources), whose values are ``k<j>_<i>``;
     then each ``y<i>`` becomes its `outputs` source, and `out` the new
-    state, while `y` stays the step's start."""
+    state, while `y` stays the step's start.
+
+    Only `out` is checked to be finite: every stage value enters its
+    component of `out` with a nonzero weight or as ``0.0 * k``, so a
+    non-finite stage makes `out` non-finite too.  A stage whose flow
+    raises names the tuples of the stages before it, so that a
+    non-finite one gives the error the finite check would have given.
+    """
     comps = range(len(outputs))
     args = ["y"] + [f"({', '.join(stage)},)" for stage in inputs]
-    lines = ["try:"]
+    lines = []
     for j, arg in enumerate(args):
-        ks = [f"k{j}_{i}" for i in comps]
-        stage = [f"k = flow({arg})", f"{', '.join(ks)}, = k", *_finite("k", ks)]
-        lines += [f"    {line}" for line in stage]
-    lines += [
-        "except _DomainError as exc:",
-        '    message = f"right-hand side undefined: {exc}"',
-        "    raise _diverged(_sys, message, t, y) from None",
-    ]
+        earlier = "".join(f", k{m}" for m in range(j))
+        lines += [
+            "try:",
+            f"    k{j} = flow({arg})",
+            "except _DomainError as exc:",
+            f"    raise _undefined(_sys, exc, t, y{earlier}) from None",
+            f"{', '.join(f'k{j}_{i}' for i in comps)}, = k{j}",
+        ]
     lines += [f"y{i} = {value}" for i, value in enumerate(outputs)]
     ys = [f"y{i}" for i in comps]
     return [*lines, f"out = ({', '.join(ys)},)", *_finite("out", ys)]
@@ -384,7 +403,7 @@ def _generated(kind: str, dim: int):
     """
     env = {
         "_DomainError": DomainError,
-        "_diverged": _diverged,
+        "_undefined": _undefined,
         "_check_finite": _check_finite,
         "_isfinite": math.isfinite,
     }

@@ -361,10 +361,10 @@ def reference_sampled_reports(subject, kinds, residual, rows, tolerance) -> tupl
     reports = []
     for k, kind in enumerate(kinds):
         residuals = values[k :: len(kinds)]
-        total = sum(residuals)
+        total = _sum(residuals)
         if math.isnan(total):  # exactly when some |residual| is NaN
             residuals = [r for r in residuals if not math.isnan(r)]
-            total = sum(residuals)
+            total = _sum(residuals)
         if residuals:
             mx = max(residuals)
             mean = total / len(residuals)

@@ -1,19 +1,25 @@
 """Column kernels against the per-row check loop they replaced.
 
-Every check runs one column kernel over all its states.  Its reports
-must match, bit for bit, those of the per-row loop in helpers.py, which
+Every check runs over all its states as one group of a column kernel,
+alone or with the other checks of a `verify` stage.  Its reports must
+match, bit for bit, those of the per-row loop in helpers.py, which
 calls the scalar kernel of the same trees once per state: the same
 samples, failed samples, max and mean residual, including where rows
-raise, give NaN or infinity, or hold signed zeros.
+raise, give NaN or infinity, or hold signed zeros.  A group of a kernel
+of many groups gives what a kernel of that group alone gives.
 """
 
 import builtins
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     edge_rows,
@@ -35,7 +41,10 @@ from contactmech import (
     check_contact_symmetry_map,
     check_quantity,
     classify_symmetry,
+    integrate_fixed,
+    load_document,
     parse,
+    sample_states,
 )
 from contactmech import expr as ex
 from contactmech.analysis import _sampled_report
@@ -44,6 +53,7 @@ from contactmech.expr import literal, variable
 from contactmech.cli import main
 
 TOL = 1e-8
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _line() -> ContactSystem:
@@ -343,3 +353,149 @@ def test_an_output_read_by_a_later_step_is_kept():
     assert not mask.any()
     rows = list(map(scalar, *(c.tolist() for c in cols)))
     assert [v.tolist() for v in values] == [list(col) for col in zip(*rows)]
+
+
+# ---------------------------------------------------------------------------
+# One kernel of many groups: each group as its own kernel would give it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def systems():
+    return _systems()
+
+
+def _bits(column) -> list:
+    return np.asarray(column, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5))
+def test_a_kernel_of_groups_gives_each_group_its_own_kernel(systems, seed, count):
+    rng = np.random.default_rng(seed)
+    sys = systems[seed % 2]
+    groups = []
+    for _ in range(count):
+        trees = _random_expressions(rng, sys, int(rng.integers(1, 4)), 3)
+        groups.append(trees if rng.random() < 0.7 else trees[0])
+    # a later group that reads the first group's tree shares its steps
+    shared = groups[0][0] if isinstance(groups[0], tuple) else groups[0]
+    (other,) = _random_expressions(rng, sys, 1, 2)
+    groups.append((ex.div(other, shared), ex.call("sqrt", shared)))
+    rows = edge_rows(rng, sys.dim, 16)
+    fused = sys._compile_chart(groups, columns=True)(*rows.T)
+    assert len(fused) == len(groups)
+    for group, (values, mask) in zip(groups, fused):
+        alone, alone_mask = sys._compile_chart(group, columns=True)(*rows.T)
+        assert mask.dtype == bool and mask.tolist() == alone_mask.tolist()
+        if not isinstance(group, tuple):
+            values, alone = (values,), (alone,)
+        assert list(map(_bits, values)) == list(map(_bits, alone))
+
+
+def test_each_group_masks_only_the_rows_its_own_trees_fail(line):
+    q, p = variable("q"), variable("p_q")
+    groups = [
+        (q,),  # no guarded operation
+        ex.call("sqrt", q),  # q < 0
+        (ex.call("log", p), q),  # p_q <= 0
+        (ex.div(q, ex.sub(q, literal(1.5))),),  # q = 1.5
+        (ex.div(p, literal(2.0)),),  # a nonzero constant divisor never fails
+        (ex.add(ex.call("sqrt", q), ex.call("log", p)),),  # shares two steps
+    ]
+    rows = np.array(
+        [(1.5, 1.0, 0.0), (-1.0, 1.0, 0.0), (1.0, -1.0, 0.0), (2.0, 0.0, 0.0)]
+    )
+    kernel = line._compile_chart(groups, columns=True)
+    masks = [mask.tolist() for _, mask in kernel(*rows.T)]
+    assert masks == [
+        [False, False, False, False],
+        [False, True, False, False],
+        [False, False, True, True],
+        [True, False, False, False],
+        [False, False, False, False],
+        [False, True, True, True],
+    ]
+
+
+def test_every_check_of_a_spec_fails_only_its_own_rows(tmp_path):
+    # H = p_q^2/2 + sqrt(q) + gamma*s is undefined where q < 0, which
+    # fails both reports of the symmetry; the map q -> q/p_q fails where
+    # H of the image is, q/p_q < 0, too; log(p_q) fails along the
+    # trajectory once p_q turns negative, and the energy nowhere.  The
+    # report's bytes are those of one kernel per check.
+    spec = DATA / "mask_groups.yaml"
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--tf", "3", "--report", str(report)]) == 0
+    assert report.read_bytes() == (DATA / "mask_groups.report.json").read_bytes()
+
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    failed = {
+        "s_shift": checks["s_shift"]["contact"]["failed_samples"],
+        "log_momentum": checks["log_momentum"]["report"]["conserved"]["failed_samples"],
+        "energy": checks["energy"]["report"]["conserved"]["failed_samples"],
+        "skew": checks["skew"]["report"]["failed_samples"],
+    }
+    assert failed == {"s_shift": 48, "log_momentum": 215, "energy": 0, "skew": 77}
+    # ... and each equals the per-row loop over that check's trees alone
+    doc = load_document(spec)
+    sys = doc.system
+    states = sample_states(sys, 100, 42).tolist()
+    (field,) = [c.field for c in doc.symmetries]
+    got = tuple(checks["s_shift"][k] for k in ("contact", "dynamical"))
+    expected = reference_classify(sys, field, states, TOL)
+    assert got == tuple(r.as_dict() for r in expected)
+    (point_map,) = [c.point_map for c in doc.maps]
+    expected = reference_map(sys, point_map, states, TOL).as_dict()
+    assert checks["skew"]["report"] == expected
+    rows = integrate_fixed(sys, doc.initial_state, 0.0, 3.0, 0.01).states.tolist()
+    for cand in doc.quantities:
+        expected = reference_quantity(sys, cand.quantity, rows, TOL)
+        report = checks[cand.name]["report"]
+        assert (report["conserved"], report["dissipated"]) == tuple(
+            r.as_dict() for r in expected
+        )
+
+
+# ---------------------------------------------------------------------------
+# The reduction to a report, against the per-row loop
+# ---------------------------------------------------------------------------
+
+#: residuals at every edge: NaN, infinities, subnormals, signed zeros, and
+#: magnitudes whose sum depends on the order of the additions
+_RESIDUALS = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+         1e-8, -1e-8, 1e16, 1.0, 1e308)
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_a_report_reduces_its_outputs_as_the_row_loop_does(data):
+    if data is None:  # a sum that only adding left to right rounds so
+        outputs, failed = [[1e16] + [1.0] * 39], [False] * 40
+    else:
+        rows = data.draw(st.integers(1, 40))
+        width = data.draw(st.integers(1, 3))
+        column = st.lists(_RESIDUALS, min_size=rows, max_size=rows)
+        outputs = [data.draw(column) for _ in range(width)]
+        some = st.lists(st.booleans(), min_size=rows, max_size=rows)
+        failed = data.draw(some | st.just([True] * rows))
+
+    def residual(k):
+        if failed[k]:
+            raise DomainError("masked")
+        values = [abs(column[k]) for column in outputs]
+        return (math.nan if math.isnan(sum(values)) else max(values),)
+
+    (expected,) = reference_sampled_reports(
+        "F", ("kind",), residual, list(range(len(failed))), TOL
+    )
+    got = _sampled_report(
+        "F", "kind", tuple(map(np.array, outputs)), np.array(failed), TOL
+    )
+    assert report_bits(got) == report_bits(expected)
+    assert type(got.samples) is int and type(got.failed_samples) is int

@@ -573,7 +573,10 @@ def test_verify_of_the_chain_applies_each_rule_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ex, "_diff_rule", recording)
     report = tmp_path / "report.json"
     assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
-    assert len(applied) > 500
+    # a subtree free of the variable is 0 without a rule, and every other
+    # rule runs once per node and variable
+    assert len(applied) > 100
+    assert all(name in node.names for node, name in applied)
     assert len(set(applied)) == len(applied)
 
 

@@ -325,6 +325,63 @@ def test_non_finite_stage_stops_the_step(step):
     assert err.state == start
 
 
+class _Scripted:
+    """A stand-in system whose flow ignores its input and returns the next
+    value of `script` (a stage tuple), or raises it (a DomainError)."""
+
+    chart_names = ("q", "p_q", "s")
+    dim = 3
+
+    def __init__(self, script):
+        self.script = iter(script)
+
+    def flow(self, flat):
+        value = next(self.script)
+        if isinstance(value, DomainError):
+            raise value
+        return value
+
+
+_STEPS = {
+    "rk4": (4, lambda sys, y: _generated("rk4", 3)(sys, y, 0.0, 0.1, 0.1, 1e-10)),
+    "rkf45": (6, lambda sys, y: _generated("rkf45", 3)(sys, y, 0.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize(
+    "method, stage, later",
+    [
+        (method, stage, later)
+        for method, (count, _) in _STEPS.items()
+        for stage in range(count)
+        for later in ("finite", "raises")[: 1 + (stage < count - 1)]
+    ],
+)
+def test_a_non_finite_stage_leaves_the_finite_domain_whatever_follows(
+    method, stage, later
+):
+    # the step checks only its result, which every stage value reaches
+    # (RKF45 keeps its zero weights as 0.0 * k); a later flow that raises
+    # must not turn the error into "right-hand side undefined"
+    count, step = _STEPS[method]
+    finite, bad = (0.5, -0.25, 1.0), (0.5, math.inf, 1.0)
+    following = DomainError("math domain error") if later == "raises" else finite
+    script = [finite] * stage + [bad] + [following] * (count - stage - 1)
+    err = _divergence(step, _Scripted(script), (1.0, 1.0, 0.0))
+    assert str(err) == (
+        "state left the finite domain (last good state at t=0.0: "
+        "q=1.0, p_q=1.0, s=0.0)"
+    )
+
+
+@pytest.mark.parametrize("method", list(_STEPS))
+def test_a_flow_that_raises_after_finite_stages_is_undefined(method):
+    count, step = _STEPS[method]
+    script = [(0.5, -0.25, 1.0)] * (count - 1) + [DomainError("math domain error")]
+    err = _divergence(step, _Scripted(script), (1.0, 1.0, 0.0))
+    assert str(err) == _UNDEFINED + "t=0.0: q=1.0, p_q=1.0, s=0.0)"
+
+
 def test_finite_stages_whose_sum_overflows_do_not_raise():
     # RKF45: two stage components at 1e308 (their sum is inf)
     two = ContactSystem(("x", "y"), "1e308*(p_x + p_y)")
