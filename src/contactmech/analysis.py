@@ -11,9 +11,13 @@ Each check fits its candidate to the system (`_check_field` or
 (N, 2n+1) array of chart rows, then reduces them with
 `_sampled_report`.  `_run_checks` is that one path for any number of
 candidates: the three public checks call it with one candidate each,
-and `verify` once per stage with all of them.  `_measure` takes a list
-of requests, each the build of one check's trees, and runs them as the
-groups of one column kernel, which the system builds once and keeps,
+`analyze` once on the sampled states, where it also reads H, and
+`verify` once per set of states, two stages: every symmetry and map on
+the samples, then every quantity and quotient along the trajectory.
+`_measure` takes a list of requests, each the build of one check's
+tuple of trees, and runs them as the groups of one column kernel (a
+list of groups is what makes `expr._compile_kernel` build that form),
+which the system builds once and keeps,
 once on the chart columns of all the states, each shared subtree (the
 derivatives of H above all) once.  It returns, per request, every
 output as an (N,) array and a mask of the rows where the scalar kernel
@@ -209,7 +213,7 @@ def _measure(sys: ContactSystem, states, tol: float, requests) -> list:
         raise ValueError(message) from None
     if rows.ndim != 2 or not len(rows) or rows.shape[1] != sys.dim:
         raise ValueError(f"states must be {what}, got shape {rows.shape}")
-    return sys._kernel(_requested, tuple(requests), columns=True)(*rows.T)
+    return sys._kernel(_requested, tuple(requests))(*rows.T)
 
 
 def _quantity_label(conserved: CheckReport, dissipated: CheckReport) -> str:
@@ -233,8 +237,10 @@ def _run_checks(
     """The reports of every check of `fields`, `quantities` and `maps` at
     `states`, from one `_measure` call: a list of (contact, dynamical)
     pairs as `classify_symmetry` gives them, one of QuantityReports as
-    `check_quantity` gives them and one of CheckReports as
-    `check_contact_symmetry_map` gives them.
+    `check_quantity` gives them, one of CheckReports as
+    `check_contact_symmetry_map` gives them, and H's `((h,), undefined)`
+    when there are fields (None otherwise), its column and the mask of
+    the states where it is undefined.
 
     Every candidate is fitted to the system before anything is measured.
     Each check is its own group of the kernel, after H's when there are
@@ -244,18 +250,18 @@ def _run_checks(
         _check_field(sys, field)
     for quantity in quantities:
         _check_bound(sys, (quantity.expression,))
-    requests = [(_given, (sys.hamiltonian,))] if fields else []
+    requests = [(_given, ((sys.hamiltonian,),))] if fields else []
     for field in fields:
         y = field.components
         requests += [(_contact_trees, (y,)), (_bracket_trees, (y, sys._field))]
     requests += [(_dissipation_trees, (q.expression,)) for q in quantities]
     requests += [(_map_deviation_trees, (m.components,)) for m in maps]
     measured = iter(_measure(sys, states, tol, requests))
-    undefined = next(measured)[1] if fields else None
+    h = next(measured) if fields else None
 
     def symmetry(name):
         (contact, c_failed), (bracket, b_failed) = next(measured), next(measured)
-        # a state where H is undefined fails both reports
+        undefined = h[1]  # a state where H is undefined fails both reports
         return (
             _sampled_report(name, KIND_CONTACT, contact, c_failed | undefined, tol),
             _sampled_report(name, KIND_DYNAMICAL, bracket, b_failed | undefined, tol),
@@ -278,6 +284,7 @@ def _run_checks(
         [symmetry(field.name) for field in fields],
         [quantity(q.name) for q in quantities],
         [deviation(m.name) for m in maps],
+        h,
     )
 
 
@@ -301,7 +308,7 @@ def classify_symmetry(
     bracket trees fail counts as failed for that check only, and one
     where H is undefined fails both.
     """
-    ((contact, dynamical),), _, _ = _run_checks(sys, states, tol, fields=(field,))
+    ((contact, dynamical),), _, _, _ = _run_checks(sys, states, tol, fields=(field,))
     return contact, dynamical
 
 
@@ -334,7 +341,7 @@ def check_quantity(
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.
     """
-    _, (report,), _ = _run_checks(sys, states, tol, quantities=(quantity,))
+    _, (report,), _, _ = _run_checks(sys, states, tol, quantities=(quantity,))
     return report
 
 
@@ -372,5 +379,5 @@ def check_contact_symmetry_map(
     compared to eta at the state, and H(image) to H(state); the residual
     is the largest deviation, from one column-kernel call over all states.
     """
-    _, _, (report,) = _run_checks(sys, states, tol, maps=(point_map,))
+    _, _, (report,), _ = _run_checks(sys, states, tol, maps=(point_map,))
     return report

@@ -14,22 +14,20 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
 
 from .analysis import (
     DEFAULT_TOLERANCE,
-    _measure,
     _run_checks,
     check_quantity,
-    classify_symmetry,
     conserved_from_symmetry,
     noether_quantity,
     quotient_quantity,
     sample_states,
 )
-from .contact_core import _given
 from .integrate import (
     IntegrationError,
     _check_trajectory_chart,
@@ -203,10 +201,11 @@ def cmd_verify(args) -> int:
         )
         return matched
 
-    # one column kernel per stage: every check on the samples, then every
-    # quantity along the trajectory, then the quotients of the quantities
-    # verified dissipated
-    symmetry_reports, _, map_reports = _run_checks(
+    # one column kernel per set of states: every check on the samples,
+    # then every quantity along the trajectory with the quotients of each
+    # pair expected dissipated, of which those whose two members matched
+    # are reported
+    symmetry_reports, _, map_reports, _ = _run_checks(
         system,
         states,
         args.tol,
@@ -230,28 +229,26 @@ def cmd_verify(args) -> int:
 
     noether = [noether_quantity(system, cand.field) for cand in dynamical_passers]
     declared = [cand.quantity for cand in doc.quantities]
-    _, reports, _ = _run_checks(
-        system, traj.states, args.tol, quantities=noether + declared
+    dissipated = [cand for cand in doc.quantities if cand.expect == "dissipated"]
+    pairs = list(itertools.combinations(dissipated, 2))
+    quotients = [quotient_quantity(a.quantity, b.quantity) for a, b in pairs]
+    _, reports, _, _ = _run_checks(
+        system, traj.states, args.tol, quantities=noether + declared + quotients
     )
     for cand, quantity, report in zip(dynamical_passers, noether, reports):
         add_quantity(
             "noether", quantity, report, "dissipated", source_symmetry=cand.name
         )
 
-    dissipated_verified = []
+    verified = []
     for cand, report in zip(doc.quantities, reports[len(noether) :]):
-        matched = add_quantity("quantity", cand.quantity, report, cand.expect)
-        if matched and cand.expect == "dissipated":
-            dissipated_verified.append(cand)
+        if add_quantity("quantity", cand.quantity, report, cand.expect):
+            verified.append(cand)
 
-    quotients = [
-        quotient_quantity(first.quantity, second.quantity)
-        for i, first in enumerate(dissipated_verified)
-        for second in dissipated_verified[i + 1 :]
-    ]
-    _, reports, _ = _run_checks(system, traj.states, args.tol, quantities=quotients)
-    for quotient, report in zip(quotients, reports):
-        add_quantity("quotient", quotient, report, "conserved")
+    quotient_reports = reports[len(noether) + len(declared) :]
+    for (a, b), quotient, report in zip(pairs, quotients, quotient_reports):
+        if a in verified and b in verified:
+            add_quantity("quotient", quotient, report, "conserved")
 
     for cand, report in zip(doc.maps, map_reports):
         observed = "contact" if report.passed else "neither"
@@ -308,7 +305,9 @@ def cmd_analyze(args) -> int:
     if doc.initial_state is not None:
         traj = _integrate(doc, args, integrate_fixed, args.dt)
 
-    contact, dynamical = classify_symmetry(system, cand.field, states, args.tol)
+    ((contact, dynamical),), _, _, ((h,), undefined) = _run_checks(
+        system, states, args.tol, fields=(cand.field,)
+    )
     observed = _observed_symmetry(contact, dynamical)
     if observed == "contact":
         residuals = f"max residual {contact.max_residual:.3e}"
@@ -338,10 +337,6 @@ def cmd_analyze(args) -> int:
             f"(dissipation residual {report.dissipated.max_residual:.3e})"
         )
 
-    # H's column kernel on the states classify_symmetry ran
-    [(h, undefined)] = _measure(
-        system, states, args.tol, [(_given, (system.hamiltonian,))]
-    )
     if undefined.any():
         print(
             f"H is undefined on {undefined.sum()} of {len(states)} sampled "

@@ -202,22 +202,18 @@ class ContactSystem:
         env.update(zip(self.chart_names, self.point(point)))
         return env
 
-    def _compile_chart(self, result, columns: bool = False):
-        """One kernel of an expression or a tuple of them, taking the
-        2n+1 chart values in chart order, with the parameters folded in;
-        with `columns`, the 2n+1 chart columns of all rows, and `result`
-        may be a list of groups, each with its own mask (see
-        `expr._compile_kernel`)."""
-        return ex._compile_kernel(result, self.chart_names, self.parameters, columns)
-
-    def _kernel(self, build, *args, columns: bool = False):
-        """The kernel of the trees `build(self, *args)`, kept on the system
-        and keyed by `args` and `columns`; equal trees share interned nodes
-        (-0.0 apart from 0.0), so each structure compiles once."""
-        key = (build, args, columns)
+    def _kernel(self, build, *args):
+        """The kernel of the trees `build(self, *args)` over the chart
+        values in chart order, with the parameters folded in, kept on the
+        system and keyed by `args`; a list of groups makes a column
+        kernel (see `expr._compile_kernel`).  Equal trees share interned
+        nodes (-0.0 apart from 0.0), so each structure compiles once."""
+        key = (build, args)
         fn = self._kernels.get(key)
         if fn is None:  # benign race: compilation is deterministic
-            fn = self._kernels[key] = self._compile_chart(build(self, *args), columns)
+            fn = self._kernels[key] = ex._compile_kernel(
+                build(self, *args), self.chart_names, self.parameters
+            )
         return fn
 
     def _at(self, point: Sequence[float], build, *args):
@@ -243,7 +239,7 @@ class ContactSystem:
         # benign race: compilation is deterministic and idempotent
         fn = self._flow_fn
         if fn is None:
-            fn = self._flow_fn = self._compile_chart(self._field)
+            fn = self._flow_fn = self._kernel(_given, self._field)
         return fn(*flat)
 
 

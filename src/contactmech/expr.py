@@ -35,10 +35,12 @@ substituting, folding and placing are rules on it, so a tree of any
 depth can be handled; only the parser recurses, and it rejects nesting
 deeper than `_MAX_PARSE_DEPTH` as a ParseError.
 
-``_compile_kernel`` makes a kernel of a batch of trees in two forms
-from one list of steps: placing lists each distinct operation once, in
-the order of evaluating each tree alone, with constants folded in, and
-one table, ``_OPS``, gives each operation's scalar and column function.
+``_compile_kernel`` makes a kernel of a batch of trees from one list of
+steps, in the form that the shape of the batch picks: an expression or
+a tuple of them makes a scalar kernel, a list of groups, each a tuple
+of trees, a column kernel.  Placing lists each distinct operation once,
+in the order of evaluating each tree alone, with constants folded in,
+and one table, ``_OPS``, gives each operation's scalar and column function.
 A scalar kernel is one straight-line function of named values as
 positional arguments, generated as Python source from the steps and
 compiled: a step read once is inlined where it is read, and a shared
@@ -49,13 +51,12 @@ compiles its flow, H and the operator trees of ``calculus`` over its
 chart, with its parameters folded in, for single states.  Compilation
 is lazy and cached, a benign race.
 
-A column kernel (``columns``) compiles nothing: it runs the same steps
-over numpy arrays, one row per state, and returns with its values a
-mask of the rows where the scalar kernel would raise DomainError.  Its
-trees may come in groups, one per check: each operation that can raise
-marks its own mask column, and each group gets the OR of those its
-trees reach, so it fails the rows that a kernel of its trees alone
-would.
+A column kernel compiles nothing: it runs the same steps over numpy
+arrays, one row per state, and returns with each group's values a mask
+of the rows where the scalar kernel would raise DomainError.  A group
+is one check's trees: each operation that can raise marks its own mask
+column, and each group gets the OR of those its trees reach, so it
+fails the rows that a kernel of its trees alone would.
 numpy's arithmetic, ``abs`` and ``sqrt`` round exactly as Python's do,
 but its ``exp``, ``log`` and ``power`` differ from ``math`` in the last
 bit on some inputs.  Squares are one multiply, ``b * b`` in every form
@@ -719,7 +720,7 @@ class _Emitter:
 def _column_kernel(width: int, cells: list, steps: dict, groups: list) -> Callable:
     """Run the `_Emitter.columns` steps over ``width`` (N,) columns, each
     step once with its column function from `_OPS`, and return one
-    ``(values, mask)`` for each group ``(outputs, as_tuple)``.
+    ``(values, mask)`` for each group, a list of output slots.
 
     Each guarded step marks the rows where its scalar form raises in a
     mask column of its own: every step but those of `_NEVER_RAISE` and
@@ -749,7 +750,7 @@ def _column_kernel(width: int, cells: list, steps: dict, groups: list) -> Callab
             bits |= 1 << len(guards)
             guards[slot] = len(guards)
         reads[slot] = bits
-    kept = {k for outputs, _ in groups for k in outputs}
+    kept = set(chain.from_iterable(groups))
     dead = {slot: [] for slot in steps}
     for k, slot in last.items():
         if k in steps and k not in kept:
@@ -758,13 +759,12 @@ def _column_kernel(width: int, cells: list, steps: dict, groups: list) -> Callab
         (slot, _OPS[helper][1], args, guards.get(slot), dead[slot])
         for slot, (helper, args) in steps.items()
     ]
-    plan = []  # (outputs, as_tuple, the rows of its guarded steps) per group
-    for outputs, as_tuple in groups:
+    plan = []  # (outputs, the rows of its guarded steps) per group
+    for outputs in groups:
         bits = 0
         for k in outputs:
             bits |= reads.get(k, 0)
-        rows = [m for m in guards.values() if bits >> m & 1]
-        plan.append((outputs, as_tuple, rows))
+        plan.append((outputs, [m for m in guards.values() if bits >> m & 1]))
 
     def kernel(*columns):
         import numpy as np
@@ -780,59 +780,41 @@ def _column_kernel(width: int, cells: list, steps: dict, groups: list) -> Callab
                 regs[slot] = op(*[regs[k] for k in args], mask)
                 for k in free:
                     regs[k] = None
-        results = []
-        for outputs, as_tuple, rows in plan:
-            values = tuple(_column(regs[k], shape) for k in outputs)
-            results.append((values if as_tuple else values[0], masks[rows].any(0)))
-        return results
+        return [
+            (tuple(_column(regs[k], shape) for k in outputs), masks[rows].any(0))
+            for outputs, rows in plan
+        ]
 
     return kernel
 
 
 def _compile_kernel(
-    result,
-    variables: Sequence[str],
-    constants: Mapping[str, float],
-    columns: bool = False,
+    result, variables: Sequence[str], constants: Mapping[str, float]
 ) -> Callable:
-    """One function of ``variables`` as positional arguments.
+    """One function of ``variables`` as positional arguments, in the
+    form that the shape of ``result`` picks.
 
-    ``result`` is an expression, or a tuple of expressions evaluated
-    together with shared subtrees computed once; the function returns a
-    float or a tuple of the same length.  ``constants`` (finite values)
-    are folded in when the kernel is made, and the values and
-    DomainError messages are those of evaluating each tree alone with
-    the same names bound; a name bound by neither raises
-    MissingBindingError here.
-
-    Both forms run the steps of one `_Emitter` walk.  Without
-    ``columns`` the kernel is generated Python source, compiled: it runs
-    once per state.  With ``columns`` (and at least one variable)
-    nothing is compiled: the function takes one (N,) array per
-    variable, runs each step once over the arrays with the column
-    functions of `_OPS`, and returns ``(values, mask)``.  The values are
-    (N,) arrays, bit-identical row by row to the scalar kernel's
-    wherever the boolean ``mask`` is False, and ``mask`` is True on
-    exactly the rows where the scalar kernel raises DomainError.
-
-    A column kernel also takes a list of such results, groups: it runs
-    the steps of all their trees once, each shared subtree once, and
-    returns a list with one ``(values, mask)`` per group, each as a
-    kernel of that group alone would return it (see `_column_kernel`).
+    An expression or a tuple of them makes a scalar kernel: Python
+    source, compiled, that runs once per state and returns a float or a
+    tuple.  A list of groups, each a tuple of expressions, makes a
+    column kernel (with at least one variable), which compiles nothing:
+    it takes one (N,) array per variable, runs each step once over the
+    arrays with the column functions of `_OPS`, and returns one
+    ``(values, mask)`` per group, (N,) arrays bit-identical row by row
+    to the scalar kernel's where the boolean ``mask`` is False; ``mask``
+    is True on exactly the rows where a scalar kernel of that group
+    alone raises DomainError (see `_column_kernel`).  Both run the steps
+    of one `_Emitter` walk, each shared subtree once, with ``constants``
+    (finite values) folded in; the values and DomainError messages are
+    those of evaluating each tree alone with the same names bound, and a
+    name bound by neither raises MissingBindingError here.
     """
     emitter = _Emitter(variables, constants)
-    if columns:
-        grouped = isinstance(result, list)
-        spans, roots = [], []  # per group: its roots' positions, as_tuple
-        for group in result if grouped else [result]:
-            as_tuple = isinstance(group, tuple)
-            start = len(roots)
-            roots += group if as_tuple else [group]
-            spans.append((slice(start, len(roots)), as_tuple))
-        cells, steps, outputs = emitter.columns(roots)
-        groups = [(outputs[span], as_tuple) for span, as_tuple in spans]
-        kernel = _column_kernel(len(variables), cells, steps, groups)
-        return kernel if grouped else lambda *columns: kernel(*columns)[0]
+    if isinstance(result, list):
+        cells, steps, outputs = emitter.columns(list(chain.from_iterable(result)))
+        slots = iter(outputs)
+        groups = [[next(slots) for _ in group] for group in result]
+        return _column_kernel(len(variables), cells, steps, groups)
     as_tuple = isinstance(result, tuple)
     parts = emitter.source(list(result) if as_tuple else [result])
     env = dict(_HELPERS)
@@ -1051,6 +1033,19 @@ def _as_node(e) -> Expression:
     raise TypeError(f"cannot use {type(e).__name__} as an expression")
 
 
+def _fold(op: str, x: Expression, y: Expression) -> Expression | None:
+    """The literal of the `_OPS` operation ``op`` on two literals, or None
+    where `_Emitter.fold` keeps the node: its scalar function raises or
+    gives a value that is not finite, which evaluating it then does."""
+    if not (isinstance(x, Num) and isinstance(y, Num)):
+        return None
+    try:
+        value = _OPS[op][0](x.value, y.value)
+    except _ROW_ERRORS:
+        return None
+    return Num(value) if math.isfinite(value) else None
+
+
 def _is_const(node: Expression, value: float | None = None) -> bool:
     if not isinstance(node, Num):
         return False
@@ -1079,8 +1074,9 @@ def neg(e) -> Expression:
 
 def add(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value + y.value)
+    folded = _fold("+", x, y)
+    if folded is not None:
+        return folded
     if _is_const(x, 0.0):
         return y
     if _is_const(y, 0.0):
@@ -1090,8 +1086,9 @@ def add(a, b) -> Expression:
 
 def sub(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value - y.value)
+    folded = _fold("-", x, y)
+    if folded is not None:
+        return folded
     if _is_const(y, 0.0):
         return x
     if _is_const(x, 0.0):
@@ -1101,8 +1098,9 @@ def sub(a, b) -> Expression:
 
 def mul(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(x.value * y.value)
+    folded = _fold("*", x, y)
+    if folded is not None:
+        return folded
     if _is_const(x, 0.0) or _is_const(y, 0.0):
         return _ZERO
     if _is_const(x, 1.0):
@@ -1114,18 +1112,19 @@ def mul(a, b) -> Expression:
 
 def div(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
+    folded = _fold("/", x, y)  # x/0 stays, so evaluation reports it
+    if folded is not None:
+        return folded
     if _is_const(y, 1.0):
         return x
-    # x/0 is left in the tree so evaluation reports the domain error
-    if isinstance(x, Num) and isinstance(y, Num) and y.value != 0.0:
-        return literal(x.value / y.value)
     return Bin("/", x, y)
 
 
 def power(a, b) -> Expression:
     x, y = _as_node(a), _as_node(b)
-    if isinstance(x, Num) and isinstance(y, Num):
-        return literal(_pow(x.value, y.value))
+    folded = _fold("_pw", x, y)
+    if folded is not None:
+        return folded
     if _is_const(y, 1.0):
         return x
     return Bin("^", x, y)

@@ -28,6 +28,7 @@ import operator
 import numpy as np
 
 from contactmech import DomainError, MissingBindingError, Trajectory, parse
+from contactmech import expr as ex
 from contactmech.analysis import (
     KIND_CONSERVED,
     KIND_CONTACT,
@@ -385,12 +386,19 @@ def reference_sampled_reports(subject, kinds, residual, rows, tolerance) -> tupl
     return tuple(reports)
 
 
+def chart_kernel(sys, result):
+    """`expr._compile_kernel` of `result` over the chart of `sys`, with
+    its parameters folded in: a scalar kernel of a tree or a tuple of
+    them, a column kernel of a list of groups."""
+    return ex._compile_kernel(result, sys.chart_names, sys.parameters)
+
+
 def reference_max_abs(sys, trees, guards=()):
     """Per-row 1-tuple: the largest |value| of the trees, from one scalar
     kernel, or NaN if one of them is NaN, which `max` alone would drop.
     The kernel also runs the `guards`, so a row fails where one of them
     raises, but their values are dropped."""
-    kernel = sys._compile_chart(tuple(trees) + tuple(guards))
+    kernel = chart_kernel(sys, tuple(trees) + tuple(guards))
 
     def residual(row):
         values = tuple(map(abs, kernel(*row)))[: len(trees)]
@@ -418,7 +426,7 @@ def reference_classify(sys, field, rows, tol) -> tuple:
 
 def reference_quantity(sys, quantity, rows, tol) -> tuple:
     """The conserved and dissipated reports of `check_quantity`."""
-    kernel = sys._compile_chart(_dissipation_trees(sys, quantity.expression))
+    kernel = chart_kernel(sys, _dissipation_trees(sys, quantity.expression))
     return reference_sampled_reports(
         quantity.name,
         (KIND_CONSERVED, KIND_DISSIPATED),

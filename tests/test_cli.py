@@ -10,10 +10,12 @@ import yaml
 
 from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
 from contactmech import cli
+from contactmech import expr as ex
 from contactmech.cli import main
 from contactmech.expr import literal, variable
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
+DATA = Path(__file__).parent / "data"
 # integers past the float range, and past the digits Python converts
 _BIG = "9" * 400
 _HUGE = "9" * 5000
@@ -234,6 +236,26 @@ def test_verify_reports_mismatches(tmp_path, capsys):
     assert data["all_expectations_met"] is False
     bad = [entry for entry in data["checks"] if not entry["matched"]]
     assert [entry["name"] for entry in bad] == ["momentum_x"]
+
+
+def test_verify_reports_quotients_of_verified_pairs_only(tmp_path, capsys):
+    # x_position is expected dissipated but observed neither, so neither
+    # of its quotients is reported; the report's bytes were written by a
+    # verify that checked only the quotients of verified pairs
+    doc = yaml.safe_load(Path(SHIPPED_SPEC).read_text())
+    for cand in doc["quantities"]:
+        if cand["name"] == "x_position":
+            cand["expect"] = "dissipated"
+    spec = tmp_path / "x_dissipated.yaml"
+    spec.write_text(yaml.safe_dump(doc, sort_keys=False))
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--report", str(report)]) == 4
+    capsys.readouterr()
+    checks = json.loads(report.read_text())["checks"]
+    quotients = [c["name"] for c in checks if c["category"] == "quotient"]
+    assert quotients == ["momentum_x/energy"]
+    expected = DATA / "x_position_dissipated.report.json"
+    assert report.read_bytes() == expected.read_bytes()
 
 
 def test_verify_can_reuse_a_trajectory(gravity_spec, tmp_path, capsys):
@@ -629,6 +651,25 @@ def test_analyze_contact_symmetry(capsys):
     assert "conserved ratio" in text
 
 
+def test_analyze_runs_one_column_kernel_on_the_sampled_states(monkeypatch, capsys):
+    # H, the contact trees and the bracket are the three groups of one
+    # kernel on the sampled states, and the Noether quantity the one
+    # group of another on the trajectory: H is read from the kernel that
+    # classified the field, not from a kernel of its own
+    groups = []
+    compile_kernel = ex._compile_kernel
+
+    def recording(result, *args):
+        if isinstance(result, list):
+            groups.append(len(result))
+        return compile_kernel(result, *args)
+
+    monkeypatch.setattr(ex, "_compile_kernel", recording)
+    assert main(["analyze", SHIPPED_SPEC, "x_translation"]) == 0
+    assert "conserved ratio" in capsys.readouterr().out
+    assert groups == [3, 1]
+
+
 def test_analyze_non_symmetry(capsys):
     assert main(["analyze", SHIPPED_SPEC, "s_translation"]) == 0
     text = capsys.readouterr().out
@@ -933,6 +974,50 @@ def test_verify_writes_null_statistics_when_every_sample_fails(tmp_path, capsys)
         assert entry["max_residual"] is None and entry["mean_residual"] is None
     assert text.count("null") == 4
     assert quantity["report"]["conserved"]["max_residual"] == 1.0
+
+
+OVERFLOWING_QUOTIENT_SPEC = """\
+n: 1
+coordinates: [q]
+hamiltonian: p_q^2/2
+initial_state: {q: 0.5, p_q: 1.0, s: 0}
+quantities:
+- {name: huge, expression: "1e300", expect: dissipated}
+- {name: tiny, expression: "1e-300", expect: dissipated}
+"""
+
+OVERFLOWING_RATE_SPEC = """\
+n: 1
+coordinates: [q]
+hamiltonian: p_q^2/2 + 1e200*s
+quantities:
+- {name: big, expression: "1e200", expect: dissipated}
+"""
+
+
+@pytest.mark.parametrize(
+    "content, name",
+    [(OVERFLOWING_QUOTIENT_SPEC, "huge/tiny"), (OVERFLOWING_RATE_SPEC, "big")],
+    ids=["quotient", "rate"],
+)
+def test_a_constant_that_overflows_when_built_is_checked(tmp_path, capsys, content, name):
+    # 1e300/1e-300, and the rate term dH/ds * F = 1e200*1e200, overflow
+    # when their trees are built: each stays an operation, and verify
+    # writes a strict-JSON report with the check in it.  The rate spec
+    # runs on the other spec's trajectory, on the same chart, since its
+    # own flow overflows
+    csv = tmp_path / "t.csv"
+    quotient = tmp_path / "quotient.yaml"
+    quotient.write_text(OVERFLOWING_QUOTIENT_SPEC)
+    assert main(["simulate", str(quotient), "--tf", "1", "--out", str(csv)]) == 0
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(content)
+    report = tmp_path / "r.json"
+    argv = ["verify", str(spec), "--trajectory", str(csv), "--report", str(report)]
+    assert main(argv) in (0, 4)
+    capsys.readouterr()
+    checks = json.loads(report.read_text(), parse_constant=_reject_constant)["checks"]
+    assert name in [entry["name"] for entry in checks]
 
 
 @pytest.mark.parametrize(

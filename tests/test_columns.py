@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    chart_kernel,
     edge_rows,
     edge_source,
     reference_classify,
@@ -83,8 +84,8 @@ def _assert_rows_match(sys, trees, rows) -> int:
     """The column kernel against the scalar kernel, row by row: the mask
     is set exactly where the scalar kernel raises, and the values are
     bit-identical elsewhere.  Returns the number of masked rows."""
-    scalar = sys._compile_chart(trees)
-    outputs, failed = sys._compile_chart(trees, columns=True)(*rows.T)
+    scalar = chart_kernel(sys, trees)
+    [(outputs, failed)] = chart_kernel(sys, [trees])(*rows.T)
     assert failed.shape == (len(rows),) and failed.dtype == bool
     assert all(column.shape == (len(rows),) for column in outputs)
     for k, row in enumerate(rows.tolist()):
@@ -104,7 +105,7 @@ def _assert_report_matches(sys, trees, rows):
     (expected,) = reference_sampled_reports(
         "trees", ("kind",), reference_max_abs(sys, trees), rows.tolist(), TOL
     )
-    outputs, failed = sys._compile_chart(trees, columns=True)(*rows.T)
+    [(outputs, failed)] = chart_kernel(sys, [trees])(*rows.T)
     got = _sampled_report("trees", "kind", outputs, failed, TOL)
     assert report_bits(got) == report_bits(expected)
     return got
@@ -150,7 +151,7 @@ def test_an_overflowing_square_is_inf_on_an_unmasked_row(line):
     assert square.evaluate({"q": 1e200}) == math.inf
     rows = _q_rows()
     assert _assert_rows_match(line, (square,), rows) == 0
-    (column,), failed = line._compile_chart((square,), columns=True)(*rows.T)
+    [((column,), failed)] = chart_kernel(line, [(square,)])(*rows.T)
     assert column[_Q_EDGES.index(1e200)] == math.inf
     assert not failed.any()
 
@@ -166,7 +167,7 @@ def test_a_negative_base_with_a_non_finite_exponent_fails_in_every_form(
     with pytest.raises(DomainError, match=message):
         power.evaluate({"q": -1.5, "p_q": exponent})
     with pytest.raises(DomainError, match=message):
-        line._compile_chart((power,))(-1.5, exponent, 0.0)
+        chart_kernel(line, (power,))(-1.5, exponent, 0.0)
     rows = np.array([(q, exponent, 0.25) for q in (-1.5, 1.5, 0.5, -2.0)])
     assert _assert_rows_match(line, (power,), rows) == 2
 
@@ -191,7 +192,7 @@ def test_a_nan_after_the_first_output_fails_its_row(line):
 )
 def test_folded_outputs_are_broadcast_to_every_row(line, trees):
     rows = _q_rows((1.5, -0.0, math.nan))
-    outputs, _ = line._compile_chart(trees, columns=True)(*rows.T)
+    [(outputs, _)] = chart_kernel(line, [trees])(*rows.T)
     assert [column.shape for column in outputs] == [(3,)] * len(trees)
     _assert_rows_match(line, trees, rows)
     _assert_report_matches(line, trees, rows)
@@ -200,7 +201,7 @@ def test_folded_outputs_are_broadcast_to_every_row(line, trees):
 def test_signed_zero_inputs_keep_their_sign(line):
     rows = np.array([(-0.0, -0.0, -0.0), (0.0, -0.0, 0.0)])
     trees = tuple(map(variable, line.chart_names)) + (parse("-q", ("q",)),)
-    outputs, failed = line._compile_chart(trees, columns=True)(*rows.T)
+    [(outputs, failed)] = chart_kernel(line, [trees])(*rows.T)
     assert not failed.any()
     assert [c.tolist()[0] for c in outputs] == [-0.0, -0.0, -0.0, 0.0]
     assert math.copysign(1.0, outputs[0][0]) == -1.0
@@ -222,9 +223,9 @@ def test_sign_is_zero_at_zero_and_at_nan(line):
     # while the dissipated one adds gamma*|NaN| and fails that row only
     quantity = ScalarField("|q|", parse("abs(q)", ("q",)))
     rows = _q_rows((0.0, -0.0, math.nan, 1.0, -1.0))
-    (sign,) = line._compile_chart(
-        (quantity.expression.derivative("q"),), columns=True
-    )(*rows.T)[0]
+    [((sign,), _)] = chart_kernel(
+        line, [(quantity.expression.derivative("q"),)]
+    )(*rows.T)
     assert sign.tolist() == [0.0, 0.0, 0.0, 1.0, -1.0]
     assert math.copysign(1.0, sign[1]) == 1.0
     report = _assert_quantity_matches(line, quantity, rows)
@@ -328,11 +329,11 @@ def test_a_column_kernel_drops_each_column_after_its_last_read():
     # every product and partial sum of a 1,000-term sum is read once, so
     # the kernel holds a few columns at a time, not one per step
     tree = parse(" + ".join(f"{k}*x" for k in range(1, 1001)), ("x",))
-    kernel = ex._compile_kernel(tree, ("x",), {}, columns=True)
+    kernel = ex._compile_kernel([(tree,)], ("x",), {})
     x = np.linspace(-1.0, 1.0, 10_000)
     tracemalloc.start()
     try:
-        values, mask = kernel(x)
+        [((values,), mask)] = kernel(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,10 +347,10 @@ def test_an_output_read_by_a_later_step_is_kept():
     x, y = ex.variable("x"), ex.variable("y")
     product = ex.mul(x, y)
     roots = (product, ex.add(product, x), ex.mul(ex.add(x, y), y))
-    kernel = ex._compile_kernel(roots, ("x", "y"), {}, columns=True)
+    kernel = ex._compile_kernel([roots], ("x", "y"), {})
     scalar = ex._compile_kernel(roots, ("x", "y"), {})
     cols = np.array([1.5, -2.0, 0.25]), np.array([3.0, 0.5, -4.0])
-    values, mask = kernel(*cols)
+    [(values, mask)] = kernel(*cols)
     assert not mask.any()
     rows = list(map(scalar, *(c.tolist() for c in cols)))
     assert [v.tolist() for v in values] == [list(col) for col in zip(*rows)]
@@ -373,22 +374,20 @@ def _bits(column) -> list:
 def test_a_kernel_of_groups_gives_each_group_its_own_kernel(systems, seed, count):
     rng = np.random.default_rng(seed)
     sys = systems[seed % 2]
-    groups = []
-    for _ in range(count):
-        trees = _random_expressions(rng, sys, int(rng.integers(1, 4)), 3)
-        groups.append(trees if rng.random() < 0.7 else trees[0])
+    groups = [
+        _random_expressions(rng, sys, int(rng.integers(1, 4)), 3)
+        for _ in range(count)
+    ]
     # a later group that reads the first group's tree shares its steps
-    shared = groups[0][0] if isinstance(groups[0], tuple) else groups[0]
+    shared = groups[0][0]
     (other,) = _random_expressions(rng, sys, 1, 2)
     groups.append((ex.div(other, shared), ex.call("sqrt", shared)))
     rows = edge_rows(rng, sys.dim, 16)
-    fused = sys._compile_chart(groups, columns=True)(*rows.T)
+    fused = chart_kernel(sys, groups)(*rows.T)
     assert len(fused) == len(groups)
     for group, (values, mask) in zip(groups, fused):
-        alone, alone_mask = sys._compile_chart(group, columns=True)(*rows.T)
+        [(alone, alone_mask)] = chart_kernel(sys, [group])(*rows.T)
         assert mask.dtype == bool and mask.tolist() == alone_mask.tolist()
-        if not isinstance(group, tuple):
-            values, alone = (values,), (alone,)
         assert list(map(_bits, values)) == list(map(_bits, alone))
 
 
@@ -396,7 +395,7 @@ def test_each_group_masks_only_the_rows_its_own_trees_fail(line):
     q, p = variable("q"), variable("p_q")
     groups = [
         (q,),  # no guarded operation
-        ex.call("sqrt", q),  # q < 0
+        (ex.call("sqrt", q),),  # q < 0
         (ex.call("log", p), q),  # p_q <= 0
         (ex.div(q, ex.sub(q, literal(1.5))),),  # q = 1.5
         (ex.div(p, literal(2.0)),),  # a nonzero constant divisor never fails
@@ -405,7 +404,7 @@ def test_each_group_masks_only_the_rows_its_own_trees_fail(line):
     rows = np.array(
         [(1.5, 1.0, 0.0), (-1.0, 1.0, 0.0), (1.0, -1.0, 0.0), (2.0, 0.0, 0.0)]
     )
-    kernel = line._compile_chart(groups, columns=True)
+    kernel = chart_kernel(line, groups)
     masks = [mask.tolist() for _, mask in kernel(*rows.T)]
     assert masks == [
         [False, False, False, False],

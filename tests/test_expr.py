@@ -376,6 +376,30 @@ def test_builder_keeps_division_by_zero_in_the_tree():
         expr.evaluate({})
 
 
+@pytest.mark.parametrize(
+    "build, a, b, value",
+    [
+        (add, 1e308, 1e308, math.inf),
+        (sub, -1e308, 1e308, -math.inf),
+        (mul, 1e200, 1e200, math.inf),
+        (div, 1e300, 1e-300, math.inf),
+    ],
+)
+def test_builder_keeps_a_non_finite_constant_in_the_tree(build, a, b, value):
+    # builders fold finite values only, as kernels do; the node overflows
+    # again when it is evaluated
+    tree = build(literal(a), literal(b))
+    assert type(tree) is ex.Bin
+    assert tree.evaluate({}) == value
+
+
+def test_builder_keeps_an_overflowing_power_in_the_tree():
+    tree = power(literal(10.0), literal(400.0))
+    assert type(tree) is ex.Bin
+    with pytest.raises(DomainError, match="^overflow: "):
+        tree.evaluate({})
+
+
 def test_literal_rejects_non_finite():
     with pytest.raises(ValueError):
         literal(float("inf"))
@@ -397,8 +421,10 @@ def test_finite_difference_reports_a_missing_binding():
 
 
 def test_constant_power_fold_reports_domain_error():
+    # a constant power that raises is left in the tree, as 1/0 is, so
+    # evaluating it reports the domain error
     with pytest.raises(DomainError):
-        power(literal(-2.0), literal(0.5))
+        power(literal(-2.0), literal(0.5)).evaluate({})
 
 
 def test_finite_difference_default_step():
@@ -610,11 +636,11 @@ def test_a_shared_subtree_runs_once_in_both_kernel_forms(monkeypatch, sources):
     calls = _count_calls(monkeypatch, "_sin")
     trees = tuple(parse(source, ("x", "y")) for source in sources)
     scalar = ex._compile_kernel(trees, ("x", "y"), {})
-    column = ex._compile_kernel(trees, ("x", "y"), {}, columns=True)
+    column = ex._compile_kernel([trees], ("x", "y"), {})
     states = [(0.5, 2.0), (1.5, -1.0), (-3.0, 0.25)]
     expected = [scalar(*state) for state in states]
     assert calls == {"scalar": len(states), "column": 0}
-    values, failed = column(*np.array(states).T)
+    [(values, failed)] = column(*np.array(states).T)
     assert calls == {"scalar": len(states), "column": 1}
     assert not failed.any()
     assert [tuple(row) for row in np.array(values).T.tolist()] == expected
@@ -730,7 +756,7 @@ def test_long_sums_and_products_evaluate_like_a_loop(op, count, seed):
         tree = build(tree, variable(name))
         expected = expected + value if op == "+" else expected * value
     scalar = ex._compile_kernel(tree, names, {})(*values)
-    (column,), failed = ex._compile_kernel((tree,), names, {}, columns=True)(
+    [((column,), failed)] = ex._compile_kernel([(tree,)], names, {})(
         *np.array([values]).T
     )
     assert not failed.any()
@@ -780,7 +806,7 @@ def test_a_deep_kernel_raises_the_first_error_of_the_tree():
         tree.evaluate({"x": 0.0})
     with pytest.raises(DomainError, match="^math domain error$"):
         tree.evaluate({"x": 1.0})
-    _, failed = ex._compile_kernel(tree, ("x",), {}, columns=True)(np.array([0.0, 1.0, 6.0]))
+    [(_, failed)] = ex._compile_kernel([(tree,)], ("x",), {})(np.array([0.0, 1.0, 6.0]))
     assert failed.tolist() == [True, True, False]
 
 
@@ -808,8 +834,8 @@ def test_a_hamiltonian_of_many_terms_runs(count):
     for c in coefficients.values():
         expected = expected + c * 0.25
     assert sys.hamiltonian_value(row) == expected + 0.5 + 0.25
-    columns = sys._compile_chart(sys._field, columns=True)
-    values, failed = columns(*np.array([row]).T)
+    columns = ex._compile_kernel([sys._field], sys.chart_names, sys.parameters)
+    [(values, failed)] = columns(*np.array([row]).T)
     assert not failed.any()
     assert sys.flow(row) == tuple(column[0] for column in values)
     states = sample_states(sys, 20, 1)

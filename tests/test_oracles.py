@@ -379,8 +379,8 @@ def test_every_form_of_a_square_is_correctly_rounded():
     by_parameter = parse("x^k", ("x", "k"))  # k = 2 folded in
     trees = (square, by_parameter)
     scalar = ex._compile_kernel(trees, ("x",), {"k": 2.0})
-    (columns, powered), failed = ex._compile_kernel(
-        trees, ("x",), {"k": 2.0}, columns=True
+    [((columns, powered), failed)] = ex._compile_kernel(
+        [trees], ("x",), {"k": 2.0}
     )(np.array(xs))
     assert not failed.any()
     for k, x in enumerate(xs):
