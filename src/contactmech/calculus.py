@@ -176,13 +176,21 @@ def _chart_sum(terms) -> Expression:
     return total
 
 
+def _bits(sys: ContactSystem) -> list:
+    """(bit in ``_vars``, name) per chart name.  A chart sum skips a tree
+    without the bit: its derivative is 0, and the term would fold away."""
+    return [(ex._VAR_BITS.get(var, 0), var) for var in sys.chart_names]
+
+
 def _rate_trees(sys: ContactSystem, field: Sequence[Expression], fs) -> tuple:
-    """L_Y F = sum_k Y^k dF/dx^k for each F of `fs`; dF/dx^k is not built
-    where Y^k is a literal 0, which would fold its term away."""
-    names = sys.chart_names
-    weights = [(v, y) for v, y in zip(names, field) if not ex._is_const(y, 0.0)]
+    """L_Y F = sum_k Y^k dF/dx^k for each F of `fs`; the term of x^k is
+    not built where Y^k is a literal 0 or F is free of x^k."""
+    pairs = zip(_bits(sys), field)
+    weights = [(b, v, y) for (b, v), y in pairs if not ex._is_const(y, 0.0)]
     return tuple(
-        _chart_sum(ex.mul(y_k, f.derivative(var)) for var, y_k in weights)
+        _chart_sum(
+            ex.mul(y_k, f.derivative(var)) for bit, var, y_k in weights if f._vars & bit
+        )
         for f in fs
     )
 
@@ -205,13 +213,14 @@ def _lie_eta_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
     n = sys.n
     y_s = field[2 * n]
 
-    def d_j(var: str) -> Expression:
+    def d_j(bit: int, var: str) -> Expression:
         total = y_s.derivative(var)
-        for momentum, y_q in zip(sys.momenta, field[:n]):
-            total = ex.sub(total, ex.mul(ex.variable(momentum), y_q.derivative(var)))
+        for p, y_q in zip(sys.momenta, field[:n]):
+            if y_q._vars & bit:
+                total = ex.sub(total, ex.mul(ex.variable(p), y_q.derivative(var)))
         return total
 
-    slots = [d_j(var) for var in sys.chart_names]
+    slots = [d_j(bit, var) for bit, var in _bits(sys)]
     return tuple(
         ex.sub(slot, y_p) for slot, y_p in zip(slots, field[n : 2 * n])
     ) + tuple(slots[n:])
@@ -249,10 +258,11 @@ def _map_deviation_trees(sys: ContactSystem, image: Sequence[Expression]) -> tup
             _chart_sum(
                 ex.mul(e_k, phi_k.derivative(var))
                 for e_k, phi_k in zip(eta_image, image)
+                if phi_k._vars & bit
             ),
             e_j,
         )
-        for var, e_j in zip(sys.chart_names, eta_here)
+        for (bit, var), e_j in zip(_bits(sys), eta_here)
     )
     moved = ex.substitute(sys.hamiltonian, dict(zip(sys.chart_names, image)))
     return form + (ex.sub(moved, sys.hamiltonian),)

@@ -19,10 +19,10 @@ expression in its own right.  Nodes are hash-consed: structurally equal
 trees are one object, so equality and hashing are identity and take
 O(1), and copying or unpickling a node returns the live node.  Each node
 keeps its derivatives, derived once per variable and shared by every
-tree that contains the node.  The intern table holds nodes weakly, so
-nothing outlives the trees that use it.  Expressions are immutable and
-evaluation is pure, so concurrent use from any number of threads is
-safe.
+tree that contains the node.  The intern table is a dict of weak
+references, each deleted when its node dies, so nothing outlives the
+trees that use it.  Expressions are immutable and evaluation is pure,
+so concurrent use from any number of threads is safe.
 
 Derivatives are exact and symbolic: ``Expression.derivative`` rewrites
 the tree into another expression, so differentiating a derivative again
@@ -42,14 +42,15 @@ of trees, a column kernel.  Placing lists each distinct operation once,
 in the order of evaluating each tree alone, with constants folded in,
 and one table, ``_OPS``, gives each operation's scalar and column function.
 A scalar kernel is one straight-line function of named values as
-positional arguments, generated as Python source from the steps and
-compiled: a step read once is inlined where it is read, and a shared
-step or one nesting deeper than `_MAX_NESTING` parentheses binds the
-code not yet read to statements before the ``return``.  An expression
-compiles itself over its sorted names for ``evaluate``; a contact system
-compiles its flow, H and the operator trees of ``calculus`` over its
-chart, with its parameters folded in, for single states.  Compilation
-is lazy and cached, a benign race.
+positional arguments, generated as Python source from the steps, with
+only the parentheses that precedence needs, and compiled: a step read
+once is inlined where it is read, and a shared step or one nesting
+deeper than `_MAX_NESTING` operations binds the code not yet read to
+statements before the ``return``.  An expression compiles itself over
+its sorted names for ``evaluate``; a contact system compiles its flow,
+H and the operator trees of ``calculus`` over its chart, with its
+parameters folded in, for single states.  Compilation is lazy and
+cached, a benign race.
 
 A column kernel compiles nothing: it runs the same steps over numpy
 arrays, one row per state, and returns with each group's values a mask
@@ -75,6 +76,7 @@ import math
 import operator
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -186,13 +188,16 @@ def _sign(x):
 # Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 # hash-consing", 2006): making a node returns the live node of the same
 # structure when there is one, so structurally equal subtrees are one
-# object, compared and hashed by identity.  The table holds its nodes
-# weakly, so a tree dies with its last user.  Its keys name children by
-# `id`, which is unique while the parent holds them, so that no key
-# holds a node: a derivative memo (see `_diff`) that leads back to its
-# node is then a cycle the collector can free.  The lock makes finding
-# or adding a node atomic across threads.  A node is immutable apart
-# from its caches: that memo, its names and its kernel.
+# object, compared and hashed by identity.  The table is a dict of weak
+# references, so a tree dies with its last user: each reference carries
+# its key, which its callback deletes as `WeakValueDictionary` does, by
+# `_remove_dead_weakref`, unless the key holds a live node again.  Keys
+# name children by `id`, which is unique while the parent holds them,
+# so that no key holds a node: a derivative memo (see `_diff`) that
+# leads back to its node is then a cycle the collector can free.
+# Finding a node takes no lock; the lock makes adding one atomic across
+# threads.  A node is immutable apart from its caches: that memo, its
+# names and its kernel.
 #
 # Each node also keeps ``_vars``, an int with the bit of every variable
 # below it, the OR of its children's: `_VAR_BITS` gives each variable
@@ -202,8 +207,9 @@ def _sign(x):
 # would not; differentiating skips each subtree free of the variable
 # without walking it.
 
-_NODES = weakref.WeakValueDictionary()  # structure key -> live node
+_NODES: dict = {}  # structure key -> a `_Ref` to its node
 _NODES_LOCK = threading.Lock()
+_MISSING = type(None)  # what a missing key gives: called, like a dead `_Ref`, None
 _VAR_BITS: dict = {}  # variable name -> its bit in ``_vars``
 _set = object.__setattr__
 
@@ -280,11 +286,21 @@ class Expression:
         return f"Expression({_to_source(self)!r})"
 
 
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that carries its table key."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    _remove_dead_weakref(_NODES, ref.key)
+
+
 def _interned(cls, key: tuple, values: tuple):
-    node = _NODES.get(key)
+    node = _NODES.get(key, _MISSING)()
     if node is None:
         with _NODES_LOCK:
-            node = _NODES.get(key)
+            node = _NODES.get(key, _MISSING)()
             if node is None:
                 node = object.__new__(cls)
                 for name, value in zip(cls._fields, values):
@@ -298,7 +314,8 @@ def _interned(cls, key: tuple, values: tuple):
                     for child in _children(node):
                         bits |= child._vars
                 _set(node, "_vars", bits)
-                _NODES[key] = node
+                ref = _NODES[key] = _Ref(node, _drop)
+                ref.key = key
     return node
 
 
@@ -397,7 +414,9 @@ def _walk(roots: Iterable[Expression], done, below: Callable = _children):
                 node, rest = stack.pop()
 
 
-# Printer precedence levels; a negative literal prints like a unary minus.
+# Precedence levels of the printer, where a negative literal prints like
+# a unary minus, and of the scalar-kernel source: Python orders + -, * /,
+# unary minus and atoms as the grammar does.
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
 
 
@@ -542,9 +561,10 @@ _HELPERS = {
     **{name: scalar for name, (scalar, _) in _OPS.items() if name[0] == "_"},
 }
 
-#: How deeply `_Emitter.source` nests the parentheses of one Python
-#: expression before it binds the code written so far to statements;
-#: CPython's parser stops at 200.
+#: How deeply `_Emitter.source` nests the operations of one Python
+#: expression before it binds the code written so far to statements.  It
+#: bounds expression nesting, not parentheses, of which the code has at
+#: most as many; CPython's parser stops at 200 nested parentheses.
 _MAX_NESTING = 64
 
 # A kernel raises DomainError itself, so callers see no raw arithmetic
@@ -682,37 +702,52 @@ class _Emitter:
     def source(self, roots) -> list:
         """One Python expression per root, to be evaluated in order after
         the statements that it puts in ``lines``, written from the steps
-        of `columns` in one pass."""
+        of `columns` in one pass.
+
+        An operand is in parentheses only where Python's precedence
+        needs them: below its operator's, or equal to it on the right of
+        a binary operator, which associates left.  So a negated sum or
+        product keeps them, and the code parses to the tree that writing
+        every operation in parentheses would give."""
         cells, steps, outputs = self.columns(roots)
         reads = Counter(chain(outputs, *(args for _, args in steps.values())))
         code = [f"v{k}" for k in range(len(self.index))]
         code += [None if v is None else repr(v) for v in cells]
-        depth = [0] * len(code)  # nesting of the parentheses in code[k]
+        # nothing written binds tighter than a unary minus, so a name or a
+        # literal, even a negative one, needs no parentheses
+        prec = [_PREC_ATOM] * len(code)
+        depth = [0] * len(code)  # expression nesting in code[k]
         unread = {}  # steps written and not yet read, in the order written
 
-        def read(k):
-            """The code of slot ``k`` where it is read, and its depth."""
+        def read(k, limit=0):
+            """The code of slot ``k`` where it is read, in parentheses if
+            its precedence is below ``limit``, and its depth."""
             text = code[k]
             if k in unread:  # read once: inlined here
                 del unread[k]
                 code[k] = None
-            return text, depth[k]
+            return (f"({text})" if prec[k] < limit else text), depth[k]
 
         for slot, (helper, args) in steps.items():
-            texts, depths = zip(*map(read, args))
             if helper == "neg":
-                code[slot] = f"(-{texts[0]})"
+                p = _PREC_NEG
+                arg, d = read(args[0], p)
+                text, depths = "-" + arg, (d,)
             elif helper[0] == "_":
-                code[slot] = f"{helper}({', '.join(texts)})"
+                p = _PREC_ATOM
+                texts, depths = zip(*map(read, args))
+                text = f"{helper}({', '.join(texts)})"
             else:
-                code[slot] = f"({texts[0]} {helper} {texts[1]})"
-            depth[slot] = 1 + max(depths)
+                p = _PREC_ADD if helper in "+-" else _PREC_MUL
+                (lhs, d_lhs), (rhs, d_rhs) = read(args[0], p), read(args[1], p + 1)
+                text, depths = f"{lhs} {helper} {rhs}", (d_lhs, d_rhs)
+            code[slot], prec[slot], depth[slot] = text, p, 1 + max(depths)
             unread[slot] = None
             if reads[slot] > 1 or depth[slot] > _MAX_NESTING:
                 for k in unread:
                     temp = f"t{len(self.lines)}"
                     self.lines.append(f"{temp} = {code[k]}")
-                    code[k], depth[k] = temp, 0
+                    code[k], prec[k], depth[k] = temp, _PREC_ATOM, 0
                 unread.clear()
         return [read(k)[0] for k in outputs]
 

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .contact_core import ChartPoint, ContactSystem, _given
-from .expr import DomainError
+from .expr import DomainError, _Emitter
 
 if TYPE_CHECKING:
     import numpy as np
@@ -215,7 +215,17 @@ def _diverged(sys: ContactSystem, message: str, t: float, last_good):
 
 def _check_final(sys: ContactSystem, row: tuple, t: float, last_good: tuple) -> None:
     """DivergenceError, naming the state `last_good` at `t` before it,
-    where the H kernel of `write_trajectory_csv` fails at the final `row`."""
+    where the H kernel of `write_trajectory_csv` fails at the final `row`.
+
+    H is evaluated by `_Emitter.fold`, with the final state bound as
+    constants: it applies the kernel's scalar functions in the kernel's
+    order and gives None where one raises.  Only then is the kernel
+    compiled, for its error message, so a command that writes no CSV
+    compiles no H kernel."""
+    emitter = _Emitter((), {**sys.parameters, **dict(zip(sys.chart_names, row))})
+    emitter.fold((sys.hamiltonian,))
+    if emitter.values[sys.hamiltonian] is not None:
+        return
     try:
         sys._kernel(_given, sys.hamiltonian)(*row)
     except DomainError as exc:

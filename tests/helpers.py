@@ -14,6 +14,9 @@ The integrator comparisons need a plain Runge-Kutta reference: one
 comprehensions over the components, and the library's own finiteness
 check and error constructor, in the same time loops as the library.
 
+The scalar-source comparisons need a writer that puts every operation
+in parentheses, with the same binding rule as `expr._Emitter.source`.
+
 The column-kernel comparisons need the per-row check loop the batched
 checks replaced: one scalar-kernel call per state, a ``try`` around it,
 and the report statistics in plain Python, with the same tree builders
@@ -24,6 +27,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 
@@ -498,3 +503,42 @@ def edge_rows(rng, dim: int, count: int) -> np.ndarray:
     picks = rng.integers(len(_EDGE_VALUES), size=(count, dim))
     rows[edges] = np.array(_EDGE_VALUES)[picks[edges]]
     return rows
+
+
+def parenthesized_source(emitter, roots) -> tuple:
+    """``(lines, parts)`` of a scalar kernel of ``roots``: the statements
+    and the returned expressions that `expr._Emitter.source` writes, but
+    with every operation in parentheses, from the same steps and with
+    the same binding rule."""
+    cells, steps, outputs = emitter.columns(roots)
+    reads = Counter(chain(outputs, *(args for _, args in steps.values())))
+    code = [f"v{k}" for k in range(len(emitter.index))]
+    code += [None if v is None else repr(v) for v in cells]
+    depth = [0] * len(code)
+    unread = {}
+    lines = []
+
+    def read(k):
+        text = code[k]
+        if k in unread:
+            del unread[k]
+            code[k] = None
+        return text, depth[k]
+
+    for slot, (helper, args) in steps.items():
+        texts, depths = zip(*map(read, args))
+        if helper == "neg":
+            code[slot] = f"(-{texts[0]})"
+        elif helper[0] == "_":
+            code[slot] = f"{helper}({', '.join(texts)})"
+        else:
+            code[slot] = f"({texts[0]} {helper} {texts[1]})"
+        depth[slot] = 1 + max(depths)
+        unread[slot] = None
+        if reads[slot] > 1 or depth[slot] > ex._MAX_NESTING:
+            for k in unread:
+                temp = f"t{len(lines)}"
+                lines.append(f"{temp} = {code[k]}")
+                code[k], depth[k] = temp, 0
+            unread.clear()
+    return lines, [read(k)[0] for k in outputs]

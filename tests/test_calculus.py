@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from contactmech import (
     PointMap,
     ScalarField,
@@ -16,6 +17,8 @@ from contactmech import (
     sample_states,
     vf_jacobian,
 )
+from contactmech import calculus
+from contactmech import expr as ex
 from contactmech.contact_core import _given
 
 
@@ -199,3 +202,33 @@ def test_scalar_field_value(gravity, base_point):
         "T", parse("(p_x^2 + p_y^2)/(2*m)", ("p_x", "p_y", "m"))
     )
     assert kinetic.value(gravity, base_point) == 1.0
+
+
+def test_a_skipped_chart_term_is_one_the_builders_fold_away():
+    # the operator trees skip the term of each chart variable that the
+    # differentiated tree does not hold: its derivative is the literal 0,
+    # and these folds are why skipping it leaves every tree as it was
+    rng = np.random.default_rng(2027)
+    names = ("a", "b", "c", "d")
+
+    def tree(depth):
+        if rng.random() < 0.3:
+            return ex.literal(rng.choice([0.0, -0.0, 1.0, -1.0, -2.5, 1e300]))
+        return parse(helpers.edge_source(rng, names, depth), names)
+
+    skipped = 0
+    for _ in range(300):
+        held = names[: rng.integers(1, len(names) + 1)]
+        f = parse(helpers.edge_source(rng, held, 3), held)
+        y = tree(2)
+        # a chart sum starts at the literal 0, so no partial sum is the
+        # literal -0.0, the one total that adding a 0 would change
+        total = calculus._chart_sum(tree(2) for _ in range(rng.integers(4)))
+        other = tree(3)  # subtracting a 0 changes no total
+        for var in names:
+            if f._vars & ex._VAR_BITS[var]:
+                continue
+            skipped += 1
+            assert ex.add(total, ex.mul(y, f.derivative(var))) is total
+            assert ex.sub(other, ex.mul(ex.variable(var), f.derivative(var))) is other
+    assert skipped > 300

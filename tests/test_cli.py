@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 import yaml
 
+import helpers
 from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
 from contactmech import cli
 from contactmech import expr as ex
 from contactmech.cli import main
 from contactmech.expr import literal, variable
+from contactmech.specdoc import write_document
 
 SHIPPED_SPEC = "specs/gravity_friction.yaml"
 DATA = Path(__file__).parent / "data"
@@ -256,6 +258,18 @@ def test_verify_reports_quotients_of_verified_pairs_only(tmp_path, capsys):
     assert quotients == ["momentum_x/energy"]
     expected = DATA / "x_position_dissipated.report.json"
     assert report.read_bytes() == expected.read_bytes()
+
+
+def test_verify_of_the_chain_writes_the_golden_report(tmp_path, capsys):
+    # the report of a fresh run, written by an earlier version: building
+    # the check trees or the kernels differently must not move a byte
+    spec = tmp_path / "chain.yaml"
+    write_document(helpers.chain_document(), spec)
+    report = tmp_path / "report.json"
+    argv = ["verify", str(spec), "--tf", "2", "--dt", "5e-3", "--seed", "3"]
+    assert main([*argv, "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert report.read_bytes() == (DATA / "chain.report.json").read_bytes()
 
 
 def test_verify_can_reuse_a_trajectory(gravity_spec, tmp_path, capsys):
@@ -668,6 +682,25 @@ def test_analyze_runs_one_column_kernel_on_the_sampled_states(monkeypatch, capsy
     assert main(["analyze", SHIPPED_SPEC, "x_translation"]) == 0
     assert "conserved ratio" in capsys.readouterr().out
     assert groups == [3, 1]
+
+
+def test_a_fresh_verify_compiles_one_scalar_kernel(
+    gravity_spec, tmp_path, monkeypatch, capsys
+):
+    # the flow's: the checks run column kernels, and the final state's H
+    # is evaluated by folding, so no H kernel is compiled for a run that
+    # writes no CSV
+    sources = []
+
+    def counting(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(ex, "compile", counting, raising=False)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(gravity_spec), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert len(sources) == 1
 
 
 def test_analyze_non_symmetry(capsys):

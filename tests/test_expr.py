@@ -1,5 +1,6 @@
 """Parser, printer, evaluator, and symbolic differentiation."""
 
+import ast
 import copy
 import dataclasses
 import gc
@@ -32,6 +33,7 @@ from contactmech import (
     parse,
     sample_states,
 )
+from contactmech import analysis
 from contactmech import expr as ex
 from contactmech.cli import main
 from contactmech.specdoc import parse_document, write_document
@@ -472,12 +474,12 @@ def test_signed_zero_literals_stay_apart():
     assert str(literal(-0.0)) == "-0.0"
 
 
-class _SlowTable(weakref.WeakValueDictionary):
+class _SlowTable(dict):
     """An intern table that yields to other threads before each insert."""
 
-    def __setitem__(self, key, node):
+    def __setitem__(self, key, ref):
         time.sleep(0.001)
-        super().__setitem__(key, node)
+        super().__setitem__(key, ref)
 
 
 def test_threads_intern_equal_trees_to_one_node(monkeypatch):
@@ -548,10 +550,26 @@ def test_a_dropped_tree_leaves_the_intern_table():
     del tree
     gc.collect()
     assert root() is None
+    gc.disable()  # no callback changes the table while it is read
+    try:
+        live = [ref() for ref in list(ex._NODES.values())]
+    finally:
+        gc.enable()
     assert not any(
-        isinstance(node, ex.Var) and node.name == "only_here"
-        for node in list(ex._NODES.values())
+        isinstance(node, ex.Var) and node.name == "only_here" for node in live
     )
+
+
+def test_the_intern_table_holds_every_node_weakly():
+    tree = parse("x*sin(y) - 3", ("x", "y"))
+    gc.disable()
+    try:
+        table = dict(ex._NODES)
+    finally:
+        gc.enable()
+    assert all(isinstance(ref, weakref.ref) for ref in table.values())
+    assert all(ref.key is key for key, ref in table.items())
+    assert tree in {ref() for ref in table.values()}
 
 
 def test_no_node_outlives_a_chain_command(tmp_path):
@@ -606,6 +624,37 @@ def test_verify_of_the_chain_applies_each_rule_once(tmp_path, monkeypatch):
     assert len(set(applied)) == len(applied)
 
 
+def test_the_chain_check_trees_differentiate_only_what_holds_the_variable(
+    tmp_path, monkeypatch
+):
+    # a chart sum builds no term whose derivative is the literal 0, so
+    # building every check tree of a verify takes O(dim) derivatives of
+    # the chain, not one per term of every chart sum (46,617 at n = 50)
+    n = 50
+    spec = tmp_path / "chain.yaml"
+    write_document(helpers.chain_document(n), spec)
+    calls = [0]
+    building = [False]
+    diff, requested = ex._diff, analysis._requested
+
+    def counting(root, var):
+        calls[0] += building[0]
+        return diff(root, var)
+
+    def building_trees(sys, requests):
+        building[0] = True
+        try:
+            return requested(sys, requests)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(ex, "_diff", counting)
+    monkeypatch.setattr(analysis, "_requested", building_trees)
+    report = tmp_path / "report.json"
+    assert main(["verify", str(spec), "--tf", "1", "--report", str(report)]) == 0
+    assert 0 < calls[0] <= 10 * (2 * n + 1)
+
+
 def _count_calls(monkeypatch, helper: str) -> dict:
     """Calls of ``helper`` in the kernels compiled from now on, by form."""
     calls = {"scalar": 0, "column": 0}
@@ -650,31 +699,69 @@ def test_a_shared_subtree_runs_once_in_both_kernel_forms(monkeypatch, sources):
     "sources, code",
     [
         # used once: inlined, nothing bound
-        (("sin(x)*y + x*y",), ([], ["((_sin(v0) * v1) + (v0 * v1))"])),
+        (("sin(x)*y + x*y",), ([], ["_sin(v0) * v1 + v0 * v1"])),
         (
             ("sin(x)*y", "sin(x) + 1"),
-            (["t0 = _sin(v0)"], ["(t0 * v1)", "(t0 + 1.0)"]),
+            (["t0 = _sin(v0)"], ["t0 * v1", "t0 + 1.0"]),
         ),
         (("sin(x)", "sin(x)"), (["t0 = _sin(v0)"], ["t0", "t0"])),
         # bound where it first runs, before the later use inside sin
-        (("exp(x)*sin(exp(x))",), (["t0 = _exp(v0)"], ["(t0 * _sin(t0))"])),
+        (("exp(x)*sin(exp(x))",), (["t0 = _exp(v0)"], ["t0 * _sin(t0)"])),
         (
             ("sin(x*y)^2 + cos(x*y)",),
             # a square reads its base twice, so the base is bound
-            (["t0 = (v0 * v1)", "t1 = _sin(t0)"], ["((t1 * t1) + _cos(t0))"]),
+            (["t0 = v0 * v1", "t1 = _sin(t0)"], ["t1 * t1 + _cos(t0)"]),
         ),
         (
             ("exp(x)*exp(y) + exp(y)/exp(x)",),
-            (["t0 = _exp(v0)", "t1 = _exp(v1)"], ["((t0 * t1) + (t1 / t0))"]),
+            (["t0 = _exp(v0)", "t1 = _exp(v1)"], ["t0 * t1 + t1 / t0"]),
         ),
         # a folded subtree is a literal wherever it occurs
-        (("x*2^3 + y*2^3",), ([], ["((v0 * 8.0) + (v1 * 8.0))"])),
+        (("x*2^3 + y*2^3",), ([], ["v0 * 8.0 + v1 * 8.0"])),
     ],
 )
 def test_the_scalar_source_binds_a_temporary_only_for_a_shared_subtree(sources, code):
     trees = [parse(source, ("x", "y")) for source in sources]
     emitter = ex._Emitter(("x", "y"), {})
     assert (emitter.lines, emitter.source(trees)) == code
+
+
+def _deep_tree(rng, leaves: list, length: int):
+    """A chain of ``length`` random operations, unfolded, on either side
+    of the chain or around it, each with a leaf from ``leaves``."""
+    tree = leaves[0]
+    for k in range(length):
+        leaf = leaves[k % len(leaves)]
+        op = "+-*/^"[rng.integers(5)]
+        pick = rng.integers(3)
+        if pick == 0:
+            tree = ex.Neg(tree)
+        elif pick == 1:
+            tree = ex.Bin(op, tree, leaf)
+        else:
+            tree = ex.Bin(op, leaf, tree)
+    return tree
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3), depth=st.integers(1, 5))
+def test_the_scalar_source_parses_as_if_every_operation_were_in_parentheses(
+    seed, count, depth
+):
+    rng = np.random.default_rng(seed)
+    names = ("x", "y", "c")
+    trees = [parse(helpers.edge_source(rng, names, depth), names) for _ in range(count)]
+    # a subtree read twice is bound; so is code nested past _MAX_NESTING
+    trees.append(add(trees[0], mul(trees[-1], neg(trees[0]))))
+    trees.append(_deep_tree(rng, trees, int(rng.integers(1, 3 * ex._MAX_NESTING))))
+    constants = {"c": float(rng.choice([-2.5, -0.0, 0.5, 800.0]))}
+    emitter = ex._Emitter(("x", "y"), constants)
+    parts = emitter.source(trees)
+    reference = helpers.parenthesized_source(ex._Emitter(("x", "y"), constants), trees)
+    assert len(emitter.lines) == len(reference[0])
+    for code, full in zip(emitter.lines + parts, reference[0] + reference[1]):
+        assert ast.dump(ast.parse(code)) == ast.dump(ast.parse(full))
+        assert len(code) <= len(full)
 
 
 def _outcome(run) -> tuple:
