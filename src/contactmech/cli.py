@@ -368,6 +368,7 @@ def cmd_export_model(args) -> int:
         except ValueError:
             raise _UsageError(f"--param {key}: {value!r} is not a number") from None
     out = args.out if args.out is not None else f"{args.name}.yaml"
+    _require_directory(out)
     write_document(document_for_model(args.name, overrides), out)
     print(f"wrote {out}")
     return EXIT_OK

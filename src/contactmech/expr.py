@@ -30,10 +30,10 @@ gives exact second derivatives without finite differencing.
 
 `_walk` is the one traversal of trees: depth first and left to right
 with an explicit stack, each distinct node once, after the nodes below
-it.  Collecting names, printing, pickling, differentiating,
-substituting, folding and placing are rules on it, so a tree of any
-depth can be handled; only the parser recurses, and it rejects nesting
-deeper than `_MAX_PARSE_DEPTH` as a ParseError.
+it.  Printing, pickling, differentiating, substituting, folding and
+placing are rules on it, so a tree of any depth can be handled; only
+the parser recurses, and it rejects nesting deeper than
+`_MAX_PARSE_DEPTH` as a ParseError.
 
 ``_compile_kernel`` makes a kernel of a batch of trees from one list of
 steps, in the form that the shape of the batch picks: an expression or
@@ -46,11 +46,11 @@ positional arguments, generated as Python source from the steps, with
 only the parentheses that precedence needs, and compiled: a step read
 once is inlined where it is read, and a shared step or one nesting
 deeper than `_MAX_NESTING` operations binds the code not yet read to
-statements before the ``return``.  An expression compiles itself over
-its sorted names for ``evaluate``; a contact system compiles its flow,
-H and the operator trees of ``calculus`` over its chart, with its
-parameters folded in, for single states.  Compilation is lazy and
-cached, a benign race.
+statements before the ``return``.  A contact system compiles its
+flow, H and the operator trees of ``calculus`` over its chart, with its
+parameters folded in, for single states, lazily and cached (a benign
+race).  ``evaluate`` folds instead, with every name bound as a constant,
+which runs the kernel's scalar functions in the kernel's order.
 
 A column kernel compiles nothing: it runs the same steps over numpy
 arrays, one row per state, and returns with each group's values a mask
@@ -196,21 +196,22 @@ def _sign(x):
 # so that no key holds a node: a derivative memo (see `_diff`) that
 # leads back to its node is then a cycle the collector can free.
 # Finding a node takes no lock; the lock makes adding one atomic across
-# threads.  A node is immutable apart from its caches: that memo, its
-# names and its kernel.
+# threads.  A node is immutable apart from its derivative memo.
 #
 # Each node also keeps ``_vars``, an int with the bit of every variable
 # below it, the OR of its children's: `_VAR_BITS` gives each variable
 # name its bit when a `Var` of it is first made, under the lock, and
-# never takes it back.  An OR of ints costs one machine word per 64
-# names, so a long sum costs linear time, which a set of names per node
-# would not; differentiating skips each subtree free of the variable
-# without walking it.
+# never takes it back, and `_VAR_NAMES` lists the names by bit, so
+# `Expression.names` decodes ``_vars``.  An OR of ints costs one machine
+# word per 64 names, so a long sum costs linear time, which a set of
+# names per node would not; differentiating skips each subtree free of
+# the variable without walking it.
 
 _NODES: dict = {}  # structure key -> a `_Ref` to its node
 _NODES_LOCK = threading.Lock()
 _MISSING = type(None)  # what a missing key gives: called, like a dead `_Ref`, None
 _VAR_BITS: dict = {}  # variable name -> its bit in ``_vars``
+_VAR_NAMES: list = []  # bit k -> its variable name
 _set = object.__setattr__
 
 
@@ -223,7 +224,7 @@ class Expression:
     one node, so ``==`` is ``is``.
     """
 
-    __slots__ = ("_diffs", "_names", "_fn", "_vars", "__weakref__")
+    __slots__ = ("_diffs", "_vars", "__weakref__")
     _fields: tuple = ()
 
     def __setattr__(self, name, value):
@@ -247,31 +248,28 @@ class Expression:
 
     @property
     def names(self) -> frozenset:
-        """Every variable name in the tree, collected on first read."""
-        if self._names is None:  # benign race: the walk is deterministic
-            seen = set()
-            for node in _walk((self,), seen):
-                seen.add(node)
-            _set(self, "_names", frozenset(
-                node.name for node in seen if isinstance(node, Var)
-            ))
-        return self._names
+        """Every variable name in the tree, decoded from ``_vars``."""
+        bits = bin(self._vars)[:1:-1]  # bit k at index k
+        return frozenset(name for name, bit in zip(_VAR_NAMES, bits) if bit == "1")
 
     def _run(self, env: Mapping[str, float]):
-        """Value from a kernel over the sorted names, all bound in ``env``;
-        the first unbound one in that order is reported before evaluating."""
-        if self._fn is None:  # benign race: compilation is deterministic
-            order = tuple(sorted(self.names))
-            _set(self, "_fn", (order, _compile_kernel(self, order, {})))
-        order, kernel = self._fn
-        try:
-            args = [env[name] for name in order]
-        except KeyError as exc:
-            raise MissingBindingError(exc.args[0]) from None
-        return kernel(*args)
+        """Value by `_Emitter.fold` with ``env`` as the constants.  The first
+        unbound name in sorted order is reported before evaluating, and the
+        first operation that raises as the DomainError a kernel would raise."""
+        unbound = self.names.difference(env)
+        if unbound:
+            raise MissingBindingError(min(unbound))
+        emitter = _Emitter((), env)
+        emitter.fold((self,))
+        value = emitter.values[self]
+        if value is None:
+            raise emitter.error from None
+        return value
 
     def evaluate(self, bindings: Bindings) -> float:
-        """Value at ``bindings``; every referenced name must be bound."""
+        """Value at ``bindings``; every referenced name must be bound.  It
+        compiles nothing, so a first call is cheaper than a kernel and each
+        later one dearer: per-state work runs a `ContactSystem`'s kernels."""
         return self._run({k: float(v) for k, v in bindings.items()})
 
     def derivative(self, var: str) -> "Expression":
@@ -305,10 +303,12 @@ def _interned(cls, key: tuple, values: tuple):
                 node = object.__new__(cls)
                 for name, value in zip(cls._fields, values):
                     _set(node, name, value)
-                for name in ("_diffs", "_names", "_fn"):
-                    _set(node, name, None)
+                _set(node, "_diffs", None)
                 if cls is Var:
-                    bits = _VAR_BITS.setdefault(values[0], 1 << len(_VAR_BITS))
+                    bits = _VAR_BITS.get(values[0])
+                    if bits is None:
+                        bits = _VAR_BITS[values[0]] = 1 << len(_VAR_NAMES)
+                        _VAR_NAMES.append(values[0])
                 else:
                     bits = 0
                     for child in _children(node):
@@ -385,13 +385,13 @@ def _walk(roots: Iterable[Expression], done, below: Callable = _children):
     """Each node under ``roots`` that is not in ``done``: depth first and
     left to right, after the nodes below it.
 
-    This is the one traversal of trees.  Every rule on them (names,
-    printing, pickling, folding, placing, differentiating, substituting)
-    is a loop ``for node in _walk(...)`` that keeps its result for each
-    node in ``done`` before it asks for the next, so each node comes
-    once, and reads the results of the nodes ``below`` it: its children,
-    unless the rule stops there.  The stack is explicit, so no tree is
-    too deep to walk.
+    This is the one traversal of trees.  Every rule on them (printing,
+    pickling, folding, placing, differentiating, substituting) is a loop
+    ``for node in _walk(...)`` that keeps its result for each node in
+    ``done`` before it asks for the next, so each node comes once, and
+    reads the results of the nodes ``below`` it: its children, unless
+    the rule stops there.  The stack is explicit, so no tree is too deep
+    to walk.
     """
     for root in roots:
         if root in done:
@@ -614,10 +614,12 @@ class _Emitter:
         self.cells: list = []  # its slots after the variables' columns
         self.steps: dict = {}  # its operations, see `columns`
         self.lines: list = []  # statements that `source` puts before the return
+        self.error = None  # the DomainError of the first operation `fold` left
 
     def fold(self, roots) -> None:
         """Fill ``values`` with each node's value known at compile time,
-        possibly infinite, or None if unknown."""
+        possibly infinite, or None if unknown, and ``error`` with what the
+        first operation that raises would raise in a kernel."""
         values = self.values
         for node in _walk(roots, values):
             kind = type(node)
@@ -632,8 +634,10 @@ class _Emitter:
                 if None not in args:
                     try:
                         out = _OPS[helper][0](*args)
-                    except _ROW_ERRORS:
-                        pass  # left in the code, so the call raises as before
+                    except _ROW_ERRORS as exc:  # left in the code, to raise there
+                        if self.error is None:
+                            self.error = (exc if isinstance(exc, DomainError)
+                                          else _domain_error(exc))
             values[node] = out
 
     def folded(self, node: Expression):

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .contact_core import ChartPoint, ContactSystem, _given
-from .expr import DomainError, _Emitter
+from .expr import DomainError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -217,17 +217,11 @@ def _check_final(sys: ContactSystem, row: tuple, t: float, last_good: tuple) -> 
     """DivergenceError, naming the state `last_good` at `t` before it,
     where the H kernel of `write_trajectory_csv` fails at the final `row`.
 
-    H is evaluated by `_Emitter.fold`, with the final state bound as
-    constants: it applies the kernel's scalar functions in the kernel's
-    order and gives None where one raises.  Only then is the kernel
-    compiled, for its error message, so a command that writes no CSV
-    compiles no H kernel."""
-    emitter = _Emitter((), {**sys.parameters, **dict(zip(sys.chart_names, row))})
-    emitter.fold((sys.hamiltonian,))
-    if emitter.values[sys.hamiltonian] is not None:
-        return
+    H is interpreted by `Expression._run`, which raises the DomainError
+    of that kernel, so a command that writes no CSV compiles no H
+    kernel."""
     try:
-        sys._kernel(_given, sys.hamiltonian)(*row)
+        sys.hamiltonian._run(sys.bindings(row))
     except DomainError as exc:
         message = f"H undefined at the final state: {exc}"
         raise _diverged(sys, message, t, last_good) from None

@@ -586,6 +586,22 @@ def test_a_missing_output_directory_fails_before_integrating(
     assert not out.parent.exists()
 
 
+def test_export_model_into_a_missing_directory_fails_as_simulate_does(
+    tmp_path, capsys, monkeypatch
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("wrote before checking the output")
+
+    monkeypatch.setattr(cli, "write_document", unreachable)
+    out = tmp_path / "missing" / "osc.yaml"
+    assert main(["export-model", "damped_oscillator", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == f"error: cannot write {out}: {out.parent} is not a directory"
+    assert not out.parent.exists()
+
+
 def _without_libyaml(monkeypatch):
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from contactmech import (
     parse,
     sample_states,
 )
-from contactmech import analysis
+from contactmech import analysis, integrate
 from contactmech import expr as ex
 from contactmech.cli import main
 from contactmech.specdoc import parse_document, write_document
@@ -572,6 +573,78 @@ def test_the_intern_table_holds_every_node_weakly():
     assert tree in {ref() for ref in table.values()}
 
 
+def test_a_node_keeps_only_its_derivatives_and_variable_bits():
+    assert ex.Expression.__slots__ == ("_diffs", "_vars", "__weakref__")
+
+
+class _SlowNames(list):
+    """`expr._VAR_NAMES` that yields to other threads before each append."""
+
+    def append(self, name):
+        time.sleep(0.0001)
+        super().append(name)
+
+
+def test_threads_give_fresh_names_one_bit_each(monkeypatch):
+    # more threads than cores make Vars of fresh names at once: a name
+    # given its bit outside the lock would share it with another
+    fresh = [[f"fresh_{k}_{j}_{time.monotonic_ns()}" for j in range(100)] for k in range(6)]
+    names = ex._VAR_NAMES
+    monkeypatch.setattr(ex, "_VAR_NAMES", _SlowNames(names))
+    start = threading.Barrier(len(fresh))
+
+    def make_all(batch):
+        start.wait(timeout=10)
+        for name in batch:
+            variable(name)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=make_all, args=(batch,)) for batch in fresh]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        names[len(names):] = ex._VAR_NAMES[len(names):]  # kept when restored
+    assert len(ex._VAR_NAMES) == len(ex._VAR_BITS)
+    for name in chain.from_iterable(fresh):
+        assert ex._VAR_NAMES[ex._VAR_BITS[name].bit_length() - 1] == name
+        assert variable(name).names == {name}
+
+
+def _walked_names(tree) -> frozenset:
+    """The names of the `Var` nodes a walk of ``tree`` meets."""
+    seen = set()
+    for node in ex._walk((tree,), seen):
+        seen.add(node)
+    return frozenset(node.name for node in seen if isinstance(node, ex.Var))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5))
+def test_names_are_the_variables_a_walk_of_the_tree_meets(seed, depth):
+    rng = np.random.default_rng(seed)
+    names = ("x", "y", "c", f"fresh_{seed}_{depth}")
+    trees = [parse(helpers.edge_source(rng, names, depth), names) for _ in range(3)]
+    # a fresh name gets its bit in the thread that first makes its Var
+    fresh = f"thread_{seed}_{depth}"
+    source = f"({helpers.edge_source(rng, names, depth)}) * {fresh}"
+    built = []
+    worker = threading.Thread(target=lambda: built.append(parse(source, (*names, fresh))))
+    worker.start()
+    worker.join(timeout=10)
+    trees += built
+    trees += [tree.derivative(name) for tree in trees for name in names]
+    trees.append(substitute(trees[0], {"x": trees[-1]}))
+    assert len(built) == 1
+    for tree in trees:
+        assert tree.names == _walked_names(tree)
+
+
 def test_no_node_outlives_a_chain_command(tmp_path):
     # the chain's trees are polynomial, so nothing holds a cycle and every
     # node a command made is freed when it returns, without the collector
@@ -816,6 +889,97 @@ def test_a_shared_subtree_keeps_the_first_error_of_the_tree_walk():
             failing += got[0] == "error"
     # the trees must bind statements and the rows reach the failure paths
     assert bound >= 100 and failing >= 300
+
+
+def _result(run) -> tuple:
+    """``run()``'s value as its bits, or the text of its DomainError."""
+    try:
+        return "value", float.hex(run())
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+def _interpreted_as_compiled(tree, names, rows) -> int:
+    """Assert that `Expression._run` gives the bits or the DomainError
+    text of the scalar kernel of ``tree`` over its sorted names at each
+    row of ``names`` values; the number of rows that fail."""
+    order = sorted(tree.names)
+    kernel = ex._compile_kernel(tree, order, {})
+    failed = 0
+    for row in rows:
+        env = dict(zip(names, row))
+        got = _result(lambda: tree._run(env))
+        assert got == _result(lambda: kernel(*[env[name] for name in order])), (
+            f"{tree} at {env}"
+        )
+        failed += got[0] == "error"
+    return failed
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6))
+def test_the_interpreter_gives_the_scalar_kernels_bits_and_errors(seed, depth):
+    rng = np.random.default_rng(seed)
+    names = ("x", "y", "z")
+    tree = parse(helpers.edge_source(rng, names, depth), names)
+    _interpreted_as_compiled(tree, names, helpers.edge_rows(rng, 3, 8).tolist())
+
+
+def test_edge_trees_reach_the_interpreters_domain_errors():
+    rng = np.random.default_rng(5)
+    names = ("x", "y", "z")
+    failed = sum(
+        _interpreted_as_compiled(
+            parse(helpers.edge_source(rng, names, 4), names),
+            names,
+            helpers.edge_rows(rng, 3, 4).tolist(),
+        )
+        for _ in range(300)
+    )
+    assert 200 <= failed <= 1000
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5), data=st.data())
+def test_the_interpreter_names_the_first_unbound_name_before_evaluating(
+    seed, depth, data
+):
+    rng = np.random.default_rng(seed)
+    names = ("a", "b", "c", "d")
+    # log(0) and 1/0 would raise at once if evaluation started
+    tree = add(parse(helpers.edge_source(rng, names, depth), names), parse("log(0) + 1/0", ()))
+    bound = data.draw(st.sets(st.sampled_from(names)))
+    unbound = sorted(tree.names - bound)
+    env = {name: 1.0 for name in bound}
+    if not unbound:
+        with pytest.raises(DomainError):
+            tree._run(env)
+        return
+    with pytest.raises(MissingBindingError) as err:
+        tree._run(env)
+    assert err.value.name == unbound[0]
+
+
+def _no_compile(*args):
+    raise AssertionError("compile() was called")
+
+
+def test_evaluate_and_a_failing_final_check_compile_nothing(monkeypatch):
+    system = ContactSystem(("q",), "p_q^2/2 + sqrt(q)*m + gamma*s", {"m": 2.0, "gamma": 0.5})
+    row, last_good = (-1.0, 1.0, 0.0), (0.5, 1.0, 0.0)
+    tree = parse("exp(x)*sin(y) + x^3/(1 - y)", ("x", "y"))
+    monkeypatch.setattr(ex, "compile", _no_compile, raising=False)
+    assert tree.evaluate({"x": 0.5, "y": 0.25}) == tree.evaluate({"x": 0.5, "y": 0.25})
+    with pytest.raises(DomainError, match="^division by zero"):
+        tree.evaluate({"x": 0.5, "y": 1.0})
+    with pytest.raises(integrate.DivergenceError) as err:
+        integrate._check_final(system, row, 2.0, last_good)
+    monkeypatch.undo()
+    with pytest.raises(DomainError) as kernel:
+        system.hamiltonian_value(row)
+    assert str(err.value).startswith(f"H undefined at the final state: {kernel.value} (")
+    assert err.value.state == last_good
+    assert system._kernels  # compiled only once the check was done
 
 
 # ---------------------------------------------------------------------------
