@@ -6,26 +6,30 @@
 sampled checks and the quantity constructions.
 
 Each geometric operator is one builder of expression trees (L_Y eta,
-L_Y F, [A, B], a quantity's two rates, a map's deviations, the
-residuals of the two equations that define X_H, and the bracket
-characterization eta([Y, X_H])), made with the folding builders of
-`expr` and exact symbolic derivatives, so a term with a literal-0
-factor drops out of the tree.  The functions here evaluate these trees
-at one state through `ContactSystem._at`, which compiles them once per
-system, and do no arithmetic of their own; a vector or covector result
-is a flat tuple in chart order, as `ContactSystem.flow` returns.
-The `analysis` checks evaluate the same trees over the columns of all
-their samples, through column kernels the system keeps too.  The
-Hamiltonian field is the tuple of component expressions each
-ContactSystem builds from the gradient of H, whose values at a state
-`ContactSystem.flow` returns; their derivatives are kept on the shared
-nodes, which is how second derivatives of H enter brackets exactly.
+L_Y F, [A, B], a quantity's two rates, a map's deviations, the residuals
+of the two equations that define X_H, and the bracket characterization
+eta([Y, X_H])), made with the folding builders of `expr` and exact
+symbolic derivatives, so a term with a literal-0 factor drops out of the
+tree.  The contact form eta is written once, as its coefficients
+(`_eta`); each operator on it is built from them by two rules, the rate
+Y(F) of a tree (`_rate_trees`) and the pullback of a covector
+(`_pullback`).  The functions here evaluate these trees at one state
+through `ContactSystem._at`, which compiles them once per system, and do
+no arithmetic of their own; a vector or covector result is a flat tuple
+in chart order, as `ContactSystem.flow` returns.  The `analysis` checks
+evaluate the same trees over the columns of all their samples, through
+column kernels the system keeps too.  The Hamiltonian field is the tuple
+of component expressions each ContactSystem builds from the gradient of
+H, whose values at a state `ContactSystem.flow` returns; their
+derivatives are kept on the shared nodes, which is how second
+derivatives of H enter brackets exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
@@ -141,7 +145,8 @@ class ScalarField:
 def _check_bound(sys: ContactSystem, expressions) -> None:
     """Raise MissingBindingError for a name that is neither a chart name
     nor a parameter; a tree built from `expressions` may fold it away."""
-    stray = set().union(*(e.names for e in expressions)) - sys._declared
+    bits = reduce(lambda acc, e: acc | e._vars, expressions, 0)
+    stray = ex._names(bits) - sys._declared
     if stray:
         raise MissingBindingError(min(stray))
 
@@ -170,10 +175,7 @@ def _jacobian_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
 
 
 def _chart_sum(terms) -> Expression:
-    total = _ZERO
-    for term in terms:
-        total = ex.add(total, term)
-    return total
+    return reduce(ex.add, terms, _ZERO)
 
 
 def _bits(sys: ContactSystem) -> list:
@@ -195,6 +197,28 @@ def _rate_trees(sys: ContactSystem, field: Sequence[Expression], fs) -> tuple:
     )
 
 
+def _eta(sys: ContactSystem, state: Sequence[Expression] = ()) -> tuple:
+    """Coefficients of eta = ds - p_i dq^i at a state given as expressions,
+    the chart's own if none is given."""
+    n = sys.n
+    ps = state[n : 2 * n] if state else map(ex.variable, sys.chart_names[n : 2 * n])
+    return tuple(ex.neg(p) for p in ps) + (_ZERO,) * n + (_ONE,)
+
+
+def _pullback(
+    sys: ContactSystem, covector: Sequence[Expression], image: Sequence[Expression]
+) -> tuple:
+    """sum_k c_k dPhi^k/dx^j for each chart variable x^j: the covector c
+    pulled back by x -> image.  The term of k is not built where c_k is a
+    literal 0 or Phi^k is free of x^j (of every x^j, if Phi^k is constant)."""
+    pairs = zip(covector, image)
+    terms = [(c, f) for c, f in pairs if f._vars and not ex._is_const(c, 0.0)]
+    return tuple(
+        _chart_sum(ex.mul(c, f.derivative(var)) for c, f in terms if f._vars & bit)
+        for bit, var in _bits(sys)
+    )
+
+
 def _bracket_trees(
     sys: ContactSystem, a: Sequence[Expression], b: Sequence[Expression]
 ) -> tuple:
@@ -203,27 +227,10 @@ def _bracket_trees(
 
 
 def _lie_eta_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
-    """Components of L_Y eta against (dq^i, dp_i, ds).
-
-    By Cartan's formula L_Y eta = i(Y)d eta + d(i(Y)eta).  With
-    D_j = dY^s/dx^j - sum_k p_k dY^{q_k}/dx^j, the dq^i slot is
-    D_{q^i} - Y^{p_i} and every other slot is D_j: the dp_i slot of
-    d(i(Y)eta) is D_{p_i} - Y^{q_i}, and i(Y)d eta adds Y^{q_i} back.
-    """
-    n = sys.n
-    y_s = field[2 * n]
-
-    def d_j(bit: int, var: str) -> Expression:
-        total = y_s.derivative(var)
-        for p, y_q in zip(sys.momenta, field[:n]):
-            if y_q._vars & bit:
-                total = ex.sub(total, ex.mul(ex.variable(p), y_q.derivative(var)))
-        return total
-
-    slots = [d_j(bit, var) for bit, var in _bits(sys)]
-    return tuple(
-        ex.sub(slot, y_p) for slot, y_p in zip(slots, field[n : 2 * n])
-    ) + tuple(slots[n:])
+    """Components of L_Y eta against (dq^i, dp_i, ds), by Cartan's formula
+    in coordinates: (L_Y eta)_j = sum_k eta_k dY^k/dx^j + Y(eta_j)."""
+    eta = _eta(sys)
+    return tuple(map(ex.add, _pullback(sys, eta, field), _rate_trees(sys, field, eta)))
 
 
 def _contact_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
@@ -240,55 +247,33 @@ def _dissipation_trees(sys: ContactSystem, f: Expression) -> tuple:
     return rate, ex.add(rate, ex.mul(h_s, f))
 
 
-def _eta(sys: ContactSystem, state: Sequence[Expression]) -> tuple:
-    """Coefficients of eta = ds - p_i dq^i at a state given as expressions."""
-    n = sys.n
-    return tuple(ex.neg(p) for p in state[n : 2 * n]) + (_ZERO,) * n + (_ONE,)
-
-
 def _map_deviation_trees(sys: ContactSystem, image: Sequence[Expression]) -> tuple:
-    """Components of Phi*eta - eta, then H o Phi - H, for the map x -> image.
-
-    (Phi*eta)_j = sum_k eta_k(Phi(x)) dPhi^k/dx^j.
-    """
-    eta_image = _eta(sys, image)
-    eta_here = _eta(sys, tuple(map(ex.variable, sys.chart_names)))
-    form = tuple(
-        ex.sub(
-            _chart_sum(
-                ex.mul(e_k, phi_k.derivative(var))
-                for e_k, phi_k in zip(eta_image, image)
-                if phi_k._vars & bit
-            ),
-            e_j,
-        )
-        for (bit, var), e_j in zip(_bits(sys), eta_here)
-    )
+    """Components of Phi*eta - eta, then H o Phi - H, for the map x -> image."""
+    form = map(ex.sub, _pullback(sys, _eta(sys, image), image), _eta(sys))
     moved = ex.substitute(sys.hamiltonian, dict(zip(sys.chart_names, image)))
-    return form + (ex.sub(moved, sys.hamiltonian),)
+    return tuple(form) + (ex.sub(moved, sys.hamiltonian),)
 
 
 def _eta_of(sys: ContactSystem, vector: Sequence[Expression]) -> Expression:
     """eta(v) = sum_k eta_k v^k at the chart's state, for components `vector`."""
-    here = _eta(sys, tuple(map(ex.variable, sys.chart_names)))
-    return _chart_sum(map(ex.mul, here, vector))
+    return _chart_sum(map(ex.mul, _eta(sys), vector))
 
 
 def _hamilton_trees(sys: ContactSystem, field: Sequence[Expression]) -> tuple:
     """Residuals of the two equations that define X_H, for a field Y:
     i(Y)eta + H, then i(Y)d eta - dH + (dH/ds) eta against (dq^i, dp_i,
-    ds), which is -Y^{p_i} - dH/dq^i - p_i dH/ds, then Y^{q_i} - dH/dp_i,
-    then 0 (the ds slot cancels identically)."""
-    n = sys.n
+    ds), where (i(Y)d eta)_k = Y(eta_k) - sum_j Y^j d eta_j/dx^k.  The ds
+    slot is the literal 0: d eta has no ds leg and eta_s = 1, so it is
+    dH/ds - dH/ds, which as a tree would fail where dH/ds is undefined."""
     h = sys.hamiltonian
     h_s = h.derivative(ACTION_NAME)
-    r_eta = ex.add(_eta_of(sys, field), h)
-    r_q = tuple(
-        ex.sub(ex.sub(ex.neg(y_p), h.derivative(c)), ex.mul(ex.variable(m), h_s))
-        for c, m, y_p in zip(sys.coordinates, sys.momenta, field[n : 2 * n])
+    eta = _eta(sys)
+    interior = map(ex.sub, _rate_trees(sys, field, eta), _pullback(sys, field, eta))
+    r_deta = tuple(
+        ex.add(ex.sub(i_k, h.derivative(var)), ex.mul(h_s, eta_k))
+        for i_k, var, eta_k in zip(interior, sys.chart_names[:-1], eta)
     )
-    r_p = tuple(ex.sub(y_q, h.derivative(m)) for m, y_q in zip(sys.momenta, field))
-    return (r_eta,) + r_q + r_p + (_ZERO,)
+    return (ex.add(_eta_of(sys, field), h),) + r_deta + (_ZERO,)
 
 
 def _characterization_trees(sys: ContactSystem, field: Sequence[Expression]):
@@ -331,8 +316,8 @@ def lie_derivative_scalar(
 def lie_derivative_contact_form(
     sys: ContactSystem, field: VectorField, point: Sequence[float]
 ) -> tuple:
-    """L_Y eta at the state against (dq^i, dp_i, ds), by Cartan's formula
-    (see `_lie_eta_trees`)."""
+    """L_Y eta at the state against (dq^i, dp_i, ds), by Cartan's formula:
+    sum_k eta_k dY^k/dx^j + Y(eta_j) in slot j (see `_lie_eta_trees`)."""
     _check_field(sys, field)
     return sys._at(point, _lie_eta_trees, field.components)
 

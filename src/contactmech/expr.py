@@ -249,8 +249,7 @@ class Expression:
     @property
     def names(self) -> frozenset:
         """Every variable name in the tree, decoded from ``_vars``."""
-        bits = bin(self._vars)[:1:-1]  # bit k at index k
-        return frozenset(name for name, bit in zip(_VAR_NAMES, bits) if bit == "1")
+        return _names(self._vars)
 
     def _run(self, env: Mapping[str, float]):
         """Value by `_Emitter.fold` with ``env`` as the constants.  The first
@@ -282,6 +281,13 @@ class Expression:
 
     def __repr__(self) -> str:
         return f"Expression({_to_source(self)!r})"
+
+
+def _names(bits: int) -> frozenset:
+    """The variable names whose bits are set in ``bits``: one decode, in
+    time that grows with the highest bit, for any OR of nodes' ``_vars``."""
+    digits = bin(bits)[:1:-1]  # bit k at index k
+    return frozenset(name for name, bit in zip(_VAR_NAMES, digits) if bit == "1")
 
 
 class _Ref(weakref.ref):
@@ -1085,10 +1091,8 @@ def _fold(op: str, x: Expression, y: Expression) -> Expression | None:
     return Num(value) if math.isfinite(value) else None
 
 
-def _is_const(node: Expression, value: float | None = None) -> bool:
-    if not isinstance(node, Num):
-        return False
-    return value is None or node.value == value
+def _is_const(node: Expression, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
 
 
 def literal(value: float) -> Expression:

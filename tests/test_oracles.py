@@ -47,6 +47,8 @@ OSCILLATOR_H = "(p_x^2 + p_y^2)/2 + k*(x^2 + y^2)/2 + gamma*s"
 ROTATION = {"x": "-y", "y": "x", "p_x": "-p_y", "p_y": "p_x"}
 DILATION = {"x": "x", "y": "y"}
 MIXED = {"q1": "p_q2", "p_q3": "q4*q5", "s": "sin(q6) + p_q1"}
+#: Y^s and two Y^{q_k} hold s, so L_Y eta's ds slot sums three terms
+COUPLED = {"x": "y*s", "y": "x*s", "p_x": "p_y*s", "s": "s^2/2 + x*y + p_x*y"}
 ROTATION_MAP = {
     "x": "0.6*x - 0.8*y", "y": "0.8*x + 0.6*y",
     "p_x": "0.6*p_x - 0.8*p_y", "p_y": "0.8*p_x + 0.6*p_y",
@@ -178,6 +180,7 @@ def _assert_agrees(got_rows, exact_rows):
 FIELDS = [
     (_oscillator, "rotation", ROTATION),
     (_oscillator, "dilation", DILATION),
+    (_oscillator, "coupled", COUPLED),
     (_chain, "mixed", MIXED),
 ]
 

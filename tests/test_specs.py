@@ -2,7 +2,7 @@
 
 Every expectation in `specs/` is derived here in sympy, as an exact
 identity at the spec's parameters, with each decimal literal read as
-the exact decimal it is written as (0.6 is 3/5).  Then six one-line
+the exact decimal it is written as (0.6 is 3/5).  Then seven one-line
 mutants, one per geometric term, are applied by monkeypatching the
 tree builder that owns the term: under each of them `verify` must
 report at least one expectation of `specs/` as not met.
@@ -86,7 +86,7 @@ def test_sympy_derives_every_expectation_of_the_spec(spec):
 
 #: One term of the geometry each: (owner, function, its code as written,
 #: the mutant's).  The first three were caught by the benchmark's specs
-#: already; the other three only by specs whose candidates vary on the
+#: already; the other four only by specs whose candidates vary on the
 #: chart and move the momenta.
 MUTANTS = {
     "dissipation_rate_sign": (
@@ -100,8 +100,11 @@ MUTANTS = {
         calculus, "_rate_trees", "in weights if", "in weights[:-1] if",
     ),
     "bracket_second_term_sign": (calculus, "_bracket_trees", "map(ex.sub,", "map(ex.add,"),
-    "lie_eta_momentum_component_sign": (
-        calculus, "_lie_eta_trees", "ex.sub(slot, y_p)", "ex.add(slot, y_p)",
+    "lie_eta_pullback_sign": (
+        calculus, "_lie_eta_trees", "map(ex.add, _pullback", "map(ex.sub, _pullback",
+    ),
+    "pullback_last_term_dropped": (
+        calculus, "_pullback", "in terms if", "in terms[:-1] if",
     ),
     "eta_momentum_sign": (calculus, "_eta", "ex.neg(p) for p", "p for p"),
 }
