@@ -33,6 +33,9 @@ where H is undefined, by H's own request, which fail both.  Each
 unmasked row's outputs are bit-identical to the scalar kernel that the
 per-point `calculus` functions run on the same trees.
 
+`sample_states` draws numpy's `default_rng(seed).uniform` stream bit
+for bit through `_pcg64`, so no check imports numpy.random.
+
 Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
 residuals that only rounding limits; a tol must be finite and positive,
 the integrators' rule for dt and tol.
@@ -182,12 +185,13 @@ class QuantityReport:
 
 
 def sample_states(sys: ContactSystem, count: int = 100, seed: int = 42) -> np.ndarray:
-    """(count, 2n+1) array of seeded uniform draws from [-2, 2]: a row per state."""
+    """(count, 2n+1) array of seeded uniform draws from [-2, 2): a row per
+    state, numpy's `default_rng(seed).uniform` stream bit for bit."""
     if count < 1:
         raise ValueError("need at least one sample")
-    import numpy as np
+    from ._pcg64 import uniform
 
-    return np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, sys.dim))
+    return uniform(seed, -2.0, 2.0, (count, sys.dim))
 
 
 def _requested(sys: ContactSystem, requests) -> list:

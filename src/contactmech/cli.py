@@ -15,8 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .analysis import (
@@ -141,6 +142,32 @@ def _quantity_matches(expect: str, classification: str) -> bool:
     if classification == "both":
         return expect in ("conserved", "dissipated")
     return classification == expect
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as `json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)` writes it, for str keys: the same bytes without the
+    pure-Python encoder that an indent selects."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"float {value!r} is not JSON compliant")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def cmd_verify(args) -> int:
@@ -276,7 +303,7 @@ def cmd_verify(args) -> int:
         "all_expectations_met": mismatches == 0,
     }
     Path(args.report).write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        _json_text(report_doc) + "\n"
     )
 
     print(*lines, f"wrote {args.report}", sep="\n")

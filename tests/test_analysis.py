@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import contactmech.expr
 from helpers import CHAIN_H
@@ -32,6 +34,7 @@ from contactmech import (
     reeb_lift,
     sample_states,
 )
+from contactmech._pcg64 import uniform
 from contactmech.calculus import _dissipation_trees, _map_deviation_trees
 from contactmech.expr import literal, mul, substitute
 from contactmech.integrate import Trajectory
@@ -103,6 +106,37 @@ def test_sampling_returns_the_drawn_rows(gravity, seed, first, last, digest):
     assert states.dtype == np.float64 and states.shape == (100, 5)
     assert tuple(states[0].tolist()) == first and states[-1, -1] == last
     assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**130),
+    shape=st.tuples(st.integers(1, 120), st.integers(1, 15)),
+)
+@example(seed=0, shape=(1, 1))
+@example(seed=2**32 - 1, shape=(7, 3))
+@example(seed=2**32, shape=(100, 5))
+@example(seed=2**64, shape=(100, 13))
+@example(seed=2**64 + 3, shape=(120, 15))
+@example(seed=2**130, shape=(3, 2))  # a fifth word, mixed in after the pool
+def test_the_draw_is_numpys_stream_bit_for_bit(seed, shape):
+    expected = np.random.default_rng(seed).uniform(-2.0, 2.0, size=shape)
+    drawn = uniform(seed, -2.0, 2.0, shape)
+    assert drawn.dtype == np.float64 and drawn.shape == shape
+    assert drawn.tobytes() == expected.tobytes()
+
+
+def test_sampling_takes_numpy_integer_seeds(gravity):
+    drawn = sample_states(gravity, count=3, seed=np.uint64(2**64 - 1))
+    assert drawn.tolist() == sample_states(gravity, count=3, seed=2**64 - 1).tolist()
+
+
+def test_sampling_rejects_seeds_as_numpy_does(gravity):
+    for draw in (np.random.default_rng, lambda seed: sample_states(gravity, 1, seed)):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            draw(-1)
+        with pytest.raises(TypeError):
+            draw(4.0)
 
 
 def _state_forms(sys, count, seed):

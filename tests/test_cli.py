@@ -1,12 +1,15 @@
 """Command-line behavior, exit codes, and report layout."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from contactmech import SpecError, load_document, read_trajectory_csv, sample_states
@@ -270,6 +273,60 @@ def test_verify_of_the_chain_writes_the_golden_report(tmp_path, capsys):
     assert main([*argv, "--report", str(report)]) == 0
     capsys.readouterr()
     assert report.read_bytes() == (DATA / "chain.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["analyze", "x_translation"]])
+def test_a_negative_seed_is_a_usage_error(gravity_spec, tmp_path, command, capsys):
+    name, *rest = command
+    report = tmp_path / "r.json"
+    argv = [name, str(gravity_spec), *rest, "--seed", "-1"]
+    assert main(argv + (["--report", str(report)] if name == "verify" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected non-negative integer\n"
+    assert not report.exists()
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_the_report_writer_gives_json_dumps_bytes(path):
+    doc = json.loads(path.read_text())
+    assert cli._json_text(doc) + "\n" == _dumps(doc) + "\n" == path.read_text()
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+    | st.sampled_from(["µ-ßé", "\u2603\U0001f600", "\"\\\n\t\x00", -0.0, 1e-300, 1e300])
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tree=_JSON_TREES)
+def test_the_report_writer_matches_json_dumps_on_any_tree(tree):
+    assert cli._json_text(tree) == _dumps(tree)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_the_report_writer_rejects_non_finite_floats(bad):
+    for tree in (bad, [1.0, bad], {"a": {"b": (bad,)}}):
+        with pytest.raises(ValueError):
+            _dumps(tree)
+        with pytest.raises(ValueError):
+            cli._json_text(tree)
 
 
 def test_verify_can_reuse_a_trajectory(gravity_spec, tmp_path, capsys):

@@ -3,7 +3,8 @@
 Only the column kernels, the sampler, `vf_jacobian` and the `Trajectory`
 arrays need numpy, so `verify` loads it; importing the package, loading
 a spec, `simulate`, `list-models`, `export-model`, `--help`, usage
-errors and a trajectory's `repr` must not.
+errors and a trajectory's `repr` must not.  No command loads
+numpy.random: the sampler draws its stream itself.
 """
 
 import subprocess
@@ -76,6 +77,21 @@ def test_verify_imports_numpy(tmp_path):
     argv = ["verify", SHIPPED_SPEC, "--report", str(report)]
     assert _run(_main(argv)) == ("0", True)
     assert report.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", SHIPPED_SPEC, "--report", "{tmp}/report.json"],
+     ["analyze", SHIPPED_SPEC, "x_translation"]],
+    ids=["verify", "analyze"],
+)
+def test_sampling_commands_leave_numpy_random_out(tmp_path, argv):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    body = _main(argv) + (
+        "\nloaded = ('numpy.random', 'secrets', '_hashlib')"
+        "\nprint([name for name in loaded if name in sys.modules])"
+    )
+    assert _run(body) == ("[]", True)
 
 
 def test_the_repr_of_an_integrated_trajectory_leaves_numpy_out():
