@@ -186,13 +186,14 @@ def _bits(sys: ContactSystem) -> list:
 
 def _rate_trees(sys: ContactSystem, field: Sequence[Expression], fs) -> tuple:
     """L_Y F = sum_k Y^k dF/dx^k for each F of `fs`; the term of x^k is
-    not built where Y^k is a literal 0 or F is free of x^k."""
+    not built where Y^k is a literal 0 or F is free of x^k, and a
+    constant F is 0 without a look at Y."""
     pairs = zip(_bits(sys), field)
     weights = [(b, v, y) for (b, v), y in pairs if not ex._is_const(y, 0.0)]
     return tuple(
         _chart_sum(
             ex.mul(y_k, f.derivative(var)) for bit, var, y_k in weights if f._vars & bit
-        )
+        ) if f._vars else _ZERO
         for f in fs
     )
 

@@ -39,8 +39,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -103,12 +104,13 @@ class StepUnderflowError(IntegrationError):
 class Trajectory:
     """Time-ordered chart samples plus integrator metadata.
 
-    A trajectory keeps its times and its rows, tuples of Python floats,
-    in lists of its own: the constructor copies what it is given.
-    `times` (N,) and `states` (N, 2n+1) are read-only float64 arrays
-    made from them on first access, once; `len`, the points and the CSV
-    writer read the rows, so a trajectory that is only written never
-    needs numpy.  Two trajectories are equal only if they are one object.
+    A trajectory keeps its N times and its N rows, one after another, in
+    float64 buffers (`array('d')`) of its own: the constructor copies
+    what it is given.  `times` (N,) and `states` (N, 2n+1) are read-only
+    views of them, made on first access, once, with no copy; `len`, the
+    points and the CSV writer read the buffers, so a trajectory that is
+    only written never needs numpy.  Two trajectories are equal only if
+    they are one object.
     """
 
     names: tuple
@@ -138,25 +140,25 @@ class Trajectory:
                 f"{len(names)}"
             )
         self._fill(
-            names, times.tolist(), list(map(tuple, states.tolist())),
+            names, array("d", times.tobytes()), array("d", states.tobytes()),
             method, accepted, rejected,
         )
 
     @classmethod
-    def _of_rows(cls, names, times: list, rows: list, method, accepted, rejected):
-        """A trajectory kept as `times` and `rows`, the Python floats that
-        an integrator or the CSV reader made: at least one row, each a
-        tuple of len(names) floats.  Only the time order is checked."""
+    def _of_buffers(cls, names, times: array, flat: array, method, accepted, rejected):
+        """A trajectory kept as `times` and `flat`, the buffers that an
+        integrator or the CSV reader filled: at least one row, each of
+        len(names) values.  Only the time order is checked."""
         traj = cls.__new__(cls)
-        traj._fill(names, times, rows, method, accepted, rejected)
+        traj._fill(names, times, flat, method, accepted, rejected)
         return traj
 
-    def _fill(self, names, times: list, rows: list, method, accepted, rejected):
+    def _fill(self, names, times: array, flat: array, method, accepted, rejected):
         """Set every field, once `times` is checked to be strictly increasing."""
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
         values = {
-            "names": tuple(names), "_times": times, "_rows": rows,
+            "names": tuple(names), "_times": times, "_flat": flat,
             "method": method, "accepted": accepted, "rejected": rejected,
         }
         for name, value in values.items():
@@ -173,7 +175,7 @@ class Trajectory:
     def times(self) -> np.ndarray:
         import numpy as np
 
-        times = np.array(self._times, dtype=float)
+        times = np.frombuffer(self._times)
         times.flags.writeable = False
         return times
 
@@ -181,10 +183,7 @@ class Trajectory:
     def states(self) -> np.ndarray:
         import numpy as np
 
-        # about twice as fast as np.array over the row tuples
-        shape = (len(self._rows), len(self.names))
-        flat = np.fromiter(chain.from_iterable(self._rows), float, shape[0] * shape[1])
-        states = flat.reshape(shape)
+        states = np.frombuffer(self._flat).reshape(len(self), len(self.names))
         states.flags.writeable = False
         return states
 
@@ -193,7 +192,9 @@ class Trajectory:
 
     def point(self, i: int) -> ChartPoint:
         """The state of row `i`; -1 is the final state."""
-        return ChartPoint(self._rows[i])
+        dim = len(self.names)
+        i = range(len(self))[i]
+        return ChartPoint(self._flat[i * dim : (i + 1) * dim])
 
     def column(self, name: str) -> np.ndarray:
         if name == "t":
@@ -235,6 +236,10 @@ def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
     if not all(map(math.isfinite, values)):
         raise _diverged(sys, "state left the finite domain", t, last_good)
 
+
+#: the cells of rows that the RK4 loop keeps as Python floats before it moves
+#: them to its buffers, and that the CSV writer formats per write
+_CHUNK_CELLS = 2**12
 
 # Fehlberg 4(5) tableau: the rows that build stages 1..5 from the stages
 # before them, the 4th-order weights, and _RKF_ERR = b5 - b4, so the
@@ -322,7 +327,7 @@ def _step_lines(inputs: list, outputs: list) -> list:
 
 
 def _rk4_source(dim: int) -> str:
-    """``fn(sys, y, t0, tf, dt, tiny) -> (times, rows)``: the whole RK4
+    """``fn(sys, y, t0, tf, dt, tiny) -> (times, flat)``: the whole RK4
     grid of `integrate_fixed`, the state kept in locals across steps."""
     comps = range(dim)
     inputs = [
@@ -338,8 +343,10 @@ def _rk4_source(dim: int) -> str:
 def _fn(_sys, y, t0, tf, dt, tiny):
     flow = _sys.flow
     {', '.join(f"y{i}" for i in comps)}, = y
-    times = [float(t0)]
-    states = [y]
+    times = _array("d")
+    flat = _array("d")
+    stamps = [t0]
+    block = list(y)
     end = tf - tiny
     grid = 0
     t = t0 + grid * dt
@@ -349,6 +356,7 @@ def _fn(_sys, y, t0, tf, dt, tiny):
         last = t_next >= end
         if last:
             h = tf - t
+            t_next = tf
         elif t_next == t:
             raise ValueError(f"dt={{dt!r}} does not advance t={{t!r}}")
         else:
@@ -356,12 +364,15 @@ def _fn(_sys, y, t0, tf, dt, tiny):
         half = 0.5 * h
         sixth = h / 6.0
 {step}\
-        if last:
-            times.append(float(tf))
-            states.append(out)
-            return times, states
-        times.append(t_next)
-        states.append(out)
+        stamps.append(t_next)
+        block += out
+        if last or not grid % {max(1, _CHUNK_CELLS // dim)}:
+            times.fromlist(stamps)
+            flat.fromlist(block)
+            if last:
+                return times, flat
+            stamps.clear()
+            block.clear()
         y = out
         t = t_next
 """
@@ -383,13 +394,13 @@ def _rkf45_source(dim: int) -> str:
 
 
 def _csv_source(dim: int) -> str:
-    """``fn(energy, times, rows) -> lines``: each CSV row as one f-string."""
+    """``fn(times, flat, energies) -> lines``: each CSV row as one f-string."""
     vs = ", ".join(f"v{i}" for i in range(dim))
     cells = "".join(f",{{v{i}!r}}" for i in range(dim))
     return (
-        "def _fn(_h, times, rows):\n"
-        f'    return [f"{{t!r}}{cells},{{_h({vs})!r}}\\n" '
-        f"for t, ({vs},) in zip(times, rows)]\n"
+        "def _fn(times, flat, energies):\n"
+        f'    return [f"{{t!r}}{cells},{{h!r}}\\n" '
+        f"for t, {vs}, h in zip(times, *[iter(flat)] * {dim}, energies)]\n"
     )
 
 
@@ -406,6 +417,7 @@ def _generated(kind: str, dim: int):
     system of that dimension.
     """
     env = {
+        "_array": array,
         "_DomainError": DomainError,
         "_undefined": _undefined,
         "_check_finite": _check_finite,
@@ -447,9 +459,12 @@ def integrate_fixed(
     dt = _require_positive("dt", dt)
     y = sys.point(s0)
     tiny = 1e-9 * min(dt, span)
-    times, states = _generated("rk4", sys.dim)(sys, y, t0, tf, dt, tiny)
-    _check_final(sys, states[-1], times[-2], states[-2])
-    return Trajectory._of_rows(sys.chart_names, times, states, "rk4", len(times) - 1, 0)
+    times, flat = _generated("rk4", sys.dim)(sys, y, t0, tf, dt, tiny)
+    last_good = flat[-2 * sys.dim : -sys.dim]
+    _check_final(sys, flat[-sys.dim :], times[-2], last_good)
+    return Trajectory._of_buffers(
+        sys.chart_names, times, flat, "rk4", len(times) - 1, 0
+    )
 
 
 def integrate_adaptive(
@@ -476,8 +491,8 @@ def integrate_adaptive(
 
     step = _generated("rkf45", sys.dim)
     t = float(t0)
-    times = [t]
-    states = [y]
+    times = array("d", (t,))
+    flat = array("d", y)
     accepted = 0
     rejected = 0
     dt = span
@@ -504,7 +519,7 @@ def integrate_adaptive(
             t = t_next
             y = out
             times.append(t)
-            states.append(y)
+            flat.fromlist(list(y))  # array.extend takes a tuple item by item
             accepted += 1
         else:
             rejected += 1
@@ -513,8 +528,8 @@ def integrate_adaptive(
         if t < tf and dt < dt_floor:
             raise StepUnderflowError(t, dt, ChartPoint(y), sys.chart_names)
 
-    return Trajectory._of_rows(
-        sys.chart_names, times, states, "rkf45", accepted, rejected
+    return Trajectory._of_buffers(
+        sys.chart_names, times, flat, "rkf45", accepted, rejected
     )
 
 
@@ -523,14 +538,20 @@ def write_trajectory_csv(sys: ContactSystem, traj: Trajectory, path) -> None:
 
     Each row is one generated f-string of the row's `repr`s, with the H
     cell from the system's scalar H kernel, so writing needs no numpy.
-    Every row is made before the file is opened: the first row where H
-    is undefined raises its DomainError, and nothing is written."""
+    The H column is computed before the file is opened: the first row
+    where H is undefined raises its DomainError, and nothing is written.
+    The rows are written `_CHUNK_CELLS` cells at a time."""
     _check_trajectory_chart(sys, traj)
+    dim, times, flat = sys.dim, traj._times, traj._flat
     energy = sys._kernel(_given, sys.hamiltonian)
-    rows = _generated("csv", sys.dim)(energy, traj._times, traj._rows)
+    energies = array("d", list(starmap(energy, zip(*[iter(flat)] * dim))))
+    rows = _generated("csv", dim)
+    chunk = max(1, _CHUNK_CELLS // (dim + 2))
     with open(path, "w") as f:  # no copy of the whole text, joined or encoded
         f.write("t," + ",".join(traj.names) + ",H\n")
-        f.writelines(rows)
+        for a in range(0, len(times), chunk):
+            b = a + chunk
+            f.writelines(rows(times[a:b], flat[a * dim : b * dim], energies[a:b]))
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -552,8 +573,8 @@ def read_trajectory_csv(path) -> Trajectory:
     if len(lines) == 1:
         raise ValueError(f"{path}: no data rows after the header")
     names = tuple(header[1:-1])
-    times = []
-    states = []
+    times = array("d")
+    flat = array("d")
     nonfinite = None  # the first line with a non-finite t or chart cell
     for lineno, line in lines[1:]:
         cells = line.split(",")
@@ -563,16 +584,16 @@ def read_trajectory_csv(path) -> Trajectory:
                 f"got {len(cells)}"
             )
         try:
-            row = tuple(map(float, cells))
+            row = list(map(float, cells))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
         if nonfinite is None and not all(map(math.isfinite, row[:-1])):
             nonfinite = lineno
         times.append(row[0])
-        states.append(row[1:-1])
+        flat.fromlist(row[1:-1])
     if nonfinite is not None:
         raise ValueError(f"{path}: line {nonfinite}: non-finite cell")
     try:
-        return Trajectory._of_rows(names, times, states, "file", 0, 0)
+        return Trajectory._of_buffers(names, times, flat, "file", 0, 0)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -300,6 +300,13 @@ def reference_rkf45(sys, y: tuple, t: float, h: float) -> tuple:
 
 def reference_fixed(sys, s0, t0: float, tf: float, dt: float) -> Trajectory:
     """`integrate_fixed` stepping with `reference_rk4`."""
+    times, states = reference_fixed_samples(sys, s0, t0, tf, dt)
+    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rk4",
+                      accepted=len(times) - 1, rejected=0)
+
+
+def reference_fixed_samples(sys, s0, t0: float, tf: float, dt: float) -> tuple:
+    """The times and the row tuples of `reference_fixed`, as lists."""
     y = tuple(s0)
     times = [float(t0)]
     states = [y]
@@ -316,13 +323,20 @@ def reference_fixed(sys, s0, t0: float, tf: float, dt: float) -> Trajectory:
         times.append(t_next)
         states.append(y)
         k += 1
-    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rk4",
-                      accepted=len(times) - 1, rejected=0)
+    return times, states
 
 
 def reference_adaptive(sys, s0, t0: float, tf: float, tol: float) -> Trajectory:
     """`integrate_adaptive` stepping with `reference_rkf45`, without its
     step-underflow check."""
+    times, states, accepted, rejected = reference_adaptive_samples(sys, s0, t0, tf, tol)
+    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rkf45",
+                      accepted=accepted, rejected=rejected)
+
+
+def reference_adaptive_samples(sys, s0, t0: float, tf: float, tol: float) -> tuple:
+    """The times and the row tuples of `reference_adaptive`, as lists,
+    then its accepted and rejected step counts."""
     y = tuple(s0)
     t = float(t0)
     times = [t]
@@ -343,8 +357,7 @@ def reference_adaptive(sys, s0, t0: float, tf: float, tol: float) -> Trajectory:
             rejected += 1
         factor = 5.0 if err == 0.0 else 0.9 * (budget / err) ** 0.2
         dt = h * min(5.0, max(0.2, factor))
-    return Trajectory(sys.chart_names, np.array(times), np.array(states), "rkf45",
-                      accepted=accepted, rejected=rejected)
+    return times, states, accepted, rejected
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Fixed and adaptive steppers, trajectories, and CSV round trips."""
 
 import dataclasses
+import functools
 import math
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import CHAIN_H, FUNCTIONS_H, reference_adaptive, reference_fixed
+from helpers import (
+    CHAIN_H,
+    FUNCTIONS_H,
+    reference_adaptive,
+    reference_adaptive_samples,
+    reference_fixed,
+    reference_fixed_samples,
+)
 from contactmech import (
     ChartPoint,
     ContactSystem,
@@ -22,7 +32,7 @@ from contactmech import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from contactmech.integrate import _generated
+from contactmech.integrate import _CHUNK_CELLS, _generated
 from contactmech.models import analytic_reference
 
 SHIPPED_SPEC = Path(__file__).resolve().parents[1] / "specs" / "gravity_friction.yaml"
@@ -568,7 +578,8 @@ def test_integrated_trajectory_makes_its_arrays_once_from_its_rows(
     lazy = tmp_path / "lazy.csv"
     write_trajectory_csv(sys, traj, lazy)
     assert "times" not in vars(traj) and "states" not in vars(traj)
-    times, rows = np.array(traj._times), np.array(traj._rows)
+    times = np.array(traj._times)
+    rows = np.array(traj._flat).reshape(len(traj), len(traj.names))
     assert traj.times.dtype == traj.states.dtype == np.float64
     assert traj.times.shape == (len(traj),) and traj.states.shape == (len(traj), 5)
     assert np.array_equal(traj.times, times) and np.array_equal(traj.states, rows)
@@ -878,3 +889,103 @@ def test_two_thousand_coordinates_step_and_write(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[2] == ",".join(map(repr, (h, *traj.point(-1), traj.point(-1)[-1])))
+
+
+# ---------------------------------------------------------------------------
+# Float64 buffers and the CSV written in chunks
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _oscillators(n: int) -> ContactSystem:
+    coordinates = [f"q{i}" for i in range(1, n + 1)]
+    hamiltonian = " + ".join(f"p_{q}^2/2" for q in coordinates) + " + gamma*s"
+    return ContactSystem(coordinates, hamiltonian, {"gamma": 0.5})
+
+
+def _chunk_rows(sys) -> int:
+    """The rows of one CSV write: its cells over t, the chart and H."""
+    return _CHUNK_CELLS // (sys.dim + 2)
+
+
+@pytest.mark.parametrize("n", [1, 1000])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_csv_bytes_do_not_depend_on_the_chunks(tmp_path, n, extra):
+    # a chunk of 819 rows at dim 3 and of 2 rows at dim 2001
+    sys = _oscillators(n)
+    rows = _chunk_rows(sys) + extra
+    assert n == 1 or _chunk_rows(sys) <= 10
+    rng = random.Random(n * 10 + extra)
+    cells = [rng.choice(_EDGE_FLOATS) * rng.random() for _ in range(rows * sys.dim)]
+    states = np.array(cells).reshape(rows, sys.dim)
+    traj = Trajectory(sys.chart_names, np.arange(rows) * 0.1, states, "test")
+    path = tmp_path / "chunks.csv"
+    write_trajectory_csv(sys, traj, path)
+    assert path.read_text() == _reference_csv(sys, traj)
+
+
+def test_h_undefined_in_the_last_chunk_leaves_the_file_alone(tmp_path, sqrt_well):
+    rows = 2 * _chunk_rows(sqrt_well) + 1
+    states = np.tile([1.0, 0.5, 0.0], (rows, 1))
+    states[-1, 0] = -0.5
+    traj = Trajectory(sqrt_well.chart_names, np.arange(rows) * 0.1, states, "test")
+    with pytest.raises(DomainError) as expected:
+        sqrt_well.hamiltonian_value(states[-1])
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"t,q,p_q,s,H\n0.0,1.0,0.5,0.0,1.125\n")
+    with pytest.raises(DomainError) as err:
+        write_trajectory_csv(sqrt_well, traj, path)
+    assert str(err.value) == str(expected.value) == "math domain error"
+    assert path.read_bytes() == b"t,q,p_q,s,H\n0.0,1.0,0.5,0.0,1.125\n"
+
+
+_MODEL_STARTS = {
+    "gravity_friction": (0.0, 0.0, 1.0, 1.0, 0.0),
+    "damped_free_particle": (0.5, -1.0, 0.25),
+    "damped_oscillator": (1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_MODEL_STARTS))
+def test_buffers_hold_the_rows_of_a_list_of_tuples(tmp_path, name):
+    sys = builtin(name)
+    s0 = sys.point(_MODEL_STARTS[name])
+    fixed = integrate_fixed(sys, s0, 0.0, 3.0, 1e-3)
+    adaptive = integrate_adaptive(sys, s0, 0.0, 3.0, 1e-12)
+    path = tmp_path / "model.csv"
+    write_trajectory_csv(sys, fixed, path)
+    lines = path.read_text().splitlines()[1:]
+    cells = [tuple(map(float, line.split(","))) for line in lines]
+    references = [
+        (fixed, reference_fixed_samples(sys, s0, 0.0, 3.0, 1e-3)),
+        (adaptive, reference_adaptive_samples(sys, s0, 0.0, 3.0, 1e-12)[:2]),
+        (read_trajectory_csv(path), ([c[0] for c in cells], [c[1:-1] for c in cells])),
+    ]
+    assert len(fixed) > 2 * _CHUNK_CELLS // sys.dim  # the RK4 loop moved two blocks
+    for traj, (times, rows) in references:
+        assert traj.times.tobytes() == np.array(times).tobytes()
+        assert traj.states.tobytes() == np.array(rows).tobytes()
+        assert [traj.point(i) for i in (0, -1)] == [rows[0], rows[-1]]
+
+
+def test_the_arrays_are_views_of_the_buffers(gravity, base_point):
+    traj = integrate_fixed(gravity, base_point, 0.0, 1.0, 0.1)
+    assert np.shares_memory(traj.times, np.frombuffer(traj._times))
+    assert np.shares_memory(traj.states, np.frombuffer(traj._flat))
+    assert traj.states.shape == (len(traj), 5)
+
+
+def test_simulating_and_writing_ten_thousand_steps_stays_small(tmp_path, shipped):
+    # rows kept as tuples of Python floats, or every CSV line made before
+    # the first write, peak near 4 MiB here
+    sys, s0 = shipped.system, shipped.initial_state
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(sys, integrate_fixed(sys, s0, 0.0, 0.01, 1e-3), path)
+    tracemalloc.start()
+    try:
+        traj = integrate_fixed(sys, s0, 0.0, 10.0, 1e-3)
+        write_trajectory_csv(sys, traj, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 10_001
+    assert peak < 1.5 * 2**20
