@@ -44,10 +44,10 @@ the integrators' rule for dt and tol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import expr as ex
+from ._record import Record, _set
 from .calculus import (
     PointMap,
     ScalarField,
@@ -90,8 +90,7 @@ KIND_CONSERVED = "conserved"
 KIND_DISSIPATED = "dissipated"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Residual statistics for one check over a set of sample states.
 
     `samples` counts states where the residual evaluated; states that
@@ -100,14 +99,24 @@ class CheckReport:
     check reports infinite residual, which `as_dict` writes as None).
     """
 
-    subject: str
-    kind: str
-    samples: int
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    verdict: str
-    failed_samples: int = 0
+    __slots__ = _fields = (
+        "subject", "kind", "samples", "max_residual", "mean_residual",
+        "tolerance", "verdict", "failed_samples",
+    )
+
+    def __init__(
+        self, subject: str, kind: str, samples: int, max_residual: float,
+        mean_residual: float, tolerance: float, verdict: str,
+        failed_samples: int = 0,
+    ):
+        _set(self, "subject", subject)
+        _set(self, "kind", kind)
+        _set(self, "samples", samples)
+        _set(self, "max_residual", max_residual)
+        _set(self, "mean_residual", mean_residual)
+        _set(self, "tolerance", tolerance)
+        _set(self, "verdict", verdict)
+        _set(self, "failed_samples", failed_samples)
 
     @property
     def passed(self) -> bool:
@@ -166,14 +175,21 @@ def _sampled_report(subject, kind, outputs, failed, tolerance) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class QuantityReport:
-    """Joint conserved/dissipated classification of a scalar quantity."""
+class QuantityReport(Record):
+    """Joint conserved/dissipated classification of a scalar quantity:
+    `classification` is conserved, dissipated, both, neither or
+    inconclusive."""
 
-    subject: str
-    classification: str  # conserved | dissipated | both | neither | inconclusive
-    conserved: CheckReport
-    dissipated: CheckReport
+    __slots__ = _fields = ("subject", "classification", "conserved", "dissipated")
+
+    def __init__(
+        self, subject: str, classification: str, conserved: CheckReport,
+        dissipated: CheckReport,
+    ):
+        _set(self, "subject", subject)
+        _set(self, "classification", classification)
+        _set(self, "conserved", conserved)
+        _set(self, "dissipated", dissipated)
 
     def as_dict(self) -> dict:
         return {

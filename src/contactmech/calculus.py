@@ -27,12 +27,11 @@ derivatives of H enter brackets exactly.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
+from ._record import Record, _set
 from .contact_core import ACTION_NAME, ChartPoint, ContactSystem, _chart_n, _given
 from .expr import Expression, MissingBindingError
 
@@ -77,27 +76,28 @@ def _chart_components(
     )
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A named field or map: 2n+1 component Expressions in chart order."""
+class _Candidate(Record):
+    """A named field or map: 2n+1 component Expressions in chart order;
+    `n` is not a field."""
 
-    name: str
-    components: tuple
-    n: int = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "components", "n")
+    _fields = ("name", "components")
     _what = "a chart candidate"  # names the owner when the count is not 2n+1
 
-    def __post_init__(self):
-        components = tuple(self.components)
+    def __init__(self, name: str, components: tuple):
+        components = tuple(components)
         n = _chart_n(len(components), self._what)
         if not all(isinstance(c, Expression) for c in components):
             raise TypeError("components must be Expressions")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "components", components)
+        _set(self, "name", name)
+        _set(self, "components", components)
+        _set(self, "n", n)
 
 
 class VectorField(_Candidate):
     """Chart vector field: one expression per (d/dq^i, d/dp_i, d/ds) slot."""
 
+    __slots__ = ()
     _what = "a chart field"
 
     @classmethod
@@ -116,6 +116,7 @@ class VectorField(_Candidate):
 class PointMap(_Candidate):
     """A chart self-map: one target expression per chart variable."""
 
+    __slots__ = ()
     _what = "a chart map"
 
     @classmethod
@@ -131,12 +132,14 @@ class PointMap(_Candidate):
         return ChartPoint(sys._at(point, _given, self.components))
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """A named scalar quantity on the chart."""
 
-    name: str
-    expression: Expression
+    __slots__ = _fields = ("name", "expression")
+
+    def __init__(self, name: str, expression: Expression):
+        _set(self, "name", name)
+        _set(self, "expression", expression)
 
     def value(self, sys: ContactSystem, point: Sequence[float]) -> float:
         return sys._at(point, _given, self.expression)

@@ -78,7 +78,6 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -875,14 +874,9 @@ def _compile_kernel(
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | lparen | rparen | end
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list:
+    """The tokens of `source`, each a (kind, text, pos) tuple; kind is
+    num, name, op, lparen, rparen or end."""
     tokens = []
     i, n = 0, len(source)
     while i < n:
@@ -891,13 +885,13 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
             continue
         if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
+            tokens.append(("op", c, i))
             i += 1
         elif c == "(":
-            tokens.append(_Token("lparen", c, i))
+            tokens.append(("lparen", c, i))
             i += 1
         elif c == ")":
-            tokens.append(_Token("rparen", c, i))
+            tokens.append(("rparen", c, i))
             i += 1
         elif c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
             j = i
@@ -918,17 +912,17 @@ def _tokenize(source: str) -> list[_Token]:
                 raise ParseError(f"bad numeric literal '{text}'", source, i)
             if not math.isfinite(value):
                 raise ParseError(f"numeric literal '{text}' overflows", source, i)
-            tokens.append(_Token("num", text, i))
+            tokens.append(("num", text, i))
             i = j
         elif c.isalpha() or c == "_":
             j = i
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(_Token("name", source[i:j], i))
+            tokens.append(("name", source[i:j], i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", source, i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -947,36 +941,40 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # unary operands open at the current token
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token):
-        raise ParseError(message, self.source, tok.pos)
+    def fail(self, message: str, tok: tuple):
+        raise ParseError(message, self.source, tok[2])
 
     def parse(self) -> Expression:
         node = self.expr()
         tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected token {tok.text!r}", tok)
+        if tok[0] != "end":
+            self.fail(f"unexpected token {tok[1]!r}", tok)
         return node
 
     def expr(self) -> Expression:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        kind, op, _ = self.peek()
+        while kind == "op" and op in "+-":
+            self.advance()
             node = Bin(op, node, self.term())
+            kind, op, _ = self.peek()
         return node
 
     def term(self) -> Expression:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        kind, op, _ = self.peek()
+        while kind == "op" and op in "*/":
+            self.advance()
             node = Bin(op, node, self.unary())
+            kind, op, _ = self.peek()
         return node
 
     def unary(self) -> Expression:
@@ -984,7 +982,7 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_PARSE_DEPTH:
             self.fail("expression nests too deeply", tok)
-        if tok.kind == "op" and tok.text == "-":
+        if tok[0] == "op" and tok[1] == "-":
             self.advance()
             node = Neg(self.unary())
         else:
@@ -994,8 +992,8 @@ class _Parser:
 
     def power(self) -> Expression:
         node = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        kind, op, _ = self.peek()
+        if kind == "op" and op == "^":
             self.advance()
             return Bin("^", node, self.unary())
         return node
@@ -1004,29 +1002,28 @@ class _Parser:
         """The expression after an opening '(', up to its closing ')'."""
         node = self.expr()
         closing = self.advance()
-        if closing.kind != "rparen":
-            found = closing.text or "end of input"
+        if closing[0] != "rparen":
+            found = closing[1] or "end of input"
             self.fail(f"expected ')', found {found!r}", closing)
         return node
 
     def atom(self) -> Expression:
         tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "lparen":
+        kind, text, pos = tok
+        if kind == "num":
+            return Num(float(text))
+        if kind == "lparen":
             return self.group()
-        if tok.kind == "name":
-            if self.peek().kind == "lparen":
-                if tok.text not in FUNCTIONS:
-                    self.fail(f"unknown function '{tok.text}'", tok)
+        if kind == "name":
+            if self.peek()[0] == "lparen":
+                if text not in FUNCTIONS:
+                    self.fail(f"unknown function '{text}'", tok)
                 self.advance()
-                return Call(tok.text, self.group())
-            if tok.text not in self.names:
-                raise UnknownNameError(tok.text, self.source, tok.pos)
-            return Var(tok.text)
-        self.fail(
-            f"expected expression, found {tok.text or 'end of input'!r}", tok
-        )
+                return Call(text, self.group())
+            if text not in self.names:
+                raise UnknownNameError(text, self.source, pos)
+            return Var(text)
+        self.fail(f"expected expression, found {text or 'end of input'!r}", tok)
 
 
 def parse(source: str, names: Iterable[str]) -> Expression:

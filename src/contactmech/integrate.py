@@ -40,11 +40,10 @@ import functools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
 from itertools import chain, starmap
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import Frozen
 from .contact_core import ChartPoint, ContactSystem, _given
 from .expr import DomainError
 
@@ -100,9 +99,9 @@ class StepUnderflowError(IntegrationError):
         self.state = state
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Trajectory:
-    """Time-ordered chart samples plus integrator metadata.
+class Trajectory(Frozen):
+    """Time-ordered chart samples plus integrator metadata: `names`,
+    `times`, `states`, `method`, `accepted` and `rejected`.
 
     A trajectory keeps its N times and its N rows, one after another, in
     float64 buffers (`array('d')`) of its own: the constructor copies
@@ -112,13 +111,6 @@ class Trajectory:
     only written never needs numpy.  Two trajectories are equal only if
     they are one object.
     """
-
-    names: tuple
-    times: np.ndarray
-    states: np.ndarray
-    method: str
-    accepted: int = 0
-    rejected: int = 0
 
     def __init__(self, names, times, states, method, accepted=0, rejected=0):
         import numpy as np
@@ -157,12 +149,10 @@ class Trajectory:
         """Set every field, once `times` is checked to be strictly increasing."""
         if not all(map(operator.lt, times, times[1:])):
             raise ValueError("times must be strictly increasing")
-        values = {
-            "names": tuple(names), "_times": times, "_flat": flat,
-            "method": method, "accepted": accepted, "rejected": rejected,
-        }
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        vars(self).update(
+            names=tuple(names), _times=times, _flat=flat,
+            method=method, accepted=accepted, rejected=rejected,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -240,6 +230,9 @@ def _check_finite(sys: ContactSystem, values, t: float, last_good) -> None:
 #: the cells of rows that the RK4 loop keeps as Python floats before it moves
 #: them to its buffers, and that the CSV writer formats per write
 _CHUNK_CELLS = 2**12
+
+#: about how many characters the CSV reader decodes and splits at a time
+_READ_CHARS = 2**15
 
 # Fehlberg 4(5) tableau: the rows that build stages 1..5 from the stages
 # before them, the 4th-order weights, and _RKF_ERR = b5 - b4, so the
@@ -558,39 +551,48 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read a file produced by write_trajectory_csv (H column is dropped).
 
     Blank lines are skipped.  A non-finite t or chart cell is a
-    ValueError too, and every error names the line's number in the file."""
-    text = Path(path).read_text()
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip()
-    ]
-    if not lines:
-        raise ValueError(f"{path}: empty trajectory file")
-    header = lines[0][1].split(",")
-    if len(header) < 5 or header[0] != "t" or header[-1] != "H":
-        raise ValueError(f"{path}: expected header t,<chart names>,H")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: no data rows after the header")
-    names = tuple(header[1:-1])
+    ValueError too, and every error names the line's number in the file.
+    The file is read about `_READ_CHARS` characters at a time, so it
+    costs little memory beyond the trajectory's buffers."""
     times = array("d")
     flat = array("d")
     nonfinite = None  # the first line with a non-finite t or chart cell
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(header)} columns, "
-                f"got {len(cells)}"
-            )
-        try:
-            row = list(map(float, cells))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
-        if nonfinite is None and not all(map(math.isfinite, row[:-1])):
-            nonfinite = lineno
-        times.append(row[0])
-        flat.fromlist(row[1:-1])
+    with open(path) as f:
+        # the lines of `str.splitlines` of the text, from blocks that each
+        # end at a newline
+        blocks = iter(lambda: (f.read(_READ_CHARS) + f.readline()).splitlines(), [])
+        lines = enumerate(chain.from_iterable(blocks), 1)
+        for _, line in lines:
+            if line.strip():
+                break
+        else:
+            raise ValueError(f"{path}: empty trajectory file")
+        header = line.split(",")
+        if len(header) < 5 or header[0] != "t" or header[-1] != "H":
+            raise ValueError(f"{path}: expected header t,<chart names>,H")
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {len(header)} columns, "
+                    f"got {len(cells)}"
+                )
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
+            # a finite sum is a row of finite cells; finite cells may
+            # overflow it, so only then is each cell looked at
+            if nonfinite is None and not math.isfinite(sum(row[:-1])):
+                if not all(map(math.isfinite, row[:-1])):
+                    nonfinite = lineno
+            times.append(row[0])
+            flat.fromlist(row[1:-1])
+    if not times:
+        raise ValueError(f"{path}: no data rows after the header")
+    names = tuple(header[1:-1])
     if nonfinite is not None:
         raise ValueError(f"{path}: line {nonfinite}: non-finite cell")
     try:

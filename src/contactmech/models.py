@@ -10,9 +10,9 @@ explicit time integral of p q' - H (gamma = 0), never by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record, _set
 from .contact_core import ChartPoint, ContactSystem
 
 __all__ = [
@@ -28,13 +28,22 @@ class ModelError(ValueError):
     """Unknown model, bad parameter, or no closed form for the branch."""
 
 
-@dataclass(frozen=True)
-class ModelInfo:
-    name: str
-    description: str
-    coordinates: tuple
-    hamiltonian: str
-    defaults: dict
+class ModelInfo(Record):
+    """A catalogue entry: its Hamiltonian's source and default parameters."""
+
+    __slots__ = _fields = (
+        "name", "description", "coordinates", "hamiltonian", "defaults",
+    )
+
+    def __init__(
+        self, name: str, description: str, coordinates: tuple, hamiltonian: str,
+        defaults: dict,
+    ):
+        _set(self, "name", name)
+        _set(self, "description", description)
+        _set(self, "coordinates", coordinates)
+        _set(self, "hamiltonian", hamiltonian)
+        _set(self, "defaults", defaults)
 
 
 _CATALOG = (

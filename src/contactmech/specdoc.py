@@ -22,11 +22,11 @@ judged mechanically.  Validation errors name the offending field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
+from ._record import Record, _set
 from .calculus import PointMap, ScalarField, VectorField
 from .contact_core import ChartPoint, ContactSystem, _BadName
 from .expr import ExpressionError, _coerce_component
@@ -53,34 +53,55 @@ class SpecError(Exception):
     """A document failed to load or validate; message names the field."""
 
 
-@dataclass(frozen=True)
-class SymmetryCandidate:
-    name: str
-    field: VectorField
-    expect: str
+class SymmetryCandidate(Record):
+    """A field and what a document expects of it: contact, dynamical or neither."""
+
+    __slots__ = _fields = ("name", "field", "expect")
+
+    def __init__(self, name: str, field: VectorField, expect: str):
+        _set(self, "name", name)
+        _set(self, "field", field)
+        _set(self, "expect", expect)
 
 
-@dataclass(frozen=True)
-class QuantityCandidate:
-    name: str
-    quantity: ScalarField
-    expect: str
+class QuantityCandidate(Record):
+    """A quantity and what a document expects: conserved, dissipated or neither."""
+
+    __slots__ = _fields = ("name", "quantity", "expect")
+
+    def __init__(self, name: str, quantity: ScalarField, expect: str):
+        _set(self, "name", name)
+        _set(self, "quantity", quantity)
+        _set(self, "expect", expect)
 
 
-@dataclass(frozen=True)
-class MapCandidate:
-    name: str
-    point_map: PointMap
-    expect: str
+class MapCandidate(Record):
+    """A chart map and what a document expects of it: contact or neither."""
+
+    __slots__ = _fields = ("name", "point_map", "expect")
+
+    def __init__(self, name: str, point_map: PointMap, expect: str):
+        _set(self, "name", name)
+        _set(self, "point_map", point_map)
+        _set(self, "expect", expect)
 
 
-@dataclass(frozen=True)
-class SpecDocument:
-    system: ContactSystem
-    initial_state: ChartPoint | None
-    symmetries: tuple
-    quantities: tuple
-    maps: tuple
+class SpecDocument(Record):
+    """A loaded document: its system, initial state and candidates."""
+
+    __slots__ = _fields = (
+        "system", "initial_state", "symmetries", "quantities", "maps",
+    )
+
+    def __init__(
+        self, system: ContactSystem, initial_state: ChartPoint | None,
+        symmetries: tuple, quantities: tuple, maps: tuple,
+    ):
+        _set(self, "system", system)
+        _set(self, "initial_state", initial_state)
+        _set(self, "symmetries", symmetries)
+        _set(self, "quantities", quantities)
+        _set(self, "maps", maps)
 
     @property
     def candidate_count(self) -> int:

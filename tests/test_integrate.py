@@ -1,6 +1,6 @@
 """Fixed and adaptive steppers, trajectories, and CSV round trips."""
 
-import dataclasses
+import copy
 import functools
 import math
 import random
@@ -624,7 +624,7 @@ def test_trajectories_are_equal_only_to_themselves(shipped):
     assert a == a and a != b
     assert hash(a) == hash(a)
     assert len({a, b}) == 2
-    assert dataclasses.replace(a) != a
+    assert copy.copy(a) != a
 
 
 def test_trajectory_repr_shows_its_metadata_not_its_samples(shipped):
@@ -710,14 +710,24 @@ def test_csv_write_requires_matching_chart(tmp_path, gravity):
          "bad.csv: line 6: non-numeric cell"),
         ("\nt,q,p_q,s,H\n\n0,0,0,0,0\n1,0,0,0\n", "bad.csv: line 5: expected 5"),
         ("t,q,p_q,s,H\n\n\n0,0,0,0,0\n\n1,0,nan,0,0\n", "bad.csv: line 6: non-finite"),
+        # ... at every break of str.splitlines, not only at newlines
+        ("t,q,p_q,s,H\n0,0,0,0,0\f1,0,0,0,0\n2,0,0,x,0\n", "bad.csv: line 4: non-numeric"),
+        ("t,q,p_q,s,H\r\n0,0,0,0,0\r\n\r\n1,0,0,0,0\r2,0,nan,0,0\n",
+         "bad.csv: line 5: non-finite"),
     ],
 )
 def test_csv_read_errors(tmp_path, content, message):
     path = tmp_path / "bad.csv"
-    path.write_text(content)
+    path.write_bytes(content.encode())
     with pytest.raises(ValueError, match=message):
         read_trajectory_csv(path)
 
+
+def test_csv_cells_whose_sum_overflows_are_finite(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("t,q,p_q,s,H\n0,1e308,1e308,-1e308,inf\n1,-1e308,-1e308,0,0\n")
+    traj = read_trajectory_csv(path)
+    assert traj.states.tolist() == [[1e308, 1e308, -1e308], [-1e308, -1e308, 0.0]]
 
 # ---------------------------------------------------------------------------
 # Bit-identical to the plain reference integrator in helpers.py
@@ -989,3 +999,28 @@ def test_simulating_and_writing_ten_thousand_steps_stays_small(tmp_path, shipped
         tracemalloc.stop()
     assert len(traj) == 10_001
     assert peak < 1.5 * 2**20
+
+
+def test_reading_a_csv_of_a_few_mib_holds_little_more_than_its_buffers(tmp_path):
+    # the whole text, its lines and a (lineno, line) pair per line held at
+    # once, peak near 2.8 times the file size here
+    dim, count = 21, 8000
+    names = [f"q{i}" for i in range(10)] + [f"p_q{i}" for i in range(10)] + ["s"]
+    rng = random.Random(5)
+    rows = [[k * 1e-3] + [rng.uniform(-1.0, 1.0) for _ in range(dim + 1)] for k in range(count)]
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as f:
+        f.write(",".join(["t", *names, "H"]) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    size = path.stat().st_size
+    buffers = 8 * count * (dim + 1)
+    tracemalloc.start()
+    try:
+        traj = read_trajectory_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 3 * 2**20
+    assert traj.times.tolist() == [row[0] for row in rows]
+    assert traj.states.tolist() == [row[1:-1] for row in rows]
+    assert peak < 1.25 * buffers + 2**16
