@@ -36,9 +36,9 @@ per-point `calculus` functions run on the same trees.
 `sample_states` draws numpy's `default_rng(seed).uniform` stream bit
 for bit through `_pcg64`, so no check imports numpy.random.
 
-Checks default to 1e-8 (DEFAULT_TOLERANCE), a bound on pointwise
-residuals that only rounding limits; a tol must be finite and positive,
-the integrators' rule for dt and tol.
+Checks default to `integrate.DEFAULT_TOLERANCE`, 1e-8, a bound on
+pointwise residuals that only rounding limits; a tol must be finite and
+positive, the integrators' rule for dt and tol.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .calculus import (
     _map_deviation_trees,
 )
 from .contact_core import ContactSystem, _given
-from .integrate import _require_positive
+from .integrate import DEFAULT_TOLERANCE, _require_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,8 +77,6 @@ __all__ = [
     "reeb_lift",
     "sample_states",
 ]
-
-DEFAULT_TOLERANCE = 1e-8
 
 #: classification needs both residuals above this multiple of tol to
 #: report "neither"; the band in between is inconclusive
@@ -239,6 +237,8 @@ def _measure(sys: ContactSystem, states, tol: float, requests) -> list:
 def _quantity_label(conserved: CheckReport, dissipated: CheckReport) -> str:
     """Conserved, dissipated, both, neither or inconclusive, as
     `check_quantity` states the rule."""
+    if not (conserved.samples and dissipated.samples):
+        return "inconclusive"
     margin = NEITHER_MARGIN * conserved.tolerance
     if conserved.passed and dissipated.passed:
         return "both"
@@ -356,7 +356,8 @@ def check_quantity(
     conserved:  L_{X_H}F = 0 at every sample;
     dissipated: L_{X_H}F + (dH/ds) F = 0 at every sample.
     Both can hold (F = 0); "neither" requires both residuals to exceed
-    NEITHER_MARGIN * tol, and the band in between is inconclusive.
+    NEITHER_MARGIN * tol, and the band in between is inconclusive, as is
+    a check where no sample evaluated.
 
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import expr as ex
 from ._record import Record, _set
-from .contact_core import ACTION_NAME, ChartPoint, ContactSystem, _chart_n, _given
+from .contact_core import ACTION_NAME, ContactSystem, _chart_n, _given
 from .expr import Expression, MissingBindingError
 
 if TYPE_CHECKING:
@@ -127,9 +127,6 @@ class PointMap(_Candidate):
         return cls(
             name, _chart_components(sys, f"map {name!r}", components, ex.variable)
         )
-
-    def apply(self, sys: ContactSystem, point: Sequence[float]) -> ChartPoint:
-        return ChartPoint(sys._at(point, _given, self.components))
 
 
 class ScalarField(Record):

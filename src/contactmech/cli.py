@@ -7,7 +7,8 @@ export-model (write a built-in model as a spec document).
 Exit codes: 0 success, 2 spec/usage error or a file that cannot be read
 or written, 3 integration failure, 4 verification expectation mismatch
 (the report is still written).  Argument checks are the library's own;
-see `_checked`.
+see `_checked`.  verify and analyze, the two commands that run checks,
+import `analysis` when they run, so the others never load it.
 """
 
 from __future__ import annotations
@@ -20,16 +21,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .analysis import (
-    DEFAULT_TOLERANCE,
-    _run_checks,
-    check_quantity,
-    conserved_from_symmetry,
-    noether_quantity,
-    quotient_quantity,
-    sample_states,
-)
 from .integrate import (
+    DEFAULT_TOLERANCE,
     IntegrationError,
     _check_trajectory_chart,
     _require_positive,
@@ -121,9 +114,12 @@ def cmd_simulate(args) -> int:
 
 
 def _observed_symmetry(contact, dynamical) -> str:
-    """The label of a field's two reports; "inconsistent", a contact pass
-    with a dynamical failure, which exact arithmetic rules out, matches
-    no expectation."""
+    """The label of a field's two reports; "inconclusive", a report that
+    evaluated no state, and "inconsistent", a contact pass with a
+    dynamical failure, which exact arithmetic rules out, match no
+    expectation."""
+    if not (contact.samples and dynamical.samples):
+        return "inconclusive"
     if contact.passed:
         return "contact" if dynamical.passed else "inconsistent"
     return "dynamical" if dynamical.passed else "neither"
@@ -135,6 +131,7 @@ _CLASSIFICATIONS = {
     "dynamical": "dynamical symmetry, not contact",
     "neither": "not a symmetry",
     "inconsistent": "inconsistent, contact but not dynamical",
+    "inconclusive": "inconclusive, no sampled state evaluated",
 }
 
 
@@ -171,6 +168,8 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def cmd_verify(args) -> int:
+    from .analysis import _run_checks, noether_quantity, quotient_quantity, sample_states
+
     doc = load_document(args.spec)
     if doc.candidate_count == 0:
         raise _UsageError(
@@ -278,7 +277,10 @@ def cmd_verify(args) -> int:
             add_quantity("quotient", quotient, report, "conserved")
 
     for cand, report in zip(doc.maps, map_reports):
-        observed = "contact" if report.passed else "neither"
+        observed = (
+            "contact" if report.passed
+            else "neither" if report.samples else "inconclusive"
+        )
         add(
             "map",
             cand.name,
@@ -315,6 +317,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .analysis import (
+        _run_checks,
+        check_quantity,
+        conserved_from_symmetry,
+        noether_quantity,
+        sample_states,
+    )
+
     doc = load_document(args.spec)
     by_name = {cand.name: cand for cand in doc.symmetries}
     if args.field not in by_name:

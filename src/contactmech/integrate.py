@@ -420,6 +420,11 @@ def _generated(kind: str, dim: int):
     return env["_fn"]
 
 
+#: the tol of every sampled check in `analysis` and of `--tol` unless one
+#: is given
+DEFAULT_TOLERANCE = 1e-8
+
+
 def _require_positive(label: str, value: float) -> float:
     """`value` as a float, which must be positive (so not NaN) and finite."""
     value = float(value)

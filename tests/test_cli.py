@@ -1066,15 +1066,18 @@ def _reject_constant(name):
 
 def test_verify_writes_null_statistics_when_every_sample_fails(tmp_path, capsys):
     # H is undefined at every sampled state (all have q < 10), so both
-    # symmetry reports have no samples; the trajectory stays at q > 10
+    # symmetry reports have no samples and give no verdict, which matches
+    # no expectation; the trajectory stays at q > 10
     spec = tmp_path / "undefined.yaml"
     spec.write_text(UNDEFINED_SPEC)
     report = tmp_path / "r.json"
     rc = main(["verify", str(spec), "--tf", "1", "--report", str(report)])
-    assert rc in (0, 4)
-    capsys.readouterr()
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "s_shift: observed inconclusive, expected neither [MISMATCH]" in out
     text = report.read_text()
     symmetry, quantity = json.loads(text, parse_constant=_reject_constant)["checks"]
+    assert symmetry["observed"] == "inconclusive"
     for entry in (symmetry["contact"], symmetry["dynamical"]):
         assert (entry["samples"], entry["failed_samples"]) == (0, 100)
         assert entry["max_residual"] is None and entry["mean_residual"] is None

@@ -346,16 +346,13 @@ def test_kernel_matches_the_per_component_path(name):
 def _probes(sys):
     """(label, per-state call, the trees its values come from) for each
     per-state function that evaluates through `ContactSystem._at`.  The
-    field, scalar and map are built anew on every call of this helper."""
+    field and scalar are built anew on every call of this helper."""
     q, p = sys.coordinates[0], sys.momenta[0]
     mix = VectorField.from_mapping(
         sys, "mix", {q: f"{p}*{q}", p: f"sin({q})", "s": f"{p}^2 + s"}
     )
     xh = hamiltonian_field(sys)
     energy = ScalarField("H", sys.hamiltonian)
-    moved = PointMap.from_mapping(
-        sys, "moved", {q: f"{q} + 0.5", p: f"2*{p}", "s": f"s + {q}"}
-    )
     h = sys.hamiltonian
     names = sys.chart_names
     return [
@@ -370,7 +367,6 @@ def _probes(sys):
         ("vf_jacobian", lambda pt: vf_jacobian(sys, mix, pt).ravel().tolist(),
          tuple(c.derivative(v) for c in mix.components for v in names)),
         ("ScalarField.value", lambda pt: energy.value(sys, pt), (h,)),
-        ("PointMap.apply", lambda pt: moved.apply(sys, pt), moved.components),
         ("lie_bracket", lambda pt: lie_bracket(sys, mix, xh, pt),
          _bracket_trees(sys, mix.components, xh.components)),
         ("lie_derivative_scalar",
@@ -441,7 +437,7 @@ def test_second_call_at_a_new_state_compiles_nothing(name, monkeypatch):
         check(sample_states(sys, 4, seed=5))
     kept = len(sys._kernels)
     monkeypatch.setattr(ex, "_compile_kernel", _no_compile)
-    # the probes rebuild their field, scalar and map, so each call finds
+    # the probes rebuild their field and scalar, so each call finds
     # its kernel by comparing trees structurally
     for _, call, _ in _probes(sys):
         call(second)

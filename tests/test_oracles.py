@@ -15,6 +15,7 @@ import sympy
 
 from helpers import _EDGE_VALUES, CHAIN_H
 from contactmech import (
+    ChartPoint,
     ContactSystem,
     PointMap,
     ScalarField,
@@ -309,7 +310,7 @@ def _matmul_map_residuals(sys, point_map, states):
     as_field = VectorField(point_map.name, point_map.components)
     out = []
     for pt in states:
-        image = point_map.apply(sys, pt)
+        image = ChartPoint(sys._at(pt, _given, point_map.components))
         eta_image = np.array([-v for v in image.p] + [0.0] * n + [1.0])
         eta_here = np.array([-v for v in pt[n : 2 * n]] + [0.0] * n + [1.0])
         pulled = eta_image @ vf_jacobian(sys, as_field, pt)

@@ -92,6 +92,43 @@ def test_the_package_exports_exactly_its_public_names():
         assert getattr(contactmech, name) is not None
 
 
+def test_a_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from contactmech import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
+    for name, value in namespace.items():
+        assert value is getattr(contactmech, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC) <= set(dir(contactmech))
+
+
+def test_a_plain_import_resolves_the_submodules():
+    # in a fresh interpreter, where no submodule is loaded yet
+    names = (
+        "expr", "contact_core", "calculus", "integrate", "analysis", "models",
+        "specdoc", "_record",
+    )
+    script = (
+        "import contactmech\n"
+        f"for name in {names!r}:\n"
+        "    module = getattr(contactmech, name)\n"
+        "    assert module.__name__ == f'contactmech.{name}', module\n"
+        "    assert name in dir(contactmech), name\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_unknown_name_raises_an_attribute_error_that_names_it():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        contactmech.no_such_name
+
+
 @pytest.mark.parametrize("module_name", SUBMODULES)
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(f"contactmech.{module_name}")
