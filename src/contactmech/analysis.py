@@ -234,21 +234,38 @@ def _measure(sys: ContactSystem, states, tol: float, requests) -> list:
     return sys._kernel(_requested, tuple(requests))(*rows.T)
 
 
-def _quantity_label(conserved: CheckReport, dissipated: CheckReport) -> str:
-    """Conserved, dissipated, both, neither or inconclusive, as
-    `check_quantity` states the rule."""
-    if not (conserved.samples and dissipated.samples):
+#: each category's label by which of its candidate's reports passed: a
+#: symmetry's (contact, dynamical), a quantity's (conserved, dissipated)
+#: and a map's (contact,); "inconsistent" is what exact arithmetic rules out
+_LABELS = {
+    "symmetry": {(True, True): "contact", (True, False): "inconsistent",
+                 (False, True): "dynamical", (False, False): "neither"},
+    "quantity": {(True, True): "both", (True, False): "conserved",
+                 (False, True): "dissipated", (False, False): "neither"},
+    "map": {(True,): "contact", (False,): "neither"},
+}
+
+
+def _label(category: str, *reports: CheckReport) -> str:
+    """A candidate's label from its reports, by `_LABELS`: "inconclusive"
+    when a report evaluated no state, or when a quantity is neither but
+    has a residual within NEITHER_MARGIN * tol."""
+    label = _LABELS[category][tuple(report.passed for report in reports)]
+    margin = NEITHER_MARGIN * reports[0].tolerance
+    if not all(report.samples for report in reports) or (
+        category == "quantity" and label == "neither"
+        and min(report.max_residual for report in reports) <= margin
+    ):
         return "inconclusive"
-    margin = NEITHER_MARGIN * conserved.tolerance
-    if conserved.passed and dissipated.passed:
-        return "both"
-    if conserved.passed:
-        return "conserved"
-    if dissipated.passed:
-        return "dissipated"
-    if conserved.max_residual > margin and dissipated.max_residual > margin:
-        return "neither"
-    return "inconclusive"
+    return label
+
+
+def _matches(expected: str, observed: str) -> bool:
+    """Whether an `observed` label meets an `expected` one: "both" meets
+    "conserved" and "dissipated"."""
+    if observed == "both":
+        return expected in ("conserved", "dissipated")
+    return observed == expected
 
 
 def _run_checks(
@@ -293,7 +310,7 @@ def _run_checks(
         dissipated = _sampled_report(
             name, KIND_DISSIPATED, (dissipation,), failed, tol
         )
-        label = _quantity_label(conserved, dissipated)
+        label = _label("quantity", conserved, dissipated)
         return QuantityReport(name, label, conserved, dissipated)
 
     def deviation(name):
@@ -355,9 +372,7 @@ def check_quantity(
 
     conserved:  L_{X_H}F = 0 at every sample;
     dissipated: L_{X_H}F + (dH/ds) F = 0 at every sample.
-    Both can hold (F = 0); "neither" requires both residuals to exceed
-    NEITHER_MARGIN * tol, and the band in between is inconclusive, as is
-    a check where no sample evaluated.
+    Both can hold (F = 0); `_label` gives the classification.
 
     One column kernel returns both rates at every sample; a sample
     where it fails counts as failed in both reports.

@@ -113,19 +113,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _observed_symmetry(contact, dynamical) -> str:
-    """The label of a field's two reports; "inconclusive", a report that
-    evaluated no state, and "inconsistent", a contact pass with a
-    dynamical failure, which exact arithmetic rules out, match no
-    expectation."""
-    if not (contact.samples and dynamical.samples):
-        return "inconclusive"
-    if contact.passed:
-        return "contact" if dynamical.passed else "inconsistent"
-    return "dynamical" if dynamical.passed else "neither"
-
-
-#: how `analyze` states each label of `_observed_symmetry`
+#: how `analyze` states each symmetry label of `analysis._label`
 _CLASSIFICATIONS = {
     "contact": "contact symmetry",
     "dynamical": "dynamical symmetry, not contact",
@@ -133,12 +121,6 @@ _CLASSIFICATIONS = {
     "inconsistent": "inconsistent, contact but not dynamical",
     "inconclusive": "inconclusive, no sampled state evaluated",
 }
-
-
-def _quantity_matches(expect: str, classification: str) -> bool:
-    if classification == "both":
-        return expect in ("conserved", "dissipated")
-    return classification == expect
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -168,7 +150,14 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def cmd_verify(args) -> int:
-    from .analysis import _run_checks, noether_quantity, quotient_quantity, sample_states
+    from .analysis import (
+        _label,
+        _matches,
+        _run_checks,
+        noether_quantity,
+        quotient_quantity,
+        sample_states,
+    )
 
     doc = load_document(args.spec)
     if doc.candidate_count == 0:
@@ -198,13 +187,14 @@ def cmd_verify(args) -> int:
 
     checks, lines = [], []  # the lines print once the report is written
 
-    def add(category, name, expected, observed, matched, **extra):
+    def add(category, name, expected, observed, **extra) -> bool:
+        matched = _matches(expected, observed)
         entry = {
             "category": category,
             "name": name,
             "expected": expected,
             "observed": observed,
-            "matched": bool(matched),
+            "matched": matched,
         }
         entry.update(extra)
         checks.append(entry)
@@ -212,20 +202,18 @@ def cmd_verify(args) -> int:
         lines.append(
             f"{category} {name}: observed {observed}, expected {expected} [{status}]"
         )
+        return matched
 
     def add_quantity(category, quantity, report, expected, **extra) -> bool:
-        matched = _quantity_matches(expected, report.classification)
-        add(
+        return add(
             category,
             quantity.name,
             expected,
             report.classification,
-            matched,
             expression=str(quantity.expression),
             report=report.as_dict(),
             **extra,
         )
-        return matched
 
     # one column kernel per set of states: every check on the samples,
     # then every quantity along the trajectory with the quotients of each
@@ -240,13 +228,11 @@ def cmd_verify(args) -> int:
     )
     dynamical_passers = []
     for cand, (contact, dynamical) in zip(doc.symmetries, symmetry_reports):
-        observed = _observed_symmetry(contact, dynamical)
         add(
             "symmetry",
             cand.name,
             cand.expect,
-            observed,
-            observed == cand.expect,
+            _label("symmetry", contact, dynamical),
             contact=contact.as_dict(),
             dynamical=dynamical.as_dict(),
         )
@@ -277,16 +263,11 @@ def cmd_verify(args) -> int:
             add_quantity("quotient", quotient, report, "conserved")
 
     for cand, report in zip(doc.maps, map_reports):
-        observed = (
-            "contact" if report.passed
-            else "neither" if report.samples else "inconclusive"
-        )
         add(
             "map",
             cand.name,
             cand.expect,
-            observed,
-            observed == cand.expect,
+            _label("map", report),
             report=report.as_dict(),
         )
 
@@ -318,6 +299,7 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     from .analysis import (
+        _label,
         _run_checks,
         check_quantity,
         conserved_from_symmetry,
@@ -345,7 +327,7 @@ def cmd_analyze(args) -> int:
     ((contact, dynamical),), _, _, ((h,), undefined) = _run_checks(
         system, states, args.tol, fields=(cand.field,)
     )
-    observed = _observed_symmetry(contact, dynamical)
+    observed = _label("symmetry", contact, dynamical)
     if observed == "contact":
         residuals = f"max residual {contact.max_residual:.3e}"
     else:
@@ -361,7 +343,7 @@ def cmd_analyze(args) -> int:
 
     quantity = noether_quantity(system, cand.field)
     print(f"generated quantity: {quantity.expression}")
-    if not dynamical.passed:
+    if observed in ("neither", "inconsistent"):
         print("note: not a dynamical symmetry, so no dissipation guarantee")
 
     if traj is None:

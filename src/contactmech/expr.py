@@ -534,7 +534,7 @@ def _column(x, shape):
 #: column function, which takes the step's mask column last (None for a
 #: step that cannot raise, see `_column_kernel`).  A scalar kernel writes
 #: ``neg`` and the operators inline.  A square is no entry of its own: it is ``*`` of its
-#: base by itself, so ``_pw`` and ``_mpow`` take every other power.
+#: base by itself, so ``_pw`` takes every other power.
 _OPS = {
     "neg": (operator.neg, lambda x, mask: -x),
     "+": (operator.add, lambda a, b, mask: a + b),
@@ -542,7 +542,6 @@ _OPS = {
     "*": (operator.mul, lambda a, b, mask: a * b),
     "/": (operator.truediv, _column_div),
     "_pw": (_pow, _rowwise(_pow)),
-    "_mpow": (math.pow, _rowwise(math.pow)),
     "_sqrt": (math.sqrt, _column_sqrt),
     "_abs": (abs, lambda x, mask: abs(x)),  # np.absolute on an array
     # private: produced by differentiating abs, never parsed; its column
@@ -664,8 +663,7 @@ class _Emitter:
         """``(helper, operand nodes)`` of an operation node: ``neg``, an
         operator, ``_<fn>`` for a call, and for a power whose exponent
         folds to 2 ``*`` of the base by itself, as `_pow` computes it;
-        any other power is ``_mpow`` (``_pow`` with an integer exponent
-        is math.pow) or ``_pw``."""
+        any other power is ``_pw``."""
         kind = type(node)
         if kind is Neg:
             return "neg", (node.arg,)
@@ -676,8 +674,6 @@ class _Emitter:
         exponent = self.folded(node.rhs)
         if exponent == 2.0:
             return "*", (node.lhs, node.lhs)
-        if exponent is not None and exponent.is_integer():
-            return "_mpow", (node.lhs, node.rhs)
         return "_pw", (node.lhs, node.rhs)
 
     def columns(self, roots) -> tuple:

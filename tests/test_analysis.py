@@ -35,6 +35,7 @@ from contactmech import (
     sample_states,
 )
 from contactmech._pcg64 import uniform
+from contactmech.analysis import NEITHER_MARGIN, CheckReport, _label, _matches
 from contactmech.calculus import _dissipation_trees, _map_deviation_trees
 from contactmech.expr import literal, mul, substitute
 from contactmech.integrate import Trajectory
@@ -425,6 +426,90 @@ def test_near_miss_is_inconclusive(gravity, coarse_traj):
     tweaked = ScalarField("p_x+eps*x", parse("p_x + 1e-6*x", gravity.chart_names))
     report = check_quantity(gravity, tweaked, coarse_traj.states)
     assert report.classification == "inconclusive"
+
+
+def _report(residual: float, samples: int = 100, tol: float = 1e-8) -> CheckReport:
+    """A report whose verdict follows from `residual`, as a sampled
+    check's does; 0 samples means an all-failed check."""
+    if not samples:
+        residual = math.inf
+    verdict = "pass" if residual <= tol else "fail"
+    return CheckReport("F", "kind", samples, residual, residual, tol, verdict)
+
+
+#: every pass combination of each category's reports, and its label
+LABELS = [
+    ("symmetry", (True, True), "contact"),
+    ("symmetry", (True, False), "inconsistent"),
+    ("symmetry", (False, True), "dynamical"),
+    ("symmetry", (False, False), "neither"),
+    ("quantity", (True, True), "both"),
+    ("quantity", (True, False), "conserved"),
+    ("quantity", (False, True), "dissipated"),
+    ("quantity", (False, False), "neither"),
+    ("map", (True,), "contact"),
+    ("map", (False,), "neither"),
+]
+
+
+@pytest.mark.parametrize("category, passes, label", LABELS)
+def test_each_pass_combination_has_one_label(category, passes, label):
+    reports = [_report(0.0 if passed else 1.0) for passed in passes]
+    assert _label(category, *reports) == label
+
+
+@pytest.mark.parametrize(
+    "category, passes, position",
+    [(cat, passes, k) for cat, passes, _ in LABELS for k in range(len(passes))],
+)
+def test_a_report_with_no_sample_makes_any_label_inconclusive(
+    category, passes, position
+):
+    reports = [_report(0.0 if passed else 1.0) for passed in passes]
+    reports[position] = _report(0.0, samples=0)
+    assert _label(category, *reports) == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "residual, label",
+    [
+        (math.nextafter(NEITHER_MARGIN * 1e-8, 0.0), "inconclusive"),
+        (NEITHER_MARGIN * 1e-8, "inconclusive"),
+        (math.nextafter(NEITHER_MARGIN * 1e-8, math.inf), "neither"),
+    ],
+    ids=["below", "at", "above"],
+)
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_quantity_is_neither_only_past_the_margin(residual, label, position):
+    reports = [_report(1.0), _report(1.0)]
+    reports[position] = _report(residual)
+    assert _label("quantity", *reports) == label
+    # a symmetry that fails both checks is "neither" at any residual
+    assert _label("symmetry", *reports) == "neither"
+
+
+#: (expected, observed) of every label that meets an expectation
+MATCHES = {
+    ("contact", "contact"),
+    ("dynamical", "dynamical"),
+    ("neither", "neither"),
+    ("conserved", "conserved"),
+    ("dissipated", "dissipated"),
+    ("conserved", "both"),
+    ("dissipated", "both"),
+}
+
+
+@pytest.mark.parametrize(
+    "observed",
+    ["contact", "dynamical", "neither", "inconsistent", "inconclusive",
+     "conserved", "dissipated", "both"],
+)
+@pytest.mark.parametrize(
+    "expected", ["contact", "dynamical", "neither", "conserved", "dissipated"]
+)
+def test_each_observed_label_meets_only_its_expectations(expected, observed):
+    assert _matches(expected, observed) is ((expected, observed) in MATCHES)
 
 
 def test_quantity_report_dict_round_trip(gravity, coarse_traj):

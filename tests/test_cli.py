@@ -1085,6 +1085,17 @@ def test_verify_writes_null_statistics_when_every_sample_fails(tmp_path, capsys)
     assert quantity["report"]["conserved"]["max_residual"] == 1.0
 
 
+def test_analyze_prints_no_note_when_no_sample_evaluated(tmp_path, capsys):
+    # the checks measured nothing, so there is no failed dynamical check
+    # to warn about
+    spec = tmp_path / "undefined.yaml"
+    spec.write_text(UNDEFINED_SPEC)
+    assert main(["analyze", str(spec), "s_shift", "--tf", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "classification: inconclusive, no sampled state evaluated" in out
+    assert "note:" not in out
+
+
 OVERFLOWING_QUOTIENT_SPEC = """\
 n: 1
 coordinates: [q]
